@@ -28,7 +28,7 @@ from .fiber import (
     eig_window,
     filter_spurious,
 )
-from .profiles import ProfileSet, magnetic_potential
+from .profiles import ProfileSet
 
 __all__ = [
     "SweepConfig",

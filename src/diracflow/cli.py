@@ -8,7 +8,7 @@ Verbs:
   all-figures    branch plots for every preset scenario
 
 Exit codes: 0 ok, 2 alpha on a bulk level, 3 tracking failure,
-4 invalid window, 5 dense-solve budget exceeded.
+4 invalid window, 5 dense-solve budget exceeded, 6 invalid config.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .branches import Branch, branch_points, sweep_branches
+from .branches import Branch, _solve_retained, branch_points, sweep_branches
 from .bulk import HalfSpaceParams, landau_levels, predicted_sf
 from .config import RunConfig, RunManifest, config_from_dict, load_config
 from .errors import DiracflowError
-from .fiber import Grid1D, SpuriousFilter, assemble_fiber, eig_window, filter_spurious
 from .flow import conductivity, conductivity_quadrature, reconcile, spectral_flow
 from .oracle2d import (
-    PerturbationSpec,
     assemble_2d,
     default_projection,
     stability_experiment,
@@ -53,20 +52,15 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
     return minus, plus
 
 
-def _solve_one(args) -> tuple[float, list]:
-    grid, ps, zeta, window, filt = args
-    pairs = filter_spurious(eig_window(assemble_fiber(grid, ps, zeta), window), grid, filt)
-    return zeta, pairs
-
-
 def run_sweep(cfg: RunConfig) -> list[Branch]:
     """Sweep with optional parallel prefetch of the initial samples."""
     prefetch = None
     if cfg.workers > 1:
-        zetas = np.linspace(cfg.sweep.zeta_min, cfg.sweep.zeta_max, cfg.sweep.samples)
-        jobs = [(cfg.grid, cfg.profiles, float(z), cfg.sweep.window, cfg.filter) for z in zetas]
+        sw = cfg.sweep
+        zetas = [float(z) for z in np.linspace(sw.zeta_min, sw.zeta_max, sw.samples)]
+        solve = partial(_solve_retained, cfg.grid, cfg.profiles, window=sw.window, f=cfg.filter)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            prefetch = dict(pool.map(_solve_one, jobs))
+            prefetch = dict(zip(zetas, pool.map(solve, zetas)))
     return sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch)
 
 

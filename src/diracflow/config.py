@@ -1,7 +1,8 @@
 """Run configuration: strict JSON schema, defaults, and the run manifest.
 
 Unknown keys are rejected at every nesting level so a typo in a config
-file fails loudly instead of silently running defaults.  All defaults
+file fails loudly instead of silently running defaults; any malformed
+or invalid value raises ConfigError (exit code 6).  All defaults
 are materialized into the manifest, making runs replayable byte-for-byte
 from the manifest alone.
 """
@@ -13,25 +14,26 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from . import __version__
 from .branches import SweepConfig
-from .errors import DiracflowError
+from .errors import ConfigError
 from .fiber import Grid1D, SpuriousFilter
 from .oracle2d import Grid2D, PerturbationSpec
 from .profiles import DensityProfile, ProfileSet, SwitchProfile
 
 __all__ = ["RunConfig", "load_config", "config_from_dict", "RunManifest"]
 
-TOOL_VERSION = "0.1.0"
-
 
 def _take(d: dict, ctx: str, known: dict[str, Any]) -> dict:
     """Pop known keys with defaults; reject anything left over."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx} must be a JSON object")
     out = {}
     d = dict(d)
     for key, default in known.items():
         out[key] = d.pop(key, default)
     if d:
-        raise DiracflowError(f"unknown keys in {ctx}: {sorted(d)}")
+        raise ConfigError(f"unknown keys in {ctx}: {sorted(d)}")
     return out
 
 
@@ -40,16 +42,22 @@ _REQUIRED = object()
 
 def _require(val, key: str, ctx: str):
     if val is _REQUIRED:
-        raise DiracflowError(f"missing required key {key!r} in {ctx}")
+        raise ConfigError(f"missing required key {key!r} in {ctx}")
     return val
+
+
+def _pair(val, ctx: str) -> tuple[float, float]:
+    if not isinstance(val, (list, tuple)) or len(val) != 2:
+        raise ConfigError(f"{ctx} must be a [lo, hi] pair")
+    return float(val[0]), float(val[1])
 
 
 def _parse_profile(d: dict, ctx: str) -> SwitchProfile:
     got = _take(
         d, ctx, {"lower": _REQUIRED, "upper": _REQUIRED, "t_lo": -1.0, "t_hi": 1.0, "shape": "smooth_bump"}
     )
-    for k in ("lower", "upper"):
-        _require(got[k], k, ctx)
+    for k in ("lower", "upper", "t_lo", "t_hi"):
+        got[k] = float(_require(got[k], k, ctx))
     return SwitchProfile(**got)
 
 
@@ -122,6 +130,14 @@ class RunConfig:
 
 
 def config_from_dict(raw: dict, out_dir: str | Path = "out") -> RunConfig:
+    """Parse and validate a raw config; every defect raises ConfigError."""
+    try:
+        return _parse(raw, out_dir)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from None
+
+
+def _parse(raw: dict, out_dir: str | Path) -> RunConfig:
     got = _take(
         raw,
         "config",
@@ -168,7 +184,7 @@ def config_from_dict(raw: dict, out_dir: str | Path = "out") -> RunConfig:
         zeta_min=float(sw["zeta_min"]),
         zeta_max=float(sw["zeta_max"]),
         samples=int(sw["samples"]),
-        window=(float(sw["window"][0]), float(sw["window"][1])),
+        window=_pair(sw["window"], "sweep.window"),
         refine_tol=float(sw["refine_tol"]),
         overlap_threshold=float(sw["overlap_threshold"]),
         bisect_floor=float(sw["bisect_floor"]),
@@ -178,7 +194,7 @@ def config_from_dict(raw: dict, out_dir: str | Path = "out") -> RunConfig:
     filt = SpuriousFilter(margin=float(fl["margin"]), threshold=float(fl["threshold"]))
 
     dn = _take(got["density"], "density", {"window": [-0.5, 0.5], "shape": "smooth_bump"})
-    dens = DensityProfile.from_window(float(dn["window"][0]), float(dn["window"][1]), dn["shape"])
+    dens = DensityProfile.from_window(*_pair(dn["window"], "density.window"), dn["shape"])
 
     g2 = None
     if got["grid2d"] is not None:
@@ -220,8 +236,11 @@ def config_from_dict(raw: dict, out_dir: str | Path = "out") -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     return config_from_dict(raw)
 
 
@@ -230,7 +249,7 @@ class RunManifest:
     """Everything needed to replay and audit a run."""
 
     config: dict
-    version: str = TOOL_VERSION
+    version: str = __version__
     timings: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)

@@ -41,6 +41,12 @@ class BudgetError(DiracflowError):
     exit_code = 5
 
 
+class ConfigError(DiracflowError):
+    """A run configuration is malformed or holds an invalid value."""
+
+    exit_code = 6
+
+
 class SolverError(DiracflowError):
     """Eigensolver failed to converge; message carries iteration diagnostics."""
 

@@ -11,6 +11,20 @@ Hermitian bit-exactly and leaves the kinetic symbol 2 sin(k h / 2) / h
 without a second zero in the Brillouin zone, so no doubled branches
 appear at small momentum transfer.
 
+Every off-diagonal entry is imaginary and the hopping graph
+down_0 - up_0 - down_1 - up_1 - ... is a path, so ordering each site as
+(down_i, up_i) and multiplying the down components by -i turns the
+Dirichlet matrix into a real symmetric tridiagonal (Jacobi) matrix:
+
+    d = (V - m, V + m) per site,
+    e = 1/h - (zeta - A2(x_i)) on site,  -1/h between sites.
+
+zeta enters only the on-site entries of e, so H(zeta) = T0 - zeta S.
+Windowed eigenpairs come from LAPACK bisection and inverse iteration
+for that form (?stebz / ?stein, via scipy.linalg.eigh_tridiagonal).
+The periodic wrap closes the path into a cycle; periodic fibers only
+appear on small grids and are solved densely.
+
 Known lattice artifact (recorded in the decisions ledger): the combined
 symbol of forward difference plus a constant transverse term w = zeta -
 A2(x) develops a spurious zone-edge zero when w is near +2/h.  States
@@ -22,11 +36,10 @@ either absent or land in the boundary strip of the spurious filter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .profiles import ProfileSet, evaluate, magnetic_potential
@@ -42,9 +55,6 @@ __all__ = [
     "boundary_mass",
     "zone_edge_fraction",
 ]
-
-# below this dimension a dense solve beats banded + inverse iteration
-_DENSE_CUTOFF = 600
 
 
 @dataclass(frozen=True)
@@ -71,55 +81,71 @@ class Grid1D:
     def x(self) -> np.ndarray:
         return -self.L + self.h * np.arange(self.N)
 
-    def momentum_margin(self, ps: ProfileSet) -> float:
-        """h * max(|B-|, |B+|) * L; values >= pi mean the zone-edge resonance
-        w = zeta - A2 ~ 2/h is reachable inside the domain (soft warning)."""
-        return self.h * max(abs(ps.B.lower), abs(ps.B.upper)) * self.L
 
-
-@dataclass(frozen=True)
 class FiberMatrix:
     """Hermitian 2N x 2N discretization of Hhat(zeta).
 
-    Spinor components are interleaved (site i occupies rows 2i, 2i+1), so
-    the dirichlet matrix has scalar bandwidth 3.
+    Held as the real Jacobi pair (d, e) of the module docstring (the open
+    chain; the periodic wrap is implied by grid.bc), or as explicit dense
+    `entries`.  `entries` is the dense Hermitian view in interleaved
+    ordering (site i occupies rows 2i = up, 2i + 1 = down), built on
+    first access from (d, e) when not given.
     """
 
-    zeta: float
-    grid: Grid1D
-    entries: np.ndarray = field(repr=False)
+    def __init__(
+        self,
+        zeta: float,
+        grid: Grid1D,
+        entries: np.ndarray | None = None,
+        d: np.ndarray | None = None,
+        e: np.ndarray | None = None,
+    ):
+        if (entries is None) == (d is None or e is None):
+            raise ValueError("give either entries or the Jacobi pair (d, e)")
+        self.zeta = zeta
+        self.grid = grid
+        self.d = d
+        self.e = e
+        if entries is not None:
+            self.entries = entries
 
     @property
     def dim(self) -> int:
         return 2 * self.grid.N
 
+    @cached_property
+    def entries(self) -> np.ndarray:
+        n = self.dim
+        # Jacobi index k -> interleaved row: down_i (k = 2i) -> 2i + 1, up_i -> 2i
+        pos = np.arange(n) ^ 1
+        # undo the -i phase on down components: <down|H|up> = -i e, <up|H|down> = i e
+        upper = np.where(np.arange(n - 1) % 2 == 0, -1j, 1j) * self.e
+        H = np.zeros((n, n), dtype=complex)
+        H[pos, pos] = self.d
+        H[pos[:-1], pos[1:]] = upper
+        H[pos[1:], pos[:-1]] = np.conj(upper)
+        if self.grid.bc == "periodic":
+            # wrap term of the forward difference (up_{N-1} -> down_0) and its adjoint
+            H[n - 2, 1] = 1j * self.e[1]
+            H[1, n - 2] = -1j * self.e[1]
+        return H
+
 
 def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
-    """Assemble the fiber matrix; Hermitian by construction (adjoint stencils)."""
+    """Assemble the fiber matrix in Jacobi form, O(N); Hermitian by construction."""
     N, h = grid.N, grid.h
     x = grid.x
     m = evaluate(ps.m, x)
     V = evaluate(ps.V, x)
     A2 = magnetic_potential(ps, x)
-    w = zeta - A2
 
-    H = np.zeros((2 * N, 2 * N), dtype=complex)
-    idx = np.arange(N)
-    # diagonal blocks: V +- m, pointwise
-    H[2 * idx, 2 * idx] = V + m
-    H[2 * idx + 1, 2 * idx + 1] = V - m
-    # (1,2) block: forward difference plus transverse term; the (2,1)
-    # block is its exact adjoint, written out entry by entry
-    onsite = 1j * (1.0 / h - w)
-    H[2 * idx, 2 * idx + 1] = onsite
-    H[2 * idx + 1, 2 * idx] = np.conj(onsite)
-    H[2 * idx[:-1], 2 * idx[:-1] + 3] = -1j / h
-    H[2 * idx[:-1] + 3, 2 * idx[:-1]] = 1j / h
-    if grid.bc == "periodic":
-        # wrap term of the forward difference and its adjoint
-        H[2 * (N - 1), 1] = -1j / h
-        H[1, 2 * (N - 1)] = 1j / h
-    return FiberMatrix(zeta=zeta, grid=grid, entries=H)
+    d = np.empty(2 * N)
+    d[0::2] = V - m
+    d[1::2] = V + m
+    # forward difference plus transverse term on site; its hop between sites
+    e = np.full(2 * N - 1, -1.0 / h)
+    e[0::2] = 1.0 / h - (zeta - A2)
+    return FiberMatrix(zeta=zeta, grid=grid, d=d, e=e)
 
 
 @dataclass(frozen=True)
@@ -149,108 +175,52 @@ class SpuriousFilter:
         return cls(margin=grid.L / 8.0, threshold=0.3)
 
 
-def _to_banded_upper(H: np.ndarray, bw: int) -> np.ndarray:
-    """Pack a Hermitian banded matrix into LAPACK upper-banded storage."""
-    n = H.shape[0]
-    ab = np.zeros((bw + 1, n), dtype=complex)
-    for u in range(bw + 1):
-        ab[bw - u, u:] = np.diagonal(H, offset=u)
-    return ab
-
-
-def _inverse_iteration(
-    Hs: sp.csr_matrix, vals: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors for known eigenvalues via cluster-grouped inverse iteration.
-
-    Values are grouped into near-degenerate clusters; each cluster gets a
-    subspace inverse iteration (shared shifted LU factorization) followed
-    by a Rayleigh-Ritz rotation, which keeps cluster members orthogonal.
-    """
-    n = Hs.shape[0]
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = np.empty((n, vals.size), dtype=complex)
-    mus = np.empty(vals.size)
-
-    clusters: list[list[int]] = []
-    for i in range(vals.size):
-        if clusters and vals[i] - vals[clusters[-1][-1]] < 1e-6:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    eye = sp.identity(n, dtype=complex, format="csc")
-    for cl in clusters:
-        c = len(cl)
-        shift = float(np.mean(vals[cl])) + 1e-9
-        lu = spla.splu((Hs - shift * eye).tocsc())
-        X = rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c))
-        X, _ = np.linalg.qr(X)
-        res = np.inf
-        for it in range(10):
-            X = lu.solve(X)
-            X, _ = np.linalg.qr(X)
-            # Rayleigh-Ritz inside the cluster subspace
-            W = X.conj().T @ (Hs @ X)
-            W = 0.5 * (W + W.conj().T)
-            ritz, rot = np.linalg.eigh(W)
-            X = X @ rot
-            R = Hs @ X - X * ritz
-            res = float(np.max(np.linalg.norm(R, axis=0)))
-            if it >= 2 and res <= 1e-9 * (1.0 + float(np.max(np.abs(ritz)))):
-                break
-        else:
-            raise SolverError(
-                f"inverse iteration stalled: cluster at mu ~ {shift:.6g}, "
-                f"size {c}, residual {res:.3e} after 10 iterations"
-            )
-        vecs[:, cl] = X
-        mus[cl] = ritz
-    return mus, vecs
+def _jacobi_residuals(d: np.ndarray, e: np.ndarray, mus: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Column norms of (J - mu) t for the Jacobi matrix J = tridiag(e, d, e), in O(n)."""
+    R = (d[:, None] - mus) * T
+    R[:-1] += e[:, None] * T[1:]
+    R[1:] += e[:, None] * T[:-1]
+    return np.linalg.norm(R, axis=0)
 
 
 def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
     """All eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
-    Dense path for small or periodic matrices; banded eigenvalue scan
-    plus sparse inverse iteration otherwise (an optimization only -- the
-    dense solve defines the contract).
+    Dirichlet fibers in Jacobi form are solved by bisection and inverse
+    iteration on the real tridiagonal matrix (LAPACK ?stebz / ?stein);
+    their eigenvectors are mapped back to the interleaved complex basis
+    (psi_up,i = t_2i+1, psi_down,i = -i t_2i).  Periodic fibers and
+    matrices given by dense entries use a dense windowed eigh.  Every
+    pair must satisfy ||H psi - mu psi|| <= 1e-8 (1 + |mu|).
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("window lo must be < hi")
-    H = A.entries
-    n = H.shape[0]
 
-    if n <= _DENSE_CUTOFF or A.grid.bc == "periodic":
-        vals, vecs = sla.eigh(H, subset_by_value=(lo, hi))
-        mus = vals
+    if A.d is None or A.grid.bc == "periodic":
+        H = A.entries
+        mus, vecs = sla.eigh(H, subset_by_value=(lo, hi))
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        res = np.linalg.norm(H @ vecs - vecs * mus, axis=0)
+        psis = np.ascontiguousarray(vecs.T)
     else:
-        bw = 3
-        ab = _to_banded_upper(H, bw)
-        vals = sla.eig_banded(
-            ab, lower=False, eigvals_only=True, select="v", select_range=(lo, hi)
-        )
-        if vals.size == 0:
-            return []
-        rng = np.random.default_rng(7)
-        offsets = [k for k in (-3, -1, 0, 1, 3) if np.any(np.diagonal(H, k))]
-        Hs = sp.diags(
-            [np.diagonal(H, k).copy() for k in offsets], offsets, format="csr", dtype=complex
-        )
-        mus, vecs = _inverse_iteration(Hs, np.asarray(vals), rng)
+        try:
+            mus, T = sla.eigh_tridiagonal(A.d, A.e, select="v", select_range=(lo, hi))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: {exc}") from exc
+        T = T / np.linalg.norm(T, axis=0)
+        res = _jacobi_residuals(A.d, A.e, mus, T)
+        psis = np.empty(T.T.shape, dtype=complex)
+        psis[:, 0::2] = T.T[:, 1::2]
+        psis[:, 1::2] = -1j * T.T[:, 0::2]
 
     pairs = []
-    for mu, v in zip(mus, vecs.T):
+    for mu, v, r in zip(mus, psis, res):
         if not lo <= mu <= hi:
             continue
-        nrm = np.linalg.norm(v)
-        v = v / nrm
-        r = float(np.linalg.norm(H @ v - mu * v))
         if r > 1e-8 * (1.0 + abs(mu)):
             raise SolverError(f"residual {r:.3e} exceeds contract at mu = {mu:.6g}")
-        pairs.append(EigenPair(mu=float(mu), psi=v, residual=r))
+        pairs.append(EigenPair(mu=float(mu), psi=v, residual=float(r)))
     pairs.sort(key=lambda p: p.mu)
     return pairs
 

@@ -3,7 +3,9 @@
 Four single-wall panels (uniform bulk, mass wall, field wall with and
 without mass) and four dual-wall panels (field + mass walls with a
 potential wall of increasing strength).  All walls share the default
-transition interval (-1, 1) and the default sweep geometry.
+transition interval (-1, 1) and the default sweep geometry.  Two presets
+have a bulk Landau level at mu = 0, so their level alpha and density
+window sit in the common bulk gap above it instead of around 0.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ PRESETS: dict[str, ProfileSet] = {
 # by the boundary-mass rule (see the fiber module docstring)
 _WIDE_MARGIN = {"bulk_uniform", "mass_wall"}
 
+# (alpha, density window) inside the common bulk gap above the mu = 0 level
+_GAP_ABOVE_ZERO = {
+    "field_wall_massless": (1.0, [0.5, 1.5]),  # gap (0, 2)
+    "dual_wall_v2": (0.4, [0.2, 0.6]),  # gap (0, 2 sqrt(2) - 2)
+}
+
 
 def preset_profiles(name: str) -> ProfileSet:
     try:
@@ -53,6 +61,7 @@ def preset_config(name: str) -> dict:
         return {"lower": p.lower, "upper": p.upper, "t_lo": p.t_lo, "t_hi": p.t_hi, "shape": p.shape}
 
     margin = 5.0 if name in _WIDE_MARGIN else 2.5
+    alpha, density_window = _GAP_ABOVE_ZERO.get(name, (0.1, [-0.5, 0.5]))
     return {
         "scenario": name,
         "profiles": {"B": prof(ps.B), "m": prof(ps.m), "V": prof(ps.V)},
@@ -65,8 +74,8 @@ def preset_config(name: str) -> dict:
             "refine_tol": 0.05,
         },
         "filter": {"margin": margin, "threshold": 0.3},
-        "alphas": [0.1],
-        "density": {"window": [-0.5, 0.5]},
+        "alphas": [alpha],
+        "density": {"window": density_window},
         "grid2d": {"N": 48, "L": 12.0, "Ny": 32, "Ly": 24.0},
         "seed": 0,
         "workers": 1,

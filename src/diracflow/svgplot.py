@@ -7,8 +7,6 @@ fixed numeric formatting.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 __all__ = ["branches_svg"]
 
 _W, _H = 800, 560
@@ -67,7 +65,3 @@ def branches_svg(
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(text: str, path: Path) -> None:
-    Path(path).write_text(text)

@@ -187,3 +187,34 @@ class TestDispatch:
     def test_rejects_unknown_verb(self):
         with pytest.raises(SystemExit):
             main(["render"])
+
+
+class TestCliConfigErrors:
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("sweep", {"window": [1]}),
+            ("grid", {"N": 8}),
+            ("profiles", {"B": {"lower": "strong", "upper": 2.0},
+                          "m": {"lower": 1.0, "upper": 1.0},
+                          "V": {"lower": 0.0, "upper": 0.0}}),
+        ],
+    )
+    def test_invalid_config_exits_6(self, tmp_path, capsys, section, value):
+        raw = tiny_config(**{section: value})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        rc = main(["flow", "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 6
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_flow_reconciles(tmp_path, name):
+    out = tmp_path / name
+    assert main(["flow", "--preset", name, "--out", str(out)]) == 0
+    rows = (out / "flow.csv").read_text().splitlines()
+    assert rows[0].endswith(",reconciled")
+    assert [r.split(",")[-1] for r in rows[1:]] == ["1"]

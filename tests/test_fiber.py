@@ -16,7 +16,13 @@ from diracflow.fiber import (
     filter_spurious,
     zone_edge_fraction,
 )
-from diracflow.profiles import ProfileSet, SwitchProfile, sup_A2_prime
+from diracflow.profiles import (
+    ProfileSet,
+    SwitchProfile,
+    evaluate,
+    magnetic_potential,
+    sup_A2_prime,
+)
 
 from conftest import walls
 
@@ -211,3 +217,66 @@ class TestFilter:
             SpuriousFilter(margin=1.0, threshold=1.5)
         g = Grid1D(L=16.0, N=64)
         assert SpuriousFilter.default(g).margin == 2.0
+
+
+class TestJacobiForm:
+    """The Dirichlet fiber in real tridiagonal (Jacobi) form and its solver."""
+
+    def test_dirichlet_stencil_by_hand(self):
+        """Entrywise check of the Dirichlet dense view against the stencil."""
+        ps = walls(HalfSpaceParams(-2.0, -1.5, -0.3), HalfSpaceParams(1.5, 2.0, 0.4))
+        g = Grid1D(L=3.0, N=24)
+        h, x = g.h, g.x
+        zeta = -0.7
+        m, V, A2 = evaluate(ps.m, x), evaluate(ps.V, x), magnetic_potential(ps, x)
+        H = assemble_fiber(g, ps, zeta).entries
+        want = np.zeros((48, 48), dtype=complex)
+        for i in range(24):
+            want[2 * i, 2 * i] = V[i] + m[i]
+            want[2 * i + 1, 2 * i + 1] = V[i] - m[i]
+            w = zeta - A2[i]
+            want[2 * i, 2 * i + 1] = 1j * (1.0 / h - w)
+            want[2 * i + 1, 2 * i] = -1j * (1.0 / h - w)
+            if i + 1 < 24:
+                want[2 * i, 2 * i + 3] = -1j / h
+                want[2 * i + 3, 2 * i] = 1j / h
+        assert np.max(np.abs(H - want)) == 0.0
+
+    @pytest.mark.parametrize("N, zetas", [(200, (-3.0, 0.4, 5.5)), (800, (-1.2, 4.0))])
+    def test_matches_dense_eigh(self, rng, N, zetas):
+        """Same count, mu within 1e-12, residual certified on the dense view."""
+        ps = walls(
+            HalfSpaceParams(float(rng.uniform(-3, -0.5)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
+            HalfSpaceParams(float(rng.uniform(0.5, 3)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
+        )
+        g = Grid1D(L=12.0, N=N)
+        window = (-4.0, 4.0)
+        found = 0
+        for zeta in zetas:
+            A = assemble_fiber(g, ps, zeta)
+            pairs = eig_window(A, window)
+            dense = np.linalg.eigvalsh(A.entries)
+            dense = dense[(dense >= window[0]) & (dense <= window[1])]
+            assert len(pairs) == dense.size
+            assert np.all(np.abs(np.array([p.mu for p in pairs]) - dense) < 1e-12)
+            for p in pairs:
+                r = np.linalg.norm(A.entries @ p.psi - p.mu * p.psi)
+                assert r <= 1e-8 * (1.0 + abs(p.mu))
+            found += len(pairs)
+        assert found > 0
+
+    def test_zeta_enters_only_onsite(self):
+        """H(zeta) = T0 - zeta S: d and the hops are fixed, on-site entries shift by zeta."""
+        ps = walls(HalfSpaceParams(-2.0, -2.0, -0.1), HalfSpaceParams(2.0, 2.0, 0.1))
+        g = Grid1D(L=8.0, N=160)
+        z1, z2 = 1.75, -0.5
+        a, b = assemble_fiber(g, ps, z1), assemble_fiber(g, ps, z2)
+        assert np.array_equal(a.d, b.d)
+        assert np.array_equal(a.e[1::2], b.e[1::2])
+        # exact up to the rounding of one subtraction per entry
+        ulp = np.spacing(np.max(np.abs(a.e)))
+        assert np.max(np.abs((b.e[0::2] - a.e[0::2]) - (z1 - z2))) <= 4 * ulp
+
+    def test_needs_entries_or_jacobi_pair(self):
+        with pytest.raises(ValueError):
+            FiberMatrix(zeta=0.0, grid=Grid1D(L=1.0, N=16))
