@@ -127,11 +127,17 @@ def sweep_branches(
             cache[z] = _solve_retained(grid, ps, z, cfg.window, f)
         return cache[z]
 
+    def exits(b: Branch, step: float) -> bool:
+        # legitimate ways for a track to go unmatched: through the energy
+        # window edge (the Lipschitz bound limits travel to one step) or
+        # into the boundary filter strip
+        edge = min(b.mus[-1] - lo, hi - b.mus[-1]) <= step + 10 * cfg.bisect_floor
+        return edge or b.boundary_masses[-1] >= 0.5 * f.threshold
+
     done: list[Branch] = []
     z_prev = targets[0]
-    prev = solve(z_prev)
     active = []
-    for p in prev:
+    for p in solve(z_prev):
         br = Branch()
         br.zetas.append(z_prev)
         br.mus.append(p.mu)
@@ -155,53 +161,23 @@ def sweep_branches(
             O = np.zeros((len(active), len(pairs)))
             rows, cols = np.array([], dtype=int), np.array([], dtype=int)
 
-        matched_old = set()
-        matched = []
-        for i, j in zip(rows, cols):
-            if O[i, j] >= cfg.overlap_threshold:
-                matched.append((i, j, O[i, j]))
-                matched_old.add(i)
-
-        assigned = {i: (j, O[i, j]) for i, j in zip(rows, cols)}
-        need_refine = False
-        for i, t in enumerate(active):
-            if i in matched_old:
-                j, ov = assigned[i]
-                if abs(pairs[j].mu - t.branch.mus[-1]) > cfg.refine_tol:
-                    need_refine = True
-                    break
-            else:
-                # unmatched track: legitimate exits are through the energy
-                # window edge (Lipschitz bound limits travel to one step)
-                # or into the boundary filter strip
-                mu = t.branch.mus[-1]
-                edge_exit = min(mu - lo, hi - mu) <= step + 10 * cfg.bisect_floor
-                filter_exit = t.branch.boundary_masses[-1] >= 0.5 * f.threshold
-                if not (edge_exit or filter_exit):
-                    need_refine = True
-                    break
-        if need_refine and step > cfg.bisect_floor:
+        matched = [(i, j, O[i, j]) for i, j in zip(rows, cols) if O[i, j] >= cfg.overlap_threshold]
+        matched_old = {i for i, _, _ in matched}
+        unmatched = [i for i in range(len(active)) if i not in matched_old]
+        jumped = any(abs(pairs[j].mu - active[i].branch.mus[-1]) > cfg.refine_tol for i, j, _ in matched)
+        stranded = [i for i in unmatched if not exits(active[i].branch, step)]
+        if (jumped or stranded) and step > cfg.bisect_floor:
             queue.insert(0, 0.5 * (z_prev + z))
             continue
-        if need_refine:
+        if stranded:
             # bisection bottomed out
-            bad = [
-                (i, assigned[i][1] if i in assigned else 0.0)
-                for i in range(len(active))
-                if i not in matched_old
-            ]
-            if bad and not all(
-                min(active[i].branch.mus[-1] - lo, hi - active[i].branch.mus[-1])
-                <= step + 10 * cfg.bisect_floor
-                or active[i].branch.boundary_masses[-1] >= 0.5 * f.threshold
-                for i, _ in bad
-            ):
-                raise TrackingError(
-                    f"tracking ambiguity at zeta = {z:.6g}: best overlap "
-                    f"{max((ov for _, ov in bad), default=0.0):.3f} < "
-                    f"{cfg.overlap_threshold} with step at bisection floor",
-                    zeta=z,
-                )
+            assigned = dict(zip(rows, cols))
+            best = max(O[i, assigned[i]] if i in assigned else 0.0 for i in unmatched)
+            raise TrackingError(
+                f"tracking ambiguity at zeta = {z:.6g}: best overlap "
+                f"{best:.3f} < {cfg.overlap_threshold} with step at bisection floor",
+                zeta=z,
+            )
 
         # commit the step
         queue.pop(0)
@@ -218,10 +194,9 @@ def sweep_branches(
             t.psi = p.psi
             new_active.append(t)
             used_new.add(j)
-        for i, t in enumerate(active):
-            if i not in matched_old:
-                t.branch.clipped = True
-                done.append(t.branch)
+        for i in unmatched:
+            active[i].branch.clipped = True
+            done.append(active[i].branch)
         for j, p in enumerate(pairs):
             if j not in used_new:
                 # a branch entering mid-sweep through the window edge
@@ -233,7 +208,6 @@ def sweep_branches(
                 new_active.append(_Track(br, p.psi))
         active = new_active
         z_prev = z
-        prev = pairs
 
     done.extend(t.branch for t in active)
     done.sort(key=lambda b: (b.zetas[0], b.mus[0]))
@@ -373,7 +347,7 @@ def autoscale(
     cfg = SweepConfig(
         zeta_min=-z_lo, zeta_max=z_hi, samples=samples, window=window, refine_tol=0.15
     )
-    return grid, cfg, SpuriousFilter(margin=margin, threshold=0.3)
+    return grid, cfg, SpuriousFilter(margin=margin)
 
 
 def branch_points(branches: list[Branch]):

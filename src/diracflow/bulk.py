@@ -84,8 +84,8 @@ def landau_levels(hp: HalfSpaceParams, k_max: int) -> BulkSpectrum:
     return BulkSpectrum(levels=tuple(sorted(levels)), zeroth_level=zeroth, k_max=k_max)
 
 
-def _gap_index(hp: HalfSpaceParams, alpha: float) -> int:
-    """Number of paired-level thresholds sqrt(2k|B|+m^2) strictly below |alpha - V|.
+def count_levels(hp: HalfSpaceParams, alpha: float) -> int:
+    """N(alpha): number of paired Landau magnitudes sqrt(2k|B|+m^2) in (|m|, |alpha - V|).
 
     Raises BulkLevelError when |alpha - V| sits exactly on a threshold
     (including the zeroth-level magnitude |m|), where the flow is undefined.
@@ -101,11 +101,6 @@ def _gap_index(hp: HalfSpaceParams, alpha: float) -> int:
     if q == k and k >= 1:
         raise BulkLevelError(f"alpha on bulk level: k = {k}")
     return k
-
-
-def count_levels(hp: HalfSpaceParams, alpha: float) -> int:
-    """N(alpha): number of paired Landau magnitudes in (|m|, |alpha - V|)."""
-    return _gap_index(hp, alpha)
 
 
 def half_index(hp: HalfSpaceParams, alpha: float) -> Fraction:

@@ -7,8 +7,10 @@ Verbs:
   oracle         2D dense-trace oracle and stability experiments
   all-figures    branch plots for every preset scenario
 
-Exit codes: 0 ok, 2 alpha on a bulk level, 3 tracking failure,
-4 invalid window, 5 dense-solve budget exceeded, 6 invalid config.
+Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
+3 tracking failure, 4 invalid window, 5 dense-solve budget exceeded,
+6 invalid config, 7 failed result (a flow that does not reconcile with
+the prediction, or an unstable oracle verdict).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .profiles import ProfileSet
 from .svgplot import branches_svg
 
 _FMT = "%.12g"
+_FAILED_RESULT = 7
 
 
 def _fmt(v: float) -> str:
@@ -52,16 +55,20 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
     return minus, plus
 
 
-def run_sweep(cfg: RunConfig) -> list[Branch]:
-    """Sweep with optional parallel prefetch of the initial samples."""
+def run_sweep(cfg: RunConfig, workers: int, man: RunManifest) -> list[Branch]:
+    """Sweep with optional parallel prefetch of the initial samples; timed into `man`."""
+    t0 = time.perf_counter()
     prefetch = None
-    if cfg.workers > 1:
+    if workers > 1:
         sw = cfg.sweep
         zetas = [float(z) for z in np.linspace(sw.zeta_min, sw.zeta_max, sw.samples)]
         solve = partial(_solve_retained, cfg.grid, cfg.profiles, window=sw.window, f=cfg.filter)
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             prefetch = dict(zip(zetas, pool.map(solve, zetas)))
-    return sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch)
+    branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch)
+    man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
+    man.timings["workers"] = workers
+    return branches
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -84,9 +91,8 @@ def _manifest(cfg: RunConfig) -> RunManifest:
     return man
 
 
-def cmd_bulk(cfg: RunConfig) -> int:
+def cmd_bulk(cfg: RunConfig, out: Path) -> int:
     minus, plus = half_spaces(cfg.profiles)
-    out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     print(f"scenario: {cfg.scenario}")
@@ -109,13 +115,10 @@ def cmd_bulk(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_branches(cfg: RunConfig) -> int:
-    out = cfg.out
+def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
     man = _manifest(cfg)
-    t0 = time.perf_counter()
-    branches = run_sweep(cfg)
-    man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
+    branches = run_sweep(cfg, workers, man)
     _write_csv(
         out / "branches.csv",
         ["branch_id", "zeta", "mu", "overlap", "boundary_mass"],
@@ -136,14 +139,11 @@ def cmd_branches(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_flow(cfg: RunConfig) -> int:
-    out = cfg.out
+def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
     man = _manifest(cfg)
     minus, plus = half_spaces(cfg.profiles)
-    t0 = time.perf_counter()
-    branches = run_sweep(cfg)
-    man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
+    branches = run_sweep(cfg, workers, man)
 
     all_ok = True
     rows = []
@@ -164,13 +164,12 @@ def cmd_flow(cfg: RunConfig) -> int:
     _write_csv(out / "flow.csv", ["alpha", "sf_numeric", "sf_predicted", "two_pi_sigma", "reconciled"], rows)
     man.verdicts["flow"] = "ok" if all_ok else "mismatch"
     man.write(out / "manifest.json")
-    return 0 if all_ok else 1
+    return 0 if all_ok else _FAILED_RESULT
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     if cfg.grid2d is None:
         raise DiracflowError("oracle requires a grid2d section in the config")
-    out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     man = _manifest(cfg)
     g = cfg.grid2d
@@ -205,15 +204,12 @@ def cmd_oracle(cfg: RunConfig) -> int:
     _write_csv(out / "oracle.csv", ["scenario", "coupling", "two_pi_sigma", "seam_residual"], rows)
     man.verdicts["oracle"] = "ok" if verdicts_ok else "failed"
     man.write(out / "manifest.json")
-    return 0 if verdicts_ok else 1
+    return 0 if verdicts_ok else _FAILED_RESULT
 
 
 def cmd_all_figures(out_dir: Path, workers: int) -> int:
     for name in PRESETS:
-        raw = preset_config(name)
-        raw["workers"] = workers
-        cfg = config_from_dict(raw, out_dir=out_dir / name)
-        cmd_branches(cfg)
+        cmd_branches(config_from_dict(preset_config(name)), out_dir / name, workers)
     return 0
 
 
@@ -235,14 +231,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg = config_from_dict(preset_config(ns.preset))
         else:
             ap.error("need --config or --preset")
-        cfg = RunConfig(**{**cfg.__dict__, "out": ns.out, "workers": ns.workers})
         dispatch = {
-            "bulk-spectrum": cmd_bulk,
-            "branches": cmd_branches,
-            "flow": cmd_flow,
-            "oracle": cmd_oracle,
+            "bulk-spectrum": lambda: cmd_bulk(cfg, ns.out),
+            "branches": lambda: cmd_branches(cfg, ns.out, ns.workers),
+            "flow": lambda: cmd_flow(cfg, ns.out, ns.workers),
+            "oracle": lambda: cmd_oracle(cfg, ns.out),
         }
-        return dispatch[ns.verb](cfg)
+        return dispatch[ns.verb]()
     except DiracflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

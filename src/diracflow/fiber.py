@@ -172,7 +172,7 @@ class SpuriousFilter:
 
     @classmethod
     def default(cls, grid: Grid1D) -> "SpuriousFilter":
-        return cls(margin=grid.L / 8.0, threshold=0.3)
+        return cls(margin=grid.L / 8.0)
 
 
 def _jacobi_residuals(d: np.ndarray, e: np.ndarray, mus: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -10,17 +10,19 @@ window sit in the common bulk gap above it instead of around 0.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .profiles import ProfileSet, SwitchProfile
 
 __all__ = ["PRESETS", "preset_profiles", "preset_config"]
 
 
 def _wall(lo: float, hi: float) -> SwitchProfile:
-    return SwitchProfile(lo, hi, -1.0, 1.0)
+    return SwitchProfile(lo, hi)
 
 
 def _const(v: float) -> SwitchProfile:
-    return SwitchProfile(v, v, -1.0, 1.0)
+    return SwitchProfile(v, v)
 
 
 PRESETS: dict[str, ProfileSet] = {
@@ -54,29 +56,12 @@ def preset_profiles(name: str) -> ProfileSet:
 
 
 def preset_config(name: str) -> dict:
-    """A full run-config dictionary for the named preset."""
-    ps = preset_profiles(name)
-
-    def prof(p: SwitchProfile) -> dict:
-        return {"lower": p.lower, "upper": p.upper, "t_lo": p.t_lo, "t_hi": p.t_hi, "shape": p.shape}
-
-    margin = 5.0 if name in _WIDE_MARGIN else 2.5
-    alpha, density_window = _GAP_ABOVE_ZERO.get(name, (0.1, [-0.5, 0.5]))
-    return {
-        "scenario": name,
-        "profiles": {"B": prof(ps.B), "m": prof(ps.m), "V": prof(ps.V)},
-        "grid": {"L": 20.0, "N": 800, "bc": "dirichlet"},
-        "sweep": {
-            "zeta_min": -8.0,
-            "zeta_max": 8.0,
-            "samples": 81,
-            "window": [-4.0, 4.0],
-            "refine_tol": 0.05,
-        },
-        "filter": {"margin": margin, "threshold": 0.3},
-        "alphas": [alpha],
-        "density": {"window": density_window},
-        "grid2d": {"N": 48, "L": 12.0, "Ny": 32, "Ly": 24.0},
-        "seed": 0,
-        "workers": 1,
-    }
+    """The run config of the named preset; every value not listed is the config default."""
+    raw = {"scenario": name, "profiles": asdict(preset_profiles(name)), "alphas": [0.1], "grid2d": {}}
+    if name in _WIDE_MARGIN:
+        raw["filter"] = {"margin": 5.0}
+    if name in _GAP_ABOVE_ZERO:
+        alpha, density_window = _GAP_ABOVE_ZERO[name]
+        raw["alphas"] = [alpha]
+        raw["density"] = {"window": density_window}
+    return raw

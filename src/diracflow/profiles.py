@@ -161,5 +161,5 @@ class DensityProfile:
         return (self.phi.t_lo, self.phi.t_hi)
 
     @classmethod
-    def from_window(cls, e1: float, e2: float, shape: str = "smooth_bump") -> "DensityProfile":
+    def from_window(cls, e1: float, e2: float, shape: str = SwitchProfile.shape) -> "DensityProfile":
         return cls(SwitchProfile(0.0, 1.0, e1, e2, shape))

@@ -1,11 +1,16 @@
 """Config parsing (strict keys) and the command-line pipeline."""
 
+import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diracflow import cli
 from diracflow.cli import main
-from diracflow.config import config_from_dict, load_config
+from diracflow.config import RunConfig, config_from_dict, load_config
 from diracflow.errors import DiracflowError
 from diracflow.presets import PRESETS, preset_config
 
@@ -218,3 +223,97 @@ def test_preset_flow_reconciles(tmp_path, name):
     rows = (out / "flow.csv").read_text().splitlines()
     assert rows[0].endswith(",reconciled")
     assert [r.split(",")[-1] for r in rows[1:]] == ["1"]
+
+
+def _paths(node, prefix=()):
+    """Every key path into a nested JSON value, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+_FUZZ_BASE = tiny_config(grid2d={"N": 24, "Ny": 16}, perturbation={"kind": "mult_x", "amplitude": 0.5})
+# edge values drawn as often as all other JSON: overflow, NaN and the enum words
+_EDGES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, "periodic", "linear_ramp", "decay_y"])
+_JSON = _EDGES | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_raises_only_diracflow_errors(data):
+    raw = copy.deepcopy(_FUZZ_BASE)
+    path = data.draw(st.sampled_from(list(_paths(raw))))
+    if not path:
+        raw = data.draw(_JSON)
+    else:
+        node = raw
+        for k in path[:-1]:
+            node = node[k]
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = data.draw(_JSON)
+    try:
+        cfg = config_from_dict(raw)
+    except DiracflowError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [preset_config(name) for name in sorted(PRESETS)]
+    + [tiny_config(grid2d={"N": 24, "bc": "periodic"},
+                   perturbation={"kind": "decay_xy", "amplitude": 0.3, "delta": 0.25},
+                   density={"window": [-1.0, 1.0], "shape": "linear_ramp"})],
+    ids=sorted(PRESETS) + ["periodic_grid2d_perturbation"],
+)
+def test_resolved_is_the_parsers_inverse(raw):
+    cfg = config_from_dict(raw)
+    resolved = cfg.resolved()
+    assert json.loads(json.dumps(resolved)) == resolved
+    assert config_from_dict(resolved) == cfg
+
+
+@pytest.mark.parametrize(
+    "entry, unknown",
+    [
+        ('"sweep": {"samples": 1e309}', False),
+        ('"grid": {"N": 1e309}', False),
+        ('"seed": 0', True),
+        ('"out": "elsewhere"', True),
+        ('"workers": 2', True),
+    ],
+)
+def test_overflow_and_flag_keys_exit_6(tmp_path, capsys, entry, unknown):
+    text = json.dumps(tiny_config())
+    p = tmp_path / "cfg.json"
+    p.write_text(text[:-1] + ", " + entry + "}")
+    rc = main(["bulk-spectrum", "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 6
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert ("unknown keys" in err) == unknown
+
+
+def test_flow_mismatch_exits_7(tmp_path, monkeypatch):
+    real = cli.predicted_sf
+
+    def off_by_one(minus, plus, alpha):
+        pred = real(minus, plus, alpha)
+        return dataclasses.replace(pred, sf=pred.sf + 1)
+
+    monkeypatch.setattr(cli, "predicted_sf", off_by_one)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(tiny_config()))
+    out = tmp_path / "o"
+    assert main(["flow", "--config", str(p), "--out", str(out), "--workers", "2"]) == 7
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["verdicts"]["flow"] == "mismatch"
+    assert man["timings"]["workers"] == 2
