@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""2D dense-trace oracle convergence table.
+"""2D trace-oracle convergence table.
 
 Computes 2*pi*sigma on a doubling sequence of (Ny, Ly) boxes at fixed
 x-geometry for the standard dual-wall scenario, showing convergence of
-the trace toward the quantized value 1.
+the trace toward the quantized value 1.  A level past the oracle's
+dimension budget stops the table with `error: ...` and the error's exit
+code, as the CLI does.
 
 Usage: python scripts/run_oracle_convergence.py [--levels K]
 """
@@ -12,6 +14,7 @@ import argparse
 import sys
 import time
 
+from diracflow.errors import DiracflowError
 from diracflow.fiber import Grid1D
 from diracflow.oracle2d import Grid2D, assemble_2d, default_projection, trace_conductivity
 from diracflow.presets import preset_profiles
@@ -30,7 +33,11 @@ def main() -> int:
     for _ in range(ns.levels):
         g = Grid2D(grid_x=Grid1D(L=12.0, N=48), Ly=Ly, Ny=Ny)
         t0 = time.perf_counter()
-        val = trace_conductivity(assemble_2d(g, ps), g, default_projection(g), dens)
+        try:
+            val = trace_conductivity(assemble_2d(g, ps), g, default_projection(g), dens)
+        except DiracflowError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
         print(
             f"{Ny:4d} {Ly:6.1f} {g.dim:6d} {val:12.6f} {abs(val - 1.0):10.2e} "
             f"{time.perf_counter() - t0:6.1f}"

@@ -4,11 +4,11 @@ Verbs:
   bulk-spectrum  closed-form Landau levels and predicted flow
   branches       zeta sweep with branch tracking -> CSV + SVG
   flow           full pipeline: numerical flow vs prediction vs conductivity
-  oracle         2D dense-trace oracle and stability experiments
+  oracle         2D windowed trace oracle and stability experiments
   all-figures    branch plots for every preset scenario
 
 Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
-3 tracking failure, 4 invalid window, 5 dense-solve budget exceeded,
+3 tracking failure, 4 invalid window, 5 2D oracle dimension budget exceeded,
 6 invalid config, 7 failed result (a flow that does not reconcile with
 the prediction, or an unstable oracle verdict).
 """
@@ -180,7 +180,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     H = assemble_2d(g, cfg.profiles)
     res = trace_conductivity(H, g, P, dens, full_result=True)
-    man.timings["dense_trace_seconds"] = round(time.perf_counter() - t0, 3)
+    man.timings["trace_seconds"] = round(time.perf_counter() - t0, 3)
     rows.append((cfg.scenario, 0.0, res.two_pi_sigma, res.seam_contribution))
     man.diagnostics["oracle"] = {
         "two_pi_sigma": res.two_pi_sigma,
@@ -188,6 +188,12 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
         "analytic_vs_literal": res.two_pi_sigma - res.literal_two_pi_sigma,
         "seam_contribution": res.seam_contribution,
         "states_cut": res.n_states_cut,
+        "states_in_window": res.n_window,
+        "eigenpairs": res.k,
+        "solves": res.solves,
+        "max_residual": res.max_residual,
+        "certificate_reach": res.reach,
+        "dense_fallback": res.dense_fallback,
     }
     print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f} (seam {res.seam_contribution:.2e})")
 

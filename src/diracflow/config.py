@@ -39,17 +39,32 @@ def _object(raw: Any, ctx: str, keys) -> dict:
     return raw
 
 
+def _scalar(t: type, val: Any, ctx: str):
+    """`val` cast to t after checking its JSON kind: a string for str, a
+    number (not a bool) for float, an integral number for int."""
+    if t is str:
+        ok = isinstance(val, str)
+    else:
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if t is int and isinstance(val, float):
+            ok = val.is_integer()
+    if not ok:
+        kind = {str: "a string", float: "a number", int: "an integer"}[t]
+        raise ConfigError(f"{ctx} must be {kind}, got {val!r}")
+    return t(val)
+
+
 def _pair(val: Any, ctx: str) -> tuple[float, float]:
     if not isinstance(val, (list, tuple)) or len(val) != 2:
         raise ConfigError(f"{ctx} must be a [lo, hi] pair")
-    return float(val[0]), float(val[1])
+    return _scalar(float, val[0], ctx), _scalar(float, val[1], ctx)
 
 
 def _section(cls, raw: Any, ctx: str, **defaults):
     """Build dataclass `cls` from a JSON object keyed by its field names.
 
-    Each value is cast by its field type (a dataclass field recurses);
-    `defaults` fills fields that the dataclass leaves required.
+    Each value is checked and cast by its field type (a dataclass field
+    recurses); `defaults` fills fields that the dataclass leaves required.
     """
     d = _object(raw, ctx, (f.name for f in fields(cls)))
     types = get_type_hints(cls)
@@ -66,7 +81,7 @@ def _section(cls, raw: Any, ctx: str, **defaults):
         elif get_origin(t) is tuple:
             kw[f.name] = _pair(d[f.name], sub)
         else:
-            kw[f.name] = t(d[f.name])
+            kw[f.name] = _scalar(t, d[f.name], sub)
     return cls(**kw)
 
 
@@ -124,7 +139,8 @@ def _parse(raw: dict) -> RunConfig:
 
     dn = _object(d.get("density", {}), "density", ("window", "shape"))
     dens = DensityProfile.from_window(
-        *_pair(dn.get("window", (-0.5, 0.5)), "density.window"), dn.get("shape", SwitchProfile.shape)
+        *_pair(dn.get("window", (-0.5, 0.5)), "density.window"),
+        _scalar(str, dn.get("shape", SwitchProfile.shape), "density.shape"),
     )
 
     g2 = None
@@ -133,8 +149,8 @@ def _parse(raw: dict) -> RunConfig:
         g_x = {k: v for k, v in g.items() if k not in ("Ny", "Ly")}
         g2 = Grid2D(
             grid_x=_section(Grid1D, g_x, "grid2d", L=12.0, N=48),
-            Ly=float(g.get("Ly", 24.0)),
-            Ny=int(g.get("Ny", 32)),
+            Ly=_scalar(float, g.get("Ly", 24.0), "grid2d.Ly"),
+            Ny=_scalar(int, g.get("Ny", 32), "grid2d.Ny"),
         )
 
     alphas = d.get("alphas", [0.0])
@@ -146,12 +162,12 @@ def _parse(raw: dict) -> RunConfig:
         pert = _section(PerturbationSpec, d["perturbation"], "perturbation")
 
     return RunConfig(
-        scenario=str(d.get("scenario", "custom")),
+        scenario=_scalar(str, d.get("scenario", "custom"), "scenario"),
         profiles=_section(ProfileSet, d["profiles"], "profiles"),
         grid=grid,
         sweep=sweep,
         filter=_section(SpuriousFilter, d.get("filter", {}), "filter", margin=SpuriousFilter.default(grid).margin),
-        alphas=tuple(float(a) for a in alphas),
+        alphas=tuple(_scalar(float, a, "alphas") for a in alphas),
         density=dens,
         grid2d=g2,
         perturbation=pert,

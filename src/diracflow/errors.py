@@ -36,7 +36,7 @@ class WindowError(DiracflowError):
 
 
 class BudgetError(DiracflowError):
-    """A dense-solve size budget was exceeded."""
+    """The 2D oracle's matrix dimension exceeds its budget."""
 
     exit_code = 5
 

@@ -1,21 +1,35 @@
-"""Brute-force 2D trace check of the interface conductivity, plus stability runs.
+"""Windowed 2D trace check of the interface conductivity, plus stability runs.
 
 The 2D Hamiltonian H = D_x sigma_1 + (D_y - A2(x)) sigma_2 + m(x) sigma_3
 + V(x) sigma_0 is discretized with the same staggered x-stencil as the
 fiber module and a spectral (Fourier) y-derivative on a periodic y-box.
 The spectral y-derivative is what makes the discrete y-Fourier conjugation
 reproduce the fiber matrices at zeta_n = 2 pi n / Ly exactly, which is the
-cross-check tying the oracle to the fiber pipeline.
+cross-check tying the oracle to the fiber pipeline.  H is assembled as a
+sparse CSR matrix: the x-stencil couples neighbouring sites and the
+y-derivative couples the sites of one x-column, about 1% of the entries.
 
-The conductivity is evaluated from the dense eigendecomposition as
+The conductivity is evaluated from the eigenpairs inside the density
+window (E1, E2), the only ones on which phi' is nonzero:
 
     2 pi sigma_I = 2 pi * sum_k phi'(lambda_k) <v_k, P'(y) sigma_2 v_k>,
 
-using the analytic commutator identity i[H, P] = P'(y) sigma_2.  States
-whose x-profile oscillates at the lattice momentum edge (the staggered
-scheme's zone-edge resonance, reachable at this deliberately coarse grid)
-are excluded from the trace; they are pure discretization artifacts, the
-2D analog of the boundary-localized states the fiber filter removes.
+using the analytic commutator identity i[H, P] = P'(y) sigma_2.  They
+come from shift-invert Lanczos about the window centre c (ARPACK's
+shift-invert mode; Lehoucq, Sorensen and Yang, ARPACK Users' Guide,
+1998), which returns the k eigenvalues nearest c.  The solve is accepted
+only under a completeness certificate: the farthest returned eigenvalue
+lies at least the half-width (E2 - E1) / 2 from c, so every eigenvalue
+inside the window is among those returned; otherwise k doubles.  Every
+pair is residual-checked, ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+When k would pass dim / 16, the window holds so much of the spectrum
+that Lanczos no longer pays, and a dense windowed eigh takes the solve.
+
+States whose x-profile oscillates at the lattice momentum edge (the
+staggered scheme's zone-edge resonance, reachable at this deliberately
+coarse grid) are excluded from the trace; they are pure discretization
+artifacts, the 2D analog of the boundary-localized states the fiber
+filter removes.
 """
 
 from __future__ import annotations
@@ -24,8 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import BudgetError, WindowError
+from .errors import BudgetError, SolverError, WindowError
 from .fiber import Grid1D
 from .profiles import (
     DensityProfile,
@@ -50,6 +66,11 @@ __all__ = [
 
 _BUDGET = 6000
 _ZONE_EDGE_CUT = 0.5
+_K_START = 32  # Lanczos eigenpairs asked for first; certifies every preset in one solve
+# Lanczos runs while k <= dim / _DENSE_SHARE.  Its work grows as dim k^2
+# (a Krylov basis of 2k + 1 vectors), the dense solve's as dim^3; on the
+# criterion-7 grids (dims 1536, 3072) the two cost the same near k = dim / 12.
+_DENSE_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -138,10 +159,10 @@ def assemble_2d(
     ps: ProfileSet,
     w: PerturbationSpec | None = None,
     coupling: float = 0.0,
-) -> np.ndarray:
-    """Dense Hermitian 2D Hamiltonian; layout is (spinor, x-site, y-site)."""
+) -> sp.csr_array:
+    """Sparse (CSR) Hermitian 2D Hamiltonian; layout is (spinor, x-site, y-site)."""
     if g.dim > _BUDGET:
-        raise BudgetError(f"2D dimension {g.dim} exceeds dense-solve budget {_BUDGET}")
+        raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
     gx = g.grid_x
     N, h = gx.N, gx.h
     x = gx.x
@@ -149,47 +170,42 @@ def assemble_2d(
     V = evaluate(ps.V, x)
     A2 = magnetic_potential(ps, x)
 
-    Ix = np.eye(N)
-    Iy = np.eye(g.Ny)
-    Dxf = (np.diag(np.ones(N - 1), 1) - Ix) / h
+    Ix = sp.eye_array(N)
+    Iy = sp.eye_array(g.Ny)
+    Dxf = (sp.diags_array(np.ones(N - 1), offsets=1) - Ix) / h
     if gx.bc == "periodic":
-        Dxf[N - 1, 0] = 1.0 / h
+        Dxf = Dxf + sp.coo_array(([1.0 / h], ([N - 1], [0])), shape=(N, N))
     Ky = _spectral_momentum(g)
 
     # (1,2) spinor block: -i d/dx - i (K_y - A2(x))
-    blk = np.kron(-1j * Dxf, Iy) - 1j * (np.kron(Ix, Ky) - np.kron(np.diag(A2), Iy))
+    blk = sp.kron(-1j * Dxf, Iy) - 1j * (sp.kron(Ix, Ky) - sp.kron(sp.diags_array(A2), Iy))
 
-    n = N * g.Ny
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
     diag_up = np.kron(V + m, np.ones(g.Ny))
     diag_dn = np.kron(V - m, np.ones(g.Ny))
-    H[np.arange(n), np.arange(n)] = diag_up
-    H[n + np.arange(n), n + np.arange(n)] = diag_dn
-    H[:n, n:] = blk
-    H[n:, :n] = blk.conj().T
-
     if w is not None and coupling != 0.0:
         Wd = coupling * w.sample(x, g.y, g.Ly).ravel()
-        H[np.arange(n), np.arange(n)] += Wd
-        H[n + np.arange(n), n + np.arange(n)] += Wd
-    return H
+        diag_up = diag_up + Wd
+        diag_dn = diag_dn + Wd
+    return sp.block_array(
+        [[sp.diags_array(diag_up), blk], [blk.conj().T, sp.diags_array(diag_dn)]],
+        format="csr",
+        dtype=complex,
+    )
 
 
-def fourier_block(H: np.ndarray, g: Grid2D, mode: int) -> np.ndarray:
-    """Extract the fiber block at zeta_n = 2 pi n / Ly by discrete y-Fourier conjugation.
+def fourier_block(H: sp.csr_array, g: Grid2D, mode: int) -> np.ndarray:
+    """Extract the fiber block at zeta_n = 2 pi n / Ly by discrete y-Fourier projection.
 
-    Returned in the fiber module's interleaved ordering so it compares
-    entrywise with assemble_fiber(grid_x, ps, zeta_n).entries.
+    The isometry kron(I_2N, f_n), with f_n the n-th row of the unitary
+    discrete Fourier matrix, picks that mode's block of U H U^H without
+    forming U.  Returned in the fiber module's interleaved ordering so it
+    compares entrywise with assemble_fiber(grid_x, ps, zeta_n).entries.
     """
     N, Ny = g.grid_x.N, g.Ny
-    n = N * Ny
-    F = np.fft.fft(np.eye(Ny)) / np.sqrt(Ny)
-    U = np.kron(np.eye(2 * N), F)
-    Ht = U @ H @ U.conj().T
     j = mode % Ny
-    idx = np.arange(N) * Ny + j
-    full = np.concatenate([idx, n + idx])
-    B = Ht[np.ix_(full, full)]
+    f = np.exp(-2j * np.pi * j * np.arange(Ny) / Ny) / np.sqrt(Ny)
+    Pj = sp.kron(sp.eye_array(2 * N), f[None, :], format="csr")
+    B = (Pj @ H @ Pj.conj().T).toarray()
     # reorder (component-major, site) -> (site-major, interleaved spinor)
     perm = np.empty(2 * N, dtype=int)
     perm[0::2] = np.arange(N)
@@ -204,10 +220,24 @@ def default_projection(g: Grid2D) -> SwitchProfile:
 
 @dataclass(frozen=True)
 class TraceResult:
+    """The conductivity estimates, and the certificate of the eigensolve behind them.
+
+    reach is max |lambda - c| / half-width over the final Lanczos solve
+    (c the window centre); reach >= 1 certifies that every eigenvalue in
+    the density window was returned.  It is None when the dense windowed
+    eigh ran instead, which returns the whole window by construction.
+    """
+
     two_pi_sigma: float
     literal_two_pi_sigma: float
     seam_contribution: float
     n_states_cut: int
+    n_window: int  # eigenvalues strictly inside the density window
+    k: int  # eigenpairs returned by the final solve
+    solves: int  # Lanczos solves, plus one if the dense fallback ran
+    max_residual: float  # largest ||H v - lambda v|| over the returned pairs
+    reach: float | None
+    dense_fallback: bool
 
 
 def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
@@ -218,18 +248,69 @@ def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
         )
 
 
+def _window_eigenpairs(H: sp.csr_array, window: tuple[float, float]):
+    """Certified eigenpairs covering `window`: (lam, vec, certificate fields of TraceResult).
+
+    Shift-invert Lanczos about the window centre asks for the k nearest
+    eigenvalues, doubling k until the farthest of them lies at least the
+    half-width from the centre.  Once k would pass dim / _DENSE_SHARE,
+    the dense windowed eigh runs instead.  Every returned pair must satisfy
+    ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+    """
+    lo, hi = window
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    dim = H.shape[0]
+    # a generic start vector (a constant one would stay in the y-momentum-zero
+    # sector of a y-invariant H), fixed so that reruns are bit-identical
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    k, solves = _K_START, 0
+    while _DENSE_SHARE * k <= dim:
+        solves += 1
+        try:
+            lam, vec = spla.eigsh(H, k, sigma=c, which="LM", v0=v0)
+        except (spla.ArpackError, RuntimeError) as exc:
+            raise SolverError(f"shift-invert Lanczos failed with k = {k} about {c:.6g}: {exc}") from exc
+        reach = float(np.max(np.abs(lam - c))) / r
+        if reach >= 1.0:
+            break
+        k *= 2
+    else:
+        solves += 1
+        lam, vec = sla.eigh(H.toarray(), subset_by_value=window)
+        reach = None
+
+    order = np.argsort(lam)
+    lam, vec = lam[order], vec[:, order]
+    res = np.linalg.norm(H @ vec - vec * lam, axis=0)
+    bad = np.nonzero(res > 1e-8 * (1.0 + np.abs(lam)))[0]
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"residual {res[i]:.3e} exceeds contract at lambda = {lam[i]:.6g}")
+    cert = dict(
+        n_window=int(np.count_nonzero((lam > lo) & (lam < hi))),
+        k=len(lam),
+        solves=solves,
+        max_residual=float(np.max(res, initial=0.0)),
+        reach=reach,
+        dense_fallback=reach is None,
+    )
+    return lam, vec, cert
+
+
 def trace_conductivity(
-    Hmat: np.ndarray,
+    Hmat: sp.csr_array,
     g: Grid2D,
     P: SwitchProfile,
     dens: DensityProfile,
     full_result: bool = False,
 ):
-    """2 pi sigma_I = 2 pi Tr i[H, P] phi'(H) from a dense eigendecomposition.
+    """2 pi sigma_I = 2 pi Tr i[H, P] phi'(H) from the certified eigenpairs in the density window.
 
     Primary estimator uses the analytic commutator i[H, P] = P'(y) sigma_2;
     a literal-commutator variant (seam-free central difference in y) is
-    computed alongside for the manifest.  Raises on seam violations.
+    computed alongside for the manifest.  Raises on seam violations, and
+    SolverError when an eigenpair misses its residual contract.
     """
     _check_seam(P, g)
     N, Ny = g.grid_x.N, g.Ny
@@ -237,59 +318,43 @@ def trace_conductivity(
     if Hmat.shape != (2 * n, 2 * n):
         raise ValueError("matrix does not match the grid")
 
-    lam, vec = sla.eigh(Hmat)
+    lam, vec, cert = _window_eigenpairs(sp.csr_array(Hmat), dens.window)
+    weights = derivative(dens.phi, lam)
+    live = np.abs(weights) > 1e-14
+    # live states as a (state, spinor, x-site, y-site) stack
+    v = vec[:, live].T.reshape(-1, 2, N, Ny)
+    keep = _zone_edge_fraction_x(v) <= _ZONE_EDGE_CUT
+    v, w = v[keep], weights[live][keep]
+    v1, v2 = v[:, 0], v[:, 1]
 
     y = g.y
     Pp = derivative(P, y)
-    Pp_full = np.kron(np.ones(N), Pp)
     # literal variant: i [D_y^(2), P] with an open-chain central difference,
     # a banded approximation to P'(y) accurate to O(hy^2); the seam rows are
     # excluded (P' vanishes there for an admissible P)
     Dcd = (np.diag(np.ones(Ny - 1), 1) - np.diag(np.ones(Ny - 1), -1)) / (2 * g.hy)
     Mlit = 1j * ((-1j * Dcd) @ np.diag(evaluate(P, y)) - np.diag(evaluate(P, y)) @ (-1j * Dcd))
-    Mlit_full = np.kron(np.eye(N), Mlit)
-    seam_zone = np.kron(np.ones(N), (np.minimum(y, g.Ly - y) < g.Ly / 8.0) * Pp)
+    seam_zone = (np.minimum(y, g.Ly - y) < g.Ly / 8.0) * Pp
 
-    weights = derivative(dens.phi, lam)
-    live = np.nonzero(np.abs(weights) > 1e-14)[0]
-
-    total = 0.0
-    total_lit = 0.0
-    seam = 0.0
-    ncut = 0
-    for k in live:
-        v = vec[:, k]
-        v1, v2 = v[:n], v[n:]
-        if _zone_edge_fraction_x(v1, v2, N, Ny) > _ZONE_EDGE_CUT:
-            ncut += 1
-            continue
-        # <v, P'(y) sigma_2 v> with sigma_2 = [[0, -i], [i, 0]]
-        el = np.sum(np.conj(v1) * (-1j) * Pp_full * v2 + np.conj(v2) * 1j * Pp_full * v1).real
-        el_lit = np.sum(
-            np.conj(v1) * (-1j) * (Mlit_full @ v2) + np.conj(v2) * 1j * (Mlit_full @ v1)
-        ).real
-        el_seam = np.sum(np.conj(v1) * (-1j) * seam_zone * v2 + np.conj(v2) * 1j * seam_zone * v1).real
-        total += weights[k] * el
-        total_lit += weights[k] * el_lit
-        seam += weights[k] * el_seam
+    def sigma2(Mv1, Mv2):
+        """Per state <v, [[0, -i M], [i M, 0]] v> with M applied along y."""
+        return np.sum(np.conj(v1) * (-1j) * Mv2 + np.conj(v2) * 1j * Mv1, axis=(1, 2)).real
 
     result = TraceResult(
-        two_pi_sigma=2.0 * np.pi * total,
-        literal_two_pi_sigma=2.0 * np.pi * total_lit,
-        seam_contribution=2.0 * np.pi * abs(seam),
-        n_states_cut=ncut,
+        two_pi_sigma=2.0 * np.pi * float(w @ sigma2(Pp * v1, Pp * v2)),
+        literal_two_pi_sigma=2.0 * np.pi * float(w @ sigma2(v1 @ Mlit.T, v2 @ Mlit.T)),
+        seam_contribution=2.0 * np.pi * abs(float(w @ sigma2(seam_zone * v1, seam_zone * v2))),
+        n_states_cut=int(np.count_nonzero(~keep)),
+        **cert,
     )
     return result if full_result else result.two_pi_sigma
 
 
-def _zone_edge_fraction_x(v1: np.ndarray, v2: np.ndarray, N: int, Ny: int) -> float:
-    """Mass fraction at the x lattice momentum edge (artifact detector)."""
-    p1 = v1.reshape(N, Ny)
-    p2 = v2.reshape(N, Ny)
-    smooth = (
-        float(np.sum(np.abs(p1[1:] + p1[:-1]) ** 2)) + float(np.sum(np.abs(p2[1:] + p2[:-1]) ** 2))
-    ) / 4.0
-    total = float(np.sum(np.abs(p1) ** 2) + np.sum(np.abs(p2) ** 2))
+def _zone_edge_fraction_x(v: np.ndarray) -> np.ndarray:
+    """Per state of a (state, spinor, x, y) stack, the mass fraction at the x
+    lattice momentum edge (artifact detector)."""
+    smooth = np.sum(np.abs(v[:, :, 1:] + v[:, :, :-1]) ** 2, axis=(1, 2, 3)) / 4.0
+    total = np.sum(np.abs(v) ** 2, axis=(1, 2, 3))
     return 1.0 - smooth / total
 
 

@@ -3,6 +3,9 @@
 import copy
 import dataclasses
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +187,36 @@ class TestCliOracle:
         assert "oracle" in man["diagnostics"]
 
 
+    def test_manifest_records_the_certificate(self, tmp_path):
+        raw = tiny_config()
+        raw["grid2d"] = {"N": 24, "L": 6.0, "Ny": 16, "Ly": 12.0}
+        raw["density"] = {"window": [-1.0, 1.0]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", str(p), "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert "trace_seconds" in man["timings"] and "dense_trace_seconds" not in man["timings"]
+        diag = man["diagnostics"]["oracle"]
+        assert diag["states_in_window"] > 0
+        assert diag["eigenpairs"] == 32 and diag["solves"] == 1
+        assert diag["max_residual"] <= 1e-8
+        assert diag["certificate_reach"] >= 1.0
+        assert diag["dense_fallback"] is False
+
+
+def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_convergence.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--levels", "3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 5
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3  # the header and the two levels within the budget
+    assert err.startswith("error: ") and "budget" in err
+    assert "Traceback" not in err
+
+
 class TestDispatch:
     def test_needs_config_or_preset(self):
         with pytest.raises(SystemExit):
@@ -317,3 +350,34 @@ def test_flow_mismatch_exits_7(tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     assert man["verdicts"]["flow"] == "mismatch"
     assert man["timings"]["workers"] == 2
+
+
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        ("grid", {"N": 800.7}, "grid.N"),
+        ("grid", {"N": True}, "grid.N"),
+        ("grid", {"L": "20"}, "grid.L"),
+        ("grid", {"bc": 1}, "grid.bc"),
+        ("sweep", {"samples": 81.9}, "sweep.samples"),
+        ("grid2d", {"Ny": 32.5}, "grid2d.Ny"),
+        ("grid2d", {"Ly": "24"}, "grid2d.Ly"),
+        ("density", {"window": ["-1", 1.0]}, "density.window"),
+        ("alphas", ["0.1"], "alphas"),
+        ("scenario", 3, "scenario"),
+    ],
+)
+def test_non_integral_and_string_values_exit_6(tmp_path, capsys, section, value, field):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(tiny_config(**{section: value})))
+    rc = main(["bulk-spectrum", "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 6
+    assert err.startswith(f"error: {field} must be ")
+    assert "Traceback" not in err
+
+
+def test_integral_floats_and_ints_accepted():
+    cfg = config_from_dict(tiny_config(grid={"L": 10, "N": 240.0}, grid2d={"Ny": 16.0, "Ly": 12}))
+    assert (cfg.grid.L, cfg.grid.N, cfg.grid2d.Ny, cfg.grid2d.Ly) == (10.0, 240, 16, 12.0)
+    assert isinstance(cfg.grid.N, int) and isinstance(cfg.grid2d.Ny, int)

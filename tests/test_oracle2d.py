@@ -1,9 +1,11 @@
-"""2D dense-trace oracle: assembly, Fourier-block correspondence, traces."""
+"""2D trace oracle: assembly, Fourier-block correspondence, traces, the windowed solve."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from diracflow.errors import BudgetError, WindowError
+from diracflow import oracle2d
+from diracflow.errors import BudgetError, SolverError, WindowError
 from diracflow.fiber import Grid1D, assemble_fiber
 from diracflow.oracle2d import (
     Grid2D,
@@ -17,6 +19,7 @@ from diracflow.profiles import DensityProfile, ProfileSet, SwitchProfile
 
 from conftest import walls
 from diracflow.bulk import HalfSpaceParams
+from diracflow.presets import preset_profiles
 
 SMALL = Grid2D(grid_x=Grid1D(L=6.0, N=20), Ly=12.0, Ny=16)
 FIG2 = walls(HalfSpaceParams(-2.0, -2.0, -0.1), HalfSpaceParams(2.0, 2.0, 0.1))
@@ -83,7 +86,7 @@ class TestAssemble2D:
         w = PerturbationSpec(kind="decay_xy", amplitude=0.3)
         H0 = assemble_2d(SMALL, FIG2)
         Hc = assemble_2d(SMALL, FIG2, w, coupling=0.0)
-        assert np.array_equal(H0, Hc)
+        assert (H0 != Hc).nnz == 0
 
     def test_budget_enforced(self):
         big = Grid2D(grid_x=Grid1D(L=6.0, N=64), Ly=12.0, Ny=64)
@@ -138,3 +141,110 @@ class TestTrace:
         assert abs(res.seam_contribution) < 1e-8
         assert res.n_states_cut >= 0
         assert np.isfinite(res.literal_two_pi_sigma)
+
+
+def _dense_reference(H, g, P, dens):
+    """The definitional oracle: a full dense eigh and a per-state loop over
+    the kron-expanded operators.  Returns (2 pi sigma, literal, seam,
+    states cut, eigenvalues strictly inside the window)."""
+    N, Ny = g.grid_x.N, g.Ny
+    n = N * Ny
+    lam, vec = np.linalg.eigh(H.toarray())
+    y = g.y
+    Pv, Pp = P(y), P.prime(y)
+    Dcd = (np.diag(np.ones(Ny - 1), 1) - np.diag(np.ones(Ny - 1), -1)) / (2 * g.hy)
+    Mlit = np.kron(np.eye(N), 1j * ((-1j * Dcd) @ np.diag(Pv) - np.diag(Pv) @ (-1j * Dcd)))
+    seam = np.kron(np.ones(N), (np.minimum(y, g.Ly - y) < g.Ly / 8.0) * Pp)
+    ops = (np.diag(np.kron(np.ones(N), Pp)), Mlit, np.diag(seam))
+    weights = dens.phi.prime(lam)
+    sums, cut = np.zeros(3), 0
+    for k in np.nonzero(np.abs(weights) > 1e-14)[0]:
+        v1, v2 = vec[:n, k], vec[n:, k]
+        p1, p2 = v1.reshape(N, Ny), v2.reshape(N, Ny)
+        smooth = (np.sum(np.abs(p1[1:] + p1[:-1]) ** 2) + np.sum(np.abs(p2[1:] + p2[:-1]) ** 2)) / 4.0
+        if 1.0 - smooth / np.sum(np.abs(vec[:, k]) ** 2) > 0.5:  # the zone-edge cut
+            cut += 1
+            continue
+        for i, M in enumerate(ops):
+            sums[i] += weights[k] * np.real(np.vdot(v1, -1j * (M @ v2)) + np.vdot(v2, 1j * (M @ v1)))
+    lo, hi = dens.window
+    in_window = int(np.count_nonzero((lam > lo) & (lam < hi)))
+    return 2 * np.pi * sums[0], 2 * np.pi * sums[1], 2 * np.pi * abs(sums[2]), cut, in_window
+
+
+GRID_1536 = Grid2D(grid_x=Grid1D(L=12.0, N=48), Ly=12.0, Ny=16)
+GRID_768 = Grid2D(grid_x=Grid1D(L=6.0, N=24), Ly=12.0, Ny=16)
+
+
+class TestWindowedSolve:
+    """The certified shift-invert solve against the dense definitional oracle."""
+
+    def _check(self, H, g, window):
+        dens = DensityProfile.from_window(*window)
+        P = default_projection(g)
+        res = trace_conductivity(H, g, P, dens, full_result=True)
+        sigma, literal, seam, cut, in_window = _dense_reference(H, g, P, dens)
+        assert abs(res.two_pi_sigma - sigma) <= 1e-10
+        assert abs(res.literal_two_pi_sigma - literal) <= 1e-10
+        assert abs(res.seam_contribution - seam) <= 1e-10
+        assert res.n_states_cut == cut
+        assert res.n_window == in_window
+        assert res.max_residual <= 1e-8
+        return res
+
+    @pytest.mark.parametrize(
+        "name, g, window",
+        [
+            ("dual_wall_v01", GRID_1536, (-1.0, 1.0)),
+            ("mass_wall", GRID_768, (-0.5, 0.5)),
+            ("field_wall_massless", GRID_768, (0.5, 1.5)),
+        ],
+        ids=["dual_wall_v01", "mass_wall", "field_wall_massless"],
+    )
+    def test_matches_dense_on_presets(self, name, g, window):
+        res = self._check(assemble_2d(g, preset_profiles(name)), g, window)
+        assert res.n_window > 0 and res.n_states_cut > 0
+        assert not res.dense_fallback and res.reach >= 1.0 and res.solves == 1
+
+    def test_matches_dense_perturbed(self):
+        w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
+        H = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
+        res = self._check(H, GRID_768, (-1.0, 1.0))
+        assert not res.dense_fallback and res.reach >= 1.0
+
+    def test_doubling_k_until_certified(self):
+        res = self._check(assemble_2d(GRID_1536, FIG2), GRID_1536, (-2.5, 2.5))
+        assert res.solves >= 2 and res.k > 32
+        assert not res.dense_fallback and res.reach >= 1.0
+
+    def test_window_wider_than_spectrum_takes_dense_fallback(self):
+        res = self._check(assemble_2d(SMALL, FIG2), SMALL, (-40.0, 40.0))
+        assert res.dense_fallback and res.reach is None
+        assert res.n_window == SMALL.dim
+
+    def test_repeated_calls_bit_identical(self):
+        H = assemble_2d(GRID_768, FIG2)
+        P, dens = default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0)
+        first = trace_conductivity(H, GRID_768, P, dens, full_result=True)
+        assert trace_conductivity(H, GRID_768, P, dens, full_result=True) == first
+
+    def test_no_convergence_raises_solver_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(oracle2d.spla, "eigsh", stalled)
+        H = assemble_2d(GRID_768, FIG2)
+        with pytest.raises(SolverError, match="Lanczos"):
+            trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
+
+    def test_residual_contract_enforced(self, monkeypatch):
+        real = spla.eigsh
+
+        def perturbed(*args, **kwargs):
+            lam, vec = real(*args, **kwargs)
+            return lam + 1e-3, vec
+
+        monkeypatch.setattr(oracle2d.spla, "eigsh", perturbed)
+        H = assemble_2d(GRID_768, FIG2)
+        with pytest.raises(SolverError, match="residual"):
+            trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
