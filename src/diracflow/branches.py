@@ -28,7 +28,7 @@ from .fiber import (
     eig_window,
     filter_spurious,
 )
-from .profiles import ProfileSet
+from .profiles import ProfileSet, SwitchProfile
 
 __all__ = [
     "SweepConfig",
@@ -39,6 +39,8 @@ __all__ = [
     "validate_window",
     "autoscale",
 ]
+
+_POINTS_BUDGET = 4000  # largest grid autoscale picks
 
 
 @dataclass(frozen=True)
@@ -287,10 +289,9 @@ def autoscale(
     minus: HalfSpaceParams,
     plus: HalfSpaceParams,
     window: tuple[float, float],
-    transition: tuple[float, float] = (-1.0, 1.0),
-    points_budget: int = 4000,
 ) -> tuple[Grid1D, SweepConfig, SpuriousFilter]:
-    """Choose grid and sweep geometry for an interface scenario.
+    """Choose grid and sweep geometry for an interface scenario whose walls
+    switch across the default transition of `SwitchProfile`.
 
     Three constraints drive the choice:
       * branches must converge to their bulk limits before the sweep ends,
@@ -301,7 +302,7 @@ def autoscale(
       * the staggered stencil's zone-edge resonance at zeta - A2 ~ 2/h
         must stay out of the retained region, which bounds h from above.
     """
-    t_edge = max(abs(transition[0]), abs(transition[1]))
+    t_edge = max(abs(SwitchProfile.t_lo), abs(SwitchProfile.t_hi))
     margin = 3.0
 
     def reach(hp: HalfSpaceParams) -> float:
@@ -340,7 +341,7 @@ def autoscale(
     # resolve the magnetic length by >= 10 points as well
     h_max = min(h_max, 0.1 / math.sqrt(max(abs(minus.B), abs(plus.B))))
     N = int(math.ceil(2.0 * L / h_max)) + 1
-    N = min(max(N, 64), points_budget)
+    N = min(max(N, 64), _POINTS_BUDGET)
 
     grid = Grid1D(L=L, N=N)
     samples = max(24, int(math.ceil((z_hi + z_lo) / 0.5)) + 1)

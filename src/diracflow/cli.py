@@ -25,11 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .branches import Branch, _solve_retained, branch_points, sweep_branches
 from .bulk import HalfSpaceParams, landau_levels, predicted_sf
 from .config import RunConfig, RunManifest, config_from_dict, load_config
-from .errors import DiracflowError
+from .errors import ConfigError, DiracflowError
 from .flow import conductivity, conductivity_quadrature, reconcile, spectral_flow
 from .oracle2d import (
     assemble_2d,
@@ -79,18 +78,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             wr.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def _manifest(cfg: RunConfig) -> RunManifest:
-    man = RunManifest(config=cfg.resolved(), version=__version__)
-    man.tolerances = {
-        "overlap_threshold": cfg.sweep.overlap_threshold,
-        "bisect_floor": cfg.sweep.bisect_floor,
-        "refine_tol": cfg.sweep.refine_tol,
-        "filter_margin": cfg.filter.margin,
-        "filter_threshold": cfg.filter.threshold,
-    }
-    return man
-
-
 def cmd_bulk(cfg: RunConfig, out: Path) -> int:
     minus, plus = half_spaces(cfg.profiles)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,7 +96,7 @@ def cmd_bulk(cfg: RunConfig, out: Path) -> int:
             (float(alpha), pred.N_minus, pred.N_plus, str(pred.I_minus), str(pred.I_plus), pred.sf)
         )
     _write_csv(out / "bulk.csv", ["alpha", "N_minus", "N_plus", "I_minus", "I_plus", "sf_pred"], rows)
-    man = _manifest(cfg)
+    man = RunManifest(cfg.resolved())
     man.verdicts["bulk"] = "ok"
     man.write(out / "manifest.json")
     return 0
@@ -117,7 +104,7 @@ def cmd_bulk(cfg: RunConfig, out: Path) -> int:
 
 def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    man = _manifest(cfg)
+    man = RunManifest(cfg.resolved())
     branches = run_sweep(cfg, workers, man)
     _write_csv(
         out / "branches.csv",
@@ -141,7 +128,7 @@ def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
 
 def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    man = _manifest(cfg)
+    man = RunManifest(cfg.resolved())
     minus, plus = half_spaces(cfg.profiles)
     branches = run_sweep(cfg, workers, man)
 
@@ -153,7 +140,7 @@ def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
         report = spectral_flow(branches, alpha, prediction=pred)
         dens = cfg.density
         sigma = conductivity(branches, dens)
-        ok = reconcile(report, pred) and abs(sigma - report.sf_numeric) < 1e-6
+        ok = reconcile(report, pred, sigma)
         all_ok &= ok
         print(f"{alpha:8.3g} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
         rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
@@ -169,9 +156,9 @@ def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     if cfg.grid2d is None:
-        raise DiracflowError("oracle requires a grid2d section in the config")
+        raise ConfigError("oracle requires a grid2d section in the config")
     out.mkdir(parents=True, exist_ok=True)
-    man = _manifest(cfg)
+    man = RunManifest(cfg.resolved())
     g = cfg.grid2d
     P = default_projection(g)
     dens = cfg.density

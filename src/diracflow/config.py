@@ -190,7 +190,6 @@ class RunManifest:
     config: dict
     version: str = __version__
     timings: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
@@ -198,7 +197,6 @@ class RunManifest:
         payload = {
             "version": self.version,
             "config": self.config,
-            "tolerances": self.tolerances,
             "verdicts": self.verdicts,
             "diagnostics": self.diagnostics,
             "timings": self.timings,

@@ -54,6 +54,7 @@ __all__ = [
     "filter_spurious",
     "boundary_mass",
     "zone_edge_fraction",
+    "check_residuals",
 ]
 
 
@@ -175,6 +176,14 @@ class SpuriousFilter:
         return cls(margin=grid.L / 8.0)
 
 
+def check_residuals(lam: np.ndarray, res: np.ndarray) -> None:
+    """Raise SolverError unless every pair meets ||H v - lambda v|| <= 1e-8 (1 + |lambda|)."""
+    bad = np.nonzero(res > 1e-8 * (1.0 + np.abs(lam)))[0]
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"residual {res[i]:.3e} exceeds contract at eigenvalue {lam[i]:.6g}")
+
+
 def _jacobi_residuals(d: np.ndarray, e: np.ndarray, mus: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Column norms of (J - mu) t for the Jacobi matrix J = tridiag(e, d, e), in O(n)."""
     R = (d[:, None] - mus) * T
@@ -191,7 +200,7 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
     their eigenvectors are mapped back to the interleaved complex basis
     (psi_up,i = t_2i+1, psi_down,i = -i t_2i).  Periodic fibers and
     matrices given by dense entries use a dense windowed eigh.  Every
-    pair must satisfy ||H psi - mu psi|| <= 1e-8 (1 + |mu|).
+    pair must pass `check_residuals`.
     """
     lo, hi = window
     if not lo < hi:
@@ -214,13 +223,10 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
         psis[:, 0::2] = T.T[:, 1::2]
         psis[:, 1::2] = -1j * T.T[:, 0::2]
 
-    pairs = []
-    for mu, v, r in zip(mus, psis, res):
-        if not lo <= mu <= hi:
-            continue
-        if r > 1e-8 * (1.0 + abs(mu)):
-            raise SolverError(f"residual {r:.3e} exceeds contract at mu = {mu:.6g}")
-        pairs.append(EigenPair(mu=float(mu), psi=v, residual=float(r)))
+    inside = (mus >= lo) & (mus <= hi)
+    mus, psis, res = mus[inside], psis[inside], res[inside]
+    check_residuals(mus, res)
+    pairs = [EigenPair(mu=float(mu), psi=v, residual=float(r)) for mu, v, r in zip(mus, psis, res)]
     pairs.sort(key=lambda p: p.mu)
     return pairs
 
@@ -232,17 +238,19 @@ def boundary_mass(psi: np.ndarray, grid: Grid1D, margin: float) -> float:
     return float(dens[strip].sum() / dens.sum())
 
 
-def zone_edge_fraction(psi: np.ndarray) -> float:
+def zone_edge_fraction(psi: np.ndarray, width: int = 2):
     """Fraction of spectral mass near the lattice momentum edge.
 
+    psi is one state or a stack of states; its last axis lists the
+    x-sites, `width` components each (2 for an interleaved fiber spinor).
     Smooth states score ~ 0; states born from the w ~ 2/h lattice
     resonance oscillate site-to-site and score ~ 1.  Used as a
     diagnostic for discretization artifacts that are not
     boundary-localized.
     """
-    comps = psi.reshape(-1, 2)
-    smooth = float(np.sum(np.abs(comps[1:] + comps[:-1]) ** 2)) / 4.0
-    total = float(np.sum(np.abs(comps) ** 2))
+    comps = psi.reshape(*psi.shape[:-1], psi.shape[-1] // width, width)
+    smooth = np.sum(np.abs(comps[..., 1:, :] + comps[..., :-1, :]) ** 2, axis=(-2, -1)) / 4.0
+    total = np.sum(np.abs(comps) ** 2, axis=(-2, -1))
     return 1.0 - smooth / total
 
 

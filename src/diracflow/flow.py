@@ -37,9 +37,7 @@ class FlowReport:
     alpha: float
     sf_numeric: int
     sf_predicted: int | None
-    two_pi_sigma: float | None
     crossings: tuple[Crossing, ...]
-    window_valid: bool
 
 
 def _locate_crossings(branch: Branch, bid: int, alpha: float) -> list[Crossing]:
@@ -100,9 +98,7 @@ def spectral_flow(
         alpha=alpha,
         sf_numeric=sf,
         sf_predicted=prediction.sf if prediction is not None else None,
-        two_pi_sigma=None,
         crossings=tuple(sorted(crossings, key=lambda c: c.zeta)),
-        window_valid=True,
     )
 
 
@@ -147,10 +143,6 @@ def conductivity_quadrature(branches: list[Branch], dens: DensityProfile) -> flo
     return total
 
 
-def reconcile(report: FlowReport, pred: FlowPrediction) -> bool:
-    """True iff numerical flow and rounded conductivity both equal the prediction."""
-    if report.two_pi_sigma is None:
-        return report.sf_numeric == pred.sf
-    return report.sf_numeric == pred.sf and round(report.two_pi_sigma) == pred.sf and abs(
-        report.two_pi_sigma - pred.sf
-    ) < 1e-6
+def reconcile(report: FlowReport, pred: FlowPrediction, sigma: float) -> bool:
+    """True iff the numerical flow equals the prediction and 2 pi sigma lies within 1e-6 of it."""
+    return report.sf_numeric == pred.sf and abs(sigma - pred.sf) < 1e-6

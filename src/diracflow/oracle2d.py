@@ -1,13 +1,19 @@
 """Windowed 2D trace check of the interface conductivity, plus stability runs.
 
 The 2D Hamiltonian H = D_x sigma_1 + (D_y - A2(x)) sigma_2 + m(x) sigma_3
-+ V(x) sigma_0 is discretized with the same staggered x-stencil as the
-fiber module and a spectral (Fourier) y-derivative on a periodic y-box.
-The spectral y-derivative is what makes the discrete y-Fourier conjugation
-reproduce the fiber matrices at zeta_n = 2 pi n / Ly exactly, which is the
-cross-check tying the oracle to the fiber pipeline.  H is assembled as a
-sparse CSR matrix: the x-stencil couples neighbouring sites and the
-y-derivative couples the sites of one x-column, about 1% of the entries.
++ V(x) sigma_0 is built from the fiber operator, whose zeta enters only
+as zeta sigma_2:
+
+    H = Hhat(0) (x) I_y + (sigma_2 (x) I_x) (x) K_y (+ W),
+
+with Hhat(0) the fiber matrix at zeta = 0 in (spinor, x-site) order and
+K_y the spectral (Fourier) -i d/dy on a periodic y-box.  The x-stencil is
+defined only in the fiber module.  The spectral K_y is what makes the
+discrete y-Fourier conjugation reproduce the fiber matrices at
+zeta_n = 2 pi n / Ly exactly, which is the cross-check tying the oracle
+to the fiber pipeline.  H is a sparse CSR matrix: the x-stencil couples
+neighbouring sites and K_y the sites of one x-column, about 1% of the
+entries.
 
 The conductivity is evaluated from the eigenpairs inside the density
 window (E1, E2), the only ones on which phi' is nonzero:
@@ -27,9 +33,9 @@ that Lanczos no longer pays, and a dense windowed eigh takes the solve.
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
-coarse grid) are excluded from the trace; they are pure discretization
-artifacts, the 2D analog of the boundary-localized states the fiber
-filter removes.
+coarse grid) are excluded from the trace by fiber.zone_edge_fraction;
+they are pure discretization artifacts, the 2D analog of the
+boundary-localized states the fiber filter removes.
 """
 
 from __future__ import annotations
@@ -42,15 +48,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import BudgetError, SolverError, WindowError
-from .fiber import Grid1D
-from .profiles import (
-    DensityProfile,
-    ProfileSet,
-    SwitchProfile,
-    derivative,
-    evaluate,
-    magnetic_potential,
-)
+from .fiber import Grid1D, assemble_fiber, check_residuals, zone_edge_fraction
+from .profiles import DensityProfile, ProfileSet, SwitchProfile, derivative, evaluate
+from .profiles import magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches it
 
 __all__ = [
     "Grid2D",
@@ -154,6 +154,11 @@ def _spectral_momentum(g: Grid2D) -> np.ndarray:
     return 0.5 * (Dy + Dy.conj().T)
 
 
+def _component_major(N: int) -> np.ndarray:
+    """Interleaved fiber rows (2i = up, 2i + 1 = down) in (spinor, x-site) order."""
+    return np.arange(2 * N).reshape(N, 2).T.ravel()
+
+
 def assemble_2d(
     g: Grid2D,
     ps: ProfileSet,
@@ -163,34 +168,15 @@ def assemble_2d(
     """Sparse (CSR) Hermitian 2D Hamiltonian; layout is (spinor, x-site, y-site)."""
     if g.dim > _BUDGET:
         raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
-    gx = g.grid_x
-    N, h = gx.N, gx.h
-    x = gx.x
-    m = evaluate(ps.m, x)
-    V = evaluate(ps.V, x)
-    A2 = magnetic_potential(ps, x)
-
-    Ix = sp.eye_array(N)
-    Iy = sp.eye_array(g.Ny)
-    Dxf = (sp.diags_array(np.ones(N - 1), offsets=1) - Ix) / h
-    if gx.bc == "periodic":
-        Dxf = Dxf + sp.coo_array(([1.0 / h], ([N - 1], [0])), shape=(N, N))
-    Ky = _spectral_momentum(g)
-
-    # (1,2) spinor block: -i d/dx - i (K_y - A2(x))
-    blk = sp.kron(-1j * Dxf, Iy) - 1j * (sp.kron(Ix, Ky) - sp.kron(sp.diags_array(A2), Iy))
-
-    diag_up = np.kron(V + m, np.ones(g.Ny))
-    diag_dn = np.kron(V - m, np.ones(g.Ny))
+    N = g.grid_x.N
+    cm = _component_major(N)
+    H0 = assemble_fiber(g.grid_x, ps, 0.0).entries[np.ix_(cm, cm)]
+    S = sp.kron(np.array([[0.0, -1j], [1j, 0.0]]), sp.eye_array(N))
+    H = sp.kron(sp.csr_array(H0), sp.eye_array(g.Ny)) + sp.kron(S, _spectral_momentum(g))
     if w is not None and coupling != 0.0:
-        Wd = coupling * w.sample(x, g.y, g.Ly).ravel()
-        diag_up = diag_up + Wd
-        diag_dn = diag_dn + Wd
-    return sp.block_array(
-        [[sp.diags_array(diag_up), blk], [blk.conj().T, sp.diags_array(diag_dn)]],
-        format="csr",
-        dtype=complex,
-    )
+        Wd = coupling * w.sample(g.grid_x.x, g.y, g.Ly).ravel()
+        H = H + sp.diags_array(np.tile(Wd, 2))
+    return sp.csr_array(H, dtype=complex)
 
 
 def fourier_block(H: sp.csr_array, g: Grid2D, mode: int) -> np.ndarray:
@@ -205,12 +191,10 @@ def fourier_block(H: sp.csr_array, g: Grid2D, mode: int) -> np.ndarray:
     j = mode % Ny
     f = np.exp(-2j * np.pi * j * np.arange(Ny) / Ny) / np.sqrt(Ny)
     Pj = sp.kron(sp.eye_array(2 * N), f[None, :], format="csr")
-    B = (Pj @ H @ Pj.conj().T).toarray()
-    # reorder (component-major, site) -> (site-major, interleaved spinor)
-    perm = np.empty(2 * N, dtype=int)
-    perm[0::2] = np.arange(N)
-    perm[1::2] = N + np.arange(N)
-    return B[np.ix_(perm, perm)]
+    cm = _component_major(N)
+    B = np.empty((2 * N, 2 * N), dtype=complex)
+    B[np.ix_(cm, cm)] = (Pj @ H @ Pj.conj().T).toarray()
+    return B
 
 
 def default_projection(g: Grid2D) -> SwitchProfile:
@@ -283,10 +267,7 @@ def _window_eigenpairs(H: sp.csr_array, window: tuple[float, float]):
     order = np.argsort(lam)
     lam, vec = lam[order], vec[:, order]
     res = np.linalg.norm(H @ vec - vec * lam, axis=0)
-    bad = np.nonzero(res > 1e-8 * (1.0 + np.abs(lam)))[0]
-    if bad.size:
-        i = bad[0]
-        raise SolverError(f"residual {res[i]:.3e} exceeds contract at lambda = {lam[i]:.6g}")
+    check_residuals(lam, res)
     cert = dict(
         n_window=int(np.count_nonzero((lam > lo) & (lam < hi))),
         k=len(lam),
@@ -323,7 +304,8 @@ def trace_conductivity(
     live = np.abs(weights) > 1e-14
     # live states as a (state, spinor, x-site, y-site) stack
     v = vec[:, live].T.reshape(-1, 2, N, Ny)
-    keep = _zone_edge_fraction_x(v) <= _ZONE_EDGE_CUT
+    by_x = v.transpose(0, 2, 1, 3).reshape(len(v), 2 * n)  # x-sites of (spinor, y) components
+    keep = zone_edge_fraction(by_x, width=2 * Ny) <= _ZONE_EDGE_CUT
     v, w = v[keep], weights[live][keep]
     v1, v2 = v[:, 0], v[:, 1]
 
@@ -348,14 +330,6 @@ def trace_conductivity(
         **cert,
     )
     return result if full_result else result.two_pi_sigma
-
-
-def _zone_edge_fraction_x(v: np.ndarray) -> np.ndarray:
-    """Per state of a (state, spinor, x, y) stack, the mass fraction at the x
-    lattice momentum edge (artifact detector)."""
-    smooth = np.sum(np.abs(v[:, :, 1:] + v[:, :, :-1]) ** 2, axis=(1, 2, 3)) / 4.0
-    total = np.sum(np.abs(v) ** 2, axis=(1, 2, 3))
-    return 1.0 - smooth / total
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,13 @@ class TestCliOracle:
         assert rc == 5
         assert "budget" in capsys.readouterr().err.lower()
 
+    def test_missing_grid2d_exits_6(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_config()))
+        rc = main(["oracle", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 6
+        assert capsys.readouterr().err == "error: oracle requires a grid2d section in the config\n"
+
     def test_small_oracle_runs(self, tmp_path, capsys):
         raw = tiny_config()
         raw["grid2d"] = {"N": 24, "L": 6.0, "Ny": 16, "Ly": 12.0}

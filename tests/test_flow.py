@@ -64,7 +64,8 @@ class TestSpectralFlow:
         minus = HalfSpaceParams(-2.0, -2.0, -0.1)
         plus = HalfSpaceParams(2.0, 2.0, 0.1)
         r = spectral_flow([UP], 0.0, prediction=predicted_sf(minus, plus, 0.0))
-        assert r.sf_predicted == 1 and reconcile(r, predicted_sf(minus, plus, 0.0))
+        sigma = conductivity([UP], DensityProfile.from_window(-0.5, 0.5))
+        assert r.sf_predicted == 1 and reconcile(r, predicted_sf(minus, plus, 0.0), sigma)
 
 
 class TestConductivity:
@@ -96,14 +97,12 @@ class TestReconcile:
     def test_rounding_rule(self):
         pred = predicted_sf(HalfSpaceParams(-2, -2, -0.1), HalfSpaceParams(2, 2, 0.1), 0.0)
 
-        def rep(sf, sigma):
-            return FlowReport(alpha=0.0, sf_numeric=sf, sf_predicted=pred.sf,
-                              two_pi_sigma=sigma, crossings=(), window_valid=True)
+        def rep(sf):
+            return FlowReport(alpha=0.0, sf_numeric=sf, sf_predicted=pred.sf, crossings=())
 
-        assert reconcile(rep(1, 1.0 + 1e-9), pred)
-        assert not reconcile(rep(1, 1.2), pred)
-        assert not reconcile(rep(0, 1.0), pred)
-        assert reconcile(rep(1, None), pred)
+        assert reconcile(rep(1), pred, 1.0 + 1e-9)
+        assert not reconcile(rep(1), pred, 1.2)
+        assert not reconcile(rep(0), pred, 1.0)
 
 
 @pytest.fixture(scope="module")

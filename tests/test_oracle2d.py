@@ -22,6 +22,7 @@ from diracflow.bulk import HalfSpaceParams
 from diracflow.presets import preset_profiles
 
 SMALL = Grid2D(grid_x=Grid1D(L=6.0, N=20), Ly=12.0, Ny=16)
+SMALL_PERIODIC = Grid2D(grid_x=Grid1D(L=6.0, N=20, bc="periodic"), Ly=12.0, Ny=16)
 FIG2 = walls(HalfSpaceParams(-2.0, -2.0, -0.1), HalfSpaceParams(2.0, 2.0, 0.1))
 
 
@@ -93,14 +94,15 @@ class TestAssemble2D:
         with pytest.raises(BudgetError):
             assemble_2d(big, FIG2)
 
-    def test_fourier_blocks_reproduce_fibers(self):
+    @pytest.mark.parametrize("g", [SMALL, SMALL_PERIODIC], ids=["dirichlet", "periodic"])
+    def test_fourier_blocks_reproduce_fibers(self, g):
         """Block-diagonalizing in y recovers the fiber matrices at the
         discrete momenta 2*pi*n/Ly, entrywise below 1e-12."""
-        H = assemble_2d(SMALL, FIG2)
-        for mode in (0, 1, SMALL.Ny // 2, SMALL.Ny - 3):
-            zeta = 2.0 * np.pi * np.fft.fftfreq(SMALL.Ny, d=SMALL.hy)[mode]
-            fib = assemble_fiber(SMALL.grid_x, FIG2, float(zeta)).entries
-            blk = fourier_block(H, SMALL, mode)
+        H = assemble_2d(g, FIG2)
+        for mode in (0, 1, g.Ny // 2, g.Ny - 3):
+            zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
+            fib = assemble_fiber(g.grid_x, FIG2, float(zeta)).entries
+            blk = fourier_block(H, g, mode)
             assert np.max(np.abs(blk - fib)) < 1e-12
 
 
