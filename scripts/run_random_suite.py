@@ -3,7 +3,10 @@
 
 Draws admissible random interface scenarios, auto-scales grid and sweep
 per scenario, and compares the tracked spectral flow with the closed-form
-half-space prediction. Prints one line per scenario and a final tally.
+half-space prediction. Prints one line per scenario, with its fiber
+solves and bisections (by reason: motion / stranded), and a final tally
+with the suite totals. `--n 50 --seed 11` draws the acceptance suite's
+scenarios.
 
 Usage: python scripts/run_random_suite.py [--n N] [--seed S]
 """
@@ -30,12 +33,17 @@ def main() -> int:
     ns = ap.parse_args()
 
     rng = np.random.default_rng(ns.seed)
-    bad = 0
+    bad = solves = motion = stranded = 0
     for i in range(ns.n):
         minus, plus, alpha, _ = draw_interface_scenario(rng)
         grid, cfg, f = autoscale(minus, plus, (alpha - 1.5, alpha + 1.5))
         t0 = time.perf_counter()
-        branches = sweep_branches(grid, walls(minus, plus), cfg, f)
+        stats: dict = {}
+        branches = sweep_branches(grid, walls(minus, plus), cfg, f, stats=stats)
+        bis = stats["bisections"]
+        solves += stats["solves"]
+        motion += bis["motion"]
+        stranded += bis["stranded"]
         report = spectral_flow(branches, alpha, prediction=predicted_sf(minus, plus, alpha))
         ok = report.sf_numeric == report.sf_predicted
         bad += not ok
@@ -43,9 +51,10 @@ def main() -> int:
             f"[{i + 1:3d}/{ns.n}] B=({minus.B:+.2f},{plus.B:+.2f}) "
             f"m=({minus.m:+.2f},{plus.m:+.2f}) V=({minus.V:+.2f},{plus.V:+.2f}) "
             f"alpha={alpha:+.2f}  sf={report.sf_numeric} pred={report.sf_predicted} "
-            f"N={grid.N} {'ok' if ok else 'MISMATCH'} ({time.perf_counter() - t0:.1f}s)"
+            f"N={grid.N} solves={stats['solves']} bisections={bis['motion']}/{bis['stranded']} "
+            f"{'ok' if ok else 'MISMATCH'} ({time.perf_counter() - t0:.1f}s)"
         )
-    print(f"{ns.n - bad}/{ns.n} matched")
+    print(f"{ns.n - bad}/{ns.n} matched; solves={solves} bisections={motion}/{stranded} (motion/stranded)")
     return 1 if bad else 0
 
 

@@ -3,10 +3,16 @@
 Tracking matches retained eigenpairs at consecutive zeta samples by
 maximizing total absolute eigenvector overlap with an optimal assignment
 (greedy matching fails at the near-avoided crossings that appear at
-large zeta).  Steps are bisected until every matched overlap clears the
-threshold and the per-step eigenvalue motion stays below refine_tol;
-the matrix depends on zeta only through zeta * sigma_2, so branches are
-1-Lipschitz in zeta and bisection always terminates.
+large zeta).  The matrix depends on zeta only through zeta * sigma_2, so
+every eigenpair carries its exact slope d mu/d zeta = <psi, sigma_2 psi>
+(Hellmann-Feynman) and branches are 1-Lipschitz in zeta.  A step is
+bisected until every matched overlap clears the threshold and the step
+is smooth: when every track and every new pair is matched, each new
+value must lie within refine_tol of the linear prediction mu + slope *
+step from the previous sample; a step on which a track ends or starts
+instead bounds the motion |delta mu| itself by refine_tol.  The
+Lipschitz bound keeps the prediction error below 2 * step, so bisection
+always terminates.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ class Branch:
 
     zetas: list[float] = field(default_factory=list)
     mus: list[float] = field(default_factory=list)
+    slopes: list[float] = field(default_factory=list)  # d mu/d zeta per sample
     overlaps: list[float] = field(default_factory=list)
     boundary_masses: list[float] = field(default_factory=list)
     clipped: bool = False
@@ -113,20 +120,36 @@ def sweep_branches(
     cfg: SweepConfig,
     f: SpuriousFilter,
     prefetch: dict[float, list[EigenPair]] | None = None,
+    stats: dict | None = None,
 ) -> list[Branch]:
     """Track all branches of the filtered window spectrum over the zeta sweep.
 
     `prefetch` seeds the solve cache (used by the CLI to fan the initial
     samples out to a worker pool); the result is identical either way
-    because matching is a sequential reduction in zeta order.
+    because matching is a sequential reduction in zeta order.  `stats`,
+    when given, is filled with the sweep telemetry: `solves` (fiber
+    solves, prefetched ones included), `bisections` by reason (`motion`:
+    a matched value left refine_tol; `stranded`: a track went unmatched
+    without exiting, which takes precedence), and the smallest matched
+    overlap `min_overlap` with the zeta where it occurred
+    (`min_overlap_zeta`, None when nothing was matched).
     """
     lo, hi = cfg.window
     targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
     cache: dict[float, list[EigenPair]] = dict(prefetch) if prefetch else {}
+    if stats is None:
+        stats = {}
+    stats.update(
+        solves=len(cache),
+        bisections={"motion": 0, "stranded": 0},
+        min_overlap=1.0,
+        min_overlap_zeta=None,
+    )
 
     def solve(z: float) -> list[EigenPair]:
         if z not in cache:
             cache[z] = _solve_retained(grid, ps, z, cfg.window, f)
+            stats["solves"] += 1
         return cache[z]
 
     def exits(b: Branch, step: float) -> bool:
@@ -136,16 +159,23 @@ def sweep_branches(
         edge = min(b.mus[-1] - lo, hi - b.mus[-1]) <= step + 10 * cfg.bisect_floor
         return edge or b.boundary_masses[-1] >= 0.5 * f.threshold
 
+    def append(t: _Track, z: float, p: EigenPair, overlap: float) -> None:
+        b = t.branch
+        b.zetas.append(z)
+        b.mus.append(p.mu)
+        b.slopes.append(p.slope)
+        b.overlaps.append(overlap)
+        b.boundary_masses.append(boundary_mass(p.psi, grid, f.margin))
+        t.psi = p.psi
+
+    def start(z: float, p: EigenPair, clipped: bool) -> _Track:
+        t = _Track(Branch(clipped=clipped), p.psi)
+        append(t, z, p, 1.0)
+        return t
+
     done: list[Branch] = []
     z_prev = targets[0]
-    active = []
-    for p in solve(z_prev):
-        br = Branch()
-        br.zetas.append(z_prev)
-        br.mus.append(p.mu)
-        br.overlaps.append(1.0)
-        br.boundary_masses.append(boundary_mass(p.psi, grid, f.margin))
-        active.append(_Track(br, p.psi))
+    active = [start(z_prev, p, False) for p in solve(z_prev)]
 
     queue = targets[1:]
     while queue:
@@ -166,9 +196,16 @@ def sweep_branches(
         matched = [(i, j, O[i, j]) for i, j in zip(rows, cols) if O[i, j] >= cfg.overlap_threshold]
         matched_old = {i for i, _, _ in matched}
         unmatched = [i for i in range(len(active)) if i not in matched_old]
-        jumped = any(abs(pairs[j].mu - active[i].branch.mus[-1]) > cfg.refine_tol for i, j, _ in matched)
+        # predict from the slope only where no track ends or starts; there
+        # the plain motion test keeps exits and entries on fine steps
+        lead = step if len(matched) == len(active) == len(pairs) else 0.0
+        jumped = any(
+            abs(pairs[j].mu - active[i].branch.mus[-1] - active[i].branch.slopes[-1] * lead) > cfg.refine_tol
+            for i, j, _ in matched
+        )
         stranded = [i for i in unmatched if not exits(active[i].branch, step)]
         if (jumped or stranded) and step > cfg.bisect_floor:
+            stats["bisections"]["stranded" if stranded else "motion"] += 1
             queue.insert(0, 0.5 * (z_prev + z))
             continue
         if stranded:
@@ -185,29 +222,17 @@ def sweep_branches(
         queue.pop(0)
         cache.pop(z_prev, None)
         new_active: list[_Track] = []
-        used_new = set()
         for i, j, ov in matched:
-            t = active[i]
-            p = pairs[j]
-            t.branch.zetas.append(z)
-            t.branch.mus.append(p.mu)
-            t.branch.overlaps.append(float(ov))
-            t.branch.boundary_masses.append(boundary_mass(p.psi, grid, f.margin))
-            t.psi = p.psi
-            new_active.append(t)
-            used_new.add(j)
+            append(active[i], z, pairs[j], float(ov))
+            new_active.append(active[i])
+            if ov < stats["min_overlap"]:
+                stats["min_overlap"], stats["min_overlap_zeta"] = float(ov), float(z)
         for i in unmatched:
             active[i].branch.clipped = True
             done.append(active[i].branch)
-        for j, p in enumerate(pairs):
-            if j not in used_new:
-                # a branch entering mid-sweep through the window edge
-                br = Branch(clipped=True)
-                br.zetas.append(z)
-                br.mus.append(p.mu)
-                br.overlaps.append(1.0)
-                br.boundary_masses.append(boundary_mass(p.psi, grid, f.margin))
-                new_active.append(_Track(br, p.psi))
+        used_new = {j for _, j, _ in matched}
+        # a branch entering mid-sweep through the window edge
+        new_active += [start(z, p, True) for j, p in enumerate(pairs) if j not in used_new]
         active = new_active
         z_prev = z
 
@@ -352,9 +377,9 @@ def autoscale(
 
 
 def branch_points(branches: list[Branch]):
-    """Flatten branches to (branch_id, zeta, mu, overlap, boundary_mass) rows."""
+    """Flatten branches to (branch_id, zeta, mu, slope, overlap, boundary_mass) rows."""
     rows = []
     for bid, b in enumerate(branches):
-        for z, mu, ov, bm in zip(b.zetas, b.mus, b.overlaps, b.boundary_masses):
-            rows.append((bid, z, mu, ov, bm))
+        for z, mu, sl, ov, bm in zip(b.zetas, b.mus, b.slopes, b.overlaps, b.boundary_masses, strict=True):
+            rows.append((bid, z, mu, sl, ov, bm))
     return rows

@@ -55,7 +55,8 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
 
 
 def run_sweep(cfg: RunConfig, workers: int, man: RunManifest) -> list[Branch]:
-    """Sweep with optional parallel prefetch of the initial samples; timed into `man`."""
+    """Sweep with optional parallel prefetch of the initial samples; timed, with its
+    telemetry (`sweep_branches`' stats), into `man`."""
     t0 = time.perf_counter()
     prefetch = None
     if workers > 1:
@@ -64,7 +65,11 @@ def run_sweep(cfg: RunConfig, workers: int, man: RunManifest) -> list[Branch]:
         solve = partial(_solve_retained, cfg.grid, cfg.profiles, window=sw.window, f=cfg.filter)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             prefetch = dict(zip(zetas, pool.map(solve, zetas)))
-    branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch)
+    stats: dict = {}
+    branches = sweep_branches(
+        cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch, stats=stats
+    )
+    man.diagnostics["sweep"] = stats
     man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
     man.timings["workers"] = workers
     return branches
@@ -108,7 +113,7 @@ def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
     branches = run_sweep(cfg, workers, man)
     _write_csv(
         out / "branches.csv",
-        ["branch_id", "zeta", "mu", "overlap", "boundary_mass"],
+        ["branch_id", "zeta", "mu", "slope", "overlap", "boundary_mass"],
         branch_points(branches),
     )
     svg = branches_svg(
@@ -119,7 +124,6 @@ def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
     )
     (out / f"{cfg.scenario}.svg").write_text(svg)
     man.diagnostics["n_branches"] = len(branches)
-    man.diagnostics["min_overlap"] = min((b.min_overlap for b in branches), default=1.0)
     man.verdicts["branches"] = "ok"
     man.write(out / "manifest.json")
     print(f"{cfg.scenario}: {len(branches)} branches -> {out / 'branches.csv'}")

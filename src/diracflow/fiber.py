@@ -20,6 +20,10 @@ Dirichlet matrix into a real symmetric tridiagonal (Jacobi) matrix:
     e = 1/h - (zeta - A2(x_i)) on site,  -1/h between sites.
 
 zeta enters only the on-site entries of e, so H(zeta) = T0 - zeta S.
+Since dHhat/dzeta = sigma_2, each eigenvalue's slope is the
+Hellmann-Feynman expectation d mu/d zeta = <psi, sigma_2 psi> =
+-2 sum_i t_2i t_2i+1 in Jacobi form; |d mu/d zeta| <= 1 because
+||sigma_2|| = 1.
 Windowed eigenpairs come from LAPACK bisection and inverse iteration
 for that form (?stebz / ?stein, via scipy.linalg.eigh_tridiagonal).
 The periodic wrap closes the path into a cycle; periodic fibers only
@@ -55,6 +59,7 @@ __all__ = [
     "boundary_mass",
     "zone_edge_fraction",
     "check_residuals",
+    "check_slopes",
 ]
 
 
@@ -151,11 +156,12 @@ def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenpair with its verified residual ||H psi - mu psi||."""
+    """One eigenpair with its verified residual ||H psi - mu psi|| and slope d mu/d zeta."""
 
     mu: float
     psi: np.ndarray = field(repr=False)
     residual: float
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -184,6 +190,18 @@ def check_residuals(lam: np.ndarray, res: np.ndarray) -> None:
         raise SolverError(f"residual {res[i]:.3e} exceeds contract at eigenvalue {lam[i]:.6g}")
 
 
+def check_slopes(lam: np.ndarray, slopes: np.ndarray) -> None:
+    """Raise SolverError unless every pair meets |d mu/d zeta| <= 1 + 1e-12.
+
+    <psi, sigma_2 psi> is bounded by 1 for a normalized psi, so a breach
+    means a badly normalized vector or broken slope arithmetic.
+    """
+    bad = np.nonzero(np.abs(slopes) > 1.0 + 1e-12)[0]
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"slope {slopes[i]:.6g} exceeds the Lipschitz bound 1 at eigenvalue {lam[i]:.6g}")
+
+
 def _jacobi_residuals(d: np.ndarray, e: np.ndarray, mus: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Column norms of (J - mu) t for the Jacobi matrix J = tridiag(e, d, e), in O(n)."""
     R = (d[:, None] - mus) * T
@@ -199,8 +217,10 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
     iteration on the real tridiagonal matrix (LAPACK ?stebz / ?stein);
     their eigenvectors are mapped back to the interleaved complex basis
     (psi_up,i = t_2i+1, psi_down,i = -i t_2i).  Periodic fibers and
-    matrices given by dense entries use a dense windowed eigh.  Every
-    pair must pass `check_residuals`.
+    matrices given by dense entries use a dense windowed eigh.  Each
+    pair carries its slope <psi, sigma_2 psi> = 2 Re sum conj(psi_up)
+    (-i) psi_down, -2 sum_i t_2i t_2i+1 in Jacobi form.  Every pair must
+    pass `check_residuals` and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:
@@ -212,6 +232,7 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         res = np.linalg.norm(H @ vecs - vecs * mus, axis=0)
         psis = np.ascontiguousarray(vecs.T)
+        slopes = 2.0 * np.real(np.sum(np.conj(psis[:, 0::2]) * -1j * psis[:, 1::2], axis=1))
     else:
         try:
             mus, T = sla.eigh_tridiagonal(A.d, A.e, select="v", select_range=(lo, hi))
@@ -219,14 +240,19 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
             raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: {exc}") from exc
         T = T / np.linalg.norm(T, axis=0)
         res = _jacobi_residuals(A.d, A.e, mus, T)
+        slopes = -2.0 * np.sum(T[0::2] * T[1::2], axis=0)
         psis = np.empty(T.T.shape, dtype=complex)
         psis[:, 0::2] = T.T[:, 1::2]
         psis[:, 1::2] = -1j * T.T[:, 0::2]
 
     inside = (mus >= lo) & (mus <= hi)
-    mus, psis, res = mus[inside], psis[inside], res[inside]
+    mus, psis, res, slopes = mus[inside], psis[inside], res[inside], slopes[inside]
     check_residuals(mus, res)
-    pairs = [EigenPair(mu=float(mu), psi=v, residual=float(r)) for mu, v, r in zip(mus, psis, res)]
+    check_slopes(mus, slopes)
+    pairs = [
+        EigenPair(mu=float(mu), psi=v, residual=float(r), slope=float(s))
+        for mu, v, r, s in zip(mus, psis, res, slopes)
+    ]
     pairs.sort(key=lambda p: p.mu)
     return pairs
 

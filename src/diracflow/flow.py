@@ -40,10 +40,22 @@ class FlowReport:
     crossings: tuple[Crossing, ...]
 
 
+def _hermite_root(d0: float, d1: float, s0: float, s1: float) -> float | None:
+    """The single root in [0, 1] of the cubic Hermite interpolant with values
+    d0, d1 and end derivatives s0, s1 (in the unit variable), else None."""
+    cubic = [2 * d0 + s0 - 2 * d1 + s1, -3 * d0 - 2 * s0 + 3 * d1 - s1, s0, d0]
+    roots = np.roots(cubic)
+    real = roots.real[(np.abs(roots.imag) <= 1e-12) & (roots.real >= 0.0) & (roots.real <= 1.0)]
+    return float(real[0]) if real.size == 1 else None
+
+
 def _locate_crossings(branch: Branch, bid: int, alpha: float) -> list[Crossing]:
-    """Sign changes of mu - alpha on the sampled curve, located by interpolation."""
+    """Sign changes of mu - alpha on the sampled curve, each located on its
+    step by cubic Hermite interpolation of the sampled values and slopes
+    (linear interpolation when the cubic has no single root in the step)."""
     z = np.asarray(branch.zetas)
     d = np.asarray(branch.mus) - alpha
+    s = np.asarray(branch.slopes)
     out = []
     for k in range(d.size - 1):
         if d[k] == 0.0:
@@ -51,10 +63,12 @@ def _locate_crossings(branch: Branch, bid: int, alpha: float) -> list[Crossing]:
             # alpha perturbation; should not be reached
             continue
         if d[k] * d[k + 1] < 0.0:
-            t = d[k] / (d[k] - d[k + 1])
-            zc = z[k] + t * (z[k + 1] - z[k])
+            h = z[k + 1] - z[k]
+            t = _hermite_root(d[k], d[k + 1], h * s[k], h * s[k + 1])
+            if t is None:
+                t = d[k] / (d[k] - d[k + 1])
             out.append(
-                Crossing(branch_id=bid, zeta=float(zc), direction="up" if d[k] < 0 else "down")
+                Crossing(branch_id=bid, zeta=float(z[k] + t * h), direction="up" if d[k] < 0 else "down")
             )
     return out
 
@@ -127,19 +141,21 @@ def conductivity(branches: list[Branch], dens: DensityProfile) -> float:
 
 
 def conductivity_quadrature(branches: list[Branch], dens: DensityProfile) -> float:
-    """Diagnostic trapezoid estimate of sum_j int phi'(mu) mu'(zeta) d zeta.
+    """Diagnostic estimate of sum_j int phi'(mu) mu'(zeta) d zeta from the sampled slopes.
 
-    Coarser than the endpoint formula (finite-difference mu'); reported
-    in manifests, never asserted against.
+    Hermite-Simpson on each step: the midpoint value and slope come from
+    the cubic Hermite interpolant of the sampled (mu, d mu/d zeta).
+    Reported in manifests, never asserted against.
     """
     total = 0.0
     for b in branches:
-        if len(b.mus) < 2:
-            continue
-        z = np.asarray(b.zetas)
-        mu = np.asarray(b.mus)
-        integrand = derivative(dens.phi, mu) * np.gradient(mu, z)
-        total += float(np.trapezoid(integrand, z))
+        z, mu, s = np.asarray(b.zetas), np.asarray(b.mus), np.asarray(b.slopes)
+        h = np.diff(z)
+        mu_mid = 0.5 * (mu[:-1] + mu[1:]) + h * (s[:-1] - s[1:]) / 8.0
+        s_mid = 1.5 * np.diff(mu) / h - 0.25 * (s[:-1] + s[1:])
+        f = derivative(dens.phi, mu) * s
+        f_mid = derivative(dens.phi, mu_mid) * s_mid
+        total += float(np.sum(h / 6.0 * (f[:-1] + 4.0 * f_mid + f[1:])))
     return total
 
 

@@ -98,6 +98,39 @@ class TestSweep:
 
         assert entering(coarse) == entering(fine)
 
+    def test_slope_aware_refinement_keeps_the_branches(self):
+        """Endpoints frozen from the motion-only tracker, which took 56 solves here."""
+        ps = preset_profiles("dual_wall_v01")
+        grid = Grid1D(L=14.0, N=400)
+        cfg = SweepConfig(-5.0, 5.0, 21, (-3.5, 3.5), refine_tol=0.15)
+        stats = {}
+        branches = sweep_branches(grid, ps, cfg, SpuriousFilter(margin=4.0, threshold=0.3), stats=stats)
+        reference = [
+            (-3.0, -3.453368415680221, 5.0, 1.8999850543703887),
+            (-2.0, 3.4404474081187386, 5.0, 2.0999833348329973),
+            (-0.75, -3.4398393545531567, 5.0, -2.7267405917957297),
+            (-0.625, 3.485968755962417, 5.0, 2.7264182039867557),
+            (0.375, 3.480733047396485, 5.0, 2.9263820903311424),
+            (0.5, -3.481776718336117, 5.0, -2.926735044439448),
+            (1.5, 3.4812600790189743, 3.5, 3.1410853051949874),
+            (1.875, -3.4827537747608934, 5.0, -3.3591906488878807),
+            (2.75, 3.485844586625023, 3.5, 3.420934673555672),
+            (4.0, 3.285776806851525, 4.0, 3.285776806851525),
+            (4.0, 3.4764602683993977, 4.0, 3.4764602683993977),
+            (4.5, 3.3447414736499383, 5.0, 3.3561406559825744),
+        ]
+        assert len(branches) == len(reference)
+        for b, ref in zip(branches, reference):
+            assert b.clipped
+            ends = (b.zetas[0], b.mus[0], b.zetas[-1], b.mus[-1])
+            assert np.allclose(ends, ref, rtol=0.0, atol=1e-9)
+            assert len(b.slopes) == len(b.mus)
+        bis = stats["bisections"]
+        assert stats["solves"] == cfg.samples + bis["motion"] + bis["stranded"]
+        assert stats["solves"] < 56
+        assert stats["min_overlap"] == min(b.min_overlap for b in branches)
+        assert stats["min_overlap_zeta"] in {z for b in branches for z in b.zetas}
+
     def test_prefetch_identical(self):
         from diracflow.branches import _solve_retained
 
@@ -105,13 +138,15 @@ class TestSweep:
         grid = Grid1D(L=10.0, N=200)
         cfg = SweepConfig(-3.0, 3.0, 13, (-2.5, 2.5), refine_tol=0.15)
         f = SpuriousFilter(margin=2.5, threshold=0.3)
-        plain = sweep_branches(grid, ps, cfg, f)
+        plain_stats, seeded_stats = {}, {}
+        plain = sweep_branches(grid, ps, cfg, f, stats=plain_stats)
         pre = {
             z: _solve_retained(grid, ps, z, cfg.window, f)
             for z in np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples)
         }
-        seeded = sweep_branches(grid, ps, cfg, f, prefetch=pre)
+        seeded = sweep_branches(grid, ps, cfg, f, prefetch=pre, stats=seeded_stats)
         assert branch_points(plain) == branch_points(seeded)
+        assert plain_stats == seeded_stats
 
 
 class TestClassify:
@@ -192,7 +227,7 @@ class TestAutoscale:
 
 class TestBranchPoints:
     def test_flat_rows(self):
-        b = Branch(zetas=[0.0, 1.0], mus=[0.5, 0.6], overlaps=[1.0, 0.9],
+        b = Branch(zetas=[0.0, 1.0], mus=[0.5, 0.6], slopes=[0.1, -0.2], overlaps=[1.0, 0.9],
                    boundary_masses=[0.0, 0.01])
         rows = branch_points([b])
-        assert rows == [(0, 0.0, 0.5, 1.0, 0.0), (0, 1.0, 0.6, 0.9, 0.01)]
+        assert rows == [(0, 0.0, 0.5, 0.1, 1.0, 0.0), (0, 1.0, 0.6, -0.2, 0.9, 0.01)]

@@ -116,7 +116,7 @@ class TestCliBranches:
         rc = main(["branches", "--config", str(p), "--out", str(out)])
         assert rc == 0
         lines = (out / "branches.csv").read_text().splitlines()
-        assert lines == ["branch_id,zeta,mu,overlap,boundary_mass"]
+        assert lines == ["branch_id,zeta,mu,slope,overlap,boundary_mass"]
         assert (out / "tiny.svg").exists()
 
     def test_deterministic_output(self, tmp_path):
@@ -139,6 +139,24 @@ class TestCliBranches:
         assert main(["branches", "--config", str(p), "--out", str(parallel),
                      "--workers", "2"]) == 0
         assert (serial / "branches.csv").read_bytes() == (parallel / "branches.csv").read_bytes()
+
+        def sweep_stats(out):
+            return json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep"]
+
+        assert sweep_stats(serial) == sweep_stats(parallel)
+
+    def test_manifest_records_sweep_telemetry(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "o"
+        assert main(["branches", "--config", str(p), "--out", str(out)]) == 0
+        sweep = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep"]
+        bis = sweep["bisections"]
+        assert sweep["solves"] == 17 + bis["motion"] + bis["stranded"]
+        assert 0.8 <= sweep["min_overlap"] < 1.0 and -4.0 < sweep["min_overlap_zeta"] <= 4.0
+        rows = (out / "branches.csv").read_text().splitlines()[1:]
+        slopes = [float(r.split(",")[3]) for r in rows]
+        assert slopes and max(abs(v) for v in slopes) <= 1.0
 
 
 class TestCliFlow:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from diracflow.bulk import HalfSpaceParams, landau_levels
+from diracflow.errors import SolverError
 from diracflow.fiber import (
     FiberMatrix,
     Grid1D,
     SpuriousFilter,
     assemble_fiber,
     boundary_mass,
+    check_slopes,
     eig_window,
     filter_spurious,
     zone_edge_fraction,
@@ -280,3 +282,50 @@ class TestJacobiForm:
     def test_needs_entries_or_jacobi_pair(self):
         with pytest.raises(ValueError):
             FiberMatrix(zeta=0.0, grid=Grid1D(L=1.0, N=16))
+
+
+class TestSlopes:
+    """Hellmann-Feynman slopes d mu/d zeta = <psi, sigma_2 psi> on each eigenpair."""
+
+    PS = walls(HalfSpaceParams(-2.0, -2.0, -0.1), HalfSpaceParams(2.0, 2.0, 0.1))
+    GRID = Grid1D(L=10.0, N=300)
+
+    def test_jacobi_slope_matches_central_difference(self):
+        h = 1e-4
+        checked = 0
+        for zeta in (-3.0, 0.7, 4.2):
+            pairs = eig_window(assemble_fiber(self.GRID, self.PS, zeta), (-3.0, 3.0))
+            plus = eig_window(assemble_fiber(self.GRID, self.PS, zeta + h), (-3.5, 3.5))
+            minus = eig_window(assemble_fiber(self.GRID, self.PS, zeta - h), (-3.5, 3.5))
+            for p in pairs:
+                mp = min((q.mu for q in plus), key=lambda mu: abs(mu - p.mu))
+                mm = min((q.mu for q in minus), key=lambda mu: abs(mu - p.mu))
+                assert abs((mp - mm) / (2 * h) - p.slope) <= 1e-8
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("zeta", [-2.5, 0.3, 3.9])
+    def test_jacobi_and_dense_slopes_agree(self, zeta):
+        A = assemble_fiber(self.GRID, self.PS, zeta)
+        jac = eig_window(A, (-3.0, 3.0))
+        dense = eig_window(FiberMatrix(zeta=zeta, grid=self.GRID, entries=A.entries), (-3.0, 3.0))
+        assert len(jac) == len(dense) > 0
+        for p, q in zip(jac, dense):
+            assert abs(p.slope - q.slope) <= 1e-10
+            assert abs(p.slope - np.real(np.vdot(p.psi, _sigma2(p.psi)))) <= 1e-12
+
+    def test_certificate(self):
+        mus = np.array([-0.5, 0.2, 1.1])
+        check_slopes(mus, np.array([-1.0, 0.3, 1.0 + 1e-13]))
+        with pytest.raises(SolverError, match="slope 1.01 exceeds the Lipschitz bound 1 at eigenvalue 0.2"):
+            check_slopes(mus, np.array([0.0, 1.01, 0.5]))
+        with pytest.raises(SolverError, match="Lipschitz"):
+            check_slopes(mus, np.array([0.0, 0.0, -1.0 - 1e-9]))
+
+
+def _sigma2(psi: np.ndarray) -> np.ndarray:
+    """sigma_2 applied to an interleaved (up, down) spinor."""
+    out = np.empty_like(psi)
+    out[0::2] = -1j * psi[1::2]
+    out[1::2] = 1j * psi[0::2]
+    return out
