@@ -14,8 +14,9 @@ Usage: python scripts/run_random_suite.py [--n N] [--seed S]
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from diracflow.branches import autoscale, sweep_branches
 from diracflow.bulk import predicted_sf

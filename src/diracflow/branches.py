@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .bulk import HalfSpaceParams, landau_levels
+from .bulk import HalfSpaceParams
 from .errors import TrackingError
 from .fiber import (
     EigenPair,
@@ -39,9 +39,7 @@ from .profiles import ProfileSet, SwitchProfile
 __all__ = [
     "SweepConfig",
     "Branch",
-    "AsymptoteLabel",
     "sweep_branches",
-    "classify_asymptotics",
     "validate_window",
     "autoscale",
 ]
@@ -68,15 +66,13 @@ class SweepConfig:
             raise ValueError("samples must be >= 2")
         if not self.window[0] < self.window[1]:
             raise ValueError("window lo must be < hi")
-
-
-@dataclass(frozen=True)
-class AsymptoteLabel:
-    """Endpoint classification: converged to a bulk level, or diverging."""
-
-    kind: str  # "bulk_level" | "diverging"
-    value: float | None = None
-    side: str | None = None  # "plus" | "minus"
+        # refine_tol <= 0 bisects every step to the floor; a floor <= 0 removes the floor
+        if not self.refine_tol > 0:
+            raise ValueError("refine_tol must be positive")
+        if not self.bisect_floor > 0:
+            raise ValueError("bisect_floor must be positive")
+        if not 0.0 < self.overlap_threshold <= 1.0:
+            raise ValueError("overlap_threshold must lie in (0, 1]")
 
 
 @dataclass
@@ -89,8 +85,6 @@ class Branch:
     overlaps: list[float] = field(default_factory=list)
     boundary_masses: list[float] = field(default_factory=list)
     clipped: bool = False
-    asymptote_lo: AsymptoteLabel | None = None
-    asymptote_hi: AsymptoteLabel | None = None
 
     @property
     def min_overlap(self) -> float:
@@ -239,61 +233,6 @@ def sweep_branches(
     done.extend(t.branch for t in active)
     done.sort(key=lambda b: (b.zetas[0], b.mus[0]))
     return done
-
-
-def classify_asymptotics(
-    branch: Branch,
-    minus: HalfSpaceParams,
-    plus: HalfSpaceParams,
-    match_tol: float = 5e-2,
-    window: tuple[float, float] | None = None,
-) -> Branch:
-    """Label both endpoints of a full branch against the bulk spectra.
-
-    The eligible bulk side at each sweep end follows the sign pattern of
-    the fields: the guiding center zeta / B must point into that half.
-    """
-    if branch.clipped:
-        raise ValueError("cannot classify a clipped branch (it does not reach the endpoints)")
-
-    def eligible(sides_end: str) -> list[tuple[HalfSpaceParams, str]]:
-        out = []
-        if sides_end == "hi":
-            if plus.B > 0:
-                out.append((plus, "plus"))
-            if minus.B < 0:
-                out.append((minus, "minus"))
-        else:
-            if plus.B < 0:
-                out.append((plus, "plus"))
-            if minus.B > 0:
-                out.append((minus, "minus"))
-        return out
-
-    def label(end: str) -> AsymptoteLabel:
-        mu_end = branch.mus[-1] if end == "hi" else branch.mus[0]
-        best = None
-        for hp, side in eligible(end):
-            k_need = max(1, math.ceil((abs(mu_end - hp.V) + 1.0) ** 2 / (2 * abs(hp.B))) + 1)
-            for lev in landau_levels(hp, k_need).levels:
-                d = abs(lev - mu_end)
-                if d <= match_tol and (best is None or d < best[0]):
-                    best = (d, lev, side)
-        if best is not None:
-            return AsymptoteLabel(kind="bulk_level", value=best[1], side=best[2])
-        # divergence heuristic: near the window edge with consistent motion
-        mus = branch.mus if end == "hi" else branch.mus[::-1]
-        if window is not None and len(mus) >= 6:
-            lo, hi = window
-            near_edge = min(mus[-1] - lo, hi - mus[-1]) <= 0.1 * (hi - lo)
-            tail = np.diff(mus[-6:])
-            if near_edge and np.all(tail > 0) or near_edge and np.all(tail < 0):
-                return AsymptoteLabel(kind="diverging")
-        raise ValueError(f"unclassifiable endpoint ({end}) at mu = {mu_end:.6g}")
-
-    branch.asymptote_lo = label("lo")
-    branch.asymptote_hi = label("hi")
-    return branch
 
 
 def validate_window(branches: list[Branch], alpha: float, margin: float) -> bool:

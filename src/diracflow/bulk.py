@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BulkLevelError
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "count_levels",
     "half_index",
     "predicted_sf",
-    "gap_component",
 ]
 
 
@@ -128,24 +125,3 @@ def predicted_sf(minus: HalfSpaceParams, plus: HalfSpaceParams, alpha: float) ->
         N_plus=count_levels(plus, alpha),
     )
 
-
-def gap_component(minus: HalfSpaceParams, plus: HalfSpaceParams, alpha: float) -> tuple[float, float]:
-    """The connected component of the joint resolvent set containing alpha.
-
-    Returns the open interval between the nearest bulk levels (of either
-    side) below and above alpha; infinite endpoints are +-inf.
-    """
-    all_levels = []
-    for hp in (minus, plus):
-        # enough levels to bracket any reasonable alpha
-        span = abs(alpha - hp.V) + abs(hp.m) + 1.0
-        k_need = max(1, math.ceil(span * span / (2.0 * abs(hp.B))) + 1)
-        all_levels.extend(landau_levels(hp, k_need).levels)
-    arr = np.sort(np.asarray(all_levels))
-    if np.any(np.abs(arr - alpha) < 1e-12):
-        raise BulkLevelError("alpha in bulk spectrum")
-    below = arr[arr < alpha]
-    above = arr[arr > alpha]
-    lo = float(below[-1]) if below.size else -math.inf
-    hi = float(above[0]) if above.size else math.inf
-    return (lo, hi)

@@ -24,7 +24,7 @@ from .branches import SweepConfig
 from .errors import ConfigError
 from .fiber import Grid1D, SpuriousFilter
 from .oracle2d import Grid2D, PerturbationSpec
-from .profiles import DensityProfile, ProfileSet, SwitchProfile
+from .profiles import DensityProfile, ProfileSet
 
 __all__ = ["RunConfig", "load_config", "config_from_dict", "RunManifest"]
 
@@ -111,7 +111,7 @@ class RunConfig:
             "sweep": _plain(self.sweep),
             "filter": _plain(self.filter),
             "alphas": list(self.alphas),
-            "density": {"window": list(self.density.window), "shape": self.density.phi.shape},
+            "density": {"window": list(self.density.window)},
         }
         if self.grid2d is not None:
             out["grid2d"] = {**_plain(self.grid2d.grid_x), "Ny": self.grid2d.Ny, "Ly": self.grid2d.Ly}
@@ -137,11 +137,8 @@ def _parse(raw: dict) -> RunConfig:
         SweepConfig, d.get("sweep", {}), "sweep", zeta_min=-8.0, zeta_max=8.0, samples=81, window=(-4.0, 4.0)
     )
 
-    dn = _object(d.get("density", {}), "density", ("window", "shape"))
-    dens = DensityProfile.from_window(
-        *_pair(dn.get("window", (-0.5, 0.5)), "density.window"),
-        _scalar(str, dn.get("shape", SwitchProfile.shape), "density.shape"),
-    )
+    dn = _object(d.get("density", {}), "density", ("window",))
+    dens = DensityProfile.from_window(*_pair(dn.get("window", (-0.5, 0.5)), "density.window"))
 
     g2 = None
     if d.get("grid2d") is not None:
@@ -154,8 +151,8 @@ def _parse(raw: dict) -> RunConfig:
         )
 
     alphas = d.get("alphas", [0.0])
-    if not isinstance(alphas, (list, tuple)):
-        raise ConfigError("alphas must be a list of numbers")
+    if not isinstance(alphas, (list, tuple)) or not alphas:
+        raise ConfigError("alphas must be a non-empty list of numbers")
 
     pert = None
     if d.get("perturbation") is not None:

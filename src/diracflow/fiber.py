@@ -88,32 +88,20 @@ class Grid1D:
         return -self.L + self.h * np.arange(self.N)
 
 
+@dataclass(eq=False)
 class FiberMatrix:
     """Hermitian 2N x 2N discretization of Hhat(zeta).
 
-    Held as the real Jacobi pair (d, e) of the module docstring (the open
-    chain; the periodic wrap is implied by grid.bc), or as explicit dense
-    `entries`.  `entries` is the dense Hermitian view in interleaved
-    ordering (site i occupies rows 2i = up, 2i + 1 = down), built on
-    first access from (d, e) when not given.
+    Held as the real Jacobi pair (d, e) of the module docstring: the open
+    chain, with the periodic wrap implied by grid.bc.  `entries` is the
+    dense Hermitian view in interleaved ordering (site i occupies rows
+    2i = up, 2i + 1 = down), built from (d, e) on first access.
     """
 
-    def __init__(
-        self,
-        zeta: float,
-        grid: Grid1D,
-        entries: np.ndarray | None = None,
-        d: np.ndarray | None = None,
-        e: np.ndarray | None = None,
-    ):
-        if (entries is None) == (d is None or e is None):
-            raise ValueError("give either entries or the Jacobi pair (d, e)")
-        self.zeta = zeta
-        self.grid = grid
-        self.d = d
-        self.e = e
-        if entries is not None:
-            self.entries = entries
+    zeta: float
+    grid: Grid1D
+    d: np.ndarray
+    e: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -216,17 +204,17 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
     Dirichlet fibers in Jacobi form are solved by bisection and inverse
     iteration on the real tridiagonal matrix (LAPACK ?stebz / ?stein);
     their eigenvectors are mapped back to the interleaved complex basis
-    (psi_up,i = t_2i+1, psi_down,i = -i t_2i).  Periodic fibers and
-    matrices given by dense entries use a dense windowed eigh.  Each
-    pair carries its slope <psi, sigma_2 psi> = 2 Re sum conj(psi_up)
-    (-i) psi_down, -2 sum_i t_2i t_2i+1 in Jacobi form.  Every pair must
-    pass `check_residuals` and `check_slopes`.
+    (psi_up,i = t_2i+1, psi_down,i = -i t_2i).  Periodic fibers use a
+    dense windowed eigh of `entries`.  Each pair carries its slope
+    <psi, sigma_2 psi> = 2 Re sum conj(psi_up) (-i) psi_down, -2 sum_i
+    t_2i t_2i+1 in Jacobi form.  Every pair must pass `check_residuals`
+    and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("window lo must be < hi")
 
-    if A.d is None or A.grid.bc == "periodic":
+    if A.grid.bc == "periodic":
         H = A.entries
         mus, vecs = sla.eigh(H, subset_by_value=(lo, hi))
         vecs = vecs / np.linalg.norm(vecs, axis=0)

@@ -1,11 +1,10 @@
 """Smooth switch (domain-wall) profiles with exact plateaus.
 
-The default shape is the standard C-infinity partition-of-unity bump built
-from g(t) = exp(-1/t) for t > 0: it attains its plateau values exactly
-outside the transition interval, which downstream invariants rely on
-(bit-exact plateaus, derivative identically zero off the transition).
-A piecewise-linear ramp is kept for debugging; it is only C^0 and is
-flagged as such in run metadata.
+Every wall and the density phi is the standard C-infinity
+partition-of-unity bump built from g(t) = exp(-1/t) for t > 0: it
+attains its plateau values exactly outside the transition interval,
+which downstream invariants rely on (bit-exact plateaus, derivative
+identically zero off the transition).
 """
 
 from __future__ import annotations
@@ -46,28 +45,16 @@ def _g_prime(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SwitchProfile:
-    """A smooth switch: equal to `lower` for x <= t_lo, `upper` for x >= t_hi.
-
-    shape: "smooth_bump" (default, C-infinity) or "linear_ramp" (C^0, debug).
-    """
+    """A smooth switch: equal to `lower` for x <= t_lo, `upper` for x >= t_hi."""
 
     lower: float
     upper: float
     t_lo: float = -1.0
     t_hi: float = 1.0
-    shape: str = "smooth_bump"
 
     def __post_init__(self):
         if not self.t_lo < self.t_hi:
             raise ValueError(f"invalid transition interval ({self.t_lo}, {self.t_hi})")
-        if self.shape not in ("smooth_bump", "linear_ramp"):
-            raise ValueError(f"unknown shape {self.shape!r}")
-
-    def __call__(self, x):
-        return evaluate(self, x)
-
-    def prime(self, x):
-        return derivative(self, x)
 
 
 def evaluate(p: SwitchProfile, x):
@@ -75,11 +62,8 @@ def evaluate(p: SwitchProfile, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     t = (np.atleast_1d(x) - p.t_lo) / (p.t_hi - p.t_lo)
-    if p.shape == "linear_ramp":
-        s = np.clip(t, 0.0, 1.0)
-    else:
-        gl = _g(t)
-        s = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, gl / (gl + _g(1.0 - t))))
+    gl = _g(t)
+    s = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, gl / (gl + _g(1.0 - t))))
     out = p.lower + (p.upper - p.lower) * s
     # force bit-exact plateau values (the affine form could round)
     out = np.where(t <= 0.0, p.lower, np.where(t >= 1.0, p.upper, out))
@@ -92,16 +76,13 @@ def derivative(p: SwitchProfile, x):
     scalar = x.ndim == 0
     w = p.t_hi - p.t_lo
     t = (np.atleast_1d(x) - p.t_lo) / w
-    if p.shape == "linear_ramp":
-        ds = np.where((t > 0.0) & (t < 1.0), 1.0, 0.0)
-    else:
-        interior = (t > 0.0) & (t < 1.0)
-        ds = np.zeros_like(t)
-        ti = t[interior]
-        g0, g1 = _g(ti), _g(1.0 - ti)
-        d0, d1 = _g_prime(ti), _g_prime(1.0 - ti)
-        # quotient rule for s = g0 / (g0 + g1); note d(g1)/dt = -d1
-        ds[interior] = (d0 * g1 + g0 * d1) / (g0 + g1) ** 2
+    interior = (t > 0.0) & (t < 1.0)
+    ds = np.zeros_like(t)
+    ti = t[interior]
+    g0, g1 = _g(ti), _g(1.0 - ti)
+    d0, d1 = _g_prime(ti), _g_prime(1.0 - ti)
+    # quotient rule for s = g0 / (g0 + g1); note d(g1)/dt = -d1
+    ds[interior] = (d0 * g1 + g0 * d1) / (g0 + g1) ** 2
     out = (p.upper - p.lower) * ds / w
     return float(out[0]) if scalar else out
 
@@ -161,5 +142,5 @@ class DensityProfile:
         return (self.phi.t_lo, self.phi.t_hi)
 
     @classmethod
-    def from_window(cls, e1: float, e2: float, shape: str = SwitchProfile.shape) -> "DensityProfile":
-        return cls(SwitchProfile(0.0, 1.0, e1, e2, shape))
+    def from_window(cls, e1: float, e2: float) -> "DensityProfile":
+        return cls(SwitchProfile(0.0, 1.0, e1, e2))

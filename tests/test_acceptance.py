@@ -242,7 +242,7 @@ def test_criterion_7_2d_trace_oracle():
     dev_coarse, dev_fine = abs(vals[16] - 1.0), abs(vals[32] - 1.0)
     ok = 0.85 <= vals[32] <= 1.15 and dev_fine < dev_coarse and elapsed <= 600.0
     record_criterion(
-        7, "2D dense-trace oracle",
+        7, "2D windowed-trace oracle",
         ok,
         f"2pi*sigma: {vals[16]:.5f} -> {vals[32]:.5f} under doubling, {elapsed:.0f}s",
     )

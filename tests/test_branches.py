@@ -1,6 +1,4 @@
-"""Branch tracking, asymptotic classification, window validation, autoscale."""
-
-import math
+"""Branch tracking, window validation, autoscale."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from diracflow.branches import (
     SweepConfig,
     autoscale,
     branch_points,
-    classify_asymptotics,
     sweep_branches,
     validate_window,
 )
@@ -166,28 +163,6 @@ class TestClassify:
         for b in branches:
             if b.zetas[0] > cfg.zeta_min:  # entered mid-sweep through the edge
                 assert min(b.mus[0] - lo, hi - b.mus[0]) < 0.6
-
-    def test_diverging_label(self):
-        hp = HalfSpaceParams(2.0, 2.0, 0.0)
-        mus = list(np.linspace(math.sqrt(8.0), 3.45, 12))
-        b = Branch(zetas=list(np.linspace(-5, 5, 12)), mus=mus,
-                   overlaps=[1.0] * 12, boundary_masses=[0.0] * 12)
-        lab = classify_asymptotics(b, hp, hp, match_tol=1e-3, window=(-3.5, 3.5))
-        assert lab.asymptote_hi.kind == "diverging"
-
-    def test_flat_branch_classifies_to_its_level(self):
-        hp = HalfSpaceParams(2.0, 2.0, 0.0)
-        b = Branch(zetas=[-5.0, 0.0, 5.0], mus=[2.0, 2.0, 2.0], overlaps=[1.0] * 3,
-                   boundary_masses=[0.0] * 3)
-        lab = classify_asymptotics(b, hp, hp)
-        assert lab.asymptote_lo.kind == "bulk_level" and lab.asymptote_lo.value == 2.0
-        assert lab.asymptote_hi.kind == "bulk_level" and lab.asymptote_hi.value == 2.0
-
-    def test_clipped_branch_rejected(self):
-        hp = HalfSpaceParams(2.0, 2.0, 0.0)
-        b = Branch(zetas=[0.0], mus=[2.0], overlaps=[1.0], boundary_masses=[0.0], clipped=True)
-        with pytest.raises(ValueError):
-            classify_asymptotics(b, hp, hp)
 
 
 class TestValidateWindow:

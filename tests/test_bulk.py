@@ -9,12 +9,13 @@ import pytest
 from diracflow.bulk import (
     HalfSpaceParams,
     count_levels,
-    gap_component,
     half_index,
     landau_levels,
     predicted_sf,
 )
 from diracflow.errors import BulkLevelError
+
+from conftest import gap_components_joint
 
 
 class TestLandauLevels:
@@ -140,23 +141,7 @@ class TestPredictedSf:
         """The prediction is constant across 100 alphas within one component."""
         minus = HalfSpaceParams(-2.0, -2.0, -0.1)
         plus = HalfSpaceParams(2.0, 2.0, 0.1)
-        lo, hi = gap_component(minus, plus, 0.0)
+        lo, hi = next((a, b) for a, b in gap_components_joint(minus, plus) if a < 0.0 < b)
         alphas = np.linspace(lo + 0.05, hi - 0.05, 100)
         vals = {predicted_sf(minus, plus, float(a)).sf for a in alphas}
         assert vals == {1}
-
-
-class TestGapComponent:
-    def test_contains_alpha_and_is_level_free(self):
-        minus = HalfSpaceParams(-2.0, -2.0, -0.1)
-        plus = HalfSpaceParams(2.0, 2.0, 0.1)
-        lo, hi = gap_component(minus, plus, 0.0)
-        assert lo < 0.0 < hi
-        for hp in (minus, plus):
-            for lev in landau_levels(hp, 8).levels:
-                assert not (lo < lev < hi)
-
-    def test_alpha_on_level_rejected(self):
-        hp = HalfSpaceParams(2.0, 2.0, 0.0)
-        with pytest.raises(BulkLevelError):
-            gap_component(hp, hp, 2.0)

@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +61,13 @@ class TestConfig:
         raw["profiles"]["B"]["slope"] = 1.0
         with pytest.raises(DiracflowError, match="profiles.B"):
             config_from_dict(raw)
+        # profiles are always the C-infinity bump: the old shape keys are unknown
+        raw = tiny_config()
+        raw["profiles"]["m"]["shape"] = "smooth_bump"
+        with pytest.raises(DiracflowError, match=r"unknown keys in profiles\.m: \['shape'\]"):
+            config_from_dict(raw)
+        with pytest.raises(DiracflowError, match=r"unknown keys in density: \['shape'\]"):
+            config_from_dict(tiny_config(density={"window": [-0.5, 0.5], "shape": "smooth_bump"}))
 
     def test_missing_required_rejected(self):
         raw = tiny_config()
@@ -242,6 +251,20 @@ def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "script, args", [("run_random_suite.py", ["--n", "1"]), ("run_oracle_convergence.py", ["--levels", "1"])]
+)
+def test_scripts_run_from_any_directory(tmp_path, script, args):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
 class TestDispatch:
     def test_needs_config_or_preset(self):
         with pytest.raises(SystemExit):
@@ -261,6 +284,13 @@ class TestCliConfigErrors:
             ("profiles", {"B": {"lower": "strong", "upper": 2.0},
                           "m": {"lower": 1.0, "upper": 1.0},
                           "V": {"lower": 0.0, "upper": 0.0}}),
+            ("sweep", {"refine_tol": -1.0}),
+            ("sweep", {"refine_tol": 0.0}),
+            ("sweep", {"bisect_floor": 0.0}),
+            ("sweep", {"bisect_floor": -1e-4}),
+            ("sweep", {"overlap_threshold": 0.0}),
+            ("sweep", {"overlap_threshold": 1.5}),
+            ("alphas", []),
         ],
     )
     def test_invalid_config_exits_6(self, tmp_path, capsys, section, value):
@@ -293,7 +323,7 @@ def _paths(node, prefix=()):
 
 _FUZZ_BASE = tiny_config(grid2d={"N": 24, "Ny": 16}, perturbation={"kind": "mult_x", "amplitude": 0.5})
 # edge values drawn as often as all other JSON: overflow, NaN and the enum words
-_EDGES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, "periodic", "linear_ramp", "decay_y"])
+_EDGES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, "periodic", "decay_y"])
 _JSON = _EDGES | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids, max_size=3),
@@ -328,7 +358,7 @@ def test_config_fuzz_raises_only_diracflow_errors(data):
     [preset_config(name) for name in sorted(PRESETS)]
     + [tiny_config(grid2d={"N": 24, "bc": "periodic"},
                    perturbation={"kind": "decay_xy", "amplitude": 0.3, "delta": 0.25},
-                   density={"window": [-1.0, 1.0], "shape": "linear_ramp"})],
+                   density={"window": [-1.0, 1.0]})],
     ids=sorted(PRESETS) + ["periodic_grid2d_perturbation"],
 )
 def test_resolved_is_the_parsers_inverse(raw):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from diracflow.bulk import HalfSpaceParams, landau_levels
 from diracflow.errors import SolverError
@@ -113,8 +114,7 @@ class TestAssembly:
 class TestEigWindow:
     def test_diagonal_matrix(self):
         g = Grid1D(L=1.0, N=16)
-        d = np.arange(32, dtype=float)
-        A = FiberMatrix(zeta=0.0, grid=g, entries=np.diag(d).astype(complex))
+        A = FiberMatrix(zeta=0.0, grid=g, d=np.arange(32, dtype=float), e=np.zeros(31))
         pairs = eig_window(A, (4.5, 7.5))
         assert [p.mu for p in pairs] == [5.0, 6.0, 7.0]
 
@@ -127,17 +127,6 @@ class TestEigWindow:
         mus = np.array([p.mu for p in kept])
         for lev in landau_levels(HalfSpaceParams(2.0, 2.0, 0.0), 2).levels:
             assert np.min(np.abs(mus - lev)) < 1e-2
-
-    def test_banded_path_matches_dense(self):
-        """The banded + inverse-iteration path must agree with a dense solve."""
-        ps = walls(HalfSpaceParams(-2.0, -2.0, -0.1), HalfSpaceParams(2.0, 2.0, 0.1))
-        g = Grid1D(L=20.0, N=800)  # above the dense cutoff
-        A = assemble_fiber(g, ps, 1.5)
-        mus = np.array([p.mu for p in eig_window(A, (-3.0, 3.0))])
-        dense = np.linalg.eigvalsh(A.entries)
-        dense = dense[(dense >= -3.0) & (dense <= 3.0)]
-        assert mus.size == dense.size
-        assert np.max(np.abs(mus - dense)) < 1e-9
 
     def test_residual_and_orthogonality(self):
         ps = walls(HalfSpaceParams(-2.0, 0.0, 0.0), HalfSpaceParams(2.0, 0.0, 0.0))
@@ -244,14 +233,18 @@ class TestJacobiForm:
                 want[2 * i + 3, 2 * i] = 1j / h
         assert np.max(np.abs(H - want)) == 0.0
 
-    @pytest.mark.parametrize("N, zetas", [(200, (-3.0, 0.4, 5.5)), (800, (-1.2, 4.0))])
-    def test_matches_dense_eigh(self, rng, N, zetas):
+    @pytest.mark.parametrize(
+        "L, N, zetas",
+        [(12.0, 200, (-3.0, 0.4, 5.5)), (12.0, 800, (-1.2, 4.0)), (20.0, 800, (1.5,))],
+        ids=["200-zetas0", "800-zetas1", "L20-800"],
+    )
+    def test_matches_dense_eigh(self, rng, L, N, zetas):
         """Same count, mu within 1e-12, residual certified on the dense view."""
         ps = walls(
             HalfSpaceParams(float(rng.uniform(-3, -0.5)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
             HalfSpaceParams(float(rng.uniform(0.5, 3)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
         )
-        g = Grid1D(L=12.0, N=N)
+        g = Grid1D(L=L, N=N)
         window = (-4.0, 4.0)
         found = 0
         for zeta in zetas:
@@ -279,10 +272,6 @@ class TestJacobiForm:
         ulp = np.spacing(np.max(np.abs(a.e)))
         assert np.max(np.abs((b.e[0::2] - a.e[0::2]) - (z1 - z2))) <= 4 * ulp
 
-    def test_needs_entries_or_jacobi_pair(self):
-        with pytest.raises(ValueError):
-            FiberMatrix(zeta=0.0, grid=Grid1D(L=1.0, N=16))
-
 
 class TestSlopes:
     """Hellmann-Feynman slopes d mu/d zeta = <psi, sigma_2 psi> on each eigenpair."""
@@ -308,11 +297,31 @@ class TestSlopes:
     def test_jacobi_and_dense_slopes_agree(self, zeta):
         A = assemble_fiber(self.GRID, self.PS, zeta)
         jac = eig_window(A, (-3.0, 3.0))
-        dense = eig_window(FiberMatrix(zeta=zeta, grid=self.GRID, entries=A.entries), (-3.0, 3.0))
+        _, vecs = sla.eigh(A.entries, subset_by_value=(-3.0, 3.0))
+        dense = [np.real(np.vdot(v, _sigma2(v))) for v in vecs.T]
         assert len(jac) == len(dense) > 0
-        for p, q in zip(jac, dense):
-            assert abs(p.slope - q.slope) <= 1e-10
+        for p, slope in zip(jac, dense):
+            assert abs(p.slope - slope) <= 1e-10
             assert abs(p.slope - np.real(np.vdot(p.psi, _sigma2(p.psi)))) <= 1e-12
+
+    def test_periodic_dense_path(self):
+        """Periodic fibers take the dense windowed eigh: its mu, residuals and slopes."""
+        g = Grid1D(L=6.0, N=120, bc="periodic")
+        window, h = (-2.5, 2.5), 1e-4
+        A = assemble_fiber(g, self.PS, 0.8)
+        pairs = eig_window(A, window)
+        dense = np.linalg.eigvalsh(A.entries)
+        dense = dense[(dense >= window[0]) & (dense <= window[1])]
+        assert len(pairs) == dense.size > 0
+        assert np.all(np.abs(np.array([p.mu for p in pairs]) - dense) < 1e-12)
+        plus = [p.mu for p in eig_window(assemble_fiber(g, self.PS, 0.8 + h), (-3.0, 3.0))]
+        minus = [p.mu for p in eig_window(assemble_fiber(g, self.PS, 0.8 - h), (-3.0, 3.0))]
+        for p in pairs:
+            assert np.linalg.norm(A.entries @ p.psi - p.mu * p.psi) <= 1e-8 * (1.0 + abs(p.mu))
+            assert abs(p.slope - np.real(np.vdot(p.psi, _sigma2(p.psi)))) <= 1e-12
+            mp = min(plus, key=lambda mu: abs(mu - p.mu))
+            mm = min(minus, key=lambda mu: abs(mu - p.mu))
+            assert abs((mp - mm) / (2 * h) - p.slope) <= 1e-8
 
     def test_certificate(self):
         mus = np.array([-0.5, 0.2, 1.1])

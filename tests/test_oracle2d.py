@@ -15,7 +15,7 @@ from diracflow.oracle2d import (
     fourier_block,
     trace_conductivity,
 )
-from diracflow.profiles import DensityProfile, ProfileSet, SwitchProfile
+from diracflow.profiles import DensityProfile, ProfileSet, SwitchProfile, derivative, evaluate
 
 from conftest import walls
 from diracflow.bulk import HalfSpaceParams
@@ -153,12 +153,12 @@ def _dense_reference(H, g, P, dens):
     n = N * Ny
     lam, vec = np.linalg.eigh(H.toarray())
     y = g.y
-    Pv, Pp = P(y), P.prime(y)
+    Pv, Pp = evaluate(P, y), derivative(P, y)
     Dcd = (np.diag(np.ones(Ny - 1), 1) - np.diag(np.ones(Ny - 1), -1)) / (2 * g.hy)
     Mlit = np.kron(np.eye(N), 1j * ((-1j * Dcd) @ np.diag(Pv) - np.diag(Pv) @ (-1j * Dcd)))
     seam = np.kron(np.ones(N), (np.minimum(y, g.Ly - y) < g.Ly / 8.0) * Pp)
     ops = (np.diag(np.kron(np.ones(N), Pp)), Mlit, np.diag(seam))
-    weights = dens.phi.prime(lam)
+    weights = derivative(dens.phi, lam)
     sums, cut = np.zeros(3), 0
     for k in np.nonzero(np.abs(weights) > 1e-14)[0]:
         v1, v2 = vec[:n, k], vec[n:, k]

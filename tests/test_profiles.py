@@ -18,12 +18,11 @@ from diracflow.profiles import (
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
-shapes = st.sampled_from(["smooth_bump", "linear_ramp"])
 
 
 def profiles():
-    return st.tuples(finite, finite, finite, finite, shapes).map(
-        lambda t: SwitchProfile(t[0], t[1], min(t[2], t[3]) - 0.5, max(t[2], t[3]) + 0.5, t[4])
+    return st.tuples(finite, finite, finite, finite).map(
+        lambda t: SwitchProfile(t[0], t[1], min(t[2], t[3]) - 0.5, max(t[2], t[3]) + 0.5)
     )
 
 
@@ -51,7 +50,7 @@ class TestEvaluate:
     @given(profiles())
     def test_monotone_when_increasing(self, p):
         if p.lower > p.upper:
-            p = SwitchProfile(p.upper, p.lower, p.t_lo, p.t_hi, p.shape)
+            p = SwitchProfile(p.upper, p.lower, p.t_lo, p.t_hi)
         v = evaluate(p, np.linspace(p.t_lo - 1, p.t_hi + 1, 501))
         assert np.all(np.diff(v) >= -1e-14)
 
@@ -66,8 +65,6 @@ class TestEvaluate:
     def test_invalid_transition_rejected(self):
         with pytest.raises(ValueError):
             SwitchProfile(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            SwitchProfile(0.0, 1.0, -1.0, 1.0, shape="tanh")
 
 
 class TestDerivative:
@@ -75,10 +72,6 @@ class TestDerivative:
         p = SwitchProfile(1.0, 4.0, -2.0, 0.5)
         assert derivative(p, p.t_lo - 1.0) == 0.0
         assert derivative(p, p.t_hi + 3.0) == 0.0
-
-    def test_linear_ramp_slope(self):
-        p = SwitchProfile(0.0, 1.0, 0.0, 2.0, shape="linear_ramp")
-        assert derivative(p, 1.0) == pytest.approx(0.5)
 
     def test_bump_derivative_integrates_to_one(self):
         p = SwitchProfile(0.0, 1.0, -1.0, 1.0)
@@ -131,9 +124,9 @@ class TestMagneticPotential:
         )
         assert sup_A2_prime(ps, 10.0) == 2.0
 
-    def test_sup_linear_ramp_wall(self):
+    def test_sup_smooth_wall(self):
         ps = ProfileSet(
-            B=SwitchProfile(-2.0, 2.0, -1.0, 1.0, shape="linear_ramp"),
+            B=SwitchProfile(-2.0, 2.0, -1.0, 1.0),
             m=SwitchProfile(0.0, 0.0),
             V=SwitchProfile(0.0, 0.0),
         )
