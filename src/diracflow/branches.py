@@ -6,13 +6,13 @@ maximizing total absolute eigenvector overlap with an optimal assignment
 large zeta).  The matrix depends on zeta only through zeta * sigma_2, so
 every eigenpair carries its exact slope d mu/d zeta = <psi, sigma_2 psi>
 (Hellmann-Feynman) and branches are 1-Lipschitz in zeta.  A step is
-bisected until every matched overlap clears the threshold and the step
-is smooth: when every track and every new pair is matched, each new
-value must lie within refine_tol of the linear prediction mu + slope *
-step from the previous sample; a step on which a track ends or starts
-instead bounds the motion |delta mu| itself by refine_tol.  The
-Lipschitz bound keeps the prediction error below 2 * step, so bisection
-always terminates.
+bisected until every matched overlap clears 0.8 and the step is smooth:
+when every track and every new pair is matched, each new value must lie
+within refine_tol of the linear prediction mu + slope * step from the
+previous sample; a step on which a track ends or starts instead bounds
+the motion |delta mu| itself by refine_tol.  The Lipschitz bound keeps
+the prediction error below 2 * step, so bisection always terminates; a
+step still unmatched at the 1e-4 floor is a TrackingError.
 """
 
 from __future__ import annotations
@@ -45,19 +45,19 @@ __all__ = [
 ]
 
 _POINTS_BUDGET = 4000  # largest grid autoscale picks
+_OVERLAP_THRESHOLD = 0.8  # smallest |<psi_prev, psi_new>| that matches two samples
+_BISECT_FLOOR = 1e-4  # smallest zeta step bisection takes
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep range, initial sampling density, and tracking tolerances."""
+    """Sweep range, initial sampling density, and the step tolerance refine_tol."""
 
     zeta_min: float
     zeta_max: float
     samples: int
     window: tuple[float, float]
     refine_tol: float = 0.05
-    overlap_threshold: float = 0.8
-    bisect_floor: float = 1e-4
 
     def __post_init__(self):
         if not self.zeta_min < self.zeta_max:
@@ -66,13 +66,9 @@ class SweepConfig:
             raise ValueError("samples must be >= 2")
         if not self.window[0] < self.window[1]:
             raise ValueError("window lo must be < hi")
-        # refine_tol <= 0 bisects every step to the floor; a floor <= 0 removes the floor
+        # refine_tol <= 0 would bisect every step to the floor
         if not self.refine_tol > 0:
             raise ValueError("refine_tol must be positive")
-        if not self.bisect_floor > 0:
-            raise ValueError("bisect_floor must be positive")
-        if not 0.0 < self.overlap_threshold <= 1.0:
-            raise ValueError("overlap_threshold must lie in (0, 1]")
 
 
 @dataclass
@@ -150,7 +146,7 @@ def sweep_branches(
         # legitimate ways for a track to go unmatched: through the energy
         # window edge (the Lipschitz bound limits travel to one step) or
         # into the boundary filter strip
-        edge = min(b.mus[-1] - lo, hi - b.mus[-1]) <= step + 10 * cfg.bisect_floor
+        edge = min(b.mus[-1] - lo, hi - b.mus[-1]) <= step + 10 * _BISECT_FLOOR
         return edge or b.boundary_masses[-1] >= 0.5 * f.threshold
 
     def append(t: _Track, z: float, p: EigenPair, overlap: float) -> None:
@@ -187,7 +183,7 @@ def sweep_branches(
             O = np.zeros((len(active), len(pairs)))
             rows, cols = np.array([], dtype=int), np.array([], dtype=int)
 
-        matched = [(i, j, O[i, j]) for i, j in zip(rows, cols) if O[i, j] >= cfg.overlap_threshold]
+        matched = [(i, j, O[i, j]) for i, j in zip(rows, cols) if O[i, j] >= _OVERLAP_THRESHOLD]
         matched_old = {i for i, _, _ in matched}
         unmatched = [i for i in range(len(active)) if i not in matched_old]
         # predict from the slope only where no track ends or starts; there
@@ -198,7 +194,7 @@ def sweep_branches(
             for i, j, _ in matched
         )
         stranded = [i for i in unmatched if not exits(active[i].branch, step)]
-        if (jumped or stranded) and step > cfg.bisect_floor:
+        if (jumped or stranded) and step > _BISECT_FLOOR:
             stats["bisections"]["stranded" if stranded else "motion"] += 1
             queue.insert(0, 0.5 * (z_prev + z))
             continue
@@ -208,7 +204,7 @@ def sweep_branches(
             best = max(O[i, assigned[i]] if i in assigned else 0.0 for i in unmatched)
             raise TrackingError(
                 f"tracking ambiguity at zeta = {z:.6g}: best overlap "
-                f"{best:.3f} < {cfg.overlap_threshold} with step at bisection floor",
+                f"{best:.3f} < {_OVERLAP_THRESHOLD} with step at bisection floor",
                 zeta=z,
             )
 

@@ -54,7 +54,6 @@ class BulkSpectrum:
 
     levels: tuple[float, ...]
     zeroth_level: float
-    k_max: int
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def landau_levels(hp: HalfSpaceParams, k_max: int) -> BulkSpectrum:
         e = math.sqrt(2.0 * k * abs(hp.B) + hp.m**2)
         levels.append(hp.V + e)
         levels.append(hp.V - e)
-    return BulkSpectrum(levels=tuple(sorted(levels)), zeroth_level=zeroth, k_max=k_max)
+    return BulkSpectrum(levels=tuple(sorted(levels)), zeroth_level=zeroth)
 
 
 def count_levels(hp: HalfSpaceParams, alpha: float) -> int:

@@ -15,6 +15,7 @@ the results.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, get_origin, get_type_hints
@@ -41,15 +42,15 @@ def _object(raw: Any, ctx: str, keys) -> dict:
 
 def _scalar(t: type, val: Any, ctx: str):
     """`val` cast to t after checking its JSON kind: a string for str, a
-    number (not a bool) for float, an integral number for int."""
+    finite number (not a bool) for float, an integral number for int."""
     if t is str:
         ok = isinstance(val, str)
     else:
-        ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
         if t is int and isinstance(val, float):
-            ok = val.is_integer()
+            ok = ok and val.is_integer()
     if not ok:
-        kind = {str: "a string", float: "a number", int: "an integer"}[t]
+        kind = {str: "a string", float: "a finite number", int: "an integer"}[t]
         raise ConfigError(f"{ctx} must be {kind}, got {val!r}")
     return t(val)
 

@@ -14,7 +14,7 @@ appear at small momentum transfer.
 Every off-diagonal entry is imaginary and the hopping graph
 down_0 - up_0 - down_1 - up_1 - ... is a path, so ordering each site as
 (down_i, up_i) and multiplying the down components by -i turns the
-Dirichlet matrix into a real symmetric tridiagonal (Jacobi) matrix:
+matrix into a real symmetric tridiagonal (Jacobi) matrix:
 
     d = (V - m, V + m) per site,
     e = 1/h - (zeta - A2(x_i)) on site,  -1/h between sites.
@@ -26,8 +26,7 @@ Hellmann-Feynman expectation d mu/d zeta = <psi, sigma_2 psi> =
 ||sigma_2|| = 1.
 Windowed eigenpairs come from LAPACK bisection and inverse iteration
 for that form (?stebz / ?stein, via scipy.linalg.eigh_tridiagonal).
-The periodic wrap closes the path into a cycle; periodic fibers only
-appear on small grids and are solved densely.
+The x-cut at +-L is Dirichlet: the stencil stops at the last site.
 
 Known lattice artifact (recorded in the decisions ledger): the combined
 symbol of forward difference plus a constant transverse term w = zeta -
@@ -65,23 +64,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [-L, L]; dirichlet truncates the stencil, periodic wraps it."""
+    """Uniform grid of N sites on [-L, L], both ends included."""
 
     L: float
     N: int
-    bc: str = "dirichlet"
 
     def __post_init__(self):
         if self.N < 16:
             raise ValueError("N must be >= 16")
         if self.L <= 0:
             raise ValueError("L must be positive")
-        if self.bc not in ("dirichlet", "periodic"):
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
 
     @property
     def h(self) -> float:
-        return 2.0 * self.L / (self.N - 1) if self.bc == "dirichlet" else 2.0 * self.L / self.N
+        return 2.0 * self.L / (self.N - 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -92,13 +88,12 @@ class Grid1D:
 class FiberMatrix:
     """Hermitian 2N x 2N discretization of Hhat(zeta).
 
-    Held as the real Jacobi pair (d, e) of the module docstring: the open
-    chain, with the periodic wrap implied by grid.bc.  `entries` is the
-    dense Hermitian view in interleaved ordering (site i occupies rows
-    2i = up, 2i + 1 = down), built from (d, e) on first access.
+    Held as the real Jacobi pair (d, e) of the module docstring.
+    `entries` is the dense Hermitian view in interleaved ordering (site i
+    occupies rows 2i = up, 2i + 1 = down), built from (d, e) on first
+    access.
     """
 
-    zeta: float
     grid: Grid1D
     d: np.ndarray
     e: np.ndarray
@@ -118,10 +113,6 @@ class FiberMatrix:
         H[pos, pos] = self.d
         H[pos[:-1], pos[1:]] = upper
         H[pos[1:], pos[:-1]] = np.conj(upper)
-        if self.grid.bc == "periodic":
-            # wrap term of the forward difference (up_{N-1} -> down_0) and its adjoint
-            H[n - 2, 1] = 1j * self.e[1]
-            H[1, n - 2] = -1j * self.e[1]
         return H
 
 
@@ -139,7 +130,7 @@ def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
     # forward difference plus transverse term on site; its hop between sites
     e = np.full(2 * N - 1, -1.0 / h)
     e[0::2] = 1.0 / h - (zeta - A2)
-    return FiberMatrix(zeta=zeta, grid=grid, d=d, e=e)
+    return FiberMatrix(grid=grid, d=d, e=e)
 
 
 @dataclass(frozen=True)
@@ -201,48 +192,36 @@ def _jacobi_residuals(d: np.ndarray, e: np.ndarray, mus: np.ndarray, T: np.ndarr
 def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
     """All eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
-    Dirichlet fibers in Jacobi form are solved by bisection and inverse
-    iteration on the real tridiagonal matrix (LAPACK ?stebz / ?stein);
-    their eigenvectors are mapped back to the interleaved complex basis
-    (psi_up,i = t_2i+1, psi_down,i = -i t_2i).  Periodic fibers use a
-    dense windowed eigh of `entries`.  Each pair carries its slope
-    <psi, sigma_2 psi> = 2 Re sum conj(psi_up) (-i) psi_down, -2 sum_i
-    t_2i t_2i+1 in Jacobi form.  Every pair must pass `check_residuals`
-    and `check_slopes`.
+    Bisection and inverse iteration on the real tridiagonal Jacobi matrix
+    (LAPACK ?stebz / ?stein); the eigenvectors are mapped back to the
+    interleaved complex basis (psi_up,i = t_2i+1, psi_down,i = -i t_2i).
+    Each pair carries its slope <psi, sigma_2 psi> = -2 sum_i t_2i t_2i+1.
+    Every pair must pass `check_residuals` and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("window lo must be < hi")
 
-    if A.grid.bc == "periodic":
-        H = A.entries
-        mus, vecs = sla.eigh(H, subset_by_value=(lo, hi))
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        res = np.linalg.norm(H @ vecs - vecs * mus, axis=0)
-        psis = np.ascontiguousarray(vecs.T)
-        slopes = 2.0 * np.real(np.sum(np.conj(psis[:, 0::2]) * -1j * psis[:, 1::2], axis=1))
-    else:
-        try:
-            mus, T = sla.eigh_tridiagonal(A.d, A.e, select="v", select_range=(lo, hi))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: {exc}") from exc
-        T = T / np.linalg.norm(T, axis=0)
-        res = _jacobi_residuals(A.d, A.e, mus, T)
-        slopes = -2.0 * np.sum(T[0::2] * T[1::2], axis=0)
-        psis = np.empty(T.T.shape, dtype=complex)
-        psis[:, 0::2] = T.T[:, 1::2]
-        psis[:, 1::2] = -1j * T.T[:, 0::2]
+    try:
+        mus, T = sla.eigh_tridiagonal(A.d, A.e, select="v", select_range=(lo, hi))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: {exc}") from exc
+    T = T / np.linalg.norm(T, axis=0)
+    res = _jacobi_residuals(A.d, A.e, mus, T)
+    slopes = -2.0 * np.sum(T[0::2] * T[1::2], axis=0)
+    psis = np.empty(T.T.shape, dtype=complex)
+    psis[:, 0::2] = T.T[:, 1::2]
+    psis[:, 1::2] = -1j * T.T[:, 0::2]
 
     inside = (mus >= lo) & (mus <= hi)
     mus, psis, res, slopes = mus[inside], psis[inside], res[inside], slopes[inside]
     check_residuals(mus, res)
     check_slopes(mus, slopes)
-    pairs = [
+    # eigh_tridiagonal returns the eigenvalues in ascending order
+    return [
         EigenPair(mu=float(mu), psi=v, residual=float(r), slope=float(s))
         for mu, v, r, s in zip(mus, psis, res, slopes)
     ]
-    pairs.sort(key=lambda p: p.mu)
-    return pairs
 
 
 def boundary_mass(psi: np.ndarray, grid: Grid1D, margin: float) -> float:

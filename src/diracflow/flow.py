@@ -24,6 +24,8 @@ from .profiles import DensityProfile, derivative, evaluate
 
 __all__ = ["Crossing", "FlowReport", "spectral_flow", "conductivity", "reconcile"]
 
+_ENDPOINT_MARGIN = 0.1  # closest a branch endpoint may sit to alpha
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -34,7 +36,6 @@ class Crossing:
 
 @dataclass(frozen=True)
 class FlowReport:
-    alpha: float
     sf_numeric: int
     sf_predicted: int | None
     crossings: tuple[Crossing, ...]
@@ -76,11 +77,10 @@ def _locate_crossings(branch: Branch, bid: int, alpha: float) -> list[Crossing]:
 def spectral_flow(
     branches: list[Branch],
     alpha: float,
-    margin: float = 0.1,
     prediction: FlowPrediction | None = None,
 ) -> FlowReport:
     """Signed crossing count through alpha; requires a valid sweep window."""
-    if not validate_window(branches, alpha, margin):
+    if not validate_window(branches, alpha, _ENDPOINT_MARGIN):
         raise WindowError(f"window invalid at alpha = {alpha}: endpoint branch values too close")
 
     a = alpha
@@ -109,7 +109,6 @@ def spectral_flow(
         )
 
     return FlowReport(
-        alpha=alpha,
         sf_numeric=sf,
         sf_predicted=prediction.sf if prediction is not None else None,
         crossings=tuple(sorted(crossings, key=lambda c: c.zeta)),

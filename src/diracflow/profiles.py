@@ -24,6 +24,8 @@ __all__ = [
     "sup_A2_prime",
 ]
 
+_SUP_SAMPLES = 10_000  # points of the dense sample in sup_A2_prime
+
 
 def _g(t: np.ndarray) -> np.ndarray:
     """exp(-1/t) for t > 0, 0 otherwise; vectorized without overflow warnings."""
@@ -114,7 +116,7 @@ def magnetic_potential_prime(ps: ProfileSet, x):
     return float(out) if out.ndim == 0 else out
 
 
-def sup_A2_prime(ps: ProfileSet, L: float, samples: int = 10_000) -> float:
+def sup_A2_prime(ps: ProfileSet, L: float) -> float:
     """sup over [-L, L] of |A2'(x)| by dense sampling.
 
     Exact on the plateaus, where A2' = B is constant; the transition
@@ -122,7 +124,7 @@ def sup_A2_prime(ps: ProfileSet, L: float, samples: int = 10_000) -> float:
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    x = np.linspace(-L, L, samples)
+    x = np.linspace(-L, L, _SUP_SAMPLES)
     sup = float(np.max(np.abs(magnetic_potential_prime(ps, x))))
     return max(sup, abs(ps.B.lower), abs(ps.B.upper))
 

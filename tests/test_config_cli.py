@@ -44,8 +44,9 @@ class TestConfig:
         cfg = config_from_dict(tiny_config())
         r = cfg.resolved()
         assert r["scenario"] == "tiny"
-        assert r["grid"] == {"L": 10.0, "N": 240, "bc": "dirichlet"}
-        assert r["sweep"]["overlap_threshold"] == 0.8
+        assert r["grid"] == {"L": 10.0, "N": 240}
+        assert r["sweep"] == {"zeta_min": -4.0, "zeta_max": 4.0, "samples": 17,
+                              "window": [-3.0, 3.0], "refine_tol": 0.15}
         assert r["density"]["window"] == [-0.5, 0.5]
 
     def test_unknown_top_level_key_rejected(self):
@@ -68,6 +69,17 @@ class TestConfig:
             config_from_dict(raw)
         with pytest.raises(DiracflowError, match=r"unknown keys in density: \['shape'\]"):
             config_from_dict(tiny_config(density={"window": [-0.5, 0.5], "shape": "smooth_bump"}))
+        # the x-cut is always Dirichlet and the tracker tolerances are constants
+        for section, key, value in [
+            ("grid", "bc", "periodic"),
+            ("grid2d", "bc", "dirichlet"),
+            ("sweep", "overlap_threshold", 0.8),
+            ("sweep", "bisect_floor", 1e-4),
+        ]:
+            raw = tiny_config(grid2d={"N": 24})
+            raw[section][key] = value
+            with pytest.raises(DiracflowError, match=rf"unknown keys in {section}: \['{key}'\]"):
+                config_from_dict(raw)
 
     def test_missing_required_rejected(self):
         raw = tiny_config()
@@ -356,7 +368,7 @@ def test_config_fuzz_raises_only_diracflow_errors(data):
 @pytest.mark.parametrize(
     "raw",
     [preset_config(name) for name in sorted(PRESETS)]
-    + [tiny_config(grid2d={"N": 24, "bc": "periodic"},
+    + [tiny_config(grid2d={"N": 24},
                    perturbation={"kind": "decay_xy", "amplitude": 0.3, "delta": 0.25},
                    density={"window": [-1.0, 1.0]})],
     ids=sorted(PRESETS) + ["periodic_grid2d_perturbation"],
@@ -366,6 +378,17 @@ def test_resolved_is_the_parsers_inverse(raw):
     resolved = cfg.resolved()
     assert json.loads(json.dumps(resolved)) == resolved
     assert config_from_dict(resolved) == cfg
+
+
+def _leaves(node) -> int:
+    """Settable values in a resolved config; a list is one value."""
+    return sum(map(_leaves, node.values())) if isinstance(node, dict) else 1
+
+
+def test_settable_config_values_are_pinned():
+    """Every section present; a new config key must update this count."""
+    full = tiny_config(grid2d={"N": 24}, perturbation={"kind": "decay_xy", "amplitude": 0.3})
+    assert _leaves(config_from_dict(full).resolved()) == 32
 
 
 @pytest.mark.parametrize(
@@ -413,13 +436,19 @@ def test_flow_mismatch_exits_7(tmp_path, monkeypatch):
         ("grid", {"N": 800.7}, "grid.N"),
         ("grid", {"N": True}, "grid.N"),
         ("grid", {"L": "20"}, "grid.L"),
-        ("grid", {"bc": 1}, "grid.bc"),
+        ("perturbation", {"kind": 1}, "perturbation.kind"),
         ("sweep", {"samples": 81.9}, "sweep.samples"),
         ("grid2d", {"Ny": 32.5}, "grid2d.Ny"),
         ("grid2d", {"Ly": "24"}, "grid2d.Ly"),
         ("density", {"window": ["-1", 1.0]}, "density.window"),
         ("alphas", ["0.1"], "alphas"),
         ("scenario", 3, "scenario"),
+        ("sweep", {"zeta_min": float("-inf")}, "sweep.zeta_min"),
+        ("grid", {"L": float("inf")}, "grid.L"),
+        ("profiles", {"B": {"lower": -2.0, "upper": 2.0},
+                      "m": {"lower": -2.0, "upper": 2.0},
+                      "V": {"lower": -0.1, "upper": float("nan")}}, "profiles.V.upper"),
+        ("alphas", [0.0, float("nan")], "alphas"),
     ],
 )
 def test_non_integral_and_string_values_exit_6(tmp_path, capsys, section, value, field):

@@ -39,17 +39,12 @@ class TestGrid1D:
         g = Grid1D(L=1.0, N=21)
         assert g.h == pytest.approx(0.1)
         assert g.x[0] == -1.0 and g.x[-1] == pytest.approx(1.0)
-        gp = Grid1D(L=1.0, N=20, bc="periodic")
-        assert gp.h == pytest.approx(0.1)
-        assert gp.x[-1] == pytest.approx(1.0 - gp.h)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid1D(L=1.0, N=8)
         with pytest.raises(ValueError):
             Grid1D(L=0.0, N=32)
-        with pytest.raises(ValueError):
-            Grid1D(L=1.0, N=32, bc="absorbing")
 
 
 class TestAssembly:
@@ -59,34 +54,13 @@ class TestAssembly:
                 HalfSpaceParams(float(rng.uniform(0.5, 3)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
                 HalfSpaceParams(float(rng.uniform(-3, -0.5)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
             )
-            bc = "periodic" if rng.random() < 0.5 else "dirichlet"
-            g = Grid1D(L=5.0, N=48, bc=bc)
+            g = Grid1D(L=5.0, N=48)
             H = assemble_fiber(g, ps, float(rng.uniform(-4, 4))).entries
             assert np.max(np.abs(H - H.conj().T)) == 0.0
 
-    def test_stencil_by_hand(self):
-        """Entrywise check of the staggered stencil on a tiny periodic grid."""
-        ps = ProfileSet(
-            B=SwitchProfile(2.0, 2.0), m=SwitchProfile(0.0, 0.0), V=SwitchProfile(0.0, 0.0)
-        )
-        g = Grid1D(L=1.0, N=16, bc="periodic")
-        h = g.h
-        zeta = 0.3
-        H = assemble_fiber(g, ps, zeta).entries
-        want = np.zeros((32, 32), dtype=complex)
-        for i in range(16):
-            x = -1.0 + i * h
-            w = zeta - 2.0 * x
-            want[2 * i, 2 * i + 1] = 1j * (1.0 / h - w)
-            want[2 * i + 1, 2 * i] = -1j * (1.0 / h - w)
-            j = (i + 1) % 16
-            want[2 * i, 2 * j + 1] += -1j / h
-            want[2 * j + 1, 2 * i] += 1j / h
-        assert np.max(np.abs(H - want)) == 0.0
-
     def test_dirichlet_truncates(self):
         ps = CONST_220
-        g = Grid1D(L=1.0, N=16, bc="dirichlet")
+        g = Grid1D(L=1.0, N=16)
         H = assemble_fiber(g, ps, 0.0).entries
         assert H[2 * 15, 1] == 0.0 and H[1, 2 * 15] == 0.0
 
@@ -114,7 +88,7 @@ class TestAssembly:
 class TestEigWindow:
     def test_diagonal_matrix(self):
         g = Grid1D(L=1.0, N=16)
-        A = FiberMatrix(zeta=0.0, grid=g, d=np.arange(32, dtype=float), e=np.zeros(31))
+        A = FiberMatrix(grid=g, d=np.arange(32, dtype=float), e=np.zeros(31))
         pairs = eig_window(A, (4.5, 7.5))
         assert [p.mu for p in pairs] == [5.0, 6.0, 7.0]
 
@@ -303,25 +277,6 @@ class TestSlopes:
         for p, slope in zip(jac, dense):
             assert abs(p.slope - slope) <= 1e-10
             assert abs(p.slope - np.real(np.vdot(p.psi, _sigma2(p.psi)))) <= 1e-12
-
-    def test_periodic_dense_path(self):
-        """Periodic fibers take the dense windowed eigh: its mu, residuals and slopes."""
-        g = Grid1D(L=6.0, N=120, bc="periodic")
-        window, h = (-2.5, 2.5), 1e-4
-        A = assemble_fiber(g, self.PS, 0.8)
-        pairs = eig_window(A, window)
-        dense = np.linalg.eigvalsh(A.entries)
-        dense = dense[(dense >= window[0]) & (dense <= window[1])]
-        assert len(pairs) == dense.size > 0
-        assert np.all(np.abs(np.array([p.mu for p in pairs]) - dense) < 1e-12)
-        plus = [p.mu for p in eig_window(assemble_fiber(g, self.PS, 0.8 + h), (-3.0, 3.0))]
-        minus = [p.mu for p in eig_window(assemble_fiber(g, self.PS, 0.8 - h), (-3.0, 3.0))]
-        for p in pairs:
-            assert np.linalg.norm(A.entries @ p.psi - p.mu * p.psi) <= 1e-8 * (1.0 + abs(p.mu))
-            assert abs(p.slope - np.real(np.vdot(p.psi, _sigma2(p.psi)))) <= 1e-12
-            mp = min(plus, key=lambda mu: abs(mu - p.mu))
-            mm = min(minus, key=lambda mu: abs(mu - p.mu))
-            assert abs((mp - mm) / (2 * h) - p.slope) <= 1e-8
 
     def test_certificate(self):
         mus = np.array([-0.5, 0.2, 1.1])

@@ -57,7 +57,7 @@ class TestSpectralFlow:
 
     def test_invalid_window_raises(self):
         with pytest.raises(WindowError):
-            spectral_flow([UP], 1.95, margin=0.1)
+            spectral_flow([UP], 1.95)
 
     def test_crossing_on_node_perturbed(self):
         # UP passes exactly through 0 at a sample node
@@ -110,7 +110,7 @@ class TestReconcile:
         pred = predicted_sf(HalfSpaceParams(-2, -2, -0.1), HalfSpaceParams(2, 2, 0.1), 0.0)
 
         def rep(sf):
-            return FlowReport(alpha=0.0, sf_numeric=sf, sf_predicted=pred.sf, crossings=())
+            return FlowReport(sf_numeric=sf, sf_predicted=pred.sf, crossings=())
 
         assert reconcile(rep(1), pred, 1.0 + 1e-9)
         assert not reconcile(rep(1), pred, 1.2)

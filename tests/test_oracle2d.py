@@ -22,7 +22,6 @@ from diracflow.bulk import HalfSpaceParams
 from diracflow.presets import preset_profiles
 
 SMALL = Grid2D(grid_x=Grid1D(L=6.0, N=20), Ly=12.0, Ny=16)
-SMALL_PERIODIC = Grid2D(grid_x=Grid1D(L=6.0, N=20, bc="periodic"), Ly=12.0, Ny=16)
 FIG2 = walls(HalfSpaceParams(-2.0, -2.0, -0.1), HalfSpaceParams(2.0, 2.0, 0.1))
 
 
@@ -94,7 +93,7 @@ class TestAssemble2D:
         with pytest.raises(BudgetError):
             assemble_2d(big, FIG2)
 
-    @pytest.mark.parametrize("g", [SMALL, SMALL_PERIODIC], ids=["dirichlet", "periodic"])
+    @pytest.mark.parametrize("g", [SMALL], ids=["dirichlet"])
     def test_fourier_blocks_reproduce_fibers(self, g):
         """Block-diagonalizing in y recovers the fiber matrices at the
         discrete momenta 2*pi*n/Ly, entrywise below 1e-12."""
