@@ -27,10 +27,11 @@ from .bulk import HalfSpaceParams
 from .errors import TrackingError
 from .fiber import (
     EigenPair,
+    FiberFamily,
     Grid1D,
     SpuriousFilter,
-    assemble_fiber,
-    boundary_mass,
+    assemble_fiber,  # not called here: bench/tracing.py wraps this name
+    boundary_mass,  # likewise
     eig_window,
     filter_spurious,
 )
@@ -98,10 +99,9 @@ class _Track:
 
 
 def _solve_retained(
-    grid: Grid1D, ps: ProfileSet, zeta: float, window: tuple[float, float], f: SpuriousFilter
-) -> list[EigenPair]:
-    pairs = eig_window(assemble_fiber(grid, ps, zeta), window)
-    return filter_spurious(pairs, grid, f)
+    fiber: FiberFamily, zeta: float, window: tuple[float, float], f: SpuriousFilter
+) -> list[tuple[EigenPair, float]]:
+    return filter_spurious(eig_window(fiber.at(zeta), window), fiber.grid, f)
 
 
 def sweep_branches(
@@ -109,24 +109,25 @@ def sweep_branches(
     ps: ProfileSet,
     cfg: SweepConfig,
     f: SpuriousFilter,
-    prefetch: dict[float, list[EigenPair]] | None = None,
+    prefetch: dict[float, list[tuple[EigenPair, float]]] | None = None,
     stats: dict | None = None,
 ) -> list[Branch]:
     """Track all branches of the filtered window spectrum over the zeta sweep.
 
-    `prefetch` seeds the solve cache (used by the CLI to fan the initial
-    samples out to a worker pool); the result is identical either way
-    because matching is a sequential reduction in zeta order.  `stats`,
-    when given, is filled with the sweep telemetry: `solves` (fiber
-    solves, prefetched ones included), `bisections` by reason (`motion`:
-    a matched value left refine_tol; `stranded`: a track went unmatched
-    without exiting, which takes precedence), and the smallest matched
-    overlap `min_overlap` with the zeta where it occurred
+    `prefetch` seeds the solve cache with `_solve_retained` results (the
+    CLI fans the initial samples out to a worker pool); the result is
+    identical either way because matching is a sequential reduction in
+    zeta order.  `stats`, when given, is filled with the sweep telemetry:
+    `solves` (fiber solves, prefetched ones included), `bisections` by
+    reason (`motion`: a matched value left refine_tol; `stranded`: a track
+    went unmatched without exiting, which takes precedence), and the
+    smallest matched overlap `min_overlap` with the zeta where it occurred
     (`min_overlap_zeta`, None when nothing was matched).
     """
     lo, hi = cfg.window
     targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
-    cache: dict[float, list[EigenPair]] = dict(prefetch) if prefetch else {}
+    fiber = FiberFamily.of(grid, ps)
+    cache: dict[float, list[tuple[EigenPair, float]]] = dict(prefetch) if prefetch else {}
     if stats is None:
         stats = {}
     stats.update(
@@ -136,9 +137,9 @@ def sweep_branches(
         min_overlap_zeta=None,
     )
 
-    def solve(z: float) -> list[EigenPair]:
+    def solve(z: float) -> list[tuple[EigenPair, float]]:
         if z not in cache:
-            cache[z] = _solve_retained(grid, ps, z, cfg.window, f)
+            cache[z] = _solve_retained(fiber, z, cfg.window, f)
             stats["solves"] += 1
         return cache[z]
 
@@ -149,28 +150,29 @@ def sweep_branches(
         edge = min(b.mus[-1] - lo, hi - b.mus[-1]) <= step + 10 * _BISECT_FLOOR
         return edge or b.boundary_masses[-1] >= 0.5 * f.threshold
 
-    def append(t: _Track, z: float, p: EigenPair, overlap: float) -> None:
-        b = t.branch
+    def append(t: _Track, z: float, kept: tuple[EigenPair, float], overlap: float) -> None:
+        (p, mass), b = kept, t.branch
         b.zetas.append(z)
         b.mus.append(p.mu)
         b.slopes.append(p.slope)
         b.overlaps.append(overlap)
-        b.boundary_masses.append(boundary_mass(p.psi, grid, f.margin))
+        b.boundary_masses.append(mass)
         t.psi = p.psi
 
-    def start(z: float, p: EigenPair, clipped: bool) -> _Track:
-        t = _Track(Branch(clipped=clipped), p.psi)
-        append(t, z, p, 1.0)
+    def start(z: float, kept: tuple[EigenPair, float], clipped: bool) -> _Track:
+        t = _Track(Branch(clipped=clipped), kept[0].psi)
+        append(t, z, kept, 1.0)
         return t
 
     done: list[Branch] = []
     z_prev = targets[0]
-    active = [start(z_prev, p, False) for p in solve(z_prev)]
+    active = [start(z_prev, k, False) for k in solve(z_prev)]
 
     queue = targets[1:]
     while queue:
         z = queue[0]
-        pairs = solve(z)
+        kept = solve(z)
+        pairs = [p for p, _ in kept]
         step = z - z_prev
 
         # optimal assignment between active tracks and new eigenpairs
@@ -213,7 +215,7 @@ def sweep_branches(
         cache.pop(z_prev, None)
         new_active: list[_Track] = []
         for i, j, ov in matched:
-            append(active[i], z, pairs[j], float(ov))
+            append(active[i], z, kept[j], float(ov))
             new_active.append(active[i])
             if ov < stats["min_overlap"]:
                 stats["min_overlap"], stats["min_overlap_zeta"] = float(ov), float(z)
@@ -222,7 +224,7 @@ def sweep_branches(
             done.append(active[i].branch)
         used_new = {j for _, j, _ in matched}
         # a branch entering mid-sweep through the window edge
-        new_active += [start(z, p, True) for j, p in enumerate(pairs) if j not in used_new]
+        new_active += [start(z, k, True) for j, k in enumerate(kept) if j not in used_new]
         active = new_active
         z_prev = z
 

@@ -29,6 +29,7 @@ from .branches import Branch, _solve_retained, branch_points, sweep_branches
 from .bulk import HalfSpaceParams, landau_levels, predicted_sf
 from .config import RunConfig, RunManifest, config_from_dict, load_config
 from .errors import ConfigError, DiracflowError
+from .fiber import FiberFamily
 from .flow import conductivity, conductivity_quadrature, reconcile, spectral_flow
 from .oracle2d import (
     assemble_2d,
@@ -62,7 +63,7 @@ def run_sweep(cfg: RunConfig, workers: int, man: RunManifest) -> list[Branch]:
     if workers > 1:
         sw = cfg.sweep
         zetas = [float(z) for z in np.linspace(sw.zeta_min, sw.zeta_max, sw.samples)]
-        solve = partial(_solve_retained, cfg.grid, cfg.profiles, window=sw.window, f=cfg.filter)
+        solve = partial(_solve_retained, FiberFamily.of(cfg.grid, cfg.profiles), window=sw.window, f=cfg.filter)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             prefetch = dict(zip(zetas, pool.map(solve, zetas)))
     stats: dict = {}

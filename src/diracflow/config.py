@@ -15,7 +15,7 @@ the results.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, get_origin, get_type_hints
@@ -42,11 +42,11 @@ def _object(raw: Any, ctx: str, keys) -> dict:
 
 def _scalar(t: type, val: Any, ctx: str):
     """`val` cast to t after checking its JSON kind: a string for str, a
-    finite number (not a bool) for float, an integral number for int."""
+    finite number within float range (not a bool) for float, an integral one for int."""
     if t is str:
         ok = isinstance(val, str)
     else:
-        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
         if t is int and isinstance(val, float):
             ok = ok and val.is_integer()
     if not ok:

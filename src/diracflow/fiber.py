@@ -24,8 +24,8 @@ Since dHhat/dzeta = sigma_2, each eigenvalue's slope is the
 Hellmann-Feynman expectation d mu/d zeta = <psi, sigma_2 psi> =
 -2 sum_i t_2i t_2i+1 in Jacobi form; |d mu/d zeta| <= 1 because
 ||sigma_2|| = 1.
-Windowed eigenpairs come from LAPACK bisection and inverse iteration
-for that form (?stebz / ?stein, via scipy.linalg.eigh_tridiagonal).
+Windowed eigenpairs of that form come from coarse LAPACK bisection
+(?stebz), inverse iteration (?stein) and one Rayleigh-Ritz step.
 The x-cut at +-L is Dirichlet: the stencil stops at the last site.
 
 Known lattice artifact (recorded in the decisions ledger): the combined
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import SolverError
 from .profiles import ProfileSet, evaluate, magnetic_potential
@@ -50,6 +50,7 @@ from .profiles import ProfileSet, evaluate, magnetic_potential
 __all__ = [
     "Grid1D",
     "FiberMatrix",
+    "FiberFamily",
     "EigenPair",
     "SpuriousFilter",
     "assemble_fiber",
@@ -60,6 +61,8 @@ __all__ = [
     "check_residuals",
     "check_slopes",
 ]
+
+_BISECT_TOL = 1e-8  # ?stebz tolerance: Rayleigh-Ritz supplies the digits; at 1e-6 the ?stein vectors cost bisections
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,11 @@ class Grid1D:
     def h(self) -> float:
         return 2.0 * self.L / (self.N - 1)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.N)
+        x = -self.L + self.h * np.arange(self.N)
+        x.flags.writeable = False  # one array shared by every caller
+        return x
 
 
 @dataclass(eq=False)
@@ -116,21 +121,30 @@ class FiberMatrix:
         return H
 
 
+@dataclass(frozen=True, eq=False)
+class FiberFamily:
+    """Hhat(zeta) on one grid: `of` evaluates d and A2(x) once, `at(zeta)` builds e."""
+
+    grid: Grid1D
+    d: np.ndarray
+    A2: np.ndarray
+
+    @classmethod
+    def of(cls, grid: Grid1D, ps: ProfileSet) -> "FiberFamily":
+        m, V = evaluate(ps.m, grid.x), evaluate(ps.V, grid.x)
+        d = np.column_stack([V - m, V + m]).ravel()  # (V - m, V + m) per site
+        return cls(grid=grid, d=d, A2=magnetic_potential(ps, grid.x))
+
+    def at(self, zeta: float) -> FiberMatrix:
+        # forward difference plus transverse term on site; its hop between sites
+        e = np.full(2 * self.grid.N - 1, -1.0 / self.grid.h)
+        e[0::2] = 1.0 / self.grid.h - (zeta - self.A2)
+        return FiberMatrix(grid=self.grid, d=self.d, e=e)
+
+
 def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
     """Assemble the fiber matrix in Jacobi form, O(N); Hermitian by construction."""
-    N, h = grid.N, grid.h
-    x = grid.x
-    m = evaluate(ps.m, x)
-    V = evaluate(ps.V, x)
-    A2 = magnetic_potential(ps, x)
-
-    d = np.empty(2 * N)
-    d[0::2] = V - m
-    d[1::2] = V + m
-    # forward difference plus transverse term on site; its hop between sites
-    e = np.full(2 * N - 1, -1.0 / h)
-    e[0::2] = 1.0 / h - (zeta - A2)
-    return FiberMatrix(grid=grid, d=d, e=e)
+    return FiberFamily.of(grid, ps).at(zeta)
 
 
 @dataclass(frozen=True)
@@ -181,33 +195,39 @@ def check_slopes(lam: np.ndarray, slopes: np.ndarray) -> None:
         raise SolverError(f"slope {slopes[i]:.6g} exceeds the Lipschitz bound 1 at eigenvalue {lam[i]:.6g}")
 
 
-def _jacobi_residuals(d: np.ndarray, e: np.ndarray, mus: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Column norms of (J - mu) t for the Jacobi matrix J = tridiag(e, d, e), in O(n)."""
-    R = (d[:, None] - mus) * T
-    R[:-1] += e[:, None] * T[1:]
-    R[1:] += e[:, None] * T[:-1]
-    return np.linalg.norm(R, axis=0)
+def _jacobi_times(d: np.ndarray, e: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """J T for the Jacobi matrix J = tridiag(e, d, e), in O(n) per column."""
+    JT = d[:, None] * T
+    JT[:-1] += e[:, None] * T[1:]
+    JT[1:] += e[:, None] * T[:-1]
+    return JT
 
 
 def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
     """All eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
-    Bisection and inverse iteration on the real tridiagonal Jacobi matrix
-    (LAPACK ?stebz / ?stein); the eigenvectors are mapped back to the
-    interleaved complex basis (psi_up,i = t_2i+1, psi_down,i = -i t_2i).
-    Each pair carries its slope <psi, sigma_2 psi> = -2 sum_i t_2i t_2i+1.
+    On the real Jacobi matrix J: bisection (?stebz) only to _BISECT_TOL, whose
+    exact Sturm count still proves the window complete; inverse iteration
+    (?stein) for the block T; Rayleigh-Ritz eigh(T^T J T) = (mu, Q), T <- T Q,
+    for mu to working precision even in clusters narrower than _BISECT_TOL.
+    psi_up,i = t_2i+1, psi_down,i = -i t_2i; slope <psi, sigma_2 psi> = -2 sum_i t_2i t_2i+1.
     Every pair must pass `check_residuals` and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("window lo must be < hi")
 
-    try:
-        mus, T = sla.eigh_tridiagonal(A.d, A.e, select="v", select_range=(lo, hi))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: {exc}") from exc
+    # range 1: the eigenvalues in (lo, hi]; order "B": by split-off block, as ?stein needs
+    m, w, iblock, isplit, info = lapack.dstebz(A.d, A.e, 1, lo, hi, 0, 0, _BISECT_TOL, "B")
+    if not info:
+        T, info = lapack.dstein(A.d, A.e, w[:m], iblock, isplit)
+    if info:
+        raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
     T = T / np.linalg.norm(T, axis=0)
-    res = _jacobi_residuals(A.d, A.e, mus, T)
+    JT = _jacobi_times(A.d, A.e, T)
+    mus, Q = np.linalg.eigh(T.T @ JT)
+    T, JT = T @ Q, JT @ Q
+    res = np.linalg.norm(JT - T * mus, axis=0)
     slopes = -2.0 * np.sum(T[0::2] * T[1::2], axis=0)
     psis = np.empty(T.T.shape, dtype=complex)
     psis[:, 0::2] = T.T[:, 1::2]
@@ -217,7 +237,6 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
     mus, psis, res, slopes = mus[inside], psis[inside], res[inside], slopes[inside]
     check_residuals(mus, res)
     check_slopes(mus, slopes)
-    # eigh_tridiagonal returns the eigenvalues in ascending order
     return [
         EigenPair(mu=float(mu), psi=v, residual=float(r), slope=float(s))
         for mu, v, r, s in zip(mus, psis, res, slopes)
@@ -249,9 +268,7 @@ def zone_edge_fraction(psi: np.ndarray, width: int = 2):
 
 def filter_spurious(
     pairs: list[EigenPair], grid: Grid1D, f: SpuriousFilter
-) -> list[EigenPair]:
-    """Drop pairs whose boundary-strip mass exceeds the threshold.
-
-    Pairs with boundary mass below the threshold are always kept.
-    """
-    return [p for p in pairs if boundary_mass(p.psi, grid, f.margin) <= f.threshold]
+) -> list[tuple[EigenPair, float]]:
+    """The pairs whose boundary-strip mass is at most the threshold, each with that mass."""
+    masses = (boundary_mass(p.psi, grid, f.margin) for p in pairs)
+    return [(p, bm) for p, bm in zip(pairs, masses) if bm <= f.threshold]

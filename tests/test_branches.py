@@ -130,6 +130,7 @@ class TestSweep:
 
     def test_prefetch_identical(self):
         from diracflow.branches import _solve_retained
+        from diracflow.fiber import FiberFamily
 
         ps = preset_profiles("mass_wall")
         grid = Grid1D(L=10.0, N=200)
@@ -138,7 +139,7 @@ class TestSweep:
         plain_stats, seeded_stats = {}, {}
         plain = sweep_branches(grid, ps, cfg, f, stats=plain_stats)
         pre = {
-            z: _solve_retained(grid, ps, z, cfg.window, f)
+            z: _solve_retained(FiberFamily.of(grid, ps), z, cfg.window, f)
             for z in np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples)
         }
         seeded = sweep_branches(grid, ps, cfg, f, prefetch=pre, stats=seeded_stats)

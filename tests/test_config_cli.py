@@ -449,6 +449,8 @@ def test_flow_mismatch_exits_7(tmp_path, monkeypatch):
                       "m": {"lower": -2.0, "upper": 2.0},
                       "V": {"lower": -0.1, "upper": float("nan")}}, "profiles.V.upper"),
         ("alphas", [0.0, float("nan")], "alphas"),
+        ("grid", {"N": 10**400}, "grid.N"),
+        ("grid", {"L": 10**400}, "grid.L"),
     ],
 )
 def test_non_integral_and_string_values_exit_6(tmp_path, capsys, section, value, field):

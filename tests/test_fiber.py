@@ -97,7 +97,7 @@ class TestEigWindow:
         g = Grid1D(L=20.0, N=800)
         pairs = eig_window(assemble_fiber(g, CONST_220, 0.0), (-4.0, 4.0))
         kept = filter_spurious(pairs, g, SpuriousFilter(margin=5.0, threshold=0.3))
-        kept = [p for p in kept if zone_edge_fraction(p.psi) < 0.5]
+        kept = [p for p, _ in kept if zone_edge_fraction(p.psi) < 0.5]
         mus = np.array([p.mu for p in kept])
         for lev in landau_levels(HalfSpaceParams(2.0, 2.0, 0.0), 2).levels:
             assert np.min(np.abs(mus - lev)) < 1e-2
@@ -131,6 +131,26 @@ class TestEigWindow:
         mus = [p.mu for p in eig_window(assemble_fiber(g, ps, 0.0), (-3.0, 3.0))]
         assert mus == sorted(mus)
 
+    @pytest.mark.parametrize("link", [0.0, 1e-10], ids=["exact", "near"])
+    def test_twin_blocks(self, link):
+        """Two identical Jacobi blocks: each eigenvalue comes back twice.
+
+        Joined by e = 0 the copies are exactly degenerate; joined by
+        e = 1e-10 they split by far less than the bisection tolerance, so
+        only the Rayleigh-Ritz step resolves the two values.
+        """
+        rng = np.random.default_rng(7)
+        d, e = rng.uniform(-0.5, 0.5, 16), rng.uniform(0.8, 1.2, 15)
+        A = FiberMatrix(grid=Grid1D(L=1.0, N=16), d=np.concatenate([d, d]), e=np.concatenate([e, [link], e]))
+        pairs = eig_window(A, (-6.0, 6.0))
+        dense = np.linalg.eigvalsh(A.entries)
+        assert len(pairs) == dense.size == 32
+        assert np.max(np.abs(np.array([p.mu for p in pairs]) - dense)) < 1e-12
+        for p in pairs:
+            assert p.residual <= 1e-8 * (1.0 + abs(p.mu))
+        V = np.array([p.psi for p in pairs])
+        assert np.max(np.abs(V.conj() @ V.T - np.eye(32))) < 1e-12
+
 
 class TestFilter:
     def test_interior_state_kept(self):
@@ -141,7 +161,7 @@ class TestFilter:
         psi /= np.linalg.norm(psi)
         assert boundary_mass(psi, g, g.L / 4) == 0.0
         pairs = [type("P", (), {"psi": psi, "mu": 0.0, "residual": 0.0})()]
-        assert filter_spurious(pairs, g, SpuriousFilter(margin=g.L / 4, threshold=0.5)) == pairs
+        assert filter_spurious(pairs, g, SpuriousFilter(margin=g.L / 4, threshold=0.5)) == [(pairs[0], 0.0)]
 
     def test_boundary_state_removed(self):
         g = Grid1D(L=8.0, N=128)
@@ -161,8 +181,8 @@ class TestFilter:
         f = SpuriousFilter(margin=2.5, threshold=0.3)
         kept = filter_spurious(eig_window(assemble_fiber(g, ps, 6.0), (-4.0, 4.0)), g, f)
         assert kept
-        for p in kept:
-            assert boundary_mass(p.psi, g, f.margin) < 0.05
+        for p, mass in kept:
+            assert mass == boundary_mass(p.psi, g, f.margin) < 0.05
 
     def test_zone_edge_fraction_separates(self):
         g = Grid1D(L=4.0, N=64)

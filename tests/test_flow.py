@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from diracflow.branches import Branch, SweepConfig, _solve_retained, sweep_branches
 from diracflow.bulk import HalfSpaceParams, predicted_sf
 from diracflow.errors import WindowError
-from diracflow.fiber import Grid1D, SpuriousFilter
+from diracflow.fiber import FiberFamily, Grid1D, SpuriousFilter
 from diracflow.flow import (
     FlowReport,
     conductivity,
@@ -158,6 +158,7 @@ class TestEndToEnd:
         grid = Grid1D(L=20.0, N=800)
         f = SpuriousFilter(margin=2.5, threshold=0.3)
         branches = sweep_branches(grid, ps, SweepConfig(-8.0, 8.0, 81, (-4.0, 4.0), refine_tol=0.05), f)
+        fiber = FiberFamily.of(grid, ps)
         checked = 0
         for alpha in (0.0, 2.5):
             for c in spectral_flow(branches, alpha).crossings:
@@ -165,7 +166,7 @@ class TestEndToEnd:
                 k = int(np.searchsorted(z, c.zeta))
 
                 def offset(zeta):
-                    mus = [p.mu for p in _solve_retained(grid, ps, zeta, (alpha - 0.4, alpha + 0.4), f)]
+                    mus = [p.mu for p, _ in _solve_retained(fiber, zeta, (alpha - 0.4, alpha + 0.4), f)]
                     return min(mus, key=lambda mu: abs(mu - alpha)) - alpha
 
                 root = brentq(offset, z[k - 1], z[k], xtol=1e-13)
