@@ -1,18 +1,23 @@
 """Sweep zeta and track eigenvalue branches by eigenvector continuity.
 
-Tracking matches retained eigenpairs at consecutive zeta samples by
-maximizing total absolute eigenvector overlap with an optimal assignment
-(greedy matching fails at the near-avoided crossings that appear at
-large zeta).  The matrix depends on zeta only through zeta * sigma_2, so
-every eigenpair carries its exact slope d mu/d zeta = <psi, sigma_2 psi>
-(Hellmann-Feynman) and branches are 1-Lipschitz in zeta.  A step is
-bisected until every matched overlap clears 0.8 and the step is smooth:
-when every track and every new pair is matched, each new value must lie
-within refine_tol of the linear prediction mu + slope * step from the
-previous sample; a step on which a track ends or starts instead bounds
-the motion |delta mu| itself by refine_tol.  The Lipschitz bound keeps
-the prediction error below 2 * step, so bisection always terminates; a
-step still unmatched at the 1e-4 floor is a TrackingError.
+Tracking matches a track to a retained eigenpair at the next zeta sample
+when their eigenvectors overlap by at least 0.8 in absolute value.  The
+track vectors come from one solve and the new ones from another, so each
+set is orthonormal and every row and column of the overlap matrix has a
+sum of squares of at most 1: an entry above 1/sqrt(2) is the only such
+entry in its row and in its column, so the entries that clear the
+threshold already form a one-to-one matching (the threshold must stay
+above 1/sqrt(2) for this to hold).  The matrix depends on zeta only
+through zeta * sigma_2, so every eigenpair carries its exact slope
+d mu/d zeta = <psi, sigma_2 psi> (Hellmann-Feynman) and branches are
+1-Lipschitz in zeta.  A step is bisected until every matched overlap
+clears 0.8 and the step is smooth: when every track and every new pair
+is matched, each new value must lie within refine_tol of the linear
+prediction mu + slope * step from the previous sample; a step on which a
+track ends or starts instead bounds the motion |delta mu| itself by
+refine_tol.  The Lipschitz bound keeps the prediction error below
+2 * step, so bisection always terminates; a step still unmatched at the
+1e-4 floor is a TrackingError.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .bulk import HalfSpaceParams
 from .errors import TrackingError
@@ -175,17 +179,10 @@ def sweep_branches(
         pairs = [p for p, _ in kept]
         step = z - z_prev
 
-        # optimal assignment between active tracks and new eigenpairs
-        if active and pairs:
-            O = np.abs(
-                np.array([[np.vdot(t.psi, p.psi) for p in pairs] for t in active])
-            )
-            rows, cols = linear_sum_assignment(-O)
-        else:
-            O = np.zeros((len(active), len(pairs)))
-            rows, cols = np.array([], dtype=int), np.array([], dtype=int)
-
-        matched = [(i, j, O[i, j]) for i, j in zip(rows, cols) if O[i, j] >= _OVERLAP_THRESHOLD]
+        # overlaps above the threshold are unique in their row and column
+        O = np.abs([[np.vdot(t.psi, p.psi) for p in pairs] for t in active])
+        O = O.reshape(len(active), len(pairs))  # 2-D when either side is empty
+        matched = [(i, j, O[i, j]) for i, j in zip(*np.nonzero(O >= _OVERLAP_THRESHOLD))]
         matched_old = {i for i, _, _ in matched}
         unmatched = [i for i in range(len(active)) if i not in matched_old]
         # predict from the slope only where no track ends or starts; there
@@ -202,8 +199,7 @@ def sweep_branches(
             continue
         if stranded:
             # bisection bottomed out
-            assigned = dict(zip(rows, cols))
-            best = max(O[i, assigned[i]] if i in assigned else 0.0 for i in unmatched)
+            best = max(O[i].max(initial=0.0) for i in unmatched)
             raise TrackingError(
                 f"tracking ambiguity at zeta = {z:.6g}: best overlap "
                 f"{best:.3f} < {_OVERLAP_THRESHOLD} with step at bisection floor",

@@ -55,25 +55,32 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
     return minus, plus
 
 
-def run_sweep(cfg: RunConfig, workers: int, man: RunManifest) -> list[Branch]:
+def run_sweep(cfg: RunConfig, workers: int, out: Path) -> tuple[list[Branch], RunManifest]:
     """Sweep with optional parallel prefetch of the initial samples; timed, with its
-    telemetry (`sweep_branches`' stats), into `man`."""
-    t0 = time.perf_counter()
-    prefetch = None
-    if workers > 1:
-        sw = cfg.sweep
-        zetas = [float(z) for z in np.linspace(sw.zeta_min, sw.zeta_max, sw.samples)]
-        solve = partial(_solve_retained, FiberFamily.of(cfg.grid, cfg.profiles), window=sw.window, f=cfg.filter)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            prefetch = dict(zip(zetas, pool.map(solve, zetas)))
-    stats: dict = {}
-    branches = sweep_branches(
-        cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch, stats=stats
-    )
-    man.diagnostics["sweep"] = stats
-    man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
+    telemetry (`sweep_branches`' stats), into a new manifest.  A DiracflowError is
+    written to `out/manifest.json` (verdict failed, partial telemetry) and re-raised."""
+    out.mkdir(parents=True, exist_ok=True)
+    man = RunManifest(cfg.resolved())
+    man.diagnostics["sweep"] = stats = {}
     man.timings["workers"] = workers
-    return branches
+    t0 = time.perf_counter()
+    try:
+        prefetch = None
+        if workers > 1:
+            sw = cfg.sweep
+            zetas = [float(z) for z in np.linspace(sw.zeta_min, sw.zeta_max, sw.samples)]
+            solve = partial(_solve_retained, FiberFamily.of(cfg.grid, cfg.profiles), window=sw.window, f=cfg.filter)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                prefetch = dict(zip(zetas, pool.map(solve, zetas)))
+        branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch, stats=stats)
+    except DiracflowError as exc:
+        man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
+        man.verdicts["sweep"] = "failed"
+        man.diagnostics["error"] = {"class": type(exc).__name__, "message": str(exc), "zeta": getattr(exc, "zeta", None)}
+        man.write(out / "manifest.json")
+        raise
+    man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
+    return branches, man
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -109,9 +116,7 @@ def cmd_bulk(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    man = RunManifest(cfg.resolved())
-    branches = run_sweep(cfg, workers, man)
+    branches, man = run_sweep(cfg, workers, out)
     _write_csv(
         out / "branches.csv",
         ["branch_id", "zeta", "mu", "slope", "overlap", "boundary_mass"],
@@ -132,10 +137,8 @@ def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
 
 
 def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    man = RunManifest(cfg.resolved())
     minus, plus = half_spaces(cfg.profiles)
-    branches = run_sweep(cfg, workers, man)
+    branches, man = run_sweep(cfg, workers, out)
 
     all_ok = True
     rows = []

@@ -1,9 +1,15 @@
 """Branch tracking, window validation, autoscale."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diracflow.branches import (
+    _OVERLAP_THRESHOLD,
     Branch,
     SweepConfig,
     autoscale,
@@ -145,6 +151,23 @@ class TestSweep:
         seeded = sweep_branches(grid, ps, cfg, f, prefetch=pre, stats=seeded_stats)
         assert branch_points(plain) == branch_points(seeded)
         assert plain_stats == seeded_stats
+
+
+class TestMatching:
+    def test_threshold_makes_matches_unique(self):
+        # orthonormal samples give every row and column of |O| a sum of
+        # squares <= 1, so above 1/sqrt(2) an overlap is alone in both
+        assert _OVERLAP_THRESHOLD > 2 ** -0.5
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, diracflow.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestClassify:

@@ -179,6 +179,25 @@ class TestCliBranches:
         slopes = [float(r.split(",")[3]) for r in rows]
         assert slopes and max(abs(v) for v in slopes) <= 1.0
 
+    def test_tracking_failure_exits_3_with_a_manifest(self, tmp_path, capsys, monkeypatch):
+        # no overlap reaches 1.01, so the first step bisects to the floor
+        monkeypatch.setattr("diracflow.branches._OVERLAP_THRESHOLD", 1.01)
+        out = tmp_path / "o"
+        assert main(["branches", "--preset", "mass_wall", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: tracking ambiguity at zeta = -7.9999: best overlap 1.000 < 1.01 "
+            "with step at bisection floor\n"
+        )
+        assert "Traceback" not in err
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["verdicts"] == {"sweep": "failed"}
+        error = man["diagnostics"]["error"]
+        assert error["class"] == "TrackingError" and error["message"] in err
+        assert error["zeta"] == pytest.approx(-7.9999, abs=1e-4)
+        assert man["diagnostics"]["sweep"]["bisections"]["stranded"] >= 1
+        assert not (out / "branches.csv").exists()
+
 
 class TestCliFlow:
     def test_flow_reconciles(self, tmp_path, capsys):
