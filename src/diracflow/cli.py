@@ -30,7 +30,7 @@ from .bulk import HalfSpaceParams, landau_levels, predicted_sf
 from .config import RunConfig, RunManifest, config_from_dict, load_config
 from .errors import ConfigError, DiracflowError
 from .fiber import FiberFamily
-from .flow import conductivity, conductivity_quadrature, reconcile, spectral_flow
+from .flow import conductivity, reconcile, spectral_flow
 from .oracle2d import (
     assemble_2d,
     default_projection,
@@ -146,15 +146,13 @@ def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
     for alpha in cfg.alphas:
         pred = predicted_sf(minus, plus, alpha)
         report = spectral_flow(branches, alpha, prediction=pred)
-        dens = cfg.density
-        sigma = conductivity(branches, dens)
+        sigma = conductivity(branches, cfg.density)
         ok = reconcile(report, pred, sigma)
         all_ok &= ok
         print(f"{alpha:8.3g} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
         rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
         man.diagnostics[f"alpha_{alpha:g}"] = {
             "crossings": [[c.branch_id, c.zeta, c.direction] for c in report.crossings],
-            "sigma_quadrature": conductivity_quadrature(branches, dens),
         }
     _write_csv(out / "flow.csv", ["alpha", "sf_numeric", "sf_predicted", "two_pi_sigma", "reconciled"], rows)
     man.verdicts["flow"] = "ok" if all_ok else "mismatch"
@@ -176,12 +174,9 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     H = assemble_2d(g, cfg.profiles)
     res = trace_conductivity(H, g, P, dens, full_result=True)
     man.timings["trace_seconds"] = round(time.perf_counter() - t0, 3)
-    rows.append((cfg.scenario, 0.0, res.two_pi_sigma, res.seam_contribution))
+    rows.append((cfg.scenario, 0.0, res.two_pi_sigma))
     man.diagnostics["oracle"] = {
         "two_pi_sigma": res.two_pi_sigma,
-        "literal_commutator": res.literal_two_pi_sigma,
-        "analytic_vs_literal": res.two_pi_sigma - res.literal_two_pi_sigma,
-        "seam_contribution": res.seam_contribution,
         "states_cut": res.n_states_cut,
         "states_in_window": res.n_window,
         "eigenpairs": res.k,
@@ -190,19 +185,19 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
         "certificate_reach": res.reach,
         "dense_fallback": res.dense_fallback,
     }
-    print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f} (seam {res.seam_contribution:.2e})")
+    print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}")
 
     verdicts_ok = True
     if cfg.perturbation is not None:
         couplings = [0.0, 0.5, 1.0]
         st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens)
         for c, s in st.rows:
-            rows.append((f"{cfg.scenario}+{cfg.perturbation.kind}", c, s, 0.0))
+            rows.append((f"{cfg.scenario}+{cfg.perturbation.kind}", c, s))
         man.verdicts["stability"] = st.verdict
         verdicts_ok &= st.verdict == "stable"
         print(f"stability ({cfg.perturbation.kind}): {st.verdict}")
 
-    _write_csv(out / "oracle.csv", ["scenario", "coupling", "two_pi_sigma", "seam_residual"], rows)
+    _write_csv(out / "oracle.csv", ["scenario", "coupling", "two_pi_sigma"], rows)
     man.verdicts["oracle"] = "ok" if verdicts_ok else "failed"
     man.write(out / "manifest.json")
     return 0 if verdicts_ok else _FAILED_RESULT

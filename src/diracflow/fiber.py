@@ -94,9 +94,10 @@ class FiberMatrix:
     """Hermitian 2N x 2N discretization of Hhat(zeta).
 
     Held as the real Jacobi pair (d, e) of the module docstring.
-    `entries` is the dense Hermitian view in interleaved ordering (site i
-    occupies rows 2i = up, 2i + 1 = down), built from (d, e) on first
-    access.
+    `entries` is the dense Hermitian view in the physical interleaved
+    ordering (site i occupies rows 2i = up, 2i + 1 = down), built from
+    (d, e) on first access.  No code in the package calls it: it is the
+    reference that the tests check the Jacobi form against.
     """
 
     grid: Grid1D

@@ -20,7 +20,7 @@ import numpy as np
 from .branches import Branch, validate_window
 from .bulk import FlowPrediction
 from .errors import WindowError
-from .profiles import DensityProfile, derivative, evaluate
+from .profiles import DensityProfile, evaluate
 
 __all__ = ["Crossing", "FlowReport", "spectral_flow", "conductivity", "reconcile"]
 
@@ -137,25 +137,6 @@ def conductivity(branches: list[Branch], dens: DensityProfile) -> float:
             f"endpoint sum {endpoint_sum} and branch integral {integral_sum} disagree"
         )
     return endpoint_sum
-
-
-def conductivity_quadrature(branches: list[Branch], dens: DensityProfile) -> float:
-    """Diagnostic estimate of sum_j int phi'(mu) mu'(zeta) d zeta from the sampled slopes.
-
-    Hermite-Simpson on each step: the midpoint value and slope come from
-    the cubic Hermite interpolant of the sampled (mu, d mu/d zeta).
-    Reported in manifests, never asserted against.
-    """
-    total = 0.0
-    for b in branches:
-        z, mu, s = np.asarray(b.zetas), np.asarray(b.mus), np.asarray(b.slopes)
-        h = np.diff(z)
-        mu_mid = 0.5 * (mu[:-1] + mu[1:]) + h * (s[:-1] - s[1:]) / 8.0
-        s_mid = 1.5 * np.diff(mu) / h - 0.25 * (s[:-1] + s[1:])
-        f = derivative(dens.phi, mu) * s
-        f_mid = derivative(dens.phi, mu_mid) * s_mid
-        total += float(np.sum(h / 6.0 * (f[:-1] + 4.0 * f_mid + f[1:])))
-    return total
 
 
 def reconcile(report: FlowReport, pred: FlowPrediction, sigma: float) -> bool:

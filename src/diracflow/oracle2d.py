@@ -1,35 +1,40 @@
 """Windowed 2D trace check of the interface conductivity, plus stability runs.
 
 The 2D Hamiltonian H = D_x sigma_1 + (D_y - A2(x)) sigma_2 + m(x) sigma_3
-+ V(x) sigma_0 is built from the fiber operator, whose zeta enters only
-as zeta sigma_2:
++ V(x) sigma_0 is built from the fiber operator in its Jacobi form J(zeta)
+= tridiag(e, d, e) (see the fiber module), where zeta enters only the
+on-site entries of e.  In (x-site, Jacobi component, y-site) order
 
-    H = Hhat(0) (x) I_y + (sigma_2 (x) I_x) (x) K_y (+ W),
+    H = J(0) (x) I_y + dJ/dzeta (x) K_y (+ W),
 
-with Hhat(0) the fiber matrix at zeta = 0 in (spinor, x-site) order and
-K_y the spectral (Fourier) -i d/dy on a periodic y-box.  The x-stencil is
-defined only in the fiber module.  The spectral K_y is what makes the
-discrete y-Fourier conjugation reproduce the fiber matrices at
-zeta_n = 2 pi n / Ly exactly, which is the cross-check tying the oracle
-to the fiber pipeline.  H is a sparse CSR matrix: the x-stencil couples
-neighbouring sites and K_y the sites of one x-column, about 1% of the
-entries.
+with dJ/dzeta = J(1) - J(0) the Jacobi form of sigma_2 (-1 between the
+two components of each site), K_y the spectral (Fourier) -i d/dy on a
+periodic y-box, and W(x, y) repeated over both components of a site.
+The x-stencil is defined only in the fiber module.  The spectral K_y is
+what makes the discrete y-Fourier conjugation reproduce the fiber
+matrices J(zeta_n) at zeta_n = 2 pi n / Ly exactly, which is the
+cross-check tying the oracle to the fiber pipeline.  H is a sparse CSR
+matrix: the x-stencil couples neighbouring sites and K_y the sites of
+one x-column, about 1% of the entries.
 
 The conductivity is evaluated from the eigenpairs inside the density
-window (E1, E2), the only ones on which phi' is nonzero:
+window (E1, E2), the only ones on which phi' is nonzero.  With the
+analytic commutator identity i[H, P] = P'(y) sigma_2, each state's share
+is the fiber's Hellmann-Feynman slope weighted by P'(y):
 
-    2 pi sigma_I = 2 pi * sum_k phi'(lambda_k) <v_k, P'(y) sigma_2 v_k>,
+    2 pi sigma_I = 2 pi sum_k phi'(lambda_k) <t_k, P'(y) dJ/dzeta t_k>
+                 = 2 pi sum_k phi'(lambda_k) (-2) sum_{i,y} P'(y) Re(conj(t_k,2i,y) t_k,2i+1,y).
 
-using the analytic commutator identity i[H, P] = P'(y) sigma_2.  They
-come from shift-invert Lanczos about the window centre c (ARPACK's
-shift-invert mode; Lehoucq, Sorensen and Yang, ARPACK Users' Guide,
-1998), which returns the k eigenvalues nearest c.  The solve is accepted
-only under a completeness certificate: the farthest returned eigenvalue
-lies at least the half-width (E2 - E1) / 2 from c, so every eigenvalue
-inside the window is among those returned; otherwise k doubles.  Every
-pair is residual-checked, ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
-When k would pass dim / 16, the window holds so much of the spectrum
-that Lanczos no longer pays, and a dense windowed eigh takes the solve.
+The eigenpairs come from shift-invert Lanczos about the window centre c
+(ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang, ARPACK Users'
+Guide, 1998), which returns the k eigenvalues nearest c.  The solve is
+accepted only under a completeness certificate: the farthest returned
+eigenvalue lies at least the half-width (E2 - E1) / 2 from c, so every
+eigenvalue inside the window is among those returned; otherwise k
+doubles.  Every pair is residual-checked, ||H v - lambda v|| <= 1e-8
+(1 + |lambda|).  When k would pass dim / 16, the window holds so much of
+the spectrum that Lanczos no longer pays, and a dense windowed eigh takes
+the solve.
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -48,9 +53,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import BudgetError, SolverError, WindowError
-from .fiber import Grid1D, assemble_fiber, check_residuals, zone_edge_fraction
-from .profiles import DensityProfile, ProfileSet, SwitchProfile, derivative, evaluate
-from .profiles import magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches it
+from .fiber import FiberFamily, Grid1D, check_residuals, zone_edge_fraction
+from .profiles import DensityProfile, ProfileSet, SwitchProfile, derivative
+from .profiles import evaluate, magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches them
 
 __all__ = [
     "Grid2D",
@@ -154,28 +159,24 @@ def _spectral_momentum(g: Grid2D) -> np.ndarray:
     return 0.5 * (Dy + Dy.conj().T)
 
 
-def _component_major(N: int) -> np.ndarray:
-    """Interleaved fiber rows (2i = up, 2i + 1 = down) in (spinor, x-site) order."""
-    return np.arange(2 * N).reshape(N, 2).T.ravel()
-
-
 def assemble_2d(
     g: Grid2D,
     ps: ProfileSet,
     w: PerturbationSpec | None = None,
     coupling: float = 0.0,
 ) -> sp.csr_array:
-    """Sparse (CSR) Hermitian 2D Hamiltonian; layout is (spinor, x-site, y-site)."""
+    """Sparse (CSR) Hermitian 2D Hamiltonian; layout is (x-site, Jacobi component, y-site)."""
     if g.dim > _BUDGET:
         raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
-    N = g.grid_x.N
-    cm = _component_major(N)
-    H0 = assemble_fiber(g.grid_x, ps, 0.0).entries[np.ix_(cm, cm)]
-    S = sp.kron(np.array([[0.0, -1j], [1j, 0.0]]), sp.eye_array(N))
-    H = sp.kron(sp.csr_array(H0), sp.eye_array(g.Ny)) + sp.kron(S, _spectral_momentum(g))
+    fam = FiberFamily.of(g.grid_x, ps)
+    J0 = fam.at(0.0)
+    dJ = fam.at(1.0).e - J0.e  # dJ/dzeta, the Jacobi form of sigma_2: -1 on site, 0 between sites
+    J = sp.diags_array([J0.e, J0.d, J0.e], offsets=[-1, 0, 1])
+    S = sp.diags_array([dJ, dJ], offsets=[-1, 1])
+    H = sp.kron(J, sp.eye_array(g.Ny)) + sp.kron(S, _spectral_momentum(g))
     if w is not None and coupling != 0.0:
-        Wd = coupling * w.sample(g.grid_x.x, g.y, g.Ly).ravel()
-        H = H + sp.diags_array(np.tile(Wd, 2))
+        W = coupling * w.sample(g.grid_x.x, g.y, g.Ly)
+        H = H + sp.diags_array(np.repeat(W, 2, axis=0).ravel())
     return sp.csr_array(H, dtype=complex)
 
 
@@ -184,17 +185,14 @@ def fourier_block(H: sp.csr_array, g: Grid2D, mode: int) -> np.ndarray:
 
     The isometry kron(I_2N, f_n), with f_n the n-th row of the unitary
     discrete Fourier matrix, picks that mode's block of U H U^H without
-    forming U.  Returned in the fiber module's interleaved ordering so it
-    compares entrywise with assemble_fiber(grid_x, ps, zeta_n).entries.
+    forming U.  The block is in Jacobi form: it compares entrywise with
+    tridiag(e, d, e) of assemble_fiber(grid_x, ps, zeta_n).
     """
     N, Ny = g.grid_x.N, g.Ny
     j = mode % Ny
     f = np.exp(-2j * np.pi * j * np.arange(Ny) / Ny) / np.sqrt(Ny)
     Pj = sp.kron(sp.eye_array(2 * N), f[None, :], format="csr")
-    cm = _component_major(N)
-    B = np.empty((2 * N, 2 * N), dtype=complex)
-    B[np.ix_(cm, cm)] = (Pj @ H @ Pj.conj().T).toarray()
-    return B
+    return (Pj @ H @ Pj.conj().T).toarray()
 
 
 def default_projection(g: Grid2D) -> SwitchProfile:
@@ -204,7 +202,7 @@ def default_projection(g: Grid2D) -> SwitchProfile:
 
 @dataclass(frozen=True)
 class TraceResult:
-    """The conductivity estimates, and the certificate of the eigensolve behind them.
+    """The conductivity, and the certificate of the eigensolve behind it.
 
     reach is max |lambda - c| / half-width over the final Lanczos solve
     (c the window centre); reach >= 1 certifies that every eigenvalue in
@@ -213,8 +211,6 @@ class TraceResult:
     """
 
     two_pi_sigma: float
-    literal_two_pi_sigma: float
-    seam_contribution: float
     n_states_cut: int
     n_window: int  # eigenvalues strictly inside the density window
     k: int  # eigenpairs returned by the final solve
@@ -288,44 +284,27 @@ def trace_conductivity(
 ):
     """2 pi sigma_I = 2 pi Tr i[H, P] phi'(H) from the certified eigenpairs in the density window.
 
-    Primary estimator uses the analytic commutator i[H, P] = P'(y) sigma_2;
-    a literal-commutator variant (seam-free central difference in y) is
-    computed alongside for the manifest.  Raises on seam violations, and
-    SolverError when an eigenpair misses its residual contract.
+    Each state contributes its fiber slope weighted by P'(y), using
+    i[H, P] = P'(y) sigma_2 (module docstring).  Raises WindowError when
+    P's transition is too close to the periodic seam, and SolverError when
+    an eigenpair misses its residual contract.
     """
     _check_seam(P, g)
     N, Ny = g.grid_x.N, g.Ny
-    n = N * Ny
-    if Hmat.shape != (2 * n, 2 * n):
+    if Hmat.shape != (g.dim, g.dim):
         raise ValueError("matrix does not match the grid")
 
     lam, vec, cert = _window_eigenpairs(sp.csr_array(Hmat), dens.window)
     weights = derivative(dens.phi, lam)
     live = np.abs(weights) > 1e-14
-    # live states as a (state, spinor, x-site, y-site) stack
-    v = vec[:, live].T.reshape(-1, 2, N, Ny)
-    by_x = v.transpose(0, 2, 1, 3).reshape(len(v), 2 * n)  # x-sites of (spinor, y) components
-    keep = zone_edge_fraction(by_x, width=2 * Ny) <= _ZONE_EDGE_CUT
-    v, w = v[keep], weights[live][keep]
-    v1, v2 = v[:, 0], v[:, 1]
-
-    y = g.y
-    Pp = derivative(P, y)
-    # literal variant: i [D_y^(2), P] with an open-chain central difference,
-    # a banded approximation to P'(y) accurate to O(hy^2); the seam rows are
-    # excluded (P' vanishes there for an admissible P)
-    Dcd = (np.diag(np.ones(Ny - 1), 1) - np.diag(np.ones(Ny - 1), -1)) / (2 * g.hy)
-    Mlit = 1j * ((-1j * Dcd) @ np.diag(evaluate(P, y)) - np.diag(evaluate(P, y)) @ (-1j * Dcd))
-    seam_zone = (np.minimum(y, g.Ly - y) < g.Ly / 8.0) * Pp
-
-    def sigma2(Mv1, Mv2):
-        """Per state <v, [[0, -i M], [i M, 0]] v> with M applied along y."""
-        return np.sum(np.conj(v1) * (-1j) * Mv2 + np.conj(v2) * 1j * Mv1, axis=(1, 2)).real
+    t = vec[:, live].T  # live states; each lists x-sites of (Jacobi component, y-site) entries
+    keep = zone_edge_fraction(t, width=2 * Ny) <= _ZONE_EDGE_CUT
+    t, w = t[keep].reshape(-1, N, 2, Ny), weights[live][keep]
+    # <t, P'(y) dJ/dzeta t> = -2 sum_{i,y} P'(y) Re(conj(t_2i,y) t_2i+1,y), eig_window's slope formula
+    slopes = -2.0 * np.sum(derivative(P, g.y) * np.real(np.conj(t[:, :, 0]) * t[:, :, 1]), axis=(1, 2))
 
     result = TraceResult(
-        two_pi_sigma=2.0 * np.pi * float(w @ sigma2(Pp * v1, Pp * v2)),
-        literal_two_pi_sigma=2.0 * np.pi * float(w @ sigma2(v1 @ Mlit.T, v2 @ Mlit.T)),
-        seam_contribution=2.0 * np.pi * abs(float(w @ sigma2(seam_zone * v1, seam_zone * v2))),
+        two_pi_sigma=2.0 * np.pi * float(w @ slopes),
         n_states_cut=int(np.count_nonzero(~keep)),
         **cert,
     )

@@ -246,10 +246,11 @@ class TestCliOracle:
         rc = main(["oracle", "--config", str(p), "--out", str(out)])
         assert rc == 0
         lines = (out / "oracle.csv").read_text().splitlines()
-        assert lines[0] == "scenario,coupling,two_pi_sigma,seam_residual"
+        assert lines[0] == "scenario,coupling,two_pi_sigma"
         assert len(lines) == 2
         man = json.loads((out / "manifest.json").read_text())
-        assert "oracle" in man["diagnostics"]
+        diag = man["diagnostics"]["oracle"]
+        assert not {"literal_commutator", "analytic_vs_literal", "seam_contribution"} & set(diag)
 
 
     def test_manifest_records_the_certificate(self, tmp_path):

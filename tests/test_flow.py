@@ -11,7 +11,6 @@ from diracflow.fiber import FiberFamily, Grid1D, SpuriousFilter
 from diracflow.flow import (
     FlowReport,
     conductivity,
-    conductivity_quadrature,
     reconcile,
     spectral_flow,
 )
@@ -20,11 +19,10 @@ from diracflow.profiles import DensityProfile
 from conftest import walls
 
 
-def mk_branch(zetas, mus, slopes=None):
-    """A synthetic branch; slopes default to finite differences (exact on straight lines)."""
+def mk_branch(zetas, mus):
+    """A synthetic branch; slopes are finite differences (exact on straight lines)."""
     n = len(zetas)
-    if slopes is None:
-        slopes = np.gradient(np.asarray(mus, dtype=float), np.asarray(zetas, dtype=float))
+    slopes = np.gradient(np.asarray(mus, dtype=float), np.asarray(zetas, dtype=float))
     return Branch(zetas=list(zetas), mus=list(mus), slopes=list(slopes), overlaps=[1.0] * n,
                   boundary_masses=[0.0] * n)
 
@@ -87,22 +85,6 @@ class TestConductivity:
         dens = DensityProfile.from_window(1.0, 2.5)
         with pytest.raises(WindowError):
             conductivity([FLAT_HIGH], dens)
-
-    def test_quadrature_uses_the_slopes(self):
-        """Hermite-Simpson with exact slopes on 2 tanh at step 1/16 lands within 2e-3
-        (7.1e-4); finite-difference slopes with the trapezoid rule miss by 3.3e-3."""
-        z = np.linspace(-5, 5, 161)
-        dens = DensityProfile.from_window(-0.5, 0.5)
-        quad = conductivity_quadrature([mk_branch(z, 2 * np.tanh(z), 2 / np.cosh(z) ** 2)], dens)
-        assert quad == pytest.approx(1.0, abs=2e-3)
-
-    def test_quadrature_close_to_endpoint_form(self):
-        z = np.linspace(-5, 5, 401)
-        b = mk_branch(z, 2 * np.tanh(z), 2 / np.cosh(z) ** 2)
-        dens = DensityProfile.from_window(-0.5, 0.5)
-        exact = conductivity([b], dens)
-        quad = conductivity_quadrature([b], dens)
-        assert quad == pytest.approx(exact, abs=1e-3)
 
 
 class TestReconcile:
