@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -56,12 +57,13 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
 
 
 def run_sweep(cfg: RunConfig, workers: int, out: Path) -> tuple[list[Branch], RunManifest]:
-    """Sweep with optional parallel prefetch of the initial samples; timed, with its
-    telemetry (`sweep_branches`' stats), into a new manifest.  A DiracflowError is
-    written to `out/manifest.json` (verdict failed, partial telemetry) and re-raised."""
+    """Sweep, prefetching the initial samples on min(workers, CPUs, samples) processes;
+    timed, with its telemetry (`sweep_branches`' stats), into a new manifest.  A DiracflowError
+    is written to `out/manifest.json` (verdict failed, partial telemetry) and re-raised."""
     out.mkdir(parents=True, exist_ok=True)
     man = RunManifest(cfg.resolved())
     man.diagnostics["sweep"] = stats = {}
+    workers = min(workers, os.cpu_count() or 1, cfg.sweep.samples)
     man.timings["workers"] = workers
     t0 = time.perf_counter()
     try:
@@ -179,6 +181,8 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
         "two_pi_sigma": res.two_pi_sigma,
         "states_cut": res.n_states_cut,
         "states_in_window": res.n_window,
+        "states_bound": res.bound,
+        "bound_spread": res.spread,
         "eigenpairs": res.k,
         "solves": res.solves,
         "max_residual": res.max_residual,
@@ -219,6 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     ns = ap.parse_args(argv)
 
     try:
+        if ns.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {ns.workers}")
         if ns.verb == "all-figures":
             return cmd_all_figures(ns.out, ns.workers)
         if ns.config is not None:

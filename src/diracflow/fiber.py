@@ -60,6 +60,7 @@ __all__ = [
     "zone_edge_fraction",
     "check_residuals",
     "check_slopes",
+    "count_eigenvalues",
 ]
 
 _BISECT_TOL = 1e-8  # ?stebz tolerance: Rayleigh-Ritz supplies the digits; at 1e-6 the ?stein vectors cost bisections
@@ -202,6 +203,12 @@ def _jacobi_times(d: np.ndarray, e: np.ndarray, T: np.ndarray) -> np.ndarray:
     JT[:-1] += e[:, None] * T[1:]
     JT[1:] += e[:, None] * T[:-1]
     return JT
+
+
+def count_eigenvalues(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int:
+    """Exact Sturm count of tridiag(e, d, e)'s eigenvalues in (lo, hi]: ?stebz counts by
+    LDL^T pivot signs, exact at any tolerance, so the loose 1e3 skips its bisection."""
+    return int(lapack.dstebz(d, e, 1, lo, hi, 0, 0, 1e3, "B")[0])
 
 
 def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:

@@ -27,10 +27,12 @@ is the fiber's Hellmann-Feynman slope weighted by P'(y):
 
 The eigenpairs come from shift-invert Lanczos about the window centre c
 (ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang, ARPACK Users'
-Guide, 1998), which returns the k eigenvalues nearest c.  The solve is
-accepted only under a completeness certificate: the farthest returned
-eigenvalue lies at least the half-width (E2 - E1) / 2 from c, so every
-eigenvalue inside the window is among those returned; otherwise k
+Guide, 1998), which returns the k eigenvalues nearest c; k starts at
+min(U, 32), where U >= the number of eigenvalues in the window is a sum of
+exact fiber Sturm counts (_window_bound), and U = 0 means no solve.  The
+solve is accepted when the farthest returned eigenvalue lies at least the
+half-width (E2 - E1) / 2 from c, so every eigenvalue inside the window is
+among those returned, or when U of them lie inside it; otherwise k
 doubles.  Every pair is residual-checked, ||H v - lambda v|| <= 1e-8
 (1 + |lambda|).  When k would pass dim / 16, the window holds so much of
 the spectrum that Lanczos no longer pays, and a dense windowed eigh takes
@@ -53,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import BudgetError, SolverError, WindowError
-from .fiber import FiberFamily, Grid1D, check_residuals, zone_edge_fraction
+from .fiber import FiberFamily, Grid1D, check_residuals, count_eigenvalues, zone_edge_fraction
 from .profiles import DensityProfile, ProfileSet, SwitchProfile, derivative
 from .profiles import evaluate, magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches them
 
@@ -65,13 +67,12 @@ __all__ = [
     "TraceResult",
     "stability_experiment",
     "StabilityResult",
-    "fourier_block",
     "default_projection",
 ]
 
 _BUDGET = 6000
 _ZONE_EDGE_CUT = 0.5
-_K_START = 32  # Lanczos eigenpairs asked for first; certifies every preset in one solve
+_K_START = 32  # cap on the Lanczos eigenpairs asked for first: a loose bound must not start a huge solve
 # Lanczos runs while k <= dim / _DENSE_SHARE.  Its work grows as dim k^2
 # (a Krylov basis of 2k + 1 vectors), the dense solve's as dim^3; on the
 # criterion-7 grids (dims 1536, 3072) the two cost the same near k = dim / 12.
@@ -180,19 +181,30 @@ def assemble_2d(
     return sp.csr_array(H, dtype=complex)
 
 
-def fourier_block(H: sp.csr_array, g: Grid2D, mode: int) -> np.ndarray:
-    """Extract the fiber block at zeta_n = 2 pi n / Ly by discrete y-Fourier projection.
+def _fourier_modes(H: sp.csr_array, g: Grid2D):
+    """(d, e, s): mode n of H's y-circulant part T is tridiag(conj(e[n]), d[n], e[n]).
 
-    The isometry kron(I_2N, f_n), with f_n the n-th row of the unitary
-    discrete Fourier matrix, picks that mode's block of U H U^H without
-    forming U.  The block is in Jacobi form: it compares entrywise with
-    tridiag(e, d, e) of assemble_fiber(grid_x, ps, zeta_n).
+    T is H's Ny x Ny blocks on and next to the Jacobi block diagonal, each
+    averaged along its periodic diagonals.  Mode n sits at zeta_n = 2 pi
+    fftfreq(Ny, hy)[n]; for assemble_2d's H it is J(zeta_n) plus the y-mean
+    of W.  s, the largest absolute row sum of H - T, is >= ||H - T||_2.
     """
-    N, Ny = g.grid_x.N, g.Ny
-    j = mode % Ny
-    f = np.exp(-2j * np.pi * j * np.arange(Ny) / Ny) / np.sqrt(Ny)
-    Pj = sp.kron(sp.eye_array(2 * N), f[None, :], format="csr")
-    return (Pj @ H @ Pj.conj().T).toarray()
+    if not H.has_canonical_format:  # the row sums need one entry per (row, column)
+        H = sp.csr_array(H.tocoo())
+    n2, Ny, size = 2 * g.grid_x.N, g.Ny, 3 * g.dim
+    rows = np.repeat(np.arange(g.dim, dtype=H.indices.dtype), np.diff(H.indptr))
+    a = rows // Ny
+    off = H.indices // Ny - a
+    # slot (block offset + 1, block row, periodic diagonal) of each entry; `size` off the band
+    slot = np.where(np.abs(off) <= 1, ((off + 1) * n2 + a) * Ny + (H.indices - rows) % Ny, size)
+    t = (np.bincount(slot, H.data.real, size + 1) + 1j * np.bincount(slot, H.data.imag, size + 1)) / Ny
+    t[size] = 0.0
+    abs_t = np.abs(t)
+    # row sums of |H - T|: |t| over each band diagonal, plus |h - t| - |t| per stored entry
+    dev = np.abs(H.data - t[slot]) - abs_t[slot]
+    rowsum = np.bincount(rows, dev, g.dim).reshape(n2, Ny) + abs_t[:size].reshape(3, n2, Ny).sum(axis=(0, 2))[:, None]
+    modes = Ny * np.fft.ifft(t[:size].reshape(3, n2, Ny), axis=-1)
+    return modes[1].real.T, modes[2, :-1].T, max(float(rowsum.max()), 0.0)
 
 
 def default_projection(g: Grid2D) -> SwitchProfile:
@@ -204,15 +216,17 @@ def default_projection(g: Grid2D) -> SwitchProfile:
 class TraceResult:
     """The conductivity, and the certificate of the eigensolve behind it.
 
-    reach is max |lambda - c| / half-width over the final Lanczos solve
-    (c the window centre); reach >= 1 certifies that every eigenvalue in
-    the density window was returned.  It is None when the dense windowed
-    eigh ran instead, which returns the whole window by construction.
+    reach is max |lambda - c| / half-width over the final Lanczos solve (c the
+    window centre); reach >= 1 or bound eigenvalues inside the window certify
+    that every eigenvalue in it was returned.  It is None when no solve ran
+    (bound = 0) or the dense windowed eigh, which returns the whole window.
     """
 
     two_pi_sigma: float
     n_states_cut: int
     n_window: int  # eigenvalues strictly inside the density window
+    bound: int  # U >= n_window, from the y-Fourier Sturm counts (_window_bound)
+    spread: float  # the s that widens the window of each count
     k: int  # eigenpairs returned by the final solve
     solves: int  # Lanczos solves, plus one if the dense fallback ran
     max_residual: float  # largest ||H v - lambda v|| over the returned pairs
@@ -228,34 +242,44 @@ def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
         )
 
 
-def _window_eigenpairs(H: sp.csr_array, window: tuple[float, float]):
+def _window_bound(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> tuple[int, float]:
+    """(U, s): the Sturm counts of T's modes (_fourier_modes) in (lo - s, hi + s], summed.
+    By Weyl, U is at least the number of H's eigenvalues in the window; equal when s = 0."""
+    d, e, s = _fourier_modes(H, g)
+    return sum(count_eigenvalues(dn, np.abs(en), window[0] - s, window[1] + s) for dn, en in zip(d, e)), s
+
+
+def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     """Certified eigenpairs covering `window`: (lam, vec, certificate fields of TraceResult).
 
-    Shift-invert Lanczos about the window centre asks for the k nearest
-    eigenvalues, doubling k until the farthest of them lies at least the
-    half-width from the centre.  Once k would pass dim / _DENSE_SHARE,
+    With U from _window_bound, shift-invert Lanczos about the window centre
+    asks for the k = min(U, _K_START) nearest eigenvalues (none if U = 0),
+    doubling k until the farthest lies at least the half-width from the
+    centre or U lie inside the window.  Once k would pass dim / _DENSE_SHARE,
     the dense windowed eigh runs instead.  Every returned pair must satisfy
     ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
     """
     lo, hi = window
     c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
     dim = H.shape[0]
+    bound, spread = _window_bound(H, g, window)
     # a generic start vector (a constant one would stay in the y-momentum-zero
     # sector of a y-invariant H), fixed so that reruns are bit-identical
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    k, solves = _K_START, 0
-    while _DENSE_SHARE * k <= dim:
+    k, solves = min(bound, _K_START), 0
+    lam, vec, reach = np.zeros(0), np.zeros((dim, 0), dtype=complex), None
+    while 0 < _DENSE_SHARE * k <= dim:
         solves += 1
         try:
             lam, vec = spla.eigsh(H, k, sigma=c, which="LM", v0=v0)
         except (spla.ArpackError, RuntimeError) as exc:
             raise SolverError(f"shift-invert Lanczos failed with k = {k} about {c:.6g}: {exc}") from exc
         reach = float(np.max(np.abs(lam - c))) / r
-        if reach >= 1.0:
+        if reach >= 1.0 or np.count_nonzero((lam > lo) & (lam < hi)) == bound:
             break
         k *= 2
-    else:
+    if _DENSE_SHARE * k > dim:
         solves += 1
         lam, vec = sla.eigh(H.toarray(), subset_by_value=window)
         reach = None
@@ -266,11 +290,13 @@ def _window_eigenpairs(H: sp.csr_array, window: tuple[float, float]):
     check_residuals(lam, res)
     cert = dict(
         n_window=int(np.count_nonzero((lam > lo) & (lam < hi))),
+        bound=bound,
+        spread=spread,
         k=len(lam),
         solves=solves,
         max_residual=float(np.max(res, initial=0.0)),
         reach=reach,
-        dense_fallback=reach is None,
+        dense_fallback=solves > 0 and reach is None,
     )
     return lam, vec, cert
 
@@ -294,7 +320,7 @@ def trace_conductivity(
     if Hmat.shape != (g.dim, g.dim):
         raise ValueError("matrix does not match the grid")
 
-    lam, vec, cert = _window_eigenpairs(sp.csr_array(Hmat), dens.window)
+    lam, vec, cert = _window_eigenpairs(sp.csr_array(Hmat), g, dens.window)
     weights = derivative(dens.phi, lam)
     live = np.abs(weights) > 1e-14
     t = vec[:, live].T  # live states; each lists x-sites of (Jacobi component, y-site) entries

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from diracflow import oracle2d
+from diracflow.config import config_from_dict
 from diracflow.errors import BudgetError, SolverError, WindowError
 from diracflow.fiber import Grid1D, assemble_fiber
 from diracflow.oracle2d import (
@@ -12,14 +14,13 @@ from diracflow.oracle2d import (
     PerturbationSpec,
     assemble_2d,
     default_projection,
-    fourier_block,
     trace_conductivity,
 )
 from diracflow.profiles import DensityProfile, ProfileSet, SwitchProfile, derivative
 
 from conftest import walls
 from diracflow.bulk import HalfSpaceParams
-from diracflow.presets import preset_profiles
+from diracflow.presets import PRESETS, preset_config, preset_profiles
 
 SMALL = Grid2D(grid_x=Grid1D(L=6.0, N=20), Ly=12.0, Ny=16)
 FIG2 = walls(HalfSpaceParams(-2.0, -2.0, -0.1), HalfSpaceParams(2.0, 2.0, 0.1))
@@ -95,26 +96,30 @@ class TestAssemble2D:
 
     @pytest.mark.parametrize("g", [SMALL], ids=["dirichlet"])
     def test_fourier_blocks_reproduce_fibers(self, g):
-        """Block-diagonalizing in y recovers the fiber Jacobi matrices at the
-        discrete momenta 2*pi*n/Ly, entrywise below 1e-12."""
-        H = assemble_2d(g, FIG2)
+        """Block-diagonalizing in y recovers the fiber Jacobi pairs (d, e) at the
+        discrete momenta 2*pi*n/Ly, entrywise below 1e-12, with no spread."""
+        d, e, spread = oracle2d._fourier_modes(assemble_2d(g, FIG2), g)
+        assert spread < 1e-12
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
-            blk = fourier_block(H, g, mode)
-            assert np.max(np.abs(blk - _jacobi(assemble_fiber(g.grid_x, FIG2, float(zeta))))) < 1e-12
+            fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
+            assert np.max(np.abs(d[mode] - fib.d)) < 1e-12
+            assert np.max(np.abs(e[mode] - fib.e)) < 1e-12
 
     def test_mult_x_adds_w_to_both_components_of_each_site(self):
-        """A y-independent W(x) leaves H block-diagonal in y: each Fourier block is
-        the fiber Jacobi matrix with W(x_i) on both diagonal entries of site i."""
+        """A y-independent W(x) leaves H block-diagonal in y: each Fourier mode is
+        the fiber Jacobi pair with W(x_i) on both diagonal entries of site i."""
         g, c = SMALL, 0.7
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
         Wx = c * w.sample(g.grid_x.x, g.y, g.Ly)[:, 0]
         assert np.count_nonzero(Wx) > 2
-        H = assemble_2d(g, FIG2, w, coupling=c)
+        d, e, spread = oracle2d._fourier_modes(assemble_2d(g, FIG2, w, coupling=c), g)
+        assert spread < 1e-12
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
-            fib = _jacobi(assemble_fiber(g.grid_x, FIG2, float(zeta))) + np.diag(np.repeat(Wx, 2))
-            assert np.max(np.abs(fourier_block(H, g, mode) - fib)) < 1e-12
+            fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
+            assert np.max(np.abs(d[mode] - (fib.d + np.repeat(Wx, 2)))) < 1e-12
+            assert np.max(np.abs(e[mode] - fib.e)) < 1e-12
 
 
 class TestTrace:
@@ -152,15 +157,10 @@ class TestTrace:
             DensityProfile.from_window(-1.0, 1.0), full_result=True,
         )
         assert set(vars(res)) == {
-            "two_pi_sigma", "n_states_cut", "n_window", "k", "solves",
-            "max_residual", "reach", "dense_fallback",
+            "two_pi_sigma", "n_states_cut", "n_window", "bound", "spread", "k",
+            "solves", "max_residual", "reach", "dense_fallback",
         }
         assert res.n_states_cut >= 0 and np.isfinite(res.two_pi_sigma)
-
-
-def _jacobi(A):
-    """Dense tridiag(e, d, e) of a fiber matrix."""
-    return np.diag(A.d) + np.diag(A.e, 1) + np.diag(A.e, -1)
 
 
 def _dense_reference(g, ps, P, dens, w=None, coupling=0.0):
@@ -196,6 +196,68 @@ def _dense_reference(g, ps, P, dens, w=None, coupling=0.0):
 
 GRID_1536 = Grid2D(grid_x=Grid1D(L=12.0, N=48), Ly=12.0, Ny=16)
 GRID_768 = Grid2D(grid_x=Grid1D(L=6.0, N=24), Ly=12.0, Ny=16)
+GRID_512 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=16)
+
+
+def _dense_count(H, window):
+    """Eigenvalues of H strictly inside the window, from a full dense eigvalsh."""
+    lam = np.linalg.eigvalsh(H.toarray())
+    return int(np.count_nonzero((lam > window[0]) & (lam < window[1])))
+
+
+class TestWindowBound:
+    """The y-Fourier Sturm-count bound U on the eigenvalues in the window."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_exact_on_y_invariant_presets(self, name):
+        window = config_from_dict(preset_config(name)).density.window
+        H = assemble_2d(GRID_768, preset_profiles(name))
+        bound, spread = oracle2d._window_bound(H, GRID_768, window)
+        assert spread < 1e-12 and bound == _dense_count(H, window)
+
+    def test_exact_with_mult_x(self):
+        w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
+        H = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
+        bound, spread = oracle2d._window_bound(H, GRID_768, (-1.0, 1.0))
+        assert spread < 1e-12 and bound == _dense_count(H, (-1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "w, coupling",
+        [
+            (PerturbationSpec(kind="mult_xy", amplitude=0.5), 0.7),
+            (PerturbationSpec(kind="decay_xy", amplitude=0.3), 1.0),
+            (PerturbationSpec(kind="decay_y", amplitude=0.3), 1.0),
+        ],
+        ids=["mult_xy", "decay_xy", "decay_y"],
+    )
+    def test_upper_bound_with_y_dependent_w(self, w, coupling):
+        H = assemble_2d(GRID_768, FIG2, w, coupling)
+        bound, spread = oracle2d._window_bound(H, GRID_768, (-1.0, 1.0))
+        assert spread > 1e-3 and bound >= _dense_count(H, (-1.0, 1.0))
+
+    def test_upper_bound_under_random_perturbations(self):
+        """Random Hermitian perturbations of sizes 1e-6 to 1, half of their entries
+        anywhere in H (mostly outside the Jacobi-block pattern), half near its
+        diagonal; the small ones leave U tight."""
+        H0, dim = assemble_2d(GRID_512, FIG2), GRID_512.dim
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(1, 100))
+            i = rng.integers(0, dim, 2 * n)
+            j = np.concatenate([rng.integers(0, dim, n), (i[n:] + rng.integers(-64, 65, n)) % dim])
+            v = 10.0 ** rng.uniform(-6.0, 0.0) * rng.random(2 * n) * np.exp(2j * np.pi * rng.random(2 * n))
+            W = sp.csr_array((v, (i, j)), shape=(dim, dim))
+            H = sp.csr_array(H0 + W + W.conj().T)
+            bound, spread = oracle2d._window_bound(H, GRID_512, (-1.0, 1.0))
+            assert bound >= _dense_count(H, (-1.0, 1.0))
+
+    def test_duplicate_entries_are_summed(self):
+        w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
+        H = assemble_2d(GRID_512, FIG2, w, coupling=0.7)
+        halves = sp.csr_array((np.repeat(H.data / 2, 2), np.repeat(H.indices, 2), 2 * H.indptr), shape=H.shape)
+        assert not halves.has_canonical_format
+        (b1, s1), (b2, s2) = (oracle2d._window_bound(A, GRID_512, (-1.0, 1.0)) for A in (H, halves))
+        assert b1 == b2 and abs(s1 - s2) < 1e-12
 
 
 class TestWindowedSolve:
@@ -224,7 +286,7 @@ class TestWindowedSolve:
     def test_matches_dense_on_presets(self, name, g, window):
         res = self._check(g, preset_profiles(name), window)
         assert res.n_window > 0 and res.n_states_cut > 0
-        assert not res.dense_fallback and res.reach >= 1.0 and res.solves == 1
+        assert not res.dense_fallback and res.k == res.n_window == res.bound and res.solves == 1
 
     def test_matches_dense_perturbed(self):
         w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
@@ -235,6 +297,35 @@ class TestWindowedSolve:
         res = self._check(GRID_1536, FIG2, (-2.5, 2.5))
         assert res.solves >= 2 and res.k > 32
         assert not res.dense_fallback and res.reach >= 1.0
+
+    def test_empty_window_runs_no_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an empty window needs no eigensolve")
+
+        monkeypatch.setattr(oracle2d.spla, "eigsh", forbidden)
+        monkeypatch.setattr(oracle2d.sla, "eigh", forbidden)
+        res = self._check(GRID_768, preset_profiles("bulk_uniform"), (-0.5, 0.5))
+        assert res.two_pi_sigma == 0.0 and res.bound == res.k == res.solves == 0
+        assert res.reach is None and not res.dense_fallback
+
+    def test_count_certificate_can_fail(self, monkeypatch):
+        """A first solve that misses the in-window pair nearest c returns U - 1
+        pairs inside the window, all nearer c than the half-width: neither
+        certificate holds, so k doubles."""
+        real, calls = spla.eigsh, []
+
+        def drop_nearest(H, k, sigma, **kwargs):
+            lam, vec = real(H, k, sigma=sigma, **kwargs)
+            calls.append(k)
+            if len(calls) == 1:
+                keep = np.arange(k) != np.argmin(np.abs(lam - sigma))
+                lam, vec = lam[keep], vec[:, keep]
+            return lam, vec
+
+        monkeypatch.setattr(oracle2d.spla, "eigsh", drop_nearest)
+        res = self._check(GRID_768, preset_profiles("mass_wall"), (-0.5, 0.5))
+        assert res.bound == res.n_window > 0
+        assert calls == [res.bound, 2 * res.bound] and res.solves == 2
 
     def test_window_wider_than_spectrum_takes_dense_fallback(self):
         res = self._check(SMALL, FIG2, (-40.0, 40.0))
