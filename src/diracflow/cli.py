@@ -9,8 +9,8 @@ Verbs:
 
 Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
 3 tracking failure, 4 invalid window, 5 2D oracle dimension budget exceeded,
-6 invalid config, 7 failed result (a flow that does not reconcile with
-the prediction, or an unstable oracle verdict).
+6 invalid config or command line, 7 failed result (a flow that does not
+reconcile with the prediction, or an unstable oracle verdict).
 """
 
 from __future__ import annotations
@@ -213,16 +213,20 @@ def cmd_all_figures(out_dir: Path, workers: int) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 6 as an invalid config: argparse's 2 is the code of alpha on a bulk level
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="diracflow", description=__doc__)
+    ap = _Parser(prog="diracflow", description=__doc__)
     ap.add_argument("verb", choices=["bulk-spectrum", "branches", "flow", "oracle", "all-figures"])
     ap.add_argument("--config", type=Path, help="JSON config file")
     ap.add_argument("--preset", choices=sorted(PRESETS), help="named preset scenario")
     ap.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     ap.add_argument("--workers", type=int, default=1, help="parallel fiber solves")
-    ns = ap.parse_args(argv)
-
     try:
+        ns = ap.parse_args(argv)
         if ns.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {ns.workers}")
         if ns.verb == "all-figures":
@@ -232,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         elif ns.preset is not None:
             cfg = config_from_dict(preset_config(ns.preset))
         else:
-            ap.error("need --config or --preset")
+            raise ConfigError("need --config or --preset")
         dispatch = {
             "bulk-spectrum": lambda: cmd_bulk(cfg, ns.out),
             "branches": lambda: cmd_branches(cfg, ns.out, ns.workers),

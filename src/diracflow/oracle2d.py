@@ -3,19 +3,19 @@
 The 2D Hamiltonian H = D_x sigma_1 + (D_y - A2(x)) sigma_2 + m(x) sigma_3
 + V(x) sigma_0 is built from the fiber operator in its Jacobi form J(zeta)
 = tridiag(e, d, e) (see the fiber module), where zeta enters only the
-on-site entries of e.  In (x-site, Jacobi component, y-site) order
+on-site entries of e.  In (x-site, Jacobi component, y-momentum n)
+order, with zeta_n = 2 pi fftfreq(Ny, hy)[n] (the partial Fourier basis),
 
-    H = J(0) (x) I_y + dJ/dzeta (x) K_y (+ W),
+    H = J(0) (x) I + dJ/dzeta (x) diag(zeta_n) (+ W_hat),
 
 with dJ/dzeta = J(1) - J(0) the Jacobi form of sigma_2 (-1 between the
-two components of each site), K_y the spectral (Fourier) -i d/dy on a
-periodic y-box, and W(x, y) repeated over both components of a site.
-The x-stencil is defined only in the fiber module.  The spectral K_y is
-what makes the discrete y-Fourier conjugation reproduce the fiber
-matrices J(zeta_n) at zeta_n = 2 pi n / Ly exactly, which is the
-cross-check tying the oracle to the fiber pipeline.  H is a sparse CSR
-matrix: the x-stencil couples neighbouring sites and K_y the sites of
-one x-column, about 1% of the entries.
+two components of each site), so a y-invariant H is exactly the block sum
+of the fibers J(zeta_n); the x-stencil is defined only in the fiber
+module.  W(x, y) acts on the momenta by convolution: each component of
+site i carries the circulant block W_hat[n, n'] = w_hat_i(n - n' mod Ny),
+w_hat = fft(W, axis=1) / Ny, symmetrized so H is bit-exactly Hermitian.
+H is a sparse CSR matrix: 9152 entries at dimension 3072 without W, plus
+Ny per row on the sites where W(x, .) is nonzero.
 
 The conductivity is evaluated from the eigenpairs inside the density
 window (E1, E2), the only ones on which phi' is nonzero.  With the
@@ -23,20 +23,22 @@ analytic commutator identity i[H, P] = P'(y) sigma_2, each state's share
 is the fiber's Hellmann-Feynman slope weighted by P'(y):
 
     2 pi sigma_I = 2 pi sum_k phi'(lambda_k) <t_k, P'(y) dJ/dzeta t_k>
-                 = 2 pi sum_k phi'(lambda_k) (-2) sum_{i,y} P'(y) Re(conj(t_k,2i,y) t_k,2i+1,y).
+                 = 2 pi sum_k phi'(lambda_k) (-2) sum_{i,y} P'(y) Re(conj(t_k,2i,y) t_k,2i+1,y),
+
+with t_k the eigenvector mapped back to the y-sites by one inverse FFT.
 
 The eigenpairs come from shift-invert Lanczos about the window centre c
 (ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang, ARPACK Users'
 Guide, 1998), which returns the k eigenvalues nearest c; k starts at
 min(U, 32), where U >= the number of eigenvalues in the window is a sum of
-exact fiber Sturm counts (_window_bound), and U = 0 means no solve.  The
-solve is accepted when the farthest returned eigenvalue lies at least the
-half-width (E2 - E1) / 2 from c, so every eigenvalue inside the window is
-among those returned, or when U of them lie inside it; otherwise k
-doubles.  Every pair is residual-checked, ||H v - lambda v|| <= 1e-8
-(1 + |lambda|).  When k would pass dim / 16, the window holds so much of
-the spectrum that Lanczos no longer pays, and a dense windowed eigh takes
-the solve.
+exact Sturm counts of H's momentum-diagonal tridiagonals (_window_bound),
+and U = 0 means no solve.  The solve is accepted when the farthest
+returned eigenvalue lies at least the half-width (E2 - E1) / 2 from c, so
+every eigenvalue inside the window is among those returned, or when U of
+them lie inside it; otherwise k doubles.  Every pair is residual-checked,
+||H v - lambda v|| <= 1e-8 (1 + |lambda|).  When k would pass dim / 16, the
+window holds so much of the spectrum that Lanczos no longer pays, and a
+dense windowed eigh takes the solve.
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -152,21 +154,13 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral_momentum(g: Grid2D) -> np.ndarray:
-    """Hermitian matrix of -i d/dy on the periodic y-box (exact Fourier symbol)."""
-    k = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
-    F = np.fft.fft(np.eye(g.Ny)) / np.sqrt(g.Ny)
-    Dy = F.conj().T @ np.diag(k) @ F
-    return 0.5 * (Dy + Dy.conj().T)
-
-
 def assemble_2d(
     g: Grid2D,
     ps: ProfileSet,
     w: PerturbationSpec | None = None,
     coupling: float = 0.0,
 ) -> sp.csr_array:
-    """Sparse (CSR) Hermitian 2D Hamiltonian; layout is (x-site, Jacobi component, y-site)."""
+    """Sparse (CSR) Hermitian 2D Hamiltonian; layout is (x-site, Jacobi component, y-momentum)."""
     if g.dim > _BUDGET:
         raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
     fam = FiberFamily.of(g.grid_x, ps)
@@ -174,37 +168,33 @@ def assemble_2d(
     dJ = fam.at(1.0).e - J0.e  # dJ/dzeta, the Jacobi form of sigma_2: -1 on site, 0 between sites
     J = sp.diags_array([J0.e, J0.d, J0.e], offsets=[-1, 0, 1])
     S = sp.diags_array([dJ, dJ], offsets=[-1, 1])
-    H = sp.kron(J, sp.eye_array(g.Ny)) + sp.kron(S, _spectral_momentum(g))
+    zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
+    H = sp.kron(J, sp.eye_array(g.Ny)) + sp.kron(S, sp.diags_array(zeta))
     if w is not None and coupling != 0.0:
-        W = coupling * w.sample(g.grid_x.x, g.y, g.Ly)
-        H = H + sp.diags_array(np.repeat(W, 2, axis=0).ravel())
+        # W(x, y) convolves the momenta: each site component's block [n, n'] is w_hat(n - n' mod Ny)
+        w_hat = np.fft.fft(coupling * w.sample(g.grid_x.x, g.y, g.Ly), axis=1) / g.Ny
+        C = sp.block_diag(sla.circulant(np.repeat(w_hat, 2, axis=0)))
+        H = H + 0.5 * (C + C.conj().T)
     return sp.csr_array(H, dtype=complex)
 
 
 def _fourier_modes(H: sp.csr_array, g: Grid2D):
-    """(d, e, s): mode n of H's y-circulant part T is tridiag(conj(e[n]), d[n], e[n]).
+    """(d, e, s): mode n of H's momentum-conserving part T is tridiag(conj(e[n]), d[n], e[n]).
 
-    T is H's Ny x Ny blocks on and next to the Jacobi block diagonal, each
-    averaged along its periodic diagonals.  Mode n sits at zeta_n = 2 pi
-    fftfreq(Ny, hy)[n]; for assemble_2d's H it is J(zeta_n) plus the y-mean
-    of W.  s, the largest absolute row sum of H - T, is >= ||H - T||_2.
+    T holds H's entries that join equal momenta on and next to the Jacobi
+    block diagonal.  Mode n sits at zeta_n = 2 pi fftfreq(Ny, hy)[n]; for
+    assemble_2d's H it is J(zeta_n) plus the y-mean of W.  s, the largest
+    absolute row sum of H - T, is >= ||H - T||_2.
     """
     if not H.has_canonical_format:  # the row sums need one entry per (row, column)
         H = sp.csr_array(H.tocoo())
-    n2, Ny, size = 2 * g.grid_x.N, g.Ny, 3 * g.dim
     rows = np.repeat(np.arange(g.dim, dtype=H.indices.dtype), np.diff(H.indptr))
-    a = rows // Ny
-    off = H.indices // Ny - a
-    # slot (block offset + 1, block row, periodic diagonal) of each entry; `size` off the band
-    slot = np.where(np.abs(off) <= 1, ((off + 1) * n2 + a) * Ny + (H.indices - rows) % Ny, size)
-    t = (np.bincount(slot, H.data.real, size + 1) + 1j * np.bincount(slot, H.data.imag, size + 1)) / Ny
-    t[size] = 0.0
-    abs_t = np.abs(t)
-    # row sums of |H - T|: |t| over each band diagonal, plus |h - t| - |t| per stored entry
-    dev = np.abs(H.data - t[slot]) - abs_t[slot]
-    rowsum = np.bincount(rows, dev, g.dim).reshape(n2, Ny) + abs_t[:size].reshape(3, n2, Ny).sum(axis=(0, 2))[:, None]
-    modes = Ny * np.fft.ifft(t[:size].reshape(3, n2, Ny), axis=-1)
-    return modes[1].real.T, modes[2, :-1].T, max(float(rowsum.max()), 0.0)
+    off = H.indices // g.Ny - rows // g.Ny
+    in_t = (H.indices % g.Ny == rows % g.Ny) & (np.abs(off) <= 1)
+    band = np.zeros((3, g.dim), dtype=complex)  # T's sub-, main and superdiagonal, by row
+    band[off[in_t] + 1, rows[in_t]] = H.data[in_t]
+    s = np.bincount(rows[~in_t], np.abs(H.data[~in_t]), g.dim).max()
+    return band[1].real.reshape(-1, g.Ny).T, band[2, :-g.Ny].reshape(-1, g.Ny).T, float(s)
 
 
 def default_projection(g: Grid2D) -> SwitchProfile:
@@ -263,8 +253,7 @@ def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
     dim = H.shape[0]
     bound, spread = _window_bound(H, g, window)
-    # a generic start vector (a constant one would stay in the y-momentum-zero
-    # sector of a y-invariant H), fixed so that reruns are bit-identical
+    # a generic start vector, fixed so that reruns are bit-identical
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     k, solves = min(bound, _K_START), 0
@@ -323,9 +312,10 @@ def trace_conductivity(
     lam, vec, cert = _window_eigenpairs(sp.csr_array(Hmat), g, dens.window)
     weights = derivative(dens.phi, lam)
     live = np.abs(weights) > 1e-14
-    t = vec[:, live].T  # live states; each lists x-sites of (Jacobi component, y-site) entries
-    keep = zone_edge_fraction(t, width=2 * Ny) <= _ZONE_EDGE_CUT
-    t, w = t[keep].reshape(-1, N, 2, Ny), weights[live][keep]
+    # live states back on the y-sites, as (state, x-site, Jacobi component, y-site)
+    t = np.fft.ifft(vec[:, live].T.reshape(-1, N, 2, Ny), axis=-1, norm="ortho")
+    keep = zone_edge_fraction(t.reshape(-1, g.dim), width=2 * Ny) <= _ZONE_EDGE_CUT
+    t, w = t[keep], weights[live][keep]
     # <t, P'(y) dJ/dzeta t> = -2 sum_{i,y} P'(y) Re(conj(t_2i,y) t_2i+1,y), eig_window's slope formula
     slopes = -2.0 * np.sum(derivative(P, g.y) * np.real(np.conj(t[:, :, 0]) * t[:, :, 1]), axis=(1, 2))
 

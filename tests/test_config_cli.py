@@ -316,7 +316,9 @@ def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 5
     out, err = capsys.readouterr()
-    assert len(out.splitlines()) == 3  # the header and the two levels within the budget
+    header, *levels = out.splitlines()
+    assert len(levels) == 2  # the two levels within the budget
+    assert header.split()[-1] == "ms" and all(float(row.split()[-1]) > 0.0 for row in levels)
     assert err.startswith("error: ") and "budget" in err
     assert "Traceback" not in err
 
@@ -336,13 +338,30 @@ def test_scripts_run_from_any_directory(tmp_path, script, args):
 
 
 class TestDispatch:
-    def test_needs_config_or_preset(self):
-        with pytest.raises(SystemExit):
-            main(["flow"])
+    """Usage errors exit 6 like any invalid config; argparse's own 2 is the code of alpha on a bulk level."""
 
-    def test_rejects_unknown_verb(self):
-        with pytest.raises(SystemExit):
-            main(["render"])
+    def _usage_error(self, capsys, argv):
+        assert main(argv) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_needs_config_or_preset(self, capsys):
+        self._usage_error(capsys, ["flow"])
+
+    def test_rejects_unknown_verb(self, capsys):
+        self._usage_error(capsys, ["render"])
+
+    @pytest.mark.parametrize(
+        "argv", [["branches"], ["flow", "--preset", "nope"], ["flow", "--preset", "mass_wall", "--workers", "abc"]]
+    )
+    def test_malformed_arguments_exit_6(self, capsys, argv):
+        self._usage_error(capsys, argv)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: diracflow")
 
 
 class TestCliConfigErrors:

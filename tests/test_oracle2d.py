@@ -1,5 +1,7 @@
 """2D trace oracle: assembly, Fourier-block correspondence, traces, the windowed solve."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,7 @@ import scipy.sparse.linalg as spla
 from diracflow import oracle2d
 from diracflow.config import config_from_dict
 from diracflow.errors import BudgetError, SolverError, WindowError
-from diracflow.fiber import Grid1D, assemble_fiber
+from diracflow.fiber import FiberFamily, Grid1D, assemble_fiber
 from diracflow.oracle2d import (
     Grid2D,
     PerturbationSpec,
@@ -94,12 +96,30 @@ class TestAssemble2D:
         with pytest.raises(BudgetError):
             assemble_2d(big, FIG2)
 
+    @pytest.mark.parametrize("Ny", [16, 17])
+    def test_momentum_layout_is_the_y_fourier_transform(self, Ny):
+        """H equals (I (x) F) H_y (I (x) F^H), F the unitary DFT, with H_y built
+        densely on the y-sites from the fiber's (d, e), the spectral K_y and
+        diag(W).  A seeded random W(x, y) has no symmetry in y, so a convolution
+        index of the wrong sign (W reflected in y) fails here."""
+        g = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=Ny)
+        W = np.random.default_rng(Ny).standard_normal((16, Ny))
+        H = assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: W), coupling=1.0)
+        assert np.max(np.abs(H - H.conj().T)) == 0.0
+        fam = FiberFamily.of(g.grid_x, FIG2)
+        J0, dJ = fam.at(0.0), fam.at(1.0).e - fam.at(0.0).e
+        J = np.diag(J0.d) + np.diag(J0.e, 1) + np.diag(J0.e, -1)
+        S = np.diag(dJ, 1) + np.diag(dJ, -1)
+        Hy = np.kron(J, np.eye(Ny)) + np.kron(S, _spectral_momentum(g)) + np.diag(np.repeat(W, 2, axis=0).ravel())
+        U = np.kron(np.eye(32), np.fft.fft(np.eye(Ny), norm="ortho"))
+        assert np.max(np.abs(H.toarray() - U @ Hy @ U.conj().T)) < 1e-12
+
     @pytest.mark.parametrize("g", [SMALL], ids=["dirichlet"])
     def test_fourier_blocks_reproduce_fibers(self, g):
-        """Block-diagonalizing in y recovers the fiber Jacobi pairs (d, e) at the
+        """H's momentum-diagonal blocks are the fiber Jacobi pairs (d, e) at the
         discrete momenta 2*pi*n/Ly, entrywise below 1e-12, with no spread."""
         d, e, spread = oracle2d._fourier_modes(assemble_2d(g, FIG2), g)
-        assert spread < 1e-12
+        assert spread == 0.0
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
             fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
@@ -163,10 +183,17 @@ class TestTrace:
         assert res.n_states_cut >= 0 and np.isfinite(res.two_pi_sigma)
 
 
+def _spectral_momentum(g):
+    """The dense spectral -i d/dy on the periodic y-box, F^H diag(zeta_n) F with F the unitary DFT."""
+    F = np.fft.fft(np.eye(g.Ny), norm="ortho")
+    return F.conj().T @ np.diag(2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)) @ F
+
+
 def _dense_reference(g, ps, P, dens, w=None, coupling=0.0):
-    """The definitional oracle, independent of the oracle's Jacobi layout: H in
-    the physical (spinor, x-site, y-site) basis from the fiber's dense
-    interleaved matrix with sigma_2 written out, a full dense eigh, and a
+    """The definitional oracle, independent of the oracle's Jacobi layout and
+    momentum basis: H in the physical (spinor, x-site, y-site) basis from the
+    fiber's dense interleaved matrix with sigma_2 and this file's own K_y
+    written out, a full dense eigh, and a
     per-state loop over <v, P'(y) sigma_2 v>.  Returns (2 pi sigma, states
     cut, eigenvalues strictly inside the window)."""
     N, Ny = g.grid_x.N, g.Ny
@@ -174,7 +201,7 @@ def _dense_reference(g, ps, P, dens, w=None, coupling=0.0):
     spinor_major = np.arange(2 * N).reshape(N, 2).T.ravel()  # interleaved rows as (spinor, x-site)
     H0 = assemble_fiber(g.grid_x, ps, 0.0).entries[np.ix_(spinor_major, spinor_major)]
     sigma2 = np.array([[0.0, -1j], [1j, 0.0]])
-    H = np.kron(H0, np.eye(Ny)) + np.kron(np.kron(sigma2, np.eye(N)), oracle2d._spectral_momentum(g))
+    H = np.kron(H0, np.eye(Ny)) + np.kron(np.kron(sigma2, np.eye(N)), _spectral_momentum(g))
     if w is not None:
         H += np.diag(np.tile(coupling * w.sample(g.grid_x.x, g.y, g.Ly).ravel(), 2))
     lam, vec = np.linalg.eigh(H)
@@ -213,7 +240,7 @@ class TestWindowBound:
         window = config_from_dict(preset_config(name)).density.window
         H = assemble_2d(GRID_768, preset_profiles(name))
         bound, spread = oracle2d._window_bound(H, GRID_768, window)
-        assert spread < 1e-12 and bound == _dense_count(H, window)
+        assert spread == 0.0 and bound == _dense_count(H, window)
 
     def test_exact_with_mult_x(self):
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
