@@ -5,8 +5,8 @@ Draws admissible random interface scenarios, auto-scales grid and sweep
 per scenario, and compares the tracked spectral flow with the closed-form
 half-space prediction. Prints one line per scenario, with its fiber
 solves and bisections (by reason: motion / stranded), and a final tally
-with the suite totals. `--n 50 --seed 11` draws the acceptance suite's
-scenarios.
+with the suite totals, the seconds spent in the sweeps and the cluster
+rotations. `--n 50 --seed 11` draws the acceptance suite's scenarios.
 
 Usage: python scripts/run_random_suite.py [--n N] [--seed S]
 """
@@ -34,17 +34,20 @@ def main() -> int:
     ns = ap.parse_args()
 
     rng = np.random.default_rng(ns.seed)
-    bad = solves = motion = stranded = 0
+    bad = solves = motion = stranded = rotations = 0
+    sweep_s = 0.0
     for i in range(ns.n):
         minus, plus, alpha, _ = draw_interface_scenario(rng)
         grid, cfg, f = autoscale(minus, plus, (alpha - 1.5, alpha + 1.5))
         t0 = time.perf_counter()
         stats: dict = {}
         branches = sweep_branches(grid, walls(minus, plus), cfg, f, stats=stats)
+        sweep_s += time.perf_counter() - t0
         bis = stats["bisections"]
         solves += stats["solves"]
         motion += bis["motion"]
         stranded += bis["stranded"]
+        rotations += stats["cluster_rotations"]
         report = spectral_flow(branches, alpha, prediction=predicted_sf(minus, plus, alpha))
         ok = report.sf_numeric == report.sf_predicted
         bad += not ok
@@ -55,7 +58,10 @@ def main() -> int:
             f"N={grid.N} solves={stats['solves']} bisections={bis['motion']}/{bis['stranded']} "
             f"{'ok' if ok else 'MISMATCH'} ({time.perf_counter() - t0:.1f}s)"
         )
-    print(f"{ns.n - bad}/{ns.n} matched; solves={solves} bisections={motion}/{stranded} (motion/stranded)")
+    print(
+        f"{ns.n - bad}/{ns.n} matched; solves={solves} bisections={motion}/{stranded} (motion/stranded) "
+        f"cluster_rotations={rotations} sweep_seconds={sweep_s:.2f}"
+    )
     return 1 if bad else 0
 
 

@@ -1,29 +1,45 @@
 """Sweep zeta and track eigenvalue branches by eigenvector continuity.
 
 Tracking matches a track to a retained eigenpair at the next zeta sample
-when their eigenvectors overlap by at least 0.8 in absolute value.  The
-track vectors come from one solve and the new ones from another, so each
-set is orthonormal and every row and column of the overlap matrix has a
-sum of squares of at most 1: an entry above 1/sqrt(2) is the only such
-entry in its row and in its column, so the entries that clear the
-threshold already form a one-to-one matching (the threshold must stay
-above 1/sqrt(2) for this to hold).  The matrix depends on zeta only
-through zeta * sigma_2, so every eigenpair carries its exact slope
-d mu/d zeta = <psi, sigma_2 psi> (Hellmann-Feynman) and branches are
-1-Lipschitz in zeta.  A step is bisected until every matched overlap
-clears 0.8 and the step is smooth: when every track and every new pair
-is matched, each new value must lie within refine_tol of the linear
-prediction mu + slope * step from the previous sample; a step on which a
-track ends or starts instead bounds the motion |delta mu| itself by
-refine_tol.  The Lipschitz bound keeps the prediction error below
-2 * step, so bisection always terminates; a step still unmatched at the
-1e-4 floor is a TrackingError.
+when their eigenvectors overlap by at least 0.8 in absolute value; the
+overlaps are one product |T_prev^T T_new| of the real Jacobi vectors,
+which equals |<psi, psi'>|.  The track vectors come from one solve and
+the new ones from another, so each set is orthonormal and every row and
+column of the overlap matrix has a sum of squares of at most 1: an entry
+above 1/sqrt(2) is the only such entry in its row and in its column, so
+the entries that clear the threshold already form a one-to-one matching
+(the threshold must stay above 1/sqrt(2) for this to hold).
+
+Inside a cluster of retained pairs degenerate to rounding (mu within
+1e-10 (1 + |mu|) of a neighbour) every orthonormal basis is a valid
+answer, and the solver's choice would set the overlaps.  So before
+matching, each cluster is rotated onto its incoming tracks, the tracks
+whose projection onto it reaches the threshold (at most one per member):
+with C = V S U^T the SVD of the members-by-tracks overlap block, the
+rotation V diag(U^T, I) is the polar factor of that block (orthogonal
+Procrustes).  The rotated overlaps U S U^T are symmetric and the other
+members are orthogonal to those tracks; a change of basis G maps V to
+G V, so the result, and with it the matching, does not depend on the
+basis.  Each rotated vector gets its slope, boundary mass and Rayleigh
+quotient anew.
+
+The matrix depends on zeta only through zeta * sigma_2, so every
+eigenpair carries its exact slope d mu/d zeta = <psi, sigma_2 psi>
+(Hellmann-Feynman) and branches are 1-Lipschitz in zeta.  A step is
+bisected until every matched overlap clears 0.8 and the step is smooth:
+when every track and every new pair is matched, each new value must lie
+within refine_tol of the linear prediction mu + slope * step from the
+previous sample; a step on which a track ends or starts instead bounds
+the motion |delta mu| itself by refine_tol.  The Lipschitz bound keeps
+the prediction error below 2 * step, so bisection always terminates; a
+step still unmatched at the 1e-4 floor is a TrackingError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +51,10 @@ from .fiber import (
     Grid1D,
     SpuriousFilter,
     assemble_fiber,  # not called here: bench/tracing.py wraps this name
-    boundary_mass,  # likewise
+    boundary_mass,
     eig_window,
     filter_spurious,
+    slopes_of,
 )
 from .profiles import ProfileSet, SwitchProfile
 
@@ -52,6 +69,7 @@ __all__ = [
 _POINTS_BUDGET = 4000  # largest grid autoscale picks
 _OVERLAP_THRESHOLD = 0.8  # smallest |<psi_prev, psi_new>| that matches two samples
 _BISECT_FLOOR = 1e-4  # smallest zeta step bisection takes
+_CLUSTER_RTOL = 1e-10  # mu within this * (1 + |mu|) of a neighbour: degenerate to rounding
 
 
 @dataclass(frozen=True)
@@ -93,19 +111,70 @@ class Branch:
 
 
 class _Track:
-    """Mutable tracking state: the Branch under construction plus its last vector."""
+    """Mutable tracking state: the Branch under construction plus its last Jacobi vector."""
 
-    __slots__ = ("branch", "psi")
+    __slots__ = ("branch", "t")
 
-    def __init__(self, branch: Branch, psi: np.ndarray):
+    def __init__(self, branch: Branch, t: np.ndarray):
         self.branch = branch
-        self.psi = psi
+        self.t = t
+
+
+class _Sample(NamedTuple):
+    """One fiber solve: the retained (pair, boundary mass) list, with the solve's telemetry."""
+
+    kept: list[tuple[EigenPair, float]]
+    filtered: int  # pairs the spurious filter dropped
+    max_residual: float  # over every pair, dropped ones included
 
 
 def _solve_retained(
     fiber: FiberFamily, zeta: float, window: tuple[float, float], f: SpuriousFilter
-) -> list[tuple[EigenPair, float]]:
-    return filter_spurious(eig_window(fiber.at(zeta), window), fiber.grid, f)
+) -> _Sample:
+    pairs = eig_window(fiber.at(zeta), window)
+    kept = filter_spurious(pairs, fiber.grid, f)
+    return _Sample(kept, len(pairs) - len(kept), max((p.residual for p in pairs), default=0.0))
+
+
+def _rows(vectors: list[np.ndarray], grid: Grid1D) -> np.ndarray:
+    return np.array(vectors).reshape(len(vectors), 2 * grid.N)  # 2-D when empty
+
+
+def _align_clusters(
+    prev: np.ndarray, kept: list[tuple[EigenPair, float]], grid: Grid1D, f: SpuriousFilter
+) -> tuple[list[tuple[EigenPair, float]], int]:
+    """`kept` with each degenerate cluster rotated onto its incoming tracks (rows of
+    `prev`), as the module docstring sets out; and the number of clusters rotated.
+
+    A rotated vector u_j = sum_i R_ij t_i has the Rayleigh quotient sum_i R_ij^2 mu_i
+    and a residual at most sqrt(sum_i r_i^2) + the cluster's spread in mu.
+    """
+    mus = [p.mu for p, _ in kept]
+    cuts = [i for i in range(1, len(mus)) if mus[i] - mus[i - 1] > _CLUSTER_RTOL * (1.0 + abs(mus[i]))]
+    out, rotated = list(kept), 0
+    for a, b in zip([0, *cuts], [*cuts, len(mus)]):
+        if b - a < 2:
+            continue
+        members = [p for p, _ in kept[a:b]]
+        mu = np.array(mus[a:b])
+        Tc = _rows([p.t for p in members], grid)
+        C = Tc @ prev.T
+        reach = np.linalg.norm(C, axis=0)  # each track's projection onto the cluster
+        incoming = np.argsort(-reach, kind="stable")[: b - a]
+        incoming = incoming[reach[incoming] >= _OVERLAP_THRESHOLD]
+        if not incoming.size:
+            continue
+        V, _, Ut = np.linalg.svd(C[:, incoming])
+        R = V.copy()
+        R[:, : incoming.size] = V[:, : incoming.size] @ Ut
+        U = R.T @ Tc
+        res = math.hypot(*(p.residual for p in members)) + mus[b - 1] - mus[a]
+        out[a:b] = [
+            (EigenPair(mu=float(m), t=u, residual=res, slope=float(sl)), float(bm))
+            for m, u, sl, bm in zip((R**2).T @ mu, U, slopes_of(U), boundary_mass(U, grid, f.margin))
+        ]
+        rotated += 1
+    return out, rotated
 
 
 def sweep_branches(
@@ -124,28 +193,43 @@ def sweep_branches(
     zeta order.  `stats`, when given, is filled with the sweep telemetry:
     `solves` (fiber solves, prefetched ones included), `bisections` by
     reason (`motion`: a matched value left refine_tol; `stranded`: a track
-    went unmatched without exiting, which takes precedence), and the
-    smallest matched overlap `min_overlap` with the zeta where it occurred
-    (`min_overlap_zeta`, None when nothing was matched).
+    went unmatched without exiting, which takes precedence), the smallest
+    matched overlap `min_overlap` with the zeta where it occurred
+    (`min_overlap_zeta`, None when nothing was matched), the states the
+    solves `retained` and `filtered` out, summed over solves, their
+    `max_residual`, and the `cluster_rotations` of the committed steps.
     """
     lo, hi = cfg.window
     targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
     fiber = FiberFamily.of(grid, ps)
-    cache: dict[float, list[tuple[EigenPair, float]]] = dict(prefetch) if prefetch else {}
+    cache: dict[float, _Sample] = dict(prefetch) if prefetch else {}
     if stats is None:
         stats = {}
     stats.update(
-        solves=len(cache),
+        solves=0,
         bisections={"motion": 0, "stranded": 0},
         min_overlap=1.0,
         min_overlap_zeta=None,
+        retained=0,
+        filtered=0,
+        max_residual=0.0,
+        cluster_rotations=0,
     )
+
+    def tally(sample: _Sample) -> None:
+        stats["solves"] += 1
+        stats["retained"] += len(sample.kept)
+        stats["filtered"] += sample.filtered
+        stats["max_residual"] = max(stats["max_residual"], sample.max_residual)
+
+    for sample in cache.values():
+        tally(sample)
 
     def solve(z: float) -> list[tuple[EigenPair, float]]:
         if z not in cache:
             cache[z] = _solve_retained(fiber, z, cfg.window, f)
-            stats["solves"] += 1
-        return cache[z]
+            tally(cache[z])
+        return cache[z].kept
 
     def exits(b: Branch, step: float) -> bool:
         # legitimate ways for a track to go unmatched: through the energy
@@ -161,10 +245,10 @@ def sweep_branches(
         b.slopes.append(p.slope)
         b.overlaps.append(overlap)
         b.boundary_masses.append(mass)
-        t.psi = p.psi
+        t.t = p.t
 
     def start(z: float, kept: tuple[EigenPair, float], clipped: bool) -> _Track:
-        t = _Track(Branch(clipped=clipped), kept[0].psi)
+        t = _Track(Branch(clipped=clipped), kept[0].t)
         append(t, z, kept, 1.0)
         return t
 
@@ -175,13 +259,13 @@ def sweep_branches(
     queue = targets[1:]
     while queue:
         z = queue[0]
-        kept = solve(z)
+        prev = _rows([t.t for t in active], grid)
+        kept, rotated = _align_clusters(prev, solve(z), grid, f)
         pairs = [p for p, _ in kept]
         step = z - z_prev
 
         # overlaps above the threshold are unique in their row and column
-        O = np.abs([[np.vdot(t.psi, p.psi) for p in pairs] for t in active])
-        O = O.reshape(len(active), len(pairs))  # 2-D when either side is empty
+        O = np.abs(prev @ _rows([p.t for p in pairs], grid).T)
         matched = [(i, j, O[i, j]) for i, j in zip(*np.nonzero(O >= _OVERLAP_THRESHOLD))]
         matched_old = {i for i, _, _ in matched}
         unmatched = [i for i in range(len(active)) if i not in matched_old]
@@ -209,6 +293,7 @@ def sweep_branches(
         # commit the step
         queue.pop(0)
         cache.pop(z_prev, None)
+        stats["cluster_rotations"] += rotated
         new_active: list[_Track] = []
         for i, j, ov in matched:
             append(active[i], z, kept[j], float(ov))

@@ -24,8 +24,12 @@ Since dHhat/dzeta = sigma_2, each eigenvalue's slope is the
 Hellmann-Feynman expectation d mu/d zeta = <psi, sigma_2 psi> =
 -2 sum_i t_2i t_2i+1 in Jacobi form; |d mu/d zeta| <= 1 because
 ||sigma_2|| = 1.
-Windowed eigenpairs of that form come from coarse LAPACK bisection
-(?stebz), inverse iteration (?stein) and one Rayleigh-Ritz step.
+Windowed eigenpairs of that form come from loose LAPACK bisection
+(?stebz), inverse iteration (?stein), a QR factorization that makes the
+block orthonormal, and one Rayleigh-Ritz step; the bisection is redone
+tight only when ?stein fails or a pair misses the residual contract.
+Each EigenPair keeps its real Jacobi vector t; the interleaved complex
+psi is built from it on demand, and <psi, psi'> = t . t' exactly.
 The x-cut at +-L is Dirichlet: the stencil stops at the last site.
 
 Known lattice artifact (recorded in the decisions ledger): the combined
@@ -61,9 +65,14 @@ __all__ = [
     "check_residuals",
     "check_slopes",
     "count_eigenvalues",
+    "slopes_of",
 ]
 
-_BISECT_TOL = 1e-8  # ?stebz tolerance: Rayleigh-Ritz supplies the digits; at 1e-6 the ?stein vectors cost bisections
+# ?stebz tolerances.  Rayleigh-Ritz supplies every digit of mu, so the
+# bisection only has to seed ?stein; the tight one is the retry when the
+# loose block fails (?stein does not converge or a pair misses the contract).
+_BISECT_TOL = 1e-4
+_RETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,12 +160,23 @@ def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenpair with its verified residual ||H psi - mu psi|| and slope d mu/d zeta."""
+    """One eigenpair with its verified residual ||H psi - mu psi|| and slope d mu/d zeta.
+
+    t is the real eigenvector of the Jacobi form; `psi` builds the
+    interleaved spinor from it: psi_up,i = t_2i+1, psi_down,i = -i t_2i.
+    """
 
     mu: float
-    psi: np.ndarray = field(repr=False)
+    t: np.ndarray = field(repr=False)
     residual: float
     slope: float
+
+    @property
+    def psi(self) -> np.ndarray:
+        psi = np.empty(self.t.shape, dtype=complex)
+        psi[0::2] = self.t[1::2]
+        psi[1::2] = -1j * self.t[0::2]
+        return psi
 
 
 @dataclass(frozen=True)
@@ -177,9 +197,14 @@ class SpuriousFilter:
         return cls(margin=grid.L / 8.0)
 
 
+def _misses_contract(lam: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Mask of the pairs with ||H v - lambda v|| > 1e-8 (1 + |lambda|)."""
+    return res > 1e-8 * (1.0 + np.abs(lam))
+
+
 def check_residuals(lam: np.ndarray, res: np.ndarray) -> None:
     """Raise SolverError unless every pair meets ||H v - lambda v|| <= 1e-8 (1 + |lambda|)."""
-    bad = np.nonzero(res > 1e-8 * (1.0 + np.abs(lam)))[0]
+    bad = np.nonzero(_misses_contract(lam, res))[0]
     if bad.size:
         i = bad[0]
         raise SolverError(f"residual {res[i]:.3e} exceeds contract at eigenvalue {lam[i]:.6g}")
@@ -205,6 +230,11 @@ def _jacobi_times(d: np.ndarray, e: np.ndarray, T: np.ndarray) -> np.ndarray:
     return JT
 
 
+def slopes_of(V: np.ndarray) -> np.ndarray:
+    """Hellmann-Feynman slopes <psi, sigma_2 psi> = -2 sum_i t_2i t_2i+1 of the Jacobi vectors t in V's rows."""
+    return -2.0 * np.sum(V[..., 0::2] * V[..., 1::2], axis=-1)
+
+
 def count_eigenvalues(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int:
     """Exact Sturm count of tridiag(e, d, e)'s eigenvalues in (lo, hi]: ?stebz counts by
     LDL^T pivot signs, exact at any tolerance, so the loose 1e3 skips its bisection."""
@@ -216,46 +246,58 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
 
     On the real Jacobi matrix J: bisection (?stebz) only to _BISECT_TOL, whose
     exact Sturm count still proves the window complete; inverse iteration
-    (?stein) for the block T; Rayleigh-Ritz eigh(T^T J T) = (mu, Q), T <- T Q,
-    for mu to working precision even in clusters narrower than _BISECT_TOL.
-    psi_up,i = t_2i+1, psi_down,i = -i t_2i; slope <psi, sigma_2 psi> = -2 sum_i t_2i t_2i+1.
-    Every pair must pass `check_residuals` and `check_slopes`.
+    (?stein) for the block T, orthonormalized by QR (column norms alone leave
+    nearly parallel vectors in tight clusters); Rayleigh-Ritz eigh(T^T J T) =
+    (mu, Q), T <- T Q, for mu to working precision even in clusters narrower
+    than the bisection tolerance.  When ?stein fails or a pair misses the
+    residual contract, the solve is redone with bisection to _RETRY_TOL.
+    Slopes come from `slopes_of`.  Every pair must pass
+    `check_residuals` and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("window lo must be < hi")
 
-    # range 1: the eigenvalues in (lo, hi]; order "B": by split-off block, as ?stein needs
-    m, w, iblock, isplit, info = lapack.dstebz(A.d, A.e, 1, lo, hi, 0, 0, _BISECT_TOL, "B")
-    if not info:
+    for tol in (_BISECT_TOL, _RETRY_TOL):
+        # range 1: the eigenvalues in (lo, hi]; order "B": by split-off block, as ?stein needs
+        m, w, iblock, isplit, info = lapack.dstebz(A.d, A.e, 1, lo, hi, 0, 0, tol, "B")
+        if info:
+            break
         T, info = lapack.dstein(A.d, A.e, w[:m], iblock, isplit)
+        if info:
+            continue
+        T = np.linalg.qr(T)[0]
+        JT = _jacobi_times(A.d, A.e, T)
+        mus, Q = np.linalg.eigh(T.T @ JT)
+        T, JT = T @ Q, JT @ Q
+        res = np.linalg.norm(JT - T * mus, axis=0)
+        inside = (mus >= lo) & (mus <= hi)
+        mus, T, res = mus[inside], T[:, inside], res[inside]
+        if not _misses_contract(mus, res).any():
+            break
     if info:
         raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
-    T = T / np.linalg.norm(T, axis=0)
-    JT = _jacobi_times(A.d, A.e, T)
-    mus, Q = np.linalg.eigh(T.T @ JT)
-    T, JT = T @ Q, JT @ Q
-    res = np.linalg.norm(JT - T * mus, axis=0)
-    slopes = -2.0 * np.sum(T[0::2] * T[1::2], axis=0)
-    psis = np.empty(T.T.shape, dtype=complex)
-    psis[:, 0::2] = T.T[:, 1::2]
-    psis[:, 1::2] = -1j * T.T[:, 0::2]
-
-    inside = (mus >= lo) & (mus <= hi)
-    mus, psis, res, slopes = mus[inside], psis[inside], res[inside], slopes[inside]
+    V = np.ascontiguousarray(T.T)
+    slopes = slopes_of(V)
     check_residuals(mus, res)
     check_slopes(mus, slopes)
     return [
-        EigenPair(mu=float(mu), psi=v, residual=float(r), slope=float(s))
-        for mu, v, r, s in zip(mus, psis, res, slopes)
+        EigenPair(mu=float(mu), t=t, residual=float(r), slope=float(s))
+        for mu, t, r, s in zip(mus, V, res, slopes)
     ]
 
 
-def boundary_mass(psi: np.ndarray, grid: Grid1D, margin: float) -> float:
-    """Probability mass of an interleaved spinor in the strip |x| > L - margin."""
-    dens = np.abs(psi.reshape(grid.N, 2)) ** 2
+def boundary_mass(v: np.ndarray, grid: Grid1D, margin: float):
+    """Probability mass in the strip |x| > L - margin of one fiber state, or of each in a stack.
+
+    The last axis of v holds the interleaved spinor psi or the Jacobi vector t:
+    two components per site either way, in swapped order and phase.
+    """
+    # per site first, so psi and t give the same bits; `compress` keeps the rows
+    # contiguous, so a stack's masses have the bits of one state's
+    dens = np.abs(v[..., 0::2]) ** 2 + np.abs(v[..., 1::2]) ** 2
     strip = np.abs(grid.x) > grid.L - margin
-    return float(dens[strip].sum() / dens.sum())
+    return dens.compress(strip, axis=-1).sum(axis=-1) / dens.sum(axis=-1)
 
 
 def zone_edge_fraction(psi: np.ndarray, width: int = 2):
@@ -277,6 +319,9 @@ def zone_edge_fraction(psi: np.ndarray, width: int = 2):
 def filter_spurious(
     pairs: list[EigenPair], grid: Grid1D, f: SpuriousFilter
 ) -> list[tuple[EigenPair, float]]:
-    """The pairs whose boundary-strip mass is at most the threshold, each with that mass."""
-    masses = (boundary_mass(p.psi, grid, f.margin) for p in pairs)
-    return [(p, bm) for p, bm in zip(pairs, masses) if bm <= f.threshold]
+    """The pairs whose boundary-strip mass is at most the threshold, each with that mass.
+
+    The masses come from the pairs' real Jacobi vectors, stacked into one block.
+    """
+    masses = boundary_mass(np.array([p.t for p in pairs]).reshape(len(pairs), 2 * grid.N), grid, f.margin)
+    return [(p, float(bm)) for p, bm in zip(pairs, masses) if bm <= f.threshold]

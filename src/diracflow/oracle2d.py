@@ -183,17 +183,25 @@ def _fourier_modes(H: sp.csr_array, g: Grid2D):
 
     T holds H's entries that join equal momenta on and next to the Jacobi
     block diagonal.  Mode n sits at zeta_n = 2 pi fftfreq(Ny, hy)[n]; for
-    assemble_2d's H it is J(zeta_n) plus the y-mean of W.  s, the largest
-    absolute row sum of H - T, is >= ||H - T||_2.
+    assemble_2d's H it is J(zeta_n) plus the y-mean of W.  s >= ||H - T||_2
+    is the largest exact 2-norm of H - T's Ny x Ny diagonal blocks, one per
+    (x-site, Jacobi component) (for assemble_2d's H, max_y |W - mean_y W|),
+    plus the largest absolute row sum of H - T's other entries.
     """
-    if not H.has_canonical_format:  # the row sums need one entry per (row, column)
+    if not H.has_canonical_format:  # the blocks and row sums need one entry per (row, column)
         H = sp.csr_array(H.tocoo())
     rows = np.repeat(np.arange(g.dim, dtype=H.indices.dtype), np.diff(H.indptr))
     off = H.indices // g.Ny - rows // g.Ny
     in_t = (H.indices % g.Ny == rows % g.Ny) & (np.abs(off) <= 1)
     band = np.zeros((3, g.dim), dtype=complex)  # T's sub-, main and superdiagonal, by row
     band[off[in_t] + 1, rows[in_t]] = H.data[in_t]
-    s = np.bincount(rows[~in_t], np.abs(H.data[~in_t]), g.dim).max()
+    in_blocks = ~in_t & (off == 0)
+    ks, slot = np.unique(rows[in_blocks] // g.Ny, return_inverse=True)
+    blocks = np.zeros((ks.size, g.Ny, g.Ny), dtype=complex)
+    blocks[slot, rows[in_blocks] % g.Ny, H.indices[in_blocks] % g.Ny] = H.data[in_blocks]
+    rest = ~in_t & ~in_blocks
+    s = np.abs(np.linalg.eigvalsh(blocks)).max(initial=0.0)
+    s += np.bincount(rows[rest], np.abs(H.data[rest]), g.dim).max()
     return band[1].real.reshape(-1, g.Ny).T, band[2, :-g.Ny].reshape(-1, g.Ny).T, float(s)
 
 

@@ -1,5 +1,6 @@
 """Branch tracking, window validation, autoscale."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diracflow import fiber
 from diracflow.branches import (
     _OVERLAP_THRESHOLD,
+    _align_clusters,
     Branch,
     SweepConfig,
     autoscale,
@@ -18,9 +21,10 @@ from diracflow.branches import (
     validate_window,
 )
 from diracflow.bulk import HalfSpaceParams, landau_levels, predicted_sf
-from diracflow.fiber import Grid1D, SpuriousFilter
+from diracflow.config import config_from_dict
+from diracflow.fiber import FiberMatrix, Grid1D, SpuriousFilter, boundary_mass, eig_window, slopes_of
 from diracflow.flow import spectral_flow
-from diracflow.presets import preset_profiles
+from diracflow.presets import preset_config, preset_profiles
 
 from conftest import walls
 
@@ -158,6 +162,52 @@ class TestMatching:
         # orthonormal samples give every row and column of |O| a sum of
         # squares <= 1, so above 1/sqrt(2) an overlap is alone in both
         assert _OVERLAP_THRESHOLD > 2 ** -0.5
+
+    @pytest.mark.parametrize("name", ["field_wall_massless", "dual_wall_v0"])
+    def test_cluster_rotation_makes_matching_basis_independent(self, monkeypatch, name):
+        """Inside clusters degenerate to rounding the bisection tolerance changes the
+        solver's basis; rotated onto the incoming tracks, the sweep takes the same
+        solves and reaches the same smallest overlap at every tolerance."""
+        cfg = config_from_dict(preset_config(name))
+        seen = set()
+        for tol in (0.0, 1e-8, 1e-7, fiber._BISECT_TOL):
+            monkeypatch.setattr(fiber, "_BISECT_TOL", tol)
+            stats = {}
+            sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, stats=stats)
+            assert stats["cluster_rotations"] > 0
+            seen.add((stats["solves"], round(stats["min_overlap"], 6)))
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("turn", [0.0, 0.7], ids=["solver_basis", "turned_basis"])
+    def test_fewer_tracks_than_cluster_members(self, turn):
+        """Exactly degenerate twin blocks give clusters of two; one incoming track
+        inside a cluster's span (plus a little of another state) takes one rotated
+        member, aligned with its projection, and the other member is left
+        orthogonal to it.  Turning the cluster's basis first changes nothing."""
+        rng = np.random.default_rng(7)
+        d, e = rng.uniform(-0.5, 0.5, 16), rng.uniform(0.8, 1.2, 15)
+        grid = Grid1D(L=1.0, N=16)
+        f = SpuriousFilter(margin=0.25, threshold=0.3)
+        pairs = eig_window(FiberMatrix(grid=grid, d=np.concatenate([d, d]), e=np.concatenate([e, [0.0], e])), (-6.0, 6.0))
+        assert abs(pairs[1].mu - pairs[0].mu) <= 1e-10 < pairs[2].mu - pairs[1].mu
+        c, s = np.cos(turn), np.sin(turn)
+        t0, t1 = c * pairs[0].t - s * pairs[1].t, s * pairs[0].t + c * pairs[1].t
+        pairs[:2] = [dataclasses.replace(p, t=t) for p, t in zip(pairs[:2], (t0, t1))]
+        kept = [(p, float(boundary_mass(p.t, grid, f.margin))) for p in pairs]
+        track = 0.6 * pairs[0].t + 0.7 * pairs[1].t + 0.2 * pairs[6].t
+        track /= np.linalg.norm(track)
+
+        out, rotated = _align_clusters(track[None, :], kept, grid, f)
+        assert rotated == 1 and out[2:] == kept[2:]
+        (a, mass_a), (b, mass_b) = out[:2]
+        reach = np.hypot(track @ pairs[0].t, track @ pairs[1].t)
+        assert abs(a.t @ track - reach) <= 1e-12 and abs(b.t @ track) <= 1e-12
+        assert abs(a.t @ b.t) <= 1e-12 and abs(a.t @ a.t - 1.0) <= 1e-12
+        for p, mass in out[:2]:
+            assert abs(p.mu - pairs[0].mu) <= 1e-10
+            assert p.slope == slopes_of(p.t) and mass == boundary_mass(p.t, grid, f.margin)
+        expected = (0.6 * pairs[0].t + 0.7 * pairs[1].t) / np.hypot(0.6, 0.7)
+        assert np.max(np.abs(a.t - expected)) <= 1e-12
 
     def test_cli_import_leaves_out_scipy_optimize(self):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -217,6 +217,22 @@ class TestCliBranches:
         slopes = [float(r.split(",")[3]) for r in rows]
         assert slopes and max(abs(v) for v in slopes) <= 1.0
 
+    @pytest.mark.parametrize("preset", ["mass_wall", "field_wall_massless"])
+    def test_manifest_records_state_totals_residual_and_rotations(self, tmp_path, preset):
+        """mass_wall's boundary strip drops states and its spectrum has no degenerate
+        cluster; field_wall_massless's mirrored Landau copies form clusters and none
+        of its states reach the strip."""
+        out = tmp_path / "o"
+        assert main(["branches", "--preset", preset, "--out", str(out)]) == 0
+        sweep = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep"]
+        rows = (out / "branches.csv").read_text().splitlines()[1:]
+        # every solved sample is committed, and each state it retains is one row
+        assert sweep["retained"] == len(rows) > 0
+        assert (sweep["filtered"] > 0) == (preset == "mass_wall")
+        assert (sweep["cluster_rotations"] > 0) == (preset == "field_wall_massless")
+        lo, hi = config_from_dict(preset_config(preset)).sweep.window
+        assert 0.0 < sweep["max_residual"] <= 1e-8 * (1.0 + max(abs(lo), abs(hi)))
+
     def test_tracking_failure_exits_3_with_a_manifest(self, tmp_path, capsys, monkeypatch):
         # no overlap reaches 1.01, so the first step bisects to the floor
         monkeypatch.setattr("diracflow.branches._OVERLAP_THRESHOLD", 1.01)

@@ -1,12 +1,14 @@
 """Fiber-matrix assembly, windowed eigensolves, and the boundary filter."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from diracflow.bulk import HalfSpaceParams, landau_levels
+from diracflow import fiber
 from diracflow.errors import SolverError
 from diracflow.fiber import (
     FiberMatrix,
@@ -151,6 +153,47 @@ class TestEigWindow:
         V = np.array([p.psi for p in pairs])
         assert np.max(np.abs(V.conj() @ V.T - np.eye(32))) < 1e-12
 
+    @pytest.mark.parametrize("fault", ["residual", "stein_info"])
+    def test_loose_pass_that_fails_is_redone_tight(self, monkeypatch, fault):
+        """A loose pass whose ?stein block misses the residual contract (noise of 1e-3
+        added to it) or whose ?stein reports failure is redone: eig_window then
+        returns, bit for bit, the pairs of a solve bisected to _RETRY_TOL."""
+        ps = walls(HalfSpaceParams(-2.0, 0.0, 0.0), HalfSpaceParams(2.0, 0.0, 0.0))
+        A, window = assemble_fiber(Grid1D(L=20.0, N=800), ps, 6.0), (-3.5, 3.5)
+        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
+        tight = eig_window(A, window)
+        monkeypatch.undo()
+        tols = []
+
+        def dstebz(d, e, irange, lo, hi, il, iu, tol, order):
+            tols.append(tol)
+            return sla.lapack.dstebz(d, e, irange, lo, hi, il, iu, tol, order)
+
+        def dstein(d, e, w, iblock, isplit):
+            T, info = sla.lapack.dstein(d, e, w, iblock, isplit)
+            if len(tols) == 1:
+                if fault == "stein_info":
+                    return T, 1
+                T = T + 1e-3 * np.random.default_rng(3).standard_normal(T.shape)
+            return T, info
+
+        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(dstebz=dstebz, dstein=dstein))
+        pairs = eig_window(A, window)
+        assert tols == [fiber._BISECT_TOL, fiber._RETRY_TOL] and fiber._BISECT_TOL > fiber._RETRY_TOL
+        assert len(pairs) == len(tight) > 0
+        for p, q in zip(pairs, tight):
+            assert (p.mu, p.residual, p.slope) == (q.mu, q.residual, q.slope)
+            assert np.array_equal(p.t, q.t)
+
+    def test_tight_pass_failure_raises(self, monkeypatch):
+        def dstein(d, e, w, iblock, isplit):
+            return sla.lapack.dstein(d, e, w, iblock, isplit)[0], 2
+
+        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(dstebz=sla.lapack.dstebz, dstein=dstein))
+        A = assemble_fiber(Grid1D(L=8.0, N=200), CONST_220, 0.0)
+        with pytest.raises(SolverError, match="LAPACK info 2"):
+            eig_window(A, (-3.0, 3.0))
+
 
 class TestFilter:
     def test_interior_state_kept(self):
@@ -160,7 +203,7 @@ class TestFilter:
         psi[0::2][interior] = 1.0
         psi /= np.linalg.norm(psi)
         assert boundary_mass(psi, g, g.L / 4) == 0.0
-        pairs = [type("P", (), {"psi": psi, "mu": 0.0, "residual": 0.0})()]
+        pairs = [type("P", (), {"t": _jacobi(psi), "mu": 0.0, "residual": 0.0})()]
         assert filter_spurious(pairs, g, SpuriousFilter(margin=g.L / 4, threshold=0.5)) == [(pairs[0], 0.0)]
 
     def test_boundary_state_removed(self):
@@ -171,7 +214,7 @@ class TestFilter:
         psi[0::2][g.N // 2] = 1.0
         psi /= np.linalg.norm(psi)
         assert boundary_mass(psi, g, 2.0) > 0.5
-        pairs = [type("P", (), {"psi": psi, "mu": 0.0, "residual": 0.0})()]
+        pairs = [type("P", (), {"t": _jacobi(psi), "mu": 0.0, "residual": 0.0})()]
         assert filter_spurious(pairs, g, SpuriousFilter(margin=2.0, threshold=0.5)) == []
 
     def test_retained_states_interior_at_large_zeta(self):
@@ -305,6 +348,15 @@ class TestSlopes:
             check_slopes(mus, np.array([0.0, 1.01, 0.5]))
         with pytest.raises(SolverError, match="Lipschitz"):
             check_slopes(mus, np.array([0.0, 0.0, -1.0 - 1e-9]))
+
+
+def _jacobi(psi: np.ndarray) -> np.ndarray:
+    """The real Jacobi vector t of a spinor with real up and imaginary down parts:
+    t_2i = i psi_down,i, t_2i+1 = psi_up,i (the inverse of EigenPair.psi)."""
+    t = np.empty(psi.size)
+    t[0::2] = (1j * psi[1::2]).real
+    t[1::2] = psi[0::2].real
+    return t
 
 
 def _sigma2(psi: np.ndarray) -> np.ndarray:

@@ -148,7 +148,7 @@ class TestEndToEnd:
                 k = int(np.searchsorted(z, c.zeta))
 
                 def offset(zeta):
-                    mus = [p.mu for p, _ in _solve_retained(fiber, zeta, (alpha - 0.4, alpha + 0.4), f)]
+                    mus = [p.mu for p, _ in _solve_retained(fiber, zeta, (alpha - 0.4, alpha + 0.4), f).kept]
                     return min(mus, key=lambda mu: abs(mu - alpha)) - alpha
 
                 root = brentq(offset, z[k - 1], z[k], xtol=1e-13)

@@ -262,6 +262,18 @@ class TestWindowBound:
         bound, spread = oracle2d._window_bound(H, GRID_768, (-1.0, 1.0))
         assert spread > 1e-3 and bound >= _dense_count(H, (-1.0, 1.0))
 
+    def test_spread_is_the_exact_norm_of_the_circulant_blocks(self):
+        """bulk_uniform + mult_xy at coupling 1.5 on the preset grid2d: H - T is
+        block-diagonal over (x-site, component), with zero-mean circulant blocks
+        of norm max_y |W - mean_y W|; with that s no mode reaches (-0.5, 0.5), so
+        U = 0 and no solve runs (the row sum gave s = 1.51 and U = 33)."""
+        cfg = config_from_dict(preset_config("bulk_uniform"))
+        g, w = cfg.grid2d, PerturbationSpec(kind="mult_xy", amplitude=1.0)
+        bound, spread = oracle2d._window_bound(assemble_2d(g, cfg.profiles, w, coupling=1.5), g, (-0.5, 0.5))
+        W = 1.5 * w.sample(g.grid_x.x, g.y, g.Ly)
+        assert bound == 0
+        assert abs(spread - np.max(np.abs(W - W.mean(axis=1, keepdims=True)))) <= 1e-12
+
     def test_upper_bound_under_random_perturbations(self):
         """Random Hermitian perturbations of sizes 1e-6 to 1, half of their entries
         anywhere in H (mostly outside the Jacobi-block pattern), half near its
