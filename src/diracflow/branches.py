@@ -1,14 +1,16 @@
 """Sweep zeta and track eigenvalue branches by eigenvector continuity.
 
-Tracking matches a track to a retained eigenpair at the next zeta sample
-when their eigenvectors overlap by at least 0.8 in absolute value; the
-overlaps are one product |T_prev^T T_new| of the real Jacobi vectors,
-which equals |<psi, psi'>|.  The track vectors come from one solve and
-the new ones from another, so each set is orthonormal and every row and
-column of the overlap matrix has a sum of squares of at most 1: an entry
-above 1/sqrt(2) is the only such entry in its row and in its column, so
-the entries that clear the threshold already form a one-to-one matching
-(the threshold must stay above 1/sqrt(2) for this to hold).
+Each fiber solve arrives as one filtered `Eigenpairs` block, and the
+active tracks are Branch objects with T_prev, the matrix of their last
+Jacobi vectors.  A track matches a retained pair at the next zeta sample
+when their vectors overlap by at least 0.8 in absolute value; the
+overlaps are one product |T_prev T_new^T|, which equals |<psi, psi'>|.
+The track vectors come from one solve and the new ones from another, so
+each set is orthonormal and every row and column of the overlap matrix
+has a sum of squares of at most 1: an entry above 1/sqrt(2) is the only
+such entry in its row and in its column, so the entries that clear the
+threshold already form a one-to-one matching (the threshold must stay
+above 1/sqrt(2) for this to hold).
 
 Inside a cluster of retained pairs degenerate to rounding (mu within
 1e-10 (1 + |mu|) of a neighbour) every orthonormal basis is a valid
@@ -46,7 +48,7 @@ import numpy as np
 from .bulk import HalfSpaceParams
 from .errors import TrackingError
 from .fiber import (
-    EigenPair,
+    Eigenpairs,
     FiberFamily,
     Grid1D,
     SpuriousFilter,
@@ -110,20 +112,10 @@ class Branch:
         return min(self.overlaps) if self.overlaps else 1.0
 
 
-class _Track:
-    """Mutable tracking state: the Branch under construction plus its last Jacobi vector."""
-
-    __slots__ = ("branch", "t")
-
-    def __init__(self, branch: Branch, t: np.ndarray):
-        self.branch = branch
-        self.t = t
-
-
 class _Sample(NamedTuple):
-    """One fiber solve: the retained (pair, boundary mass) list, with the solve's telemetry."""
+    """One fiber solve: the retained block with its boundary masses, and the solve's telemetry."""
 
-    kept: list[tuple[EigenPair, float]]
+    kept: Eigenpairs
     filtered: int  # pairs the spurious filter dropped
     max_residual: float  # over every pair, dropped ones included
 
@@ -133,31 +125,27 @@ def _solve_retained(
 ) -> _Sample:
     pairs = eig_window(fiber.at(zeta), window)
     kept = filter_spurious(pairs, fiber.grid, f)
-    return _Sample(kept, len(pairs) - len(kept), max((p.residual for p in pairs), default=0.0))
-
-
-def _rows(vectors: list[np.ndarray], grid: Grid1D) -> np.ndarray:
-    return np.array(vectors).reshape(len(vectors), 2 * grid.N)  # 2-D when empty
+    return _Sample(kept, len(pairs) - len(kept), float(np.max(pairs.residual, initial=0.0)))
 
 
 def _align_clusters(
-    prev: np.ndarray, kept: list[tuple[EigenPair, float]], grid: Grid1D, f: SpuriousFilter
-) -> tuple[list[tuple[EigenPair, float]], int]:
+    prev: np.ndarray, kept: Eigenpairs, grid: Grid1D, f: SpuriousFilter
+) -> tuple[Eigenpairs, int]:
     """`kept` with each degenerate cluster rotated onto its incoming tracks (rows of
     `prev`), as the module docstring sets out; and the number of clusters rotated.
+    Rotated clusters go into copies: `kept` is a cached sample, and a bisected step
+    aligns it again against other tracks.
 
     A rotated vector u_j = sum_i R_ij t_i has the Rayleigh quotient sum_i R_ij^2 mu_i
     and a residual at most sqrt(sum_i r_i^2) + the cluster's spread in mu.
     """
-    mus = [p.mu for p, _ in kept]
-    cuts = [i for i in range(1, len(mus)) if mus[i] - mus[i - 1] > _CLUSTER_RTOL * (1.0 + abs(mus[i]))]
-    out, rotated = list(kept), 0
-    for a, b in zip([0, *cuts], [*cuts, len(mus)]):
+    mu = kept.mu
+    cuts = [i for i in range(1, len(mu)) if mu[i] - mu[i - 1] > _CLUSTER_RTOL * (1.0 + abs(mu[i]))]
+    out, rotated = kept, 0
+    for a, b in zip([0, *cuts], [*cuts, len(mu)]):
         if b - a < 2:
             continue
-        members = [p for p, _ in kept[a:b]]
-        mu = np.array(mus[a:b])
-        Tc = _rows([p.t for p in members], grid)
+        Tc = kept.t[a:b]
         C = Tc @ prev.T
         reach = np.linalg.norm(C, axis=0)  # each track's projection onto the cluster
         incoming = np.argsort(-reach, kind="stable")[: b - a]
@@ -168,11 +156,13 @@ def _align_clusters(
         R = V.copy()
         R[:, : incoming.size] = V[:, : incoming.size] @ Ut
         U = R.T @ Tc
-        res = math.hypot(*(p.residual for p in members)) + mus[b - 1] - mus[a]
-        out[a:b] = [
-            (EigenPair(mu=float(m), t=u, residual=res, slope=float(sl)), float(bm))
-            for m, u, sl, bm in zip((R**2).T @ mu, U, slopes_of(U), boundary_mass(U, grid, f.margin))
-        ]
+        if out is kept:
+            out = Eigenpairs(*(x.copy() for x in (mu, kept.t, kept.residual, kept.slope, kept.mass)))
+        out.mu[a:b] = (R**2).T @ mu[a:b]
+        out.t[a:b] = U
+        out.residual[a:b] = math.hypot(*kept.residual[a:b]) + mu[b - 1] - mu[a]
+        out.slope[a:b] = slopes_of(U)
+        out.mass[a:b] = boundary_mass(U, grid, f.margin)
         rotated += 1
     return out, rotated
 
@@ -182,7 +172,7 @@ def sweep_branches(
     ps: ProfileSet,
     cfg: SweepConfig,
     f: SpuriousFilter,
-    prefetch: dict[float, list[tuple[EigenPair, float]]] | None = None,
+    prefetch: dict[float, _Sample] | None = None,
     stats: dict | None = None,
 ) -> list[Branch]:
     """Track all branches of the filtered window spectrum over the zeta sweep.
@@ -225,7 +215,7 @@ def sweep_branches(
     for sample in cache.values():
         tally(sample)
 
-    def solve(z: float) -> list[tuple[EigenPair, float]]:
+    def solve(z: float) -> Eigenpairs:
         if z not in cache:
             cache[z] = _solve_retained(fiber, z, cfg.window, f)
             tally(cache[z])
@@ -238,45 +228,39 @@ def sweep_branches(
         edge = min(b.mus[-1] - lo, hi - b.mus[-1]) <= step + 10 * _BISECT_FLOOR
         return edge or b.boundary_masses[-1] >= 0.5 * f.threshold
 
-    def append(t: _Track, z: float, kept: tuple[EigenPair, float], overlap: float) -> None:
-        (p, mass), b = kept, t.branch
+    def append(b: Branch, z: float, kept: Eigenpairs, j: int, overlap: float) -> Branch:
         b.zetas.append(z)
-        b.mus.append(p.mu)
-        b.slopes.append(p.slope)
+        b.mus.append(float(kept.mu[j]))
+        b.slopes.append(float(kept.slope[j]))
         b.overlaps.append(overlap)
-        b.boundary_masses.append(mass)
-        t.t = p.t
-
-    def start(z: float, kept: tuple[EigenPair, float], clipped: bool) -> _Track:
-        t = _Track(Branch(clipped=clipped), kept[0].t)
-        append(t, z, kept, 1.0)
-        return t
+        b.boundary_masses.append(float(kept.mass[j]))
+        return b
 
     done: list[Branch] = []
     z_prev = targets[0]
-    active = [start(z_prev, k, False) for k in solve(z_prev)]
+    kept = solve(z_prev)
+    active = [append(Branch(), z_prev, kept, j, 1.0) for j in range(len(kept))]
+    prev = kept.t
 
     queue = targets[1:]
     while queue:
         z = queue[0]
-        prev = _rows([t.t for t in active], grid)
         kept, rotated = _align_clusters(prev, solve(z), grid, f)
-        pairs = [p for p, _ in kept]
         step = z - z_prev
 
         # overlaps above the threshold are unique in their row and column
-        O = np.abs(prev @ _rows([p.t for p in pairs], grid).T)
+        O = np.abs(prev @ kept.t.T)
         matched = [(i, j, O[i, j]) for i, j in zip(*np.nonzero(O >= _OVERLAP_THRESHOLD))]
         matched_old = {i for i, _, _ in matched}
         unmatched = [i for i in range(len(active)) if i not in matched_old]
         # predict from the slope only where no track ends or starts; there
         # the plain motion test keeps exits and entries on fine steps
-        lead = step if len(matched) == len(active) == len(pairs) else 0.0
+        lead = step if len(matched) == len(active) == len(kept) else 0.0
         jumped = any(
-            abs(pairs[j].mu - active[i].branch.mus[-1] - active[i].branch.slopes[-1] * lead) > cfg.refine_tol
+            abs(kept.mu[j] - active[i].mus[-1] - active[i].slopes[-1] * lead) > cfg.refine_tol
             for i, j, _ in matched
         )
-        stranded = [i for i in unmatched if not exits(active[i].branch, step)]
+        stranded = [i for i in unmatched if not exits(active[i], step)]
         if (jumped or stranded) and step > _BISECT_FLOOR:
             stats["bisections"]["stranded" if stranded else "motion"] += 1
             queue.insert(0, 0.5 * (z_prev + z))
@@ -294,22 +278,22 @@ def sweep_branches(
         queue.pop(0)
         cache.pop(z_prev, None)
         stats["cluster_rotations"] += rotated
-        new_active: list[_Track] = []
         for i, j, ov in matched:
-            append(active[i], z, kept[j], float(ov))
-            new_active.append(active[i])
+            append(active[i], z, kept, j, float(ov))
             if ov < stats["min_overlap"]:
                 stats["min_overlap"], stats["min_overlap_zeta"] = float(ov), float(z)
         for i in unmatched:
-            active[i].branch.clipped = True
-            done.append(active[i].branch)
-        used_new = {j for _, j, _ in matched}
+            active[i].clipped = True
+            done.append(active[i])
+        active = [active[i] for i, _, _ in matched]
+        rows = [j for _, j, _ in matched]
         # a branch entering mid-sweep through the window edge
-        new_active += [start(z, k, True) for j, k in enumerate(kept) if j not in used_new]
-        active = new_active
+        entering = [j for j in range(len(kept)) if j not in rows]
+        active += [append(Branch(clipped=True), z, kept, j, 1.0) for j in entering]
+        prev = kept.t[rows + entering]
         z_prev = z
 
-    done.extend(t.branch for t in active)
+    done.extend(active)
     done.sort(key=lambda b: (b.zetas[0], b.mus[0]))
     return done
 

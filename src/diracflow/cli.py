@@ -142,14 +142,16 @@ def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
     minus, plus = half_spaces(cfg.profiles)
     branches, man = run_sweep(cfg, workers, out)
 
+    # sigma does not depend on alpha: one value, predicted at the density window's centre
+    sigma = conductivity(branches, cfg.density)
+    sigma_pred = predicted_sf(minus, plus, 0.5 * sum(cfg.density.window))
     all_ok = True
     rows = []
     print(f"{'alpha':>8} {'sf_num':>7} {'sf_pred':>8} {'2pi*sigma':>12} {'ok':>4}")
     for alpha in cfg.alphas:
         pred = predicted_sf(minus, plus, alpha)
         report = spectral_flow(branches, alpha, prediction=pred)
-        sigma = conductivity(branches, cfg.density)
-        ok = reconcile(report, pred, sigma)
+        ok = reconcile(report, pred, sigma, sigma_pred)
         all_ok &= ok
         print(f"{alpha:8.3g} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
         rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))

@@ -159,8 +159,13 @@ def _parse(raw: dict) -> RunConfig:
     if d.get("perturbation") is not None:
         pert = _section(PerturbationSpec, d["perturbation"], "perturbation")
 
+    # the scenario names the SVG written into the output directory
+    scenario = _scalar(str, d.get("scenario", "custom"), "scenario")
+    if scenario in ("", ".", "..") or any(c in scenario for c in "/\\\0"):
+        raise ConfigError(f"scenario must be a single file-name component, got {scenario!r}")
+
     return RunConfig(
-        scenario=_scalar(str, d.get("scenario", "custom"), "scenario"),
+        scenario=scenario,
         profiles=_section(ProfileSet, d["profiles"], "profiles"),
         grid=grid,
         sweep=sweep,

@@ -28,8 +28,9 @@ Windowed eigenpairs of that form come from loose LAPACK bisection
 (?stebz), inverse iteration (?stein), a QR factorization that makes the
 block orthonormal, and one Rayleigh-Ritz step; the bisection is redone
 tight only when ?stein fails or a pair misses the residual contract.
-Each EigenPair keeps its real Jacobi vector t; the interleaved complex
-psi is built from it on demand, and <psi, psi'> = t . t' exactly.
+A solve returns one Eigenpairs block whose rows hold the real Jacobi
+vectors t; the interleaved complex psi is built from them on demand, and
+<psi, psi'> = t . t' exactly.
 The x-cut at +-L is Dirichlet: the stencil stops at the last site.
 
 Known lattice artifact (recorded in the decisions ledger): the combined
@@ -42,7 +43,7 @@ either absent or land in the boundary strip of the spurious filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +56,7 @@ __all__ = [
     "Grid1D",
     "FiberMatrix",
     "FiberFamily",
-    "EigenPair",
+    "Eigenpairs",
     "SpuriousFilter",
     "assemble_fiber",
     "eig_window",
@@ -158,24 +159,35 @@ def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
     return FiberFamily.of(grid, ps).at(zeta)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenpair with its verified residual ||H psi - mu psi|| and slope d mu/d zeta.
+@dataclass(frozen=True, eq=False)
+class Eigenpairs:
+    """A block of k eigenpairs in rows, sorted by mu: eigenvalues mu (k,), real Jacobi
+    vectors t (k, 2N), verified residuals ||H psi - mu psi|| (k,) and slopes d mu/d zeta (k,);
+    `mass` holds each row's boundary-strip mass once `filter_spurious` has kept the row.
 
-    t is the real eigenvector of the Jacobi form; `psi` builds the
-    interleaved spinor from it: psi_up,i = t_2i+1, psi_down,i = -i t_2i.
+    An int index gives one pair (the same fields, one row each); a mask or an
+    index array gives a sub-block.  `psi` builds the interleaved spinors from t:
+    psi_up,i = t_2i+1, psi_down,i = -i t_2i.
     """
 
-    mu: float
+    mu: np.ndarray
     t: np.ndarray = field(repr=False)
-    residual: float
-    slope: float
+    residual: np.ndarray
+    slope: np.ndarray
+    mass: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def __getitem__(self, i) -> "Eigenpairs":  # iterating the block walks its rows
+        mass = None if self.mass is None else self.mass[i]
+        return Eigenpairs(self.mu[i], self.t[i], self.residual[i], self.slope[i], mass)
 
     @property
     def psi(self) -> np.ndarray:
         psi = np.empty(self.t.shape, dtype=complex)
-        psi[0::2] = self.t[1::2]
-        psi[1::2] = -1j * self.t[0::2]
+        psi[..., 0::2] = self.t[..., 1::2]
+        psi[..., 1::2] = -1j * self.t[..., 0::2]
         return psi
 
 
@@ -241,8 +253,8 @@ def count_eigenvalues(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int
     return int(lapack.dstebz(d, e, 1, lo, hi, 0, 0, 1e3, "B")[0])
 
 
-def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
-    """All eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
+def eig_window(A: FiberMatrix, window: tuple[float, float]) -> Eigenpairs:
+    """The block of all eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
     On the real Jacobi matrix J: bisection (?stebz) only to _BISECT_TOL, whose
     exact Sturm count still proves the window complete; inverse iteration
@@ -277,14 +289,11 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> list[EigenPair]:
             break
     if info:
         raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
-    V = np.ascontiguousarray(T.T)
+    V = np.ascontiguousarray(T.T)  # (k, 2N), also when k = 0
     slopes = slopes_of(V)
     check_residuals(mus, res)
     check_slopes(mus, slopes)
-    return [
-        EigenPair(mu=float(mu), t=t, residual=float(r), slope=float(s))
-        for mu, t, r, s in zip(mus, V, res, slopes)
-    ]
+    return Eigenpairs(mu=mus, t=V, residual=res, slope=slopes)
 
 
 def boundary_mass(v: np.ndarray, grid: Grid1D, margin: float):
@@ -316,12 +325,7 @@ def zone_edge_fraction(psi: np.ndarray, width: int = 2):
     return 1.0 - smooth / total
 
 
-def filter_spurious(
-    pairs: list[EigenPair], grid: Grid1D, f: SpuriousFilter
-) -> list[tuple[EigenPair, float]]:
-    """The pairs whose boundary-strip mass is at most the threshold, each with that mass.
-
-    The masses come from the pairs' real Jacobi vectors, stacked into one block.
-    """
-    masses = boundary_mass(np.array([p.t for p in pairs]).reshape(len(pairs), 2 * grid.N), grid, f.margin)
-    return [(p, float(bm)) for p, bm in zip(pairs, masses) if bm <= f.threshold]
+def filter_spurious(pairs: Eigenpairs, grid: Grid1D, f: SpuriousFilter) -> Eigenpairs:
+    """The rows of `pairs` whose boundary-strip mass is at most the threshold, with those masses."""
+    mass = boundary_mass(pairs.t, grid, f.margin)
+    return replace(pairs, mass=mass)[mass <= f.threshold]

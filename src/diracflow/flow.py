@@ -139,6 +139,7 @@ def conductivity(branches: list[Branch], dens: DensityProfile) -> float:
     return endpoint_sum
 
 
-def reconcile(report: FlowReport, pred: FlowPrediction, sigma: float) -> bool:
-    """True iff the numerical flow equals the prediction and 2 pi sigma lies within 1e-6 of it."""
-    return report.sf_numeric == pred.sf and abs(sigma - pred.sf) < 1e-6
+def reconcile(report: FlowReport, pred: FlowPrediction, sigma: float, sigma_pred: FlowPrediction) -> bool:
+    """True iff the numerical flow equals its prediction `pred` and 2 pi sigma lies within
+    1e-6 of `sigma_pred`, the prediction at a level inside the density window."""
+    return report.sf_numeric == pred.sf and abs(sigma - sigma_pred.sf) < 1e-6

@@ -7,6 +7,8 @@ fixed numeric formatting.
 
 from __future__ import annotations
 
+from html import escape
+
 __all__ = ["branches_svg"]
 
 _W, _H = 800, 560
@@ -44,7 +46,7 @@ def branches_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
         f'font-family="sans-serif" font-size="13">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-size="16">{escape(title)}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         f'fill="none" stroke="black"/>',
     ]

@@ -143,7 +143,7 @@ def test_criterion_3_landau_convergence():
             grid = Grid1D(L=20.0, N=N)
             pairs = eig_window(assemble_fiber(grid, ps, 0.0), window)
             kept = filter_spurious(pairs, grid, SpuriousFilter(margin=5.0, threshold=0.3))
-            kept = [p for p, _ in kept if zone_edge_fraction(p.psi) < 0.5]
+            kept = [p for p in kept if zone_edge_fraction(p.psi) < 0.5]
             mus = np.array([p.mu for p in kept])
             errs[N] = max(float(np.min(np.abs(mus - lev))) for lev in levels)
             if N == 800:
@@ -222,7 +222,7 @@ def test_criterion_6_gap_lemma():
     intruders = []
     for zeta in np.linspace(-8.0, 8.0, 33):
         kept = filter_spurious(eig_window(assemble_fiber(grid, ps, float(zeta)), window), grid, f)
-        intruders += [(float(zeta), p.mu) for p, _ in kept]
+        intruders += [(float(zeta), float(mu)) for mu in kept.mu]
     ok = not intruders
     record_criterion(
         6, "gap lemma (no eigenvalues inside the certified gap)",

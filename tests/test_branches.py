@@ -75,6 +75,19 @@ class TestSweep:
         branches = sweep_branches(grid, ps, cfg, f)
         assert branches == []
 
+    def test_sweep_that_starts_empty_still_tracks(self):
+        """No state is in the window at zeta_min; the mass wall's crossing branch
+        enters mid-sweep and carries the predicted flow."""
+        ps = preset_profiles("mass_wall")
+        grid, cfg, f, branches = small_sweep(ps, window=(-1.5, 1.5))
+        from diracflow.branches import _solve_retained
+        from diracflow.fiber import FiberFamily
+
+        assert len(_solve_retained(FiberFamily.of(grid, ps), cfg.zeta_min, cfg.window, f).kept) == 0
+        assert branches and all(b.clipped and b.zetas[0] > cfg.zeta_min for b in branches)
+        minus, plus = HalfSpaceParams(2.0, -2.0, 0.0), HalfSpaceParams(2.0, 2.0, 0.0)
+        assert spectral_flow(branches, 0.0).sf_numeric == predicted_sf(minus, plus, 0.0).sf != 0
+
     def test_lipschitz_in_zeta(self):
         ps = preset_profiles("dual_wall_v01")
         _, _, _, branches = small_sweep(ps)
@@ -183,30 +196,25 @@ class TestMatching:
         """Exactly degenerate twin blocks give clusters of two; one incoming track
         inside a cluster's span (plus a little of another state) takes one rotated
         member, aligned with its projection, and the other member is left
-        orthogonal to it.  Turning the cluster's basis first changes nothing."""
-        rng = np.random.default_rng(7)
-        d, e = rng.uniform(-0.5, 0.5, 16), rng.uniform(0.8, 1.2, 15)
-        grid = Grid1D(L=1.0, N=16)
-        f = SpuriousFilter(margin=0.25, threshold=0.3)
-        pairs = eig_window(FiberMatrix(grid=grid, d=np.concatenate([d, d]), e=np.concatenate([e, [0.0], e])), (-6.0, 6.0))
-        assert abs(pairs[1].mu - pairs[0].mu) <= 1e-10 < pairs[2].mu - pairs[1].mu
-        c, s = np.cos(turn), np.sin(turn)
-        t0, t1 = c * pairs[0].t - s * pairs[1].t, s * pairs[0].t + c * pairs[1].t
-        pairs[:2] = [dataclasses.replace(p, t=t) for p, t in zip(pairs[:2], (t0, t1))]
-        kept = [(p, float(boundary_mass(p.t, grid, f.margin))) for p in pairs]
-        track = 0.6 * pairs[0].t + 0.7 * pairs[1].t + 0.2 * pairs[6].t
-        track /= np.linalg.norm(track)
-
+        orthogonal to it.  Turning the cluster's basis first changes nothing.  The
+        rotation goes into a copy: the input block is a cached sample that a
+        bisected step aligns again, and it stays bit for bit as it was."""
+        grid, f, kept, track = _twin_cluster(turn)
+        names = ("mu", "t", "residual", "slope", "mass")
+        before = [getattr(kept, name).copy() for name in names]
         out, rotated = _align_clusters(track[None, :], kept, grid, f)
-        assert rotated == 1 and out[2:] == kept[2:]
-        (a, mass_a), (b, mass_b) = out[:2]
-        reach = np.hypot(track @ pairs[0].t, track @ pairs[1].t)
+        assert rotated == 1
+        for name, was in zip(names, before):
+            assert np.array_equal(getattr(kept, name), was)
+            assert np.array_equal(getattr(out, name)[2:], was[2:])
+        a, b = out[0], out[1]
+        reach = np.hypot(track @ kept.t[0], track @ kept.t[1])
         assert abs(a.t @ track - reach) <= 1e-12 and abs(b.t @ track) <= 1e-12
         assert abs(a.t @ b.t) <= 1e-12 and abs(a.t @ a.t - 1.0) <= 1e-12
-        for p, mass in out[:2]:
-            assert abs(p.mu - pairs[0].mu) <= 1e-10
-            assert p.slope == slopes_of(p.t) and mass == boundary_mass(p.t, grid, f.margin)
-        expected = (0.6 * pairs[0].t + 0.7 * pairs[1].t) / np.hypot(0.6, 0.7)
+        for p in out[:2]:
+            assert abs(p.mu - kept.mu[0]) <= 1e-10
+            assert p.slope == slopes_of(p.t) and p.mass == boundary_mass(p.t, grid, f.margin)
+        expected = (0.6 * kept.t[0] + 0.7 * kept.t[1]) / np.hypot(0.6, 0.7)
         assert np.max(np.abs(a.t - expected)) <= 1e-12
 
     def test_cli_import_leaves_out_scipy_optimize(self):
@@ -218,6 +226,23 @@ class TestMatching:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def _twin_cluster(turn):
+    """Two exactly degenerate Jacobi blocks, filtered, with the first cluster's basis
+    turned by `turn`; and a track mostly inside that cluster's span."""
+    rng = np.random.default_rng(7)
+    d, e = rng.uniform(-0.5, 0.5, 16), rng.uniform(0.8, 1.2, 15)
+    grid = Grid1D(L=1.0, N=16)
+    f = SpuriousFilter(margin=0.25, threshold=0.3)
+    pairs = eig_window(FiberMatrix(grid=grid, d=np.concatenate([d, d]), e=np.concatenate([e, [0.0], e])), (-6.0, 6.0))
+    assert abs(pairs.mu[1] - pairs.mu[0]) <= 1e-10 < pairs.mu[2] - pairs.mu[1]
+    c, s = np.cos(turn), np.sin(turn)
+    t = pairs.t.copy()
+    t[:2] = [c * t[0] - s * t[1], s * t[0] + c * t[1]]
+    kept = dataclasses.replace(pairs, t=t, mass=boundary_mass(t, grid, f.margin))
+    track = 0.6 * t[0] + 0.7 * t[1] + 0.2 * t[6]
+    return grid, f, kept, track / np.linalg.norm(track)
 
 
 class TestClassify:

@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,16 @@ class TestCliBranches:
         assert lines == ["branch_id,zeta,mu,slope,overlap,boundary_mass"]
         assert (out / "tiny.svg").exists()
 
+    def test_svg_title_is_escaped(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_config(scenario="a<b&c")))
+        out = tmp_path / "o"
+        assert main(["branches", "--config", str(p), "--out", str(out)]) == 0
+        root = ElementTree.parse(out / "a<b&c.svg").getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.tag == f"{ns}svg"
+        assert [t.text for t in root.iter(f"{ns}text") if t.get("font-size") == "16"] == ["a<b&c"]
+
     def test_deterministic_output(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(tiny_config()))
@@ -262,6 +273,17 @@ class TestCliFlow:
         csv_text = (tmp_path / "o" / "flow.csv").read_text().splitlines()
         assert csv_text[0] == "alpha,sf_numeric,sf_predicted,two_pi_sigma,reconciled"
         assert csv_text[1].split(",") == ["0", "1", "1", "1", "1"]
+
+    def test_two_alphas_reconcile(self, tmp_path, capsys):
+        """2 pi sigma does not depend on alpha: it is checked once, against the
+        prediction inside the density window, and each row adds its own flow check."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_config(alphas=[0.0, 2.5])))
+        out = tmp_path / "o"
+        assert main(["flow", "--config", str(p), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "flow.csv").read_text().splitlines()[1:]]
+        assert rows == [["0", "1", "1", "1", "1"], ["2.5", "-1", "-1", "1", "1"]]
+        assert json.loads((out / "manifest.json").read_text())["verdicts"]["flow"] == "ok"
 
     def test_invalid_window_exits_4(self, tmp_path, capsys):
         # alpha next to the bulk level 1.9: endpoint branches hug it
@@ -544,6 +566,15 @@ def test_flow_mismatch_exits_7(tmp_path, monkeypatch):
         ("alphas", [0.0, float("nan")], "alphas"),
         ("grid", {"N": 10**400}, "grid.N"),
         ("grid", {"L": 10**400}, "grid.L"),
+        # the scenario names a file in the output directory: one path component only
+        ("scenario", "a/b", "scenario"),
+        ("scenario", "/tmp/x", "scenario"),
+        ("scenario", "../x", "scenario"),
+        ("scenario", "a\\b", "scenario"),
+        ("scenario", "a\0b", "scenario"),
+        ("scenario", "", "scenario"),
+        ("scenario", ".", "scenario"),
+        ("scenario", "..", "scenario"),
     ],
 )
 def test_non_integral_and_string_values_exit_6(tmp_path, capsys, section, value, field):

@@ -11,6 +11,7 @@ from diracflow.bulk import HalfSpaceParams, landau_levels
 from diracflow import fiber
 from diracflow.errors import SolverError
 from diracflow.fiber import (
+    Eigenpairs,
     FiberMatrix,
     Grid1D,
     SpuriousFilter,
@@ -99,7 +100,7 @@ class TestEigWindow:
         g = Grid1D(L=20.0, N=800)
         pairs = eig_window(assemble_fiber(g, CONST_220, 0.0), (-4.0, 4.0))
         kept = filter_spurious(pairs, g, SpuriousFilter(margin=5.0, threshold=0.3))
-        kept = [p for p, _ in kept if zone_edge_fraction(p.psi) < 0.5]
+        kept = [p for p in kept if zone_edge_fraction(p.psi) < 0.5]
         mus = np.array([p.mu for p in kept])
         for lev in landau_levels(HalfSpaceParams(2.0, 2.0, 0.0), 2).levels:
             assert np.min(np.abs(mus - lev)) < 1e-2
@@ -125,13 +126,28 @@ class TestEigWindow:
         g = Grid1D(L=10.0, N=400)
         delta = math.sqrt(9.0 - sup_A2_prime(ps, g.L))
         pairs = eig_window(assemble_fiber(g, ps, 0.0), (-delta + 0.05, delta - 0.05))
-        assert pairs == []
+        assert len(pairs) == 0 and pairs.t.shape == (0, 2 * g.N)
+        kept = filter_spurious(pairs, g, SpuriousFilter.default(g))
+        assert kept.t.shape == (0, 2 * g.N) and kept.mass.shape == (0,)
 
     def test_sorted_by_mu(self):
         ps = walls(HalfSpaceParams(-2.0, -2.0, 0.0), HalfSpaceParams(2.0, 2.0, 0.0))
         g = Grid1D(L=8.0, N=200)
         mus = [p.mu for p in eig_window(assemble_fiber(g, ps, 0.0), (-3.0, 3.0))]
         assert mus == sorted(mus)
+
+    def test_block_indexing(self):
+        """An int gives one pair, a mask a sub-block; psi works on rows and on the stack."""
+        g = Grid1D(L=8.0, N=200)
+        pairs = eig_window(assemble_fiber(g, CONST_220, 0.0), (-3.0, 3.0))
+        mask = pairs.mu > 0.0
+        sub = pairs[mask]
+        assert 0 < len(sub) < len(pairs) and np.array_equal(sub.t, pairs.t[mask])
+        assert np.array_equal(sub.mu, pairs.mu[mask]) and sub.mass is None
+        p = pairs[1]
+        assert (p.mu, p.residual, p.slope) == (pairs.mu[1], pairs.residual[1], pairs.slope[1])
+        assert np.array_equal(p.psi, pairs.psi[1]) and np.vdot(p.psi, p.psi).real == pytest.approx(1.0)
+        assert [q.mu for q in pairs] == pairs.mu.tolist()
 
     @pytest.mark.parametrize("link", [0.0, 1e-10], ids=["exact", "near"])
     def test_twin_blocks(self, link):
@@ -203,8 +219,9 @@ class TestFilter:
         psi[0::2][interior] = 1.0
         psi /= np.linalg.norm(psi)
         assert boundary_mass(psi, g, g.L / 4) == 0.0
-        pairs = [type("P", (), {"t": _jacobi(psi), "mu": 0.0, "residual": 0.0})()]
-        assert filter_spurious(pairs, g, SpuriousFilter(margin=g.L / 4, threshold=0.5)) == [(pairs[0], 0.0)]
+        pairs = _block(psi)
+        kept = filter_spurious(pairs, g, SpuriousFilter(margin=g.L / 4, threshold=0.5))
+        assert len(kept) == 1 and np.array_equal(kept.t, pairs.t) and kept.mass.tolist() == [0.0]
 
     def test_boundary_state_removed(self):
         g = Grid1D(L=8.0, N=128)
@@ -214,8 +231,8 @@ class TestFilter:
         psi[0::2][g.N // 2] = 1.0
         psi /= np.linalg.norm(psi)
         assert boundary_mass(psi, g, 2.0) > 0.5
-        pairs = [type("P", (), {"t": _jacobi(psi), "mu": 0.0, "residual": 0.0})()]
-        assert filter_spurious(pairs, g, SpuriousFilter(margin=2.0, threshold=0.5)) == []
+        kept = filter_spurious(_block(psi), g, SpuriousFilter(margin=2.0, threshold=0.5))
+        assert len(kept) == 0 and kept.t.shape == (0, 2 * g.N)
 
     def test_retained_states_interior_at_large_zeta(self):
         """Opposite-sign field wall at zeta = 6: retained states stay interior."""
@@ -224,8 +241,8 @@ class TestFilter:
         f = SpuriousFilter(margin=2.5, threshold=0.3)
         kept = filter_spurious(eig_window(assemble_fiber(g, ps, 6.0), (-4.0, 4.0)), g, f)
         assert kept
-        for p, mass in kept:
-            assert mass == boundary_mass(p.psi, g, f.margin) < 0.05
+        for p in kept:
+            assert p.mass == boundary_mass(p.psi, g, f.margin) < 0.05
 
     def test_zone_edge_fraction_separates(self):
         g = Grid1D(L=4.0, N=64)
@@ -352,11 +369,16 @@ class TestSlopes:
 
 def _jacobi(psi: np.ndarray) -> np.ndarray:
     """The real Jacobi vector t of a spinor with real up and imaginary down parts:
-    t_2i = i psi_down,i, t_2i+1 = psi_up,i (the inverse of EigenPair.psi)."""
+    t_2i = i psi_down,i, t_2i+1 = psi_up,i (the inverse of Eigenpairs.psi)."""
     t = np.empty(psi.size)
     t[0::2] = (1j * psi[1::2]).real
     t[1::2] = psi[0::2].real
     return t
+
+
+def _block(psi: np.ndarray) -> Eigenpairs:
+    """A one-row block holding the spinor psi at mu = 0."""
+    return Eigenpairs(mu=np.zeros(1), t=_jacobi(psi)[None, :], residual=np.zeros(1), slope=np.zeros(1))
 
 
 def _sigma2(psi: np.ndarray) -> np.ndarray:

@@ -67,7 +67,8 @@ class TestSpectralFlow:
         plus = HalfSpaceParams(2.0, 2.0, 0.1)
         r = spectral_flow([UP], 0.0, prediction=predicted_sf(minus, plus, 0.0))
         sigma = conductivity([UP], DensityProfile.from_window(-0.5, 0.5))
-        assert r.sf_predicted == 1 and reconcile(r, predicted_sf(minus, plus, 0.0), sigma)
+        pred = predicted_sf(minus, plus, 0.0)
+        assert r.sf_predicted == 1 and reconcile(r, pred, sigma, pred)
 
 
 class TestConductivity:
@@ -94,9 +95,14 @@ class TestReconcile:
         def rep(sf):
             return FlowReport(sf_numeric=sf, sf_predicted=pred.sf, crossings=())
 
-        assert reconcile(rep(1), pred, 1.0 + 1e-9)
-        assert not reconcile(rep(1), pred, 1.2)
-        assert not reconcile(rep(0), pred, 1.0)
+        assert reconcile(rep(1), pred, 1.0 + 1e-9, pred)
+        assert not reconcile(rep(1), pred, 1.2, pred)
+        assert not reconcile(rep(0), pred, 1.0, pred)
+        # sigma is checked against its own prediction, not the flow's
+        above = predicted_sf(HalfSpaceParams(-2, -2, -0.1), HalfSpaceParams(2, 2, 0.1), 2.5)
+        assert above.sf == -1
+        assert reconcile(FlowReport(sf_numeric=-1, sf_predicted=-1, crossings=()), above, 1.0, pred)
+        assert not reconcile(FlowReport(sf_numeric=-1, sf_predicted=-1, crossings=()), above, -1.0, pred)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +154,7 @@ class TestEndToEnd:
                 k = int(np.searchsorted(z, c.zeta))
 
                 def offset(zeta):
-                    mus = [p.mu for p, _ in _solve_retained(fiber, zeta, (alpha - 0.4, alpha + 0.4), f).kept]
+                    mus = _solve_retained(fiber, zeta, (alpha - 0.4, alpha + 0.4), f).kept.mu
                     return min(mus, key=lambda mu: abs(mu - alpha)) - alpha
 
                 root = brentq(offset, z[k - 1], z[k], xtol=1e-13)
