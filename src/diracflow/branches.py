@@ -172,27 +172,24 @@ def sweep_branches(
     ps: ProfileSet,
     cfg: SweepConfig,
     f: SpuriousFilter,
-    prefetch: dict[float, _Sample] | None = None,
     stats: dict | None = None,
 ) -> list[Branch]:
     """Track all branches of the filtered window spectrum over the zeta sweep.
 
-    `prefetch` seeds the solve cache with `_solve_retained` results (the
-    CLI fans the initial samples out to a worker pool); the result is
-    identical either way because matching is a sequential reduction in
-    zeta order.  `stats`, when given, is filled with the sweep telemetry:
-    `solves` (fiber solves, prefetched ones included), `bisections` by
-    reason (`motion`: a matched value left refine_tol; `stranded`: a track
-    went unmatched without exiting, which takes precedence), the smallest
-    matched overlap `min_overlap` with the zeta where it occurred
-    (`min_overlap_zeta`, None when nothing was matched), the states the
-    solves `retained` and `filtered` out, summed over solves, their
-    `max_residual`, and the `cluster_rotations` of the committed steps.
+    Matching is a sequential reduction in zeta order.  `stats`, when
+    given, is filled with the sweep telemetry: `solves` (fiber solves),
+    `bisections` by reason (`motion`: a matched value left refine_tol;
+    `stranded`: a track went unmatched without exiting, which takes
+    precedence), the smallest matched overlap `min_overlap` with the zeta
+    where it occurred (`min_overlap_zeta`, None when nothing was matched),
+    the states the solves `retained` and `filtered` out, summed over
+    solves, their `max_residual`, and the `cluster_rotations` of the
+    committed steps.
     """
     lo, hi = cfg.window
     targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
     fiber = FiberFamily.of(grid, ps)
-    cache: dict[float, _Sample] = dict(prefetch) if prefetch else {}
+    cache: dict[float, _Sample] = {}
     if stats is None:
         stats = {}
     stats.update(
@@ -206,19 +203,13 @@ def sweep_branches(
         cluster_rotations=0,
     )
 
-    def tally(sample: _Sample) -> None:
-        stats["solves"] += 1
-        stats["retained"] += len(sample.kept)
-        stats["filtered"] += sample.filtered
-        stats["max_residual"] = max(stats["max_residual"], sample.max_residual)
-
-    for sample in cache.values():
-        tally(sample)
-
     def solve(z: float) -> Eigenpairs:
         if z not in cache:
-            cache[z] = _solve_retained(fiber, z, cfg.window, f)
-            tally(cache[z])
+            cache[z] = sample = _solve_retained(fiber, z, cfg.window, f)
+            stats["solves"] += 1
+            stats["retained"] += len(sample.kept)
+            stats["filtered"] += sample.filtered
+            stats["max_residual"] = max(stats["max_residual"], sample.max_residual)
         return cache[z].kept
 
     def exits(b: Branch, step: float) -> bool:

@@ -17,20 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from .branches import Branch, _solve_retained, branch_points, sweep_branches
+from .branches import Branch, branch_points, sweep_branches
 from .bulk import HalfSpaceParams, landau_levels, predicted_sf
 from .config import RunConfig, RunManifest, config_from_dict, load_config
 from .errors import ConfigError, DiracflowError
-from .fiber import FiberFamily
 from .flow import conductivity, reconcile, spectral_flow
 from .oracle2d import (
     assemble_2d,
@@ -56,25 +50,16 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
     return minus, plus
 
 
-def run_sweep(cfg: RunConfig, workers: int, out: Path) -> tuple[list[Branch], RunManifest]:
-    """Sweep, prefetching the initial samples on min(workers, CPUs, samples) processes;
-    timed, with its telemetry (`sweep_branches`' stats), into a new manifest.  A DiracflowError
-    is written to `out/manifest.json` (verdict failed, partial telemetry) and re-raised."""
+def run_sweep(cfg: RunConfig, out: Path) -> tuple[list[Branch], RunManifest]:
+    """Sweep, timed, with its telemetry (`sweep_branches`' stats), into a new
+    manifest.  A DiracflowError is written to `out/manifest.json` (verdict
+    failed, partial telemetry) and re-raised."""
     out.mkdir(parents=True, exist_ok=True)
     man = RunManifest(cfg.resolved())
     man.diagnostics["sweep"] = stats = {}
-    workers = min(workers, os.cpu_count() or 1, cfg.sweep.samples)
-    man.timings["workers"] = workers
     t0 = time.perf_counter()
     try:
-        prefetch = None
-        if workers > 1:
-            sw = cfg.sweep
-            zetas = [float(z) for z in np.linspace(sw.zeta_min, sw.zeta_max, sw.samples)]
-            solve = partial(_solve_retained, FiberFamily.of(cfg.grid, cfg.profiles), window=sw.window, f=cfg.filter)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                prefetch = dict(zip(zetas, pool.map(solve, zetas)))
-        branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, prefetch=prefetch, stats=stats)
+        branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, stats=stats)
     except DiracflowError as exc:
         man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
         man.verdicts["sweep"] = "failed"
@@ -117,8 +102,8 @@ def cmd_bulk(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
-    branches, man = run_sweep(cfg, workers, out)
+def cmd_branches(cfg: RunConfig, out: Path) -> int:
+    branches, man = run_sweep(cfg, out)
     _write_csv(
         out / "branches.csv",
         ["branch_id", "zeta", "mu", "slope", "overlap", "boundary_mass"],
@@ -138,9 +123,9 @@ def cmd_branches(cfg: RunConfig, out: Path, workers: int) -> int:
     return 0
 
 
-def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_flow(cfg: RunConfig, out: Path) -> int:
     minus, plus = half_spaces(cfg.profiles)
-    branches, man = run_sweep(cfg, workers, out)
+    branches, man = run_sweep(cfg, out)
 
     # sigma does not depend on alpha: one value, predicted at the density window's centre
     sigma = conductivity(branches, cfg.density)
@@ -155,7 +140,7 @@ def cmd_flow(cfg: RunConfig, out: Path, workers: int) -> int:
         all_ok &= ok
         print(f"{alpha:8.3g} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
         rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
-        man.diagnostics[f"alpha_{alpha:g}"] = {
+        man.diagnostics[f"alpha_{_fmt(alpha)}"] = {
             "crossings": [[c.branch_id, c.zeta, c.direction] for c in report.crossings],
         }
     _write_csv(out / "flow.csv", ["alpha", "sf_numeric", "sf_predicted", "two_pi_sigma", "reconciled"], rows)
@@ -209,9 +194,9 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     return 0 if verdicts_ok else _FAILED_RESULT
 
 
-def cmd_all_figures(out_dir: Path, workers: int) -> int:
+def cmd_all_figures(out_dir: Path) -> int:
     for name in PRESETS:
-        cmd_branches(config_from_dict(preset_config(name)), out_dir / name, workers)
+        cmd_branches(config_from_dict(preset_config(name)), out_dir / name)
     return 0
 
 
@@ -223,16 +208,16 @@ class _Parser(argparse.ArgumentParser):
 def main(argv: list[str] | None = None) -> int:
     ap = _Parser(prog="diracflow", description=__doc__)
     ap.add_argument("verb", choices=["bulk-spectrum", "branches", "flow", "oracle", "all-figures"])
-    ap.add_argument("--config", type=Path, help="JSON config file")
-    ap.add_argument("--preset", choices=sorted(PRESETS), help="named preset scenario")
+    source = ap.add_mutually_exclusive_group()
+    source.add_argument("--config", type=Path, help="JSON config file")
+    source.add_argument("--preset", choices=sorted(PRESETS), help="named preset scenario")
     ap.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    ap.add_argument("--workers", type=int, default=1, help="parallel fiber solves")
     try:
         ns = ap.parse_args(argv)
-        if ns.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {ns.workers}")
         if ns.verb == "all-figures":
-            return cmd_all_figures(ns.out, ns.workers)
+            if ns.config is not None or ns.preset is not None:
+                ap.error("all-figures runs every preset: it takes no --config or --preset")
+            return cmd_all_figures(ns.out)
         if ns.config is not None:
             cfg = load_config(ns.config)
         elif ns.preset is not None:
@@ -241,8 +226,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("need --config or --preset")
         dispatch = {
             "bulk-spectrum": lambda: cmd_bulk(cfg, ns.out),
-            "branches": lambda: cmd_branches(cfg, ns.out, ns.workers),
-            "flow": lambda: cmd_flow(cfg, ns.out, ns.workers),
+            "branches": lambda: cmd_branches(cfg, ns.out),
+            "flow": lambda: cmd_flow(cfg, ns.out),
             "oracle": lambda: cmd_oracle(cfg, ns.out),
         }
         return dispatch[ns.verb]()

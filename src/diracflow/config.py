@@ -7,9 +7,8 @@ every nesting level so a typo in a config file fails loudly instead of
 silently running defaults; any malformed or invalid value raises
 ConfigError (exit code 6).  `RunConfig.resolved()` materializes every
 default into the manifest and is the exact inverse of the parser, making
-runs replayable from the manifest alone.  The output directory and the
-worker count are command-line flags, not config keys: they do not change
-the results.
+runs replayable from the manifest alone.  The output directory is a
+command-line flag, not a config key: it does not change the results.
 """
 
 from __future__ import annotations

@@ -163,58 +163,6 @@ class TestCliBranches:
             assert svg.startswith("<svg") or svg.startswith("<?xml")
         assert outs[0] == outs[1]
 
-    def test_workers_match_serial(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(tiny_config()))
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["branches", "--config", str(p), "--out", str(serial)]) == 0
-        assert main(["branches", "--config", str(p), "--out", str(parallel),
-                     "--workers", "2"]) == 0
-        assert (serial / "branches.csv").read_bytes() == (parallel / "branches.csv").read_bytes()
-
-        def sweep_stats(out):
-            return json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep"]
-
-        assert sweep_stats(serial) == sweep_stats(parallel)
-
-    @pytest.mark.parametrize("cpus, pool", [(8, 8), (10_000, 81), (None, 1)])
-    def test_workers_capped_by_cpus_and_samples(self, tmp_path, monkeypatch, cpus, pool):
-        """--workers 4096 starts at most one process per CPU and per initial sample
-        (81 for mass_wall); a stub pool maps serially and starts none."""
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        outs = {}
-        for workers in ("1", "4096"):
-            out = tmp_path / workers
-            assert main(["branches", "--preset", "mass_wall", "--out", str(out), "--workers", workers]) == 0
-            outs[workers] = (out / "branches.csv").read_bytes()
-            recorded = json.loads((out / "manifest.json").read_text())["timings"]["workers"]
-            assert recorded == (1 if workers == "1" else pool)
-        assert sizes == ([pool] if pool > 1 else [])
-        assert outs["1"] == outs["4096"]
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exit_6(self, tmp_path, capsys, workers):
-        rc = main(["branches", "--preset", "mass_wall", "--out", str(tmp_path / "o"), "--workers", workers])
-        err = capsys.readouterr().err
-        assert rc == 6 and err.startswith("error: ") and "--workers" in err
-        assert "Traceback" not in err and not (tmp_path / "o").exists()
-
     def test_manifest_records_sweep_telemetry(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(tiny_config()))
@@ -284,6 +232,17 @@ class TestCliFlow:
         rows = [line.split(",") for line in (out / "flow.csv").read_text().splitlines()[1:]]
         assert rows == [["0", "1", "1", "1", "1"], ["2.5", "-1", "-1", "1", "1"]]
         assert json.loads((out / "manifest.json").read_text())["verdicts"]["flow"] == "ok"
+
+    def test_alphas_equal_to_six_digits_keep_their_own_crossings(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_config(alphas=[0.1000001, 0.1000002])))
+        out = tmp_path / "o"
+        assert main(["flow", "--config", str(p), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "flow.csv").read_text().splitlines()[1:]]
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        entries = [key for key in diagnostics if key.startswith("alpha_")]
+        assert len(rows) == 2 and entries == [f"alpha_{row[0]}" for row in rows]
+        assert all(len(diagnostics[key]["crossings"]) == 1 for key in entries)
 
     def test_invalid_window_exits_4(self, tmp_path, capsys):
         # alpha next to the bulk level 1.9: endpoint branches hug it
@@ -381,7 +340,7 @@ class TestDispatch:
     def _usage_error(self, capsys, argv):
         assert main(argv) == 6
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_needs_config_or_preset(self, capsys):
         self._usage_error(capsys, ["flow"])
@@ -390,10 +349,22 @@ class TestDispatch:
         self._usage_error(capsys, ["render"])
 
     @pytest.mark.parametrize(
-        "argv", [["branches"], ["flow", "--preset", "nope"], ["flow", "--preset", "mass_wall", "--workers", "abc"]]
+        "argv",
+        [
+            ["branches"],
+            ["flow", "--preset", "nope"],
+            ["flow", "--preset", "mass_wall", "--workers", "2"],
+            ["flow", "--config", "cfg.json", "--preset", "mass_wall"],
+            ["all-figures", "--preset", "mass_wall"],
+            ["all-figures", "--config", "cfg.json"],
+        ],
     )
-    def test_malformed_arguments_exit_6(self, capsys, argv):
+    def test_malformed_arguments_exit_6(self, tmp_path, monkeypatch, capsys, argv):
+        # a valid cfg.json, so that only the command line is at fault
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(tiny_config()))
         self._usage_error(capsys, argv)
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -539,10 +510,10 @@ def test_flow_mismatch_exits_7(tmp_path, monkeypatch):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(tiny_config()))
     out = tmp_path / "o"
-    assert main(["flow", "--config", str(p), "--out", str(out), "--workers", "2"]) == 7
+    assert main(["flow", "--config", str(p), "--out", str(out)]) == 7
     man = json.loads((out / "manifest.json").read_text())
     assert man["verdicts"]["flow"] == "mismatch"
-    assert man["timings"]["workers"] == min(2, os.cpu_count() or 1)
+    assert "workers" not in man["timings"]
 
 
 @pytest.mark.parametrize(
