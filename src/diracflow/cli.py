@@ -138,7 +138,7 @@ def cmd_flow(cfg: RunConfig, out: Path) -> int:
         report = spectral_flow(branches, alpha, prediction=pred)
         ok = reconcile(report, pred, sigma, sigma_pred)
         all_ok &= ok
-        print(f"{alpha:8.3g} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
+        print(f"{_fmt(alpha):>8} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
         rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
         man.diagnostics[f"alpha_{_fmt(alpha)}"] = {
             "crossings": [[c.branch_id, c.zeta, c.direction] for c in report.crossings],
@@ -168,12 +168,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
         "two_pi_sigma": res.two_pi_sigma,
         "states_cut": res.n_states_cut,
         "states_in_window": res.n_window,
-        "states_bound": res.bound,
-        "bound_spread": res.spread,
-        "eigenpairs": res.k,
-        "solves": res.solves,
         "max_residual": res.max_residual,
-        "certificate_reach": res.reach,
         "dense_fallback": res.dense_fallback,
     }
     print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}")

@@ -27,18 +27,21 @@ is the fiber's Hellmann-Feynman slope weighted by P'(y):
 
 with t_k the eigenvector mapped back to the y-sites by one inverse FFT.
 
-The eigenpairs come from shift-invert Lanczos about the window centre c
-(ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang, ARPACK Users'
-Guide, 1998), which returns the k eigenvalues nearest c; k starts at
-min(U, 32), where U >= the number of eigenvalues in the window is a sum of
-exact Sturm counts of H's momentum-diagonal tridiagonals (_window_bound),
-and U = 0 means no solve.  The solve is accepted when the farthest
-returned eigenvalue lies at least the half-width (E2 - E1) / 2 from c, so
-every eigenvalue inside the window is among those returned, or when U of
-them lie inside it; otherwise k doubles.  Every pair is residual-checked,
-||H v - lambda v|| <= 1e-8 (1 + |lambda|).  When k would pass dim / 16, the
-window holds so much of the spectrum that Lanczos no longer pays, and a
-dense windowed eigh takes the solve.
+Before any solve, the eigenvalues in the window (lo, hi] are counted
+exactly (_window_count).  In (Jacobi index k, momentum) order H is block
+tridiagonal with Ny x Ny blocks, so by Haynsworth's inertia additivity
+(Linear Algebra Appl. 1, 1968) the number of eigenvalues <= lam is the
+number of negative eigenvalues of all the Schur complements of the block
+LDL^T recursion, the block form of the fiber's ?stebz Sturm count.  When W does
+not depend on y the blocks are diagonal and the count is Ny ?stebz calls,
+one per momentum.  With that count n, shift-invert Lanczos about the
+window centre c (ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang,
+ARPACK Users' Guide, 1998) asks for the n eigenvalues nearest c, which
+are exactly those inside the window; n = 0 means no solve.  When n passes
+dim / 16, the window holds so much of the spectrum that Lanczos no longer
+pays, and a dense windowed eigh takes the solve.  The solve is certified
+when exactly n values come back, all inside the window, and every pair
+passes ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -74,7 +77,6 @@ __all__ = [
 
 _BUDGET = 6000
 _ZONE_EDGE_CUT = 0.5
-_K_START = 32  # cap on the Lanczos eigenpairs asked for first: a loose bound must not start a huge solve
 # Lanczos runs while k <= dim / _DENSE_SHARE.  Its work grows as dim k^2
 # (a Krylov basis of 2k + 1 vectors), the dense solve's as dim^3; on the
 # criterion-7 grids (dims 1536, 3072) the two cost the same near k = dim / 12.
@@ -178,33 +180,6 @@ def assemble_2d(
     return sp.csr_array(H, dtype=complex)
 
 
-def _fourier_modes(H: sp.csr_array, g: Grid2D):
-    """(d, e, s): mode n of H's momentum-conserving part T is tridiag(conj(e[n]), d[n], e[n]).
-
-    T holds H's entries that join equal momenta on and next to the Jacobi
-    block diagonal.  Mode n sits at zeta_n = 2 pi fftfreq(Ny, hy)[n]; for
-    assemble_2d's H it is J(zeta_n) plus the y-mean of W.  s >= ||H - T||_2
-    is the largest exact 2-norm of H - T's Ny x Ny diagonal blocks, one per
-    (x-site, Jacobi component) (for assemble_2d's H, max_y |W - mean_y W|),
-    plus the largest absolute row sum of H - T's other entries.
-    """
-    if not H.has_canonical_format:  # the blocks and row sums need one entry per (row, column)
-        H = sp.csr_array(H.tocoo())
-    rows = np.repeat(np.arange(g.dim, dtype=H.indices.dtype), np.diff(H.indptr))
-    off = H.indices // g.Ny - rows // g.Ny
-    in_t = (H.indices % g.Ny == rows % g.Ny) & (np.abs(off) <= 1)
-    band = np.zeros((3, g.dim), dtype=complex)  # T's sub-, main and superdiagonal, by row
-    band[off[in_t] + 1, rows[in_t]] = H.data[in_t]
-    in_blocks = ~in_t & (off == 0)
-    ks, slot = np.unique(rows[in_blocks] // g.Ny, return_inverse=True)
-    blocks = np.zeros((ks.size, g.Ny, g.Ny), dtype=complex)
-    blocks[slot, rows[in_blocks] % g.Ny, H.indices[in_blocks] % g.Ny] = H.data[in_blocks]
-    rest = ~in_t & ~in_blocks
-    s = np.abs(np.linalg.eigvalsh(blocks)).max(initial=0.0)
-    s += np.bincount(rows[rest], np.abs(H.data[rest]), g.dim).max()
-    return band[1].real.reshape(-1, g.Ny).T, band[2, :-g.Ny].reshape(-1, g.Ny).T, float(s)
-
-
 def default_projection(g: Grid2D) -> SwitchProfile:
     """P(y) rising across the middle third of the y-box, clear of the seam."""
     return SwitchProfile(0.0, 1.0, g.Ly / 3.0, 2.0 * g.Ly / 3.0)
@@ -212,23 +187,12 @@ def default_projection(g: Grid2D) -> SwitchProfile:
 
 @dataclass(frozen=True)
 class TraceResult:
-    """The conductivity, and the certificate of the eigensolve behind it.
-
-    reach is max |lambda - c| / half-width over the final Lanczos solve (c the
-    window centre); reach >= 1 or bound eigenvalues inside the window certify
-    that every eigenvalue in it was returned.  It is None when no solve ran
-    (bound = 0) or the dense windowed eigh, which returns the whole window.
-    """
+    """The conductivity, and the certificate of the eigensolve behind it."""
 
     two_pi_sigma: float
     n_states_cut: int
-    n_window: int  # eigenvalues strictly inside the density window
-    bound: int  # U >= n_window, from the y-Fourier Sturm counts (_window_bound)
-    spread: float  # the s that widens the window of each count
-    k: int  # eigenpairs returned by the final solve
-    solves: int  # Lanczos solves, plus one if the dense fallback ran
+    n_window: int  # eigenvalues in the density window (lo, hi], exact (_window_count)
     max_residual: float  # largest ||H v - lambda v|| over the returned pairs
-    reach: float | None
     dense_fallback: bool
 
 
@@ -240,62 +204,85 @@ def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
         )
 
 
-def _window_bound(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> tuple[int, float]:
-    """(U, s): the Sturm counts of T's modes (_fourier_modes) in (lo - s, hi + s], summed.
-    By Weyl, U is at least the number of H's eigenvalues in the window; equal when s = 0."""
-    d, e, s = _fourier_modes(H, g)
-    return sum(count_eigenvalues(dn, np.abs(en), window[0] - s, window[1] + s) for dn, en in zip(d, e)), s
+def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> int:
+    """The exact number of H's eigenvalues in (lo, hi], from inertia.
+
+    In (Jacobi index k, momentum) order H is block tridiagonal with Ny x Ny
+    blocks A_k = H[k, k] and B_k = H[k, k + 1]; an entry outside that band
+    raises ValueError.  When no entry joins two momenta (W independent of
+    y), momentum n is the tridiagonal H[n::Ny, n::Ny], counted by
+    fiber.count_eigenvalues.  Otherwise the number of eigenvalues <= lam is
+    sum_k nu_-(S_k) (Haynsworth's inertia additivity), with S_0 = A_0 - lam
+    and S_k+1 = A_k+1 - lam - B_k^H S_k^-1 B_k, run at both window ends in
+    one batched eigh per block; an eigenvalue of S_k smaller in magnitude
+    than pivmin = 1e-12 ||H|| counts as -pivmin, as in ?stebz's Sturm count.
+    """
+    if not H.has_canonical_format:  # one entry per (row, column): duplicates are summed
+        H = sp.csr_array(H.tocoo())
+    Ny, nk = g.Ny, g.dim // g.Ny
+    k, n = np.divmod(np.repeat(np.arange(g.dim), np.diff(H.indptr)), Ny)
+    kc, nc = np.divmod(H.indices, Ny)
+    off = kc - k
+    if np.any(np.abs(off) > 1):
+        raise ValueError("H has an entry outside its Jacobi-index block band")
+    up = off >= 0  # the diagonal and upper blocks, enough for a Hermitian H
+    if np.array_equal(n, nc):
+        band = np.zeros((2, nk, Ny), dtype=complex)  # each mode's diagonal and superdiagonal
+        band[off[up], k[up], n[up]] = H.data[up]
+        return sum(count_eigenvalues(d, np.abs(e[:-1]), *window) for d, e in zip(band[0].real.T, band[1].T))
+    blocks = np.zeros((2, nk, Ny, Ny), dtype=complex)  # A_k, then B_k
+    blocks[off[up], k[up], n[up], nc[up]] = H.data[up]
+    pivmin = 1e-12 * np.abs(H).sum(axis=1).max()
+    shift = np.multiply.outer(window, np.eye(Ny))  # lo I and hi I
+    S = blocks[0, 0] - shift
+    below = np.zeros(2, dtype=int)
+    for i in range(nk):
+        w, V = np.linalg.eigh(S)
+        w = np.where(np.abs(w) < pivmin, -pivmin, w)
+        below += np.count_nonzero(w < 0.0, axis=-1)
+        if i + 1 < nk:
+            X = V.conj().swapaxes(-1, -2) @ blocks[1, i]  # S_i^-1 = V diag(1/w) V^H
+            S = blocks[0, i + 1] - shift - X.conj().swapaxes(-1, -2) @ (X / w[..., None])
+    return int(below[1] - below[0])
 
 
 def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
-    """Certified eigenpairs covering `window`: (lam, vec, certificate fields of TraceResult).
+    """Certified eigenpairs of the window: (lam, vec, certificate fields of TraceResult).
 
-    With U from _window_bound, shift-invert Lanczos about the window centre
-    asks for the k = min(U, _K_START) nearest eigenvalues (none if U = 0),
-    doubling k until the farthest lies at least the half-width from the
-    centre or U lie inside the window.  Once k would pass dim / _DENSE_SHARE,
-    the dense windowed eigh runs instead.  Every returned pair must satisfy
-    ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+    With the exact count n from _window_count, shift-invert Lanczos about
+    the window centre asks for the n nearest eigenvalues (no solve if
+    n = 0), or, once n passes dim / _DENSE_SHARE, the dense windowed eigh
+    runs.  The window is symmetric about its centre, so its n eigenvalues
+    are the n nearest: the solve is certified when exactly n values come
+    back, all inside (lo, hi], and each pair satisfies ||H v - lambda v||
+    <= 1e-8 (1 + |lambda|).  Otherwise SolverError.
     """
     lo, hi = window
-    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
     dim = H.shape[0]
-    bound, spread = _window_bound(H, g, window)
-    # a generic start vector, fixed so that reruns are bit-identical
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    k, solves = min(bound, _K_START), 0
-    lam, vec, reach = np.zeros(0), np.zeros((dim, 0), dtype=complex), None
-    while 0 < _DENSE_SHARE * k <= dim:
-        solves += 1
-        try:
-            lam, vec = spla.eigsh(H, k, sigma=c, which="LM", v0=v0)
-        except (spla.ArpackError, RuntimeError) as exc:
-            raise SolverError(f"shift-invert Lanczos failed with k = {k} about {c:.6g}: {exc}") from exc
-        reach = float(np.max(np.abs(lam - c))) / r
-        if reach >= 1.0 or np.count_nonzero((lam > lo) & (lam < hi)) == bound:
-            break
-        k *= 2
-    if _DENSE_SHARE * k > dim:
-        solves += 1
+    n = _window_count(H, g, window)
+    dense = _DENSE_SHARE * n > dim
+    if n == 0:
+        lam, vec = np.zeros(0), np.zeros((dim, 0), dtype=complex)
+    elif dense:
         lam, vec = sla.eigh(H.toarray(), subset_by_value=window)
-        reach = None
+    else:
+        # a generic start vector, fixed so that reruns are bit-identical
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        c = 0.5 * (lo + hi)
+        try:
+            lam, vec = spla.eigsh(H, n, sigma=c, which="LM", v0=v0)
+        except (spla.ArpackError, RuntimeError) as exc:
+            raise SolverError(f"shift-invert Lanczos failed with k = {n} about {c:.6g}: {exc}") from exc
+    inside = int(np.count_nonzero((lam > lo) & (lam <= hi)))
+    if len(lam) != n or inside != n:
+        raise SolverError(f"eigensolve returned {len(lam)} values, {inside} inside the window that holds {n}")
 
     order = np.argsort(lam)
     lam, vec = lam[order], vec[:, order]
     res = np.linalg.norm(H @ vec - vec * lam, axis=0)
     check_residuals(lam, res)
-    cert = dict(
-        n_window=int(np.count_nonzero((lam > lo) & (lam < hi))),
-        bound=bound,
-        spread=spread,
-        k=len(lam),
-        solves=solves,
-        max_residual=float(np.max(res, initial=0.0)),
-        reach=reach,
-        dense_fallback=solves > 0 and reach is None,
-    )
-    return lam, vec, cert
+    return lam, vec, dict(n_window=n, max_residual=float(np.max(res, initial=0.0)), dense_fallback=dense)
 
 
 def trace_conductivity(

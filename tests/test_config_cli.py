@@ -244,6 +244,14 @@ class TestCliFlow:
         assert len(rows) == 2 and entries == [f"alpha_{row[0]}" for row in rows]
         assert all(len(diagnostics[key]["crossings"]) == 1 for key in entries)
 
+    def test_stdout_rows_tell_close_alphas_apart(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_config(alphas=[0.1000001, 0.1000002])))
+        assert main(["flow", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[0] == "alpha"
+        assert [row.split()[0] for row in rows] == ["0.1000001", "0.1000002"]
+
     def test_invalid_window_exits_4(self, tmp_path, capsys):
         # alpha next to the bulk level 1.9: endpoint branches hug it
         raw = tiny_config(alphas=[1.93])
@@ -299,9 +307,8 @@ class TestCliOracle:
         man = json.loads((out / "manifest.json").read_text())
         assert "trace_seconds" in man["timings"] and "dense_trace_seconds" not in man["timings"]
         diag = man["diagnostics"]["oracle"]
+        assert set(diag) == {"two_pi_sigma", "states_cut", "states_in_window", "max_residual", "dense_fallback"}
         assert diag["states_in_window"] > 0
-        assert diag["eigenpairs"] == diag["states_in_window"] == diag["states_bound"]
-        assert diag["solves"] == 1 and diag["bound_spread"] < 1e-12
         assert diag["max_residual"] <= 1e-8
         assert diag["dense_fallback"] is False
 

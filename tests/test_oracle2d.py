@@ -116,15 +116,13 @@ class TestAssemble2D:
 
     @pytest.mark.parametrize("g", [SMALL], ids=["dirichlet"])
     def test_fourier_blocks_reproduce_fibers(self, g):
-        """H's momentum-diagonal blocks are the fiber Jacobi pairs (d, e) at the
-        discrete momenta 2*pi*n/Ly, entrywise below 1e-12, with no spread."""
-        d, e, spread = oracle2d._fourier_modes(assemble_2d(g, FIG2), g)
-        assert spread == 0.0
+        """No entry of H joins two momenta, and momentum n's block is the fiber
+        Jacobi matrix at the discrete momentum 2*pi*n/Ly, entrywise below 1e-12."""
+        H = assemble_2d(g, FIG2)
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
             fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
-            assert np.max(np.abs(d[mode] - fib.d)) < 1e-12
-            assert np.max(np.abs(e[mode] - fib.e)) < 1e-12
+            assert np.max(np.abs(_momentum_block(H, g, mode) - _jacobi(fib.d, fib.e))) < 1e-12
 
     def test_mult_x_adds_w_to_both_components_of_each_site(self):
         """A y-independent W(x) leaves H block-diagonal in y: each Fourier mode is
@@ -133,13 +131,23 @@ class TestAssemble2D:
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
         Wx = c * w.sample(g.grid_x.x, g.y, g.Ly)[:, 0]
         assert np.count_nonzero(Wx) > 2
-        d, e, spread = oracle2d._fourier_modes(assemble_2d(g, FIG2, w, coupling=c), g)
-        assert spread < 1e-12
+        H = assemble_2d(g, FIG2, w, coupling=c)
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
             fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
-            assert np.max(np.abs(d[mode] - (fib.d + np.repeat(Wx, 2)))) < 1e-12
-            assert np.max(np.abs(e[mode] - fib.e)) < 1e-12
+            expected = _jacobi(fib.d + np.repeat(Wx, 2), fib.e)
+            assert np.max(np.abs(_momentum_block(H, g, mode) - expected)) < 1e-12
+
+
+def _momentum_block(H, g, mode):
+    """H's block at one y-momentum, after checking that no entry of H joins two momenta."""
+    rows = np.repeat(np.arange(g.dim), np.diff(H.indptr))
+    assert np.array_equal(rows % g.Ny, H.indices % g.Ny)
+    return H.toarray()[mode::g.Ny, mode::g.Ny]
+
+
+def _jacobi(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 class TestTrace:
@@ -176,10 +184,7 @@ class TestTrace:
             assemble_2d(g, FIG2), g, default_projection(g),
             DensityProfile.from_window(-1.0, 1.0), full_result=True,
         )
-        assert set(vars(res)) == {
-            "two_pi_sigma", "n_states_cut", "n_window", "bound", "spread", "k",
-            "solves", "max_residual", "reach", "dense_fallback",
-        }
+        assert set(vars(res)) == {"two_pi_sigma", "n_states_cut", "n_window", "max_residual", "dense_fallback"}
         assert res.n_states_cut >= 0 and np.isfinite(res.two_pi_sigma)
 
 
@@ -227,26 +232,42 @@ GRID_512 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=16)
 
 
 def _dense_count(H, window):
-    """Eigenvalues of H strictly inside the window, from a full dense eigvalsh."""
+    """Eigenvalues of H in (lo, hi], from a full dense eigvalsh."""
     lam = np.linalg.eigvalsh(H.toarray())
-    return int(np.count_nonzero((lam > window[0]) & (lam < window[1])))
+    return int(np.count_nonzero((lam > window[0]) & (lam <= window[1])))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("not expected to run")
 
 
 class TestWindowBound:
-    """The y-Fourier Sturm-count bound U on the eigenvalues in the window."""
+    """The exact window count n (_window_count), which sizes the solve, against dense eigvalsh."""
+
+    @pytest.fixture
+    def mode_counts(self, monkeypatch):
+        """The windows that fiber.count_eigenvalues counts, one per y-momentum tridiagonal."""
+        real, calls = oracle2d.count_eigenvalues, []
+
+        def recorded(d, e, lo, hi):
+            calls.append((lo, hi))
+            return real(d, e, lo, hi)
+
+        monkeypatch.setattr(oracle2d, "count_eigenvalues", recorded)
+        return calls
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_exact_on_y_invariant_presets(self, name):
+    def test_exact_on_y_invariant_presets(self, name, mode_counts):
         window = config_from_dict(preset_config(name)).density.window
         H = assemble_2d(GRID_768, preset_profiles(name))
-        bound, spread = oracle2d._window_bound(H, GRID_768, window)
-        assert spread == 0.0 and bound == _dense_count(H, window)
+        assert oracle2d._window_count(H, GRID_768, window) == _dense_count(H, window)
+        assert mode_counts == [tuple(window)] * GRID_768.Ny
 
-    def test_exact_with_mult_x(self):
+    def test_exact_with_mult_x(self, mode_counts):
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
         H = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
-        bound, spread = oracle2d._window_bound(H, GRID_768, (-1.0, 1.0))
-        assert spread < 1e-12 and bound == _dense_count(H, (-1.0, 1.0))
+        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0)) == _dense_count(H, (-1.0, 1.0))
+        assert len(mode_counts) == GRID_768.Ny
 
     @pytest.mark.parametrize(
         "w, coupling",
@@ -257,46 +278,53 @@ class TestWindowBound:
         ],
         ids=["mult_xy", "decay_xy", "decay_y"],
     )
-    def test_upper_bound_with_y_dependent_w(self, w, coupling):
+    def test_upper_bound_with_y_dependent_w(self, w, coupling, monkeypatch):
+        """A W that joins momenta takes the block recursion, never the per-mode
+        count, and the count that bounds the solve equals dense eigvalsh's: it is tight."""
+        monkeypatch.setattr(oracle2d, "count_eigenvalues", _forbidden)
         H = assemble_2d(GRID_768, FIG2, w, coupling)
-        bound, spread = oracle2d._window_bound(H, GRID_768, (-1.0, 1.0))
-        assert spread > 1e-3 and bound >= _dense_count(H, (-1.0, 1.0))
+        for window in ((-1.0, 1.0), (-0.5, 0.5), (-2.5, 2.5), (0.3, 4.0)):
+            assert oracle2d._window_count(H, GRID_768, window) == _dense_count(H, window)
 
-    def test_spread_is_the_exact_norm_of_the_circulant_blocks(self):
-        """bulk_uniform + mult_xy at coupling 1.5 on the preset grid2d: H - T is
-        block-diagonal over (x-site, component), with zero-mean circulant blocks
-        of norm max_y |W - mean_y W|; with that s no mode reaches (-0.5, 0.5), so
-        U = 0 and no solve runs (the row sum gave s = 1.51 and U = 33)."""
+    def test_small_pivot_counts_as_negative(self):
+        """bulk_uniform + decay_y at coupling 1.5 on the preset grid2d (dimension
+        3072): at lam = -0.5 a Schur complement S_k has an eigenvalue near 1e-17.
+        Counted as -pivmin, as ?stebz does, the window (-0.5, 0.5) holds what
+        dense eigvalsh finds in it; taken at its computed sign, the count is wrong."""
         cfg = config_from_dict(preset_config("bulk_uniform"))
-        g, w = cfg.grid2d, PerturbationSpec(kind="mult_xy", amplitude=1.0)
-        bound, spread = oracle2d._window_bound(assemble_2d(g, cfg.profiles, w, coupling=1.5), g, (-0.5, 0.5))
-        W = 1.5 * w.sample(g.grid_x.x, g.y, g.Ly)
-        assert bound == 0
-        assert abs(spread - np.max(np.abs(W - W.mean(axis=1, keepdims=True)))) <= 1e-12
+        g, w = cfg.grid2d, PerturbationSpec(kind="decay_y", amplitude=1.0)
+        H = assemble_2d(g, cfg.profiles, w, coupling=1.5)
+        assert oracle2d._window_count(H, g, (-0.5, 0.5)) == _dense_count(H, (-0.5, 0.5))
 
-    def test_upper_bound_under_random_perturbations(self):
-        """Random Hermitian perturbations of sizes 1e-6 to 1, half of their entries
-        anywhere in H (mostly outside the Jacobi-block pattern), half near its
-        diagonal; the small ones leave U tight."""
-        H0, dim = assemble_2d(GRID_512, FIG2), GRID_512.dim
+    def test_exact_under_random_perturbations_in_the_band(self):
+        """Random Hermitian perturbations of sizes 1e-6 to 1 anywhere inside the
+        Jacobi-index block band, joining arbitrary momenta."""
+        H0, g = assemble_2d(GRID_512, FIG2), GRID_512
         rng = np.random.default_rng(12)
-        for _ in range(100):
+        for _ in range(20):
             n = int(rng.integers(1, 100))
-            i = rng.integers(0, dim, 2 * n)
-            j = np.concatenate([rng.integers(0, dim, n), (i[n:] + rng.integers(-64, 65, n)) % dim])
-            v = 10.0 ** rng.uniform(-6.0, 0.0) * rng.random(2 * n) * np.exp(2j * np.pi * rng.random(2 * n))
-            W = sp.csr_array((v, (i, j)), shape=(dim, dim))
+            i = rng.integers(0, g.dim, n)
+            k = np.clip(i // g.Ny + rng.integers(-1, 2, n), 0, g.dim // g.Ny - 1)
+            j = k * g.Ny + rng.integers(0, g.Ny, n)
+            v = 10.0 ** rng.uniform(-6.0, 0.0) * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+            W = sp.csr_array((v, (i, j)), shape=(g.dim, g.dim))
             H = sp.csr_array(H0 + W + W.conj().T)
-            bound, spread = oracle2d._window_bound(H, GRID_512, (-1.0, 1.0))
-            assert bound >= _dense_count(H, (-1.0, 1.0))
+            assert oracle2d._window_count(H, g, (-1.0, 1.0)) == _dense_count(H, (-1.0, 1.0))
+
+    def test_entry_outside_the_block_band_raises(self):
+        H0, g = assemble_2d(GRID_512, FIG2), GRID_512
+        far = 2 * g.Ny + 3  # two Jacobi indices away from row 0
+        W = sp.csr_array(([0.1, 0.1], ([0, far], [far, 0])), shape=H0.shape)
+        with pytest.raises(ValueError, match="band"):
+            oracle2d._window_count(sp.csr_array(H0 + W), g, (-1.0, 1.0))
 
     def test_duplicate_entries_are_summed(self):
         w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
         H = assemble_2d(GRID_512, FIG2, w, coupling=0.7)
         halves = sp.csr_array((np.repeat(H.data / 2, 2), np.repeat(H.indices, 2), 2 * H.indptr), shape=H.shape)
         assert not halves.has_canonical_format
-        (b1, s1), (b2, s2) = (oracle2d._window_bound(A, GRID_512, (-1.0, 1.0)) for A in (H, halves))
-        assert b1 == b2 and abs(s1 - s2) < 1e-12
+        n1, n2 = (oracle2d._window_count(A, GRID_512, (-1.0, 1.0)) for A in (H, halves))
+        assert n1 == n2 == _dense_count(H, (-1.0, 1.0))
 
 
 class TestWindowedSolve:
@@ -325,50 +353,52 @@ class TestWindowedSolve:
     def test_matches_dense_on_presets(self, name, g, window):
         res = self._check(g, preset_profiles(name), window)
         assert res.n_window > 0 and res.n_states_cut > 0
-        assert not res.dense_fallback and res.k == res.n_window == res.bound and res.solves == 1
+        assert not res.dense_fallback
 
     def test_matches_dense_perturbed(self):
         w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
         res = self._check(GRID_768, FIG2, (-1.0, 1.0), w, coupling=0.7)
-        assert not res.dense_fallback and res.reach >= 1.0
+        assert res.n_window > 0 and not res.dense_fallback
 
-    def test_doubling_k_until_certified(self):
+    def test_one_solve_at_k_equal_n_past_32(self, monkeypatch):
+        real, calls = spla.eigsh, []
+
+        def recorded(H, k, **kwargs):
+            calls.append(k)
+            return real(H, k, **kwargs)
+
+        monkeypatch.setattr(oracle2d.spla, "eigsh", recorded)
         res = self._check(GRID_1536, FIG2, (-2.5, 2.5))
-        assert res.solves >= 2 and res.k > 32
-        assert not res.dense_fallback and res.reach >= 1.0
+        assert calls == [res.n_window] and res.n_window > 32
+        assert not res.dense_fallback
 
     def test_empty_window_runs_no_solve(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("an empty window needs no eigensolve")
-
-        monkeypatch.setattr(oracle2d.spla, "eigsh", forbidden)
-        monkeypatch.setattr(oracle2d.sla, "eigh", forbidden)
+        monkeypatch.setattr(oracle2d.spla, "eigsh", _forbidden)
+        monkeypatch.setattr(oracle2d.sla, "eigh", _forbidden)
         res = self._check(GRID_768, preset_profiles("bulk_uniform"), (-0.5, 0.5))
-        assert res.two_pi_sigma == 0.0 and res.bound == res.k == res.solves == 0
-        assert res.reach is None and not res.dense_fallback
+        assert res.two_pi_sigma == 0.0 and res.n_window == 0 and not res.dense_fallback
 
     def test_count_certificate_can_fail(self, monkeypatch):
-        """A first solve that misses the in-window pair nearest c returns U - 1
-        pairs inside the window, all nearer c than the half-width: neither
-        certificate holds, so k doubles."""
+        """A solve that drops the in-window pair nearest c returns n - 1 values
+        for a window that holds n: SolverError, with no second solve."""
         real, calls = spla.eigsh, []
 
         def drop_nearest(H, k, sigma, **kwargs):
             lam, vec = real(H, k, sigma=sigma, **kwargs)
             calls.append(k)
-            if len(calls) == 1:
-                keep = np.arange(k) != np.argmin(np.abs(lam - sigma))
-                lam, vec = lam[keep], vec[:, keep]
-            return lam, vec
+            keep = np.arange(k) != np.argmin(np.abs(lam - sigma))
+            return lam[keep], vec[:, keep]
 
         monkeypatch.setattr(oracle2d.spla, "eigsh", drop_nearest)
-        res = self._check(GRID_768, preset_profiles("mass_wall"), (-0.5, 0.5))
-        assert res.bound == res.n_window > 0
-        assert calls == [res.bound, 2 * res.bound] and res.solves == 2
+        H = assemble_2d(GRID_768, preset_profiles("mass_wall"))
+        dens = DensityProfile.from_window(-0.5, 0.5)
+        with pytest.raises(SolverError, match="window"):
+            trace_conductivity(H, GRID_768, default_projection(GRID_768), dens)
+        assert calls == [_dense_count(H, dens.window)] and calls[0] > 0
 
     def test_window_wider_than_spectrum_takes_dense_fallback(self):
         res = self._check(SMALL, FIG2, (-40.0, 40.0))
-        assert res.dense_fallback and res.reach is None
+        assert res.dense_fallback
         assert res.n_window == SMALL.dim
 
     def test_repeated_calls_bit_identical(self):
