@@ -64,7 +64,6 @@ __all__ = [
     "SweepConfig",
     "Branch",
     "sweep_branches",
-    "validate_window",
     "autoscale",
 ]
 
@@ -287,20 +286,6 @@ def sweep_branches(
     done.extend(active)
     done.sort(key=lambda b: (b.zetas[0], b.mus[0]))
     return done
-
-
-def validate_window(branches: list[Branch], alpha: float, margin: float) -> bool:
-    """True iff no branch value sits within margin of alpha at a sweep endpoint."""
-    if not branches:
-        return True
-    z_lo = min(b.zetas[0] for b in branches)
-    z_hi = max(b.zetas[-1] for b in branches)
-    for b in branches:
-        if b.zetas[0] == z_lo and abs(b.mus[0] - alpha) < margin:
-            return False
-        if b.zetas[-1] == z_hi and abs(b.mus[-1] - alpha) < margin:
-            return False
-    return True
 
 
 def autoscale(

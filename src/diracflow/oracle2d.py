@@ -60,7 +60,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import BudgetError, SolverError, WindowError
-from .fiber import FiberFamily, Grid1D, check_residuals, count_eigenvalues, zone_edge_fraction
+from .fiber import FiberFamily, Grid1D, check_residuals, count_eigenvalues, slopes_of, zone_edge_fraction
 from .profiles import DensityProfile, ProfileSet, SwitchProfile, derivative
 from .profiles import evaluate, magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches them
 
@@ -311,8 +311,10 @@ def trace_conductivity(
     t = np.fft.ifft(vec[:, live].T.reshape(-1, N, 2, Ny), axis=-1, norm="ortho")
     keep = zone_edge_fraction(t.reshape(-1, g.dim), width=2 * Ny) <= _ZONE_EDGE_CUT
     t, w = t[keep], weights[live][keep]
-    # <t, P'(y) dJ/dzeta t> = -2 sum_{i,y} P'(y) Re(conj(t_2i,y) t_2i+1,y), eig_window's slope formula
-    slopes = -2.0 * np.sum(derivative(P, g.y) * np.real(np.conj(t[:, :, 0]) * t[:, :, 1]), axis=(1, 2))
+    # <t, P'(y) dJ/dzeta t>: the fiber slope of each y-site vector (state, y-site, Jacobi
+    # index), real and imaginary parts separately, weighted by P'(y)
+    t = t.transpose(0, 3, 1, 2).reshape(-1, Ny, 2 * N)
+    slopes = (slopes_of(t.real) + slopes_of(t.imag)) @ derivative(P, g.y)
 
     result = TraceResult(
         two_pi_sigma=2.0 * np.pi * float(w @ slopes),

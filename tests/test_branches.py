@@ -18,12 +18,11 @@ from diracflow.branches import (
     autoscale,
     branch_points,
     sweep_branches,
-    validate_window,
 )
 from diracflow.bulk import HalfSpaceParams, landau_levels, predicted_sf
 from diracflow.config import config_from_dict
 from diracflow.fiber import FiberMatrix, Grid1D, SpuriousFilter, boundary_mass, eig_window, slopes_of
-from diracflow.flow import spectral_flow
+from diracflow.flow import spectral_flow, validate_window
 from diracflow.presets import preset_config, preset_profiles
 
 from conftest import walls

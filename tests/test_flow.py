@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from diracflow.branches import Branch, SweepConfig, _solve_retained, sweep_branches
@@ -10,11 +12,12 @@ from diracflow.errors import WindowError
 from diracflow.fiber import FiberFamily, Grid1D, SpuriousFilter
 from diracflow.flow import (
     FlowReport,
+    _locate_crossings,
     conductivity,
     reconcile,
     spectral_flow,
 )
-from diracflow.profiles import DensityProfile
+from diracflow.profiles import DensityProfile, evaluate
 
 from conftest import walls
 
@@ -38,9 +41,9 @@ class TestSpectralFlow:
         assert r.sf_numeric == 1
         assert len(r.crossings) == 1
         assert r.crossings[0].direction == "up"
-        # alpha sits on a sample node, so the located crossing carries the
-        # 1e-9 perturbation offset
-        assert r.crossings[0].zeta == pytest.approx(0.0, abs=1e-6)
+        # alpha sits on the sample node zeta = 0; the node counts as above alpha,
+        # so the crossing is the step that ends there, located at its end
+        assert r.crossings[0].zeta == pytest.approx(0.0, abs=1e-12)
 
     def test_up_and_down_cancel(self):
         assert spectral_flow([UP, DOWN], 0.5).sf_numeric == 0
@@ -57,10 +60,24 @@ class TestSpectralFlow:
         with pytest.raises(WindowError):
             spectral_flow([UP], 1.95)
 
-    def test_crossing_on_node_perturbed(self):
+    def test_crossing_on_node(self):
         # UP passes exactly through 0 at a sample node
         r = spectral_flow([UP], 0.0)
         assert r.sf_numeric == 1
+
+    def test_touch_from_below_counts_twice_at_the_node(self):
+        # (-, 0, -): the node is above alpha, so the branch goes up and comes back down there
+        r = spectral_flow([mk_branch([-1.0, 0.0, 1.0], [-1.0, 0.0, -1.0])], 0.0)
+        assert r.sf_numeric == 0
+        assert [c.direction for c in r.crossings] == ["up", "down"]
+        # the tangent touch is a double root of the first step's cubic, which
+        # rounding moves by about sqrt(machine epsilon)
+        assert [c.zeta for c in r.crossings] == pytest.approx([0.0, 0.0], abs=1e-7)
+
+    def test_touch_from_above_does_not_cross(self):
+        # (+, 0, +): every sample is above alpha
+        r = spectral_flow([mk_branch([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])], 0.0)
+        assert r.sf_numeric == 0 and r.crossings == ()
 
     def test_prediction_attached(self):
         minus = HalfSpaceParams(-2.0, -2.0, -0.1)
@@ -69,6 +86,51 @@ class TestSpectralFlow:
         sigma = conductivity([UP], DensityProfile.from_window(-0.5, 0.5))
         pred = predicted_sf(minus, plus, 0.0)
         assert r.sf_predicted == 1 and reconcile(r, pred, sigma, pred)
+
+
+@st.composite
+def branches_around(draw):
+    """Random branches and a level alpha: interior samples may sit exactly on alpha,
+    both ends keep at least 0.15 from it."""
+    alpha = draw(st.floats(-3.0, 3.0))
+    offset = st.floats(-2.0, 2.0)
+    end = st.tuples(st.floats(0.15, 2.0), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+    branches = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 12))
+        z0 = draw(st.floats(-5.0, 0.0))
+        zetas = z0 + np.cumsum([0.0] + draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+        mus = [alpha + draw(end)]
+        for _ in range(n - 2):
+            mus.append(alpha if draw(st.booleans()) else alpha + draw(offset))
+        mus.append(alpha + draw(end))
+        slopes = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        branches.append(Branch(zetas=list(zetas), mus=mus, slopes=slopes, overlaps=[1.0] * n,
+                               boundary_masses=[0.0] * n))
+    return branches, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(branches_around())
+def test_flow_and_conductivity_are_endpoint_counts(case):
+    """The side rule (above: mu - alpha >= 0) makes the crossing count the endpoint
+    count on any branches, samples exactly on alpha included."""
+    branches, alpha = case
+    r = spectral_flow(branches, alpha)
+    assert r.sf_numeric == sum(int(b.mus[-1] >= alpha) - int(b.mus[0] >= alpha) for b in branches)
+
+    per_branch = [_locate_crossings(b, bid, alpha) for bid, b in enumerate(branches)]
+    for crossings in per_branch:
+        dirs = [c.direction for c in crossings]
+        assert all(d0 != d1 for d0, d1 in zip(dirs, dirs[1:]))
+    assert sorted(r.crossings, key=lambda c: (c.branch_id, c.zeta)) == sorted(
+        (c for cs in per_branch for c in cs), key=lambda c: (c.branch_id, c.zeta)
+    )
+
+    dens = DensityProfile.from_window(alpha - 0.05, alpha + 0.05)
+    sigma = conductivity(branches, dens)
+    assert sigma == sum(evaluate(dens.phi, b.mus[-1]) - evaluate(dens.phi, b.mus[0]) for b in branches)
+    assert sigma == r.sf_numeric
 
 
 class TestConductivity:
