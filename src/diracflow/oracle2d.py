@@ -34,14 +34,22 @@ tridiagonal with Ny x Ny blocks, so by Haynsworth's inertia additivity
 number of negative eigenvalues of all the Schur complements of the block
 LDL^T recursion, the block form of the fiber's ?stebz Sturm count.  When W does
 not depend on y the blocks are diagonal and the count is Ny ?stebz calls,
-one per momentum.  With that count n, shift-invert Lanczos about the
+one per momentum.  With that count n, a shift-invert solve about the
 window centre c (ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang,
 ARPACK Users' Guide, 1998) asks for the n eigenvalues nearest c, which
-are exactly those inside the window; n = 0 means no solve.  When n passes
-dim / 16, the window holds so much of the spectrum that Lanczos no longer
-pays, and a dense windowed eigh takes the solve.  The solve is certified
-when exactly n values come back, all inside the window, and every pair
-passes ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+are exactly those inside the window; n = 0 means no solve.  The solve
+runs in real arithmetic whenever it can: if no stored entry of H has a
+nonzero imaginary part (no W, or a W independent of y), H is real
+symmetric and gets ARPACK's symmetric Lanczos (dsaupd) on a real SuperLU
+factor of H - c.  Otherwise H is complex Hermitian, and scipy's eigsh
+hands it to eigs, ARPACK's complex Arnoldi (znaupd).  The rule reads the
+stored entries, not W's kind: every kind is even about Ly/2, so W_hat is
+real in exact arithmetic, but the FFT can leave imaginary rounding in it
+(none at Ny = 16, about 1e-17 at Ny = 24 or 32).  When n passes dim / 16,
+the window holds so much of the spectrum that the Krylov solve no longer
+pays, and a dense windowed eigh, real when H is, takes the solve.  The
+solve is certified when exactly n values come back, all inside the
+window, and every pair passes ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -77,9 +85,10 @@ __all__ = [
 
 _BUDGET = 6000
 _ZONE_EDGE_CUT = 0.5
-# Lanczos runs while k <= dim / _DENSE_SHARE.  Its work grows as dim k^2
-# (a Krylov basis of 2k + 1 vectors), the dense solve's as dim^3; on the
-# criterion-7 grids (dims 1536, 3072) the two cost the same near k = dim / 12.
+# The Krylov solve runs while k <= dim / _DENSE_SHARE.  Its work grows as
+# dim k^2 (a basis of 2k + 1 vectors), the dense solve's as dim^3; on the
+# criterion-7 grids (dims 1536, 3072, H real) real Lanczos and the real dense
+# eigh cost the same near k = dim / 8, and Lanczos is 2.8-3x faster at dim / 16.
 _DENSE_SHARE = 16
 
 
@@ -249,31 +258,40 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
 def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     """Certified eigenpairs of the window: (lam, vec, certificate fields of TraceResult).
 
-    With the exact count n from _window_count, shift-invert Lanczos about
+    With the exact count n from _window_count, a shift-invert eigsh about
     the window centre asks for the n nearest eigenvalues (no solve if
     n = 0), or, once n passes dim / _DENSE_SHARE, the dense windowed eigh
-    runs.  The window is symmetric about its centre, so its n eigenvalues
-    are the n nearest: the solve is certified when exactly n values come
-    back, all inside (lo, hi], and each pair satisfies ||H v - lambda v||
-    <= 1e-8 (1 + |lambda|).  Otherwise SolverError.
+    runs.  Both are real when no stored entry of H has a nonzero imaginary
+    part: symmetric Lanczos from a real start vector; a complex H gets
+    complex Arnoldi from a complex one (module docstring).  The window is
+    symmetric about its centre, so its n eigenvalues are the n nearest: the
+    solve is certified when exactly n values come back, all inside
+    (lo, hi], and each pair satisfies ||H v - lambda v|| <= 1e-8
+    (1 + |lambda|).  Otherwise SolverError.
     """
     lo, hi = window
     dim = H.shape[0]
+    real = not np.any(H.data.imag)
+    if real:
+        H = H.real.copy()  # copied: SuperLU rejects the strided view .real gives
     n = _window_count(H, g, window)
     dense = _DENSE_SHARE * n > dim
     if n == 0:
-        lam, vec = np.zeros(0), np.zeros((dim, 0), dtype=complex)
+        lam, vec = np.zeros(0), np.zeros((dim, 0), dtype=H.dtype)
     elif dense:
         lam, vec = sla.eigh(H.toarray(), subset_by_value=window)
     else:
-        # a generic start vector, fixed so that reruns are bit-identical
+        # a generic start vector of H's dtype, fixed so that reruns are bit-identical
         rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v0 = rng.standard_normal(dim)
+        if not real:
+            v0 = v0 + 1j * rng.standard_normal(dim)
         c = 0.5 * (lo + hi)
         try:
             lam, vec = spla.eigsh(H, n, sigma=c, which="LM", v0=v0)
         except (spla.ArpackError, RuntimeError) as exc:
-            raise SolverError(f"shift-invert Lanczos failed with k = {n} about {c:.6g}: {exc}") from exc
+            solver = "Lanczos" if real else "Arnoldi"
+            raise SolverError(f"shift-invert {solver} failed with k = {n} about {c:.6g}: {exc}") from exc
     inside = int(np.count_nonzero((lam > lo) & (lam <= hi)))
     if len(lam) != n or inside != n:
         raise SolverError(f"eigensolve returned {len(lam)} values, {inside} inside the window that holds {n}")

@@ -229,6 +229,10 @@ def _dense_reference(g, ps, P, dens, w=None, coupling=0.0):
 GRID_1536 = Grid2D(grid_x=Grid1D(L=12.0, N=48), Ly=12.0, Ny=16)
 GRID_768 = Grid2D(grid_x=Grid1D(L=6.0, N=24), Ly=12.0, Ny=16)
 GRID_512 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=16)
+# Every W kind is even about Ly/2, so W_hat is real in exact arithmetic.  At Ny = 16
+# the FFT returns it exactly real; at Ny = 24 it leaves imaginary parts near 1e-17,
+# so a y-dependent W keeps H complex and its solve on the complex path.
+GRID_768_NY24 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=24)
 
 
 def _dense_count(H, window):
@@ -356,9 +360,33 @@ class TestWindowedSolve:
         assert not res.dense_fallback
 
     def test_matches_dense_perturbed(self):
-        w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
-        res = self._check(GRID_768, FIG2, (-1.0, 1.0), w, coupling=0.7)
-        assert res.n_window > 0 and not res.dense_fallback
+        # real H (Lanczos) for mult_x and for mult_xy at Ny = 16; complex H (Arnoldi) at Ny = 24
+        for g, kind in ((GRID_768, "mult_xy"), (GRID_768, "mult_x"), (GRID_768_NY24, "mult_xy")):
+            w = PerturbationSpec(kind=kind, amplitude=0.5)
+            res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
+            assert res.n_window > 0 and not res.dense_fallback
+
+    @pytest.mark.parametrize(
+        "kind, dtype",
+        [(None, np.float64), ("mult_x", np.float64), ("mult_xy", np.complex128)],
+        ids=["unperturbed", "mult_x", "mult_xy"],
+    )
+    def test_solve_is_real_exactly_when_h_is(self, kind, dtype, monkeypatch):
+        """A y-invariant H is real, so eigsh gets a real matrix and start vector
+        (ARPACK's symmetric Lanczos); mult_xy at Ny = 24 keeps both complex."""
+        real, seen = spla.eigsh, []
+
+        def recorded(H, k, v0, **kwargs):
+            seen.append((H.dtype, v0.dtype))
+            return real(H, k, v0=v0, **kwargs)
+
+        monkeypatch.setattr(oracle2d.spla, "eigsh", recorded)
+        g = GRID_768_NY24
+        w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
+        H = assemble_2d(g, FIG2, w, coupling=0.7)
+        assert H.dtype == np.complex128 and np.any(H.data.imag) == (dtype == np.complex128)
+        trace_conductivity(H, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
+        assert seen == [(dtype, dtype)]
 
     def test_one_solve_at_k_equal_n_past_32(self, monkeypatch):
         real, calls = spla.eigsh, []
@@ -402,10 +430,14 @@ class TestWindowedSolve:
         assert res.n_window == SMALL.dim
 
     def test_repeated_calls_bit_identical(self):
-        H = assemble_2d(GRID_768, FIG2)
-        P, dens = default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0)
-        first = trace_conductivity(H, GRID_768, P, dens, full_result=True)
-        assert trace_conductivity(H, GRID_768, P, dens, full_result=True) == first
+        dens = DensityProfile.from_window(-1.0, 1.0)
+        # a real H (Lanczos) and a complex one (Arnoldi): both start vectors are fixed
+        for g, w in ((GRID_768, None), (GRID_768_NY24, PerturbationSpec(kind="mult_xy", amplitude=0.5))):
+            H = assemble_2d(g, FIG2, w, coupling=0.7)
+            P = default_projection(g)
+            first = trace_conductivity(H, g, P, dens, full_result=True)
+            assert first.n_window > 0 and not first.dense_fallback
+            assert trace_conductivity(H, g, P, dens, full_result=True) == first
 
     def test_no_convergence_raises_solver_error(self, monkeypatch):
         def stalled(*args, **kwargs):
