@@ -70,7 +70,10 @@ def _hermite_root(d0: float, d1: float, s0: float, s1: float) -> float | None:
 def _locate_crossings(branch: Branch, bid: int, alpha: float) -> list[Crossing]:
     """Steps on which the sample's side of alpha changes (above: mu - alpha >= 0),
     each located on its step by cubic Hermite interpolation of the sampled values
-    and slopes (linear interpolation when the cubic has no single root in the step)."""
+    and slopes (linear interpolation when the cubic has no single root in the step).
+    A step from or to a sample on alpha crosses at that sample: linear interpolation
+    puts it there exactly, where a tangent touch's double root of the cubic would
+    be moved by rounding by about sqrt(machine epsilon)."""
     z = np.asarray(branch.zetas)
     d = np.asarray(branch.mus) - alpha
     s = np.asarray(branch.slopes)
@@ -78,7 +81,7 @@ def _locate_crossings(branch: Branch, bid: int, alpha: float) -> list[Crossing]:
     out = []
     for k in np.flatnonzero(above[:-1] != above[1:]):
         h = z[k + 1] - z[k]
-        t = _hermite_root(d[k], d[k + 1], h * s[k], h * s[k + 1])
+        t = _hermite_root(d[k], d[k + 1], h * s[k], h * s[k + 1]) if d[k] != 0.0 and d[k + 1] != 0.0 else None
         if t is None:
             t = d[k] / (d[k] - d[k + 1])
         out.append(Crossing(branch_id=bid, zeta=float(z[k] + t * h), direction="down" if above[k] else "up"))

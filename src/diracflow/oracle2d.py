@@ -13,9 +13,11 @@ two components of each site), so a y-invariant H is exactly the block sum
 of the fibers J(zeta_n); the x-stencil is defined only in the fiber
 module.  W(x, y) acts on the momenta by convolution: each component of
 site i carries the circulant block W_hat[n, n'] = w_hat_i(n - n' mod Ny),
-w_hat = fft(W, axis=1) / Ny, symmetrized so H is bit-exactly Hermitian.
-H is a sparse CSR matrix: 9152 entries at dimension 3072 without W, plus
-Ny per row on the sites where W(x, .) is nonzero.
+w_hat = Re fft(W, axis=1) / Ny, W's cosine transform: W must be even about
+Ly/2, so its y-DFT is real in exact arithmetic and the real part drops only
+FFT rounding.  Symmetrized, H is a bit-exactly symmetric float64 CSR matrix:
+9152 entries at dimension 3072 without W, plus Ny per row on the sites
+where W(x, .) is nonzero.
 
 The conductivity is evaluated from the eigenpairs inside the density
 window (E1, E2), the only ones on which phi' is nonzero.  With the
@@ -37,19 +39,13 @@ not depend on y the blocks are diagonal and the count is Ny ?stebz calls,
 one per momentum.  With that count n, a shift-invert solve about the
 window centre c (ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang,
 ARPACK Users' Guide, 1998) asks for the n eigenvalues nearest c, which
-are exactly those inside the window; n = 0 means no solve.  The solve
-runs in real arithmetic whenever it can: if no stored entry of H has a
-nonzero imaginary part (no W, or a W independent of y), H is real
-symmetric and gets ARPACK's symmetric Lanczos (dsaupd) on a real SuperLU
-factor of H - c.  Otherwise H is complex Hermitian, and scipy's eigsh
-hands it to eigs, ARPACK's complex Arnoldi (znaupd).  The rule reads the
-stored entries, not W's kind: every kind is even about Ly/2, so W_hat is
-real in exact arithmetic, but the FFT can leave imaginary rounding in it
-(none at Ny = 16, about 1e-17 at Ny = 24 or 32).  When n passes dim / 16,
-the window holds so much of the spectrum that the Krylov solve no longer
-pays, and a dense windowed eigh, real when H is, takes the solve.  The
-solve is certified when exactly n values come back, all inside the
-window, and every pair passes ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+are exactly those inside the window; n = 0 means no solve.  H is real
+symmetric, so the solve is ARPACK's symmetric Lanczos (dsaupd) on a real
+SuperLU factor of H - c.  When n passes dim / _DENSE_SHARE, the window
+holds so much of the spectrum that the Krylov solve no longer pays, and a
+dense windowed eigh takes the solve.  The solve is certified when exactly n
+values come back, all inside the window, and every pair passes
+||H v - lambda v|| <= 1e-8 (1 + |lambda|).
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -87,9 +83,9 @@ _BUDGET = 6000
 _ZONE_EDGE_CUT = 0.5
 # The Krylov solve runs while k <= dim / _DENSE_SHARE.  Its work grows as
 # dim k^2 (a basis of 2k + 1 vectors), the dense solve's as dim^3; on the
-# criterion-7 grids (dims 1536, 3072, H real) real Lanczos and the real dense
-# eigh cost the same near k = dim / 8, and Lanczos is 2.8-3x faster at dim / 16.
-_DENSE_SHARE = 16
+# criterion-7 grids (dims 1536, 3072) Lanczos is 1.2-1.3x faster than the dense
+# eigh at k = dim / 9 and 2.4-3x at dim / 16, and the two break even at dim / 8.
+_DENSE_SHARE = 9
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,7 @@ class Grid2D:
 class PerturbationSpec:
     """Perturbation W with the decay/support classes of the stability theorems.
 
-    kinds:
+    kinds, each even about Ly/2 (W(x, Ly - y) = W(x, y)), as assemble_2d requires:
       mult_x   -- W(x): compactly supported smooth bump, |x| <= support
       mult_xy  -- W(x, y): product of compact bumps in x and (centered) y
       decay_y  -- W(y) = amplitude * <y - Ly/2>^(-1-delta)
@@ -171,7 +167,8 @@ def assemble_2d(
     w: PerturbationSpec | None = None,
     coupling: float = 0.0,
 ) -> sp.csr_array:
-    """Sparse (CSR) Hermitian 2D Hamiltonian; layout is (x-site, Jacobi component, y-momentum)."""
+    """Sparse (CSR) float64 symmetric 2D Hamiltonian; layout is (x-site, Jacobi component, y-momentum).
+    ValueError when coupling * W differs from its reflection y -> Ly - y by over 1e-12 max|coupling * W|."""
     if g.dim > _BUDGET:
         raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
     fam = FiberFamily.of(g.grid_x, ps)
@@ -182,11 +179,14 @@ def assemble_2d(
     zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
     H = sp.kron(J, sp.eye_array(g.Ny)) + sp.kron(S, sp.diags_array(zeta))
     if w is not None and coupling != 0.0:
+        W = coupling * w.sample(g.grid_x.x, g.y, g.Ly)
+        if np.max(np.abs(W - W[:, -np.arange(g.Ny)])) > 1e-12 * np.max(np.abs(W)):
+            raise ValueError("W must be even about Ly/2: W(x, Ly - y) = W(x, y)")
         # W(x, y) convolves the momenta: each site component's block [n, n'] is w_hat(n - n' mod Ny)
-        w_hat = np.fft.fft(coupling * w.sample(g.grid_x.x, g.y, g.Ly), axis=1) / g.Ny
+        w_hat = np.fft.fft(W, axis=1).real / g.Ny
         C = sp.block_diag(sla.circulant(np.repeat(w_hat, 2, axis=0)))
-        H = H + 0.5 * (C + C.conj().T)
-    return sp.csr_array(H, dtype=complex)
+        H = H + 0.5 * (C + C.T)
+    return sp.csr_array(H)
 
 
 def default_projection(g: Grid2D) -> SwitchProfile:
@@ -222,7 +222,7 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
     y), momentum n is the tridiagonal H[n::Ny, n::Ny], counted by
     fiber.count_eigenvalues.  Otherwise the number of eigenvalues <= lam is
     sum_k nu_-(S_k) (Haynsworth's inertia additivity), with S_0 = A_0 - lam
-    and S_k+1 = A_k+1 - lam - B_k^H S_k^-1 B_k, run at both window ends in
+    and S_k+1 = A_k+1 - lam - B_k^T S_k^-1 B_k, run at both window ends in
     one batched eigh per block; an eigenvalue of S_k smaller in magnitude
     than pivmin = 1e-12 ||H|| counts as -pivmin, as in ?stebz's Sturm count.
     """
@@ -234,12 +234,12 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
     off = kc - k
     if np.any(np.abs(off) > 1):
         raise ValueError("H has an entry outside its Jacobi-index block band")
-    up = off >= 0  # the diagonal and upper blocks, enough for a Hermitian H
+    up = off >= 0  # the diagonal and upper blocks, enough for a symmetric H
     if np.array_equal(n, nc):
-        band = np.zeros((2, nk, Ny), dtype=complex)  # each mode's diagonal and superdiagonal
+        band = np.zeros((2, nk, Ny))  # each mode's diagonal and superdiagonal
         band[off[up], k[up], n[up]] = H.data[up]
-        return sum(count_eigenvalues(d, np.abs(e[:-1]), *window) for d, e in zip(band[0].real.T, band[1].T))
-    blocks = np.zeros((2, nk, Ny, Ny), dtype=complex)  # A_k, then B_k
+        return sum(count_eigenvalues(d, e[:-1], *window) for d, e in zip(band[0].T, band[1].T))
+    blocks = np.zeros((2, nk, Ny, Ny))  # A_k, then B_k
     blocks[off[up], k[up], n[up], nc[up]] = H.data[up]
     pivmin = 1e-12 * np.abs(H).sum(axis=1).max()
     shift = np.multiply.outer(window, np.eye(Ny))  # lo I and hi I
@@ -250,48 +250,37 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
         w = np.where(np.abs(w) < pivmin, -pivmin, w)
         below += np.count_nonzero(w < 0.0, axis=-1)
         if i + 1 < nk:
-            X = V.conj().swapaxes(-1, -2) @ blocks[1, i]  # S_i^-1 = V diag(1/w) V^H
-            S = blocks[0, i + 1] - shift - X.conj().swapaxes(-1, -2) @ (X / w[..., None])
+            X = V.swapaxes(-1, -2) @ blocks[1, i]  # S_i^-1 = V diag(1/w) V^T
+            S = blocks[0, i + 1] - shift - X.swapaxes(-1, -2) @ (X / w[..., None])
     return int(below[1] - below[0])
 
 
 def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     """Certified eigenpairs of the window: (lam, vec, certificate fields of TraceResult).
 
-    With the exact count n from _window_count, a shift-invert eigsh about
-    the window centre asks for the n nearest eigenvalues (no solve if
+    With the exact count n from _window_count, a shift-invert Lanczos (eigsh)
+    about the window centre asks for the n nearest eigenvalues (no solve if
     n = 0), or, once n passes dim / _DENSE_SHARE, the dense windowed eigh
-    runs.  Both are real when no stored entry of H has a nonzero imaginary
-    part: symmetric Lanczos from a real start vector; a complex H gets
-    complex Arnoldi from a complex one (module docstring).  The window is
-    symmetric about its centre, so its n eigenvalues are the n nearest: the
-    solve is certified when exactly n values come back, all inside
-    (lo, hi], and each pair satisfies ||H v - lambda v|| <= 1e-8
-    (1 + |lambda|).  Otherwise SolverError.
+    runs.  The window is symmetric about its centre, so its n eigenvalues
+    are the n nearest: the solve is certified when exactly n values come
+    back, all inside (lo, hi], and each pair satisfies
+    ||H v - lambda v|| <= 1e-8 (1 + |lambda|).  Otherwise SolverError.
     """
     lo, hi = window
     dim = H.shape[0]
-    real = not np.any(H.data.imag)
-    if real:
-        H = H.real.copy()  # copied: SuperLU rejects the strided view .real gives
     n = _window_count(H, g, window)
     dense = _DENSE_SHARE * n > dim
     if n == 0:
-        lam, vec = np.zeros(0), np.zeros((dim, 0), dtype=H.dtype)
+        lam, vec = np.zeros(0), np.zeros((dim, 0))
     elif dense:
         lam, vec = sla.eigh(H.toarray(), subset_by_value=window)
     else:
-        # a generic start vector of H's dtype, fixed so that reruns are bit-identical
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(dim)
-        if not real:
-            v0 = v0 + 1j * rng.standard_normal(dim)
+        v0 = np.random.default_rng(0).standard_normal(dim)  # generic, fixed so that reruns are bit-identical
         c = 0.5 * (lo + hi)
         try:
             lam, vec = spla.eigsh(H, n, sigma=c, which="LM", v0=v0)
         except (spla.ArpackError, RuntimeError) as exc:
-            solver = "Lanczos" if real else "Arnoldi"
-            raise SolverError(f"shift-invert {solver} failed with k = {n} about {c:.6g}: {exc}") from exc
+            raise SolverError(f"shift-invert Lanczos failed with k = {n} about {c:.6g}: {exc}") from exc
     inside = int(np.count_nonzero((lam > lo) & (lam <= hi)))
     if len(lam) != n or inside != n:
         raise SolverError(f"eigensolve returned {len(lam)} values, {inside} inside the window that holds {n}")
@@ -314,13 +303,14 @@ def trace_conductivity(
 
     Each state contributes its fiber slope weighted by P'(y), using
     i[H, P] = P'(y) sigma_2 (module docstring).  Raises WindowError when
-    P's transition is too close to the periodic seam, and SolverError when
-    an eigenpair misses its residual contract.
+    P's transition is too close to the periodic seam, ValueError when Hmat is
+    complex or not of the grid's dimension, and SolverError when an eigenpair
+    misses its residual contract.
     """
     _check_seam(P, g)
     N, Ny = g.grid_x.N, g.Ny
-    if Hmat.shape != (g.dim, g.dim):
-        raise ValueError("matrix does not match the grid")
+    if Hmat.shape != (g.dim, g.dim) or np.iscomplexobj(Hmat):
+        raise ValueError("matrix must be real (assemble_2d's layout) and match the grid")
 
     lam, vec, cert = _window_eigenpairs(sp.csr_array(Hmat), g, dens.window)
     weights = derivative(dens.phi, lam)

@@ -70,9 +70,8 @@ class TestSpectralFlow:
         r = spectral_flow([mk_branch([-1.0, 0.0, 1.0], [-1.0, 0.0, -1.0])], 0.0)
         assert r.sf_numeric == 0
         assert [c.direction for c in r.crossings] == ["up", "down"]
-        # the tangent touch is a double root of the first step's cubic, which
-        # rounding moves by about sqrt(machine epsilon)
-        assert [c.zeta for c in r.crossings] == pytest.approx([0.0, 0.0], abs=1e-7)
+        # the tangent touch is a double root of the first step's cubic; the node is taken exactly
+        assert [c.zeta for c in r.crossings] == [0.0, 0.0]
 
     def test_touch_from_above_does_not_cross(self):
         # (+, 0, +): every sample is above alpha

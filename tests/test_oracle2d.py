@@ -68,6 +68,16 @@ class TestPerturbationSpec:
         assert np.max(W) == pytest.approx(W[0, mid])
         assert W[0, 0] < W[0, mid]
 
+    @pytest.mark.parametrize("kind", ["mult_x", "mult_xy", "decay_y", "decay_xy"])
+    def test_every_kind_is_even_about_the_middle(self, kind):
+        """W(x, Ly - y) = W(x, y) to rounding, the condition under which assemble_2d's H is real."""
+        w = PerturbationSpec(kind=kind, amplitude=0.5, support=3.0)
+        for Ny in (16, 17, 24, 32):
+            g = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=Ny)
+            W = w.sample(g.grid_x.x, g.y, g.Ly)
+            assert np.max(np.abs(W)) > 0.0
+            assert np.max(np.abs(W - _reflected(W))) <= 1e-15 * np.max(np.abs(W))
+
     def test_decay_xy_decays_both_ways(self):
         w = PerturbationSpec(kind="decay_xy", amplitude=0.3, delta=0.5)
         W = w.sample(SMALL.grid_x.x, SMALL.y, SMALL.Ly)
@@ -100,12 +110,15 @@ class TestAssemble2D:
     def test_momentum_layout_is_the_y_fourier_transform(self, Ny):
         """H equals (I (x) F) H_y (I (x) F^H), F the unitary DFT, with H_y built
         densely on the y-sites from the fiber's (d, e), the spectral K_y and
-        diag(W).  A seeded random W(x, y) has no symmetry in y, so a convolution
-        index of the wrong sign (W reflected in y) fails here."""
+        diag(W), for a seeded random W(x, y) made even about Ly/2.  The raw
+        random W, which is not, raises ValueError."""
         g = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=Ny)
-        W = np.random.default_rng(Ny).standard_normal((16, Ny))
+        raw = np.random.default_rng(Ny).standard_normal((16, Ny))
+        with pytest.raises(ValueError, match="even"):
+            assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: raw), coupling=1.0)
+        W = raw + _reflected(raw)
         H = assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: W), coupling=1.0)
-        assert np.max(np.abs(H - H.conj().T)) == 0.0
+        assert H.dtype == np.float64 and np.max(np.abs(H - H.T)) == 0.0
         fam = FiberFamily.of(g.grid_x, FIG2)
         J0, dJ = fam.at(0.0), fam.at(1.0).e - fam.at(0.0).e
         J = np.diag(J0.d) + np.diag(J0.e, 1) + np.diag(J0.e, -1)
@@ -137,6 +150,11 @@ class TestAssemble2D:
             fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
             expected = _jacobi(fib.d + np.repeat(Wx, 2), fib.e)
             assert np.max(np.abs(_momentum_block(H, g, mode) - expected)) < 1e-12
+
+
+def _reflected(W):
+    """W(x, Ly - y) on the periodic y-grid: column j goes to column -j mod Ny."""
+    return W[:, (-np.arange(W.shape[1])) % W.shape[1]]
 
 
 def _momentum_block(H, g, mode):
@@ -173,10 +191,17 @@ class TestTrace:
 
     def test_seam_violation_raises(self):
         g = SMALL
-        H = np.zeros((g.dim, g.dim), dtype=complex)
+        H = np.zeros((g.dim, g.dim))
         P_bad = SwitchProfile(0.0, 1.0, 0.5, 2.0)  # transition hugging the seam
         with pytest.raises(WindowError):
             trace_conductivity(H, g, P_bad, DensityProfile.from_window(-1.0, 1.0))
+
+    def test_complex_matrix_raises(self):
+        H = assemble_2d(SMALL, FIG2)
+        with pytest.raises(ValueError, match="real"):
+            trace_conductivity(
+                H.astype(complex), SMALL, default_projection(SMALL), DensityProfile.from_window(-1.0, 1.0)
+            )
 
     def test_full_result_fields(self):
         g = Grid2D(grid_x=Grid1D(L=6.0, N=24), Ly=12.0, Ny=16)
@@ -229,9 +254,8 @@ def _dense_reference(g, ps, P, dens, w=None, coupling=0.0):
 GRID_1536 = Grid2D(grid_x=Grid1D(L=12.0, N=48), Ly=12.0, Ny=16)
 GRID_768 = Grid2D(grid_x=Grid1D(L=6.0, N=24), Ly=12.0, Ny=16)
 GRID_512 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=16)
-# Every W kind is even about Ly/2, so W_hat is real in exact arithmetic.  At Ny = 16
-# the FFT returns it exactly real; at Ny = 24 it leaves imaginary parts near 1e-17,
-# so a y-dependent W keeps H complex and its solve on the complex path.
+# Ny = 24, where the FFT of a y-dependent W leaves imaginary parts near 1e-17 that
+# assemble_2d drops: its cosine transform is W_hat exactly for a y-even W.
 GRID_768_NY24 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=24)
 
 
@@ -301,8 +325,8 @@ class TestWindowBound:
         assert oracle2d._window_count(H, g, (-0.5, 0.5)) == _dense_count(H, (-0.5, 0.5))
 
     def test_exact_under_random_perturbations_in_the_band(self):
-        """Random Hermitian perturbations of sizes 1e-6 to 1 anywhere inside the
-        Jacobi-index block band, joining arbitrary momenta."""
+        """Random real symmetric perturbations of sizes 1e-6 to 1 anywhere inside
+        the Jacobi-index block band, joining arbitrary momenta."""
         H0, g = assemble_2d(GRID_512, FIG2), GRID_512
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -310,9 +334,9 @@ class TestWindowBound:
             i = rng.integers(0, g.dim, n)
             k = np.clip(i // g.Ny + rng.integers(-1, 2, n), 0, g.dim // g.Ny - 1)
             j = k * g.Ny + rng.integers(0, g.Ny, n)
-            v = 10.0 ** rng.uniform(-6.0, 0.0) * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+            v = 10.0 ** rng.uniform(-6.0, 0.0) * rng.random(n) * np.cos(2.0 * np.pi * rng.random(n))
             W = sp.csr_array((v, (i, j)), shape=(g.dim, g.dim))
-            H = sp.csr_array(H0 + W + W.conj().T)
+            H = sp.csr_array(H0 + W + W.T)
             assert oracle2d._window_count(H, g, (-1.0, 1.0)) == _dense_count(H, (-1.0, 1.0))
 
     def test_entry_outside_the_block_band_raises(self):
@@ -360,20 +384,19 @@ class TestWindowedSolve:
         assert not res.dense_fallback
 
     def test_matches_dense_perturbed(self):
-        # real H (Lanczos) for mult_x and for mult_xy at Ny = 16; complex H (Arnoldi) at Ny = 24
         for g, kind in ((GRID_768, "mult_xy"), (GRID_768, "mult_x"), (GRID_768_NY24, "mult_xy")):
             w = PerturbationSpec(kind=kind, amplitude=0.5)
             res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
             assert res.n_window > 0 and not res.dense_fallback
 
     @pytest.mark.parametrize(
-        "kind, dtype",
-        [(None, np.float64), ("mult_x", np.float64), ("mult_xy", np.complex128)],
-        ids=["unperturbed", "mult_x", "mult_xy"],
+        "kind",
+        [None, "mult_x", "mult_xy", "decay_y", "decay_xy"],
+        ids=["unperturbed", "mult_x", "mult_xy", "decay_y", "decay_xy"],
     )
-    def test_solve_is_real_exactly_when_h_is(self, kind, dtype, monkeypatch):
-        """A y-invariant H is real, so eigsh gets a real matrix and start vector
-        (ARPACK's symmetric Lanczos); mult_xy at Ny = 24 keeps both complex."""
+    def test_h_and_solve_are_real(self, kind, monkeypatch):
+        """assemble_2d returns a float64 H for every kind and Ny, and eigsh gets a
+        float64 matrix and start vector (ARPACK's symmetric Lanczos)."""
         real, seen = spla.eigsh, []
 
         def recorded(H, k, v0, **kwargs):
@@ -381,12 +404,13 @@ class TestWindowedSolve:
             return real(H, k, v0=v0, **kwargs)
 
         monkeypatch.setattr(oracle2d.spla, "eigsh", recorded)
-        g = GRID_768_NY24
         w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
-        H = assemble_2d(g, FIG2, w, coupling=0.7)
-        assert H.dtype == np.complex128 and np.any(H.data.imag) == (dtype == np.complex128)
-        trace_conductivity(H, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
-        assert seen == [(dtype, dtype)]
+        for Ny in (16, 17, 24, 32):
+            g = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=Ny)
+            H = assemble_2d(g, FIG2, w, coupling=0.7)
+            assert H.dtype == np.float64
+            trace_conductivity(H, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
+        assert seen == [(np.float64, np.float64)] * 4
 
     def test_one_solve_at_k_equal_n_past_32(self, monkeypatch):
         real, calls = spla.eigsh, []
@@ -398,6 +422,12 @@ class TestWindowedSolve:
         monkeypatch.setattr(oracle2d.spla, "eigsh", recorded)
         res = self._check(GRID_1536, FIG2, (-2.5, 2.5))
         assert calls == [res.n_window] and res.n_window > 32
+        assert not res.dense_fallback
+
+    def test_lanczos_past_dim_over_16(self):
+        """n = 60 on dimension 768, between dim / 16 and dim / _DENSE_SHARE: Lanczos, not dense."""
+        res = self._check(GRID_768, FIG2, (-3.0, 3.0))
+        assert 16 * res.n_window > GRID_768.dim >= oracle2d._DENSE_SHARE * res.n_window
         assert not res.dense_fallback
 
     def test_empty_window_runs_no_solve(self, monkeypatch):
@@ -431,7 +461,6 @@ class TestWindowedSolve:
 
     def test_repeated_calls_bit_identical(self):
         dens = DensityProfile.from_window(-1.0, 1.0)
-        # a real H (Lanczos) and a complex one (Arnoldi): both start vectors are fixed
         for g, w in ((GRID_768, None), (GRID_768_NY24, PerturbationSpec(kind="mult_xy", amplitude=0.5))):
             H = assemble_2d(g, FIG2, w, coupling=0.7)
             P = default_projection(g)
