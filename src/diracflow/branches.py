@@ -182,7 +182,8 @@ def sweep_branches(
     precedence), the smallest matched overlap `min_overlap` with the zeta
     where it occurred (`min_overlap_zeta`, None when nothing was matched),
     the states the solves `retained` and `filtered` out, summed over
-    solves, their `max_residual`, and the `cluster_rotations` of the
+    solves, their `max_residual`, the `retries` (solves that took
+    `eig_window`'s tight pass), and the `cluster_rotations` of the
     committed steps.
     """
     lo, hi = cfg.window
@@ -199,6 +200,7 @@ def sweep_branches(
         retained=0,
         filtered=0,
         max_residual=0.0,
+        retries=0,
         cluster_rotations=0,
     )
 
@@ -209,6 +211,7 @@ def sweep_branches(
             stats["retained"] += len(sample.kept)
             stats["filtered"] += sample.filtered
             stats["max_residual"] = max(stats["max_residual"], sample.max_residual)
+            stats["retries"] += sample.kept.retried
         return cache[z].kept
 
     def exits(b: Branch, step: float) -> bool:

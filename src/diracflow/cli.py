@@ -176,7 +176,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     verdicts_ok = True
     if cfg.perturbation is not None:
         couplings = [0.0, 0.5, 1.0]
-        st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens)
+        st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens, res.two_pi_sigma)
         for c, s in st.rows:
             rows.append((f"{cfg.scenario}+{cfg.perturbation.kind}", c, s))
         man.verdicts["stability"] = st.verdict

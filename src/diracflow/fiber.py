@@ -24,10 +24,12 @@ Since dHhat/dzeta = sigma_2, each eigenvalue's slope is the
 Hellmann-Feynman expectation d mu/d zeta = <psi, sigma_2 psi> =
 -2 sum_i t_2i t_2i+1 in Jacobi form; |d mu/d zeta| <= 1 because
 ||sigma_2|| = 1.
+`FiberFamily` holds that pencil: e(zeta) = e0 - zeta s, with s the
+on-site indicator, so dJ/dzeta is exact.
 Windowed eigenpairs of that form come from loose LAPACK bisection
-(?stebz), inverse iteration (?stein), a QR factorization that makes the
-block orthonormal, and one Rayleigh-Ritz step; the bisection is redone
-tight only when ?stein fails or a pair misses the residual contract.
+(?stebz), inverse iteration (?stein), and one Rayleigh-Ritz step that
+also orthonormalizes the block (a Cholesky QR); a block that fails one of
+its checks is redone with tight bisection.
 A solve returns one Eigenpairs block whose rows hold the real Jacobi
 vectors t; the interleaved complex psi is built from them on demand, and
 <psi, psi'> = t . t' exactly.
@@ -70,9 +72,13 @@ __all__ = [
 ]
 
 # ?stebz tolerances.  Rayleigh-Ritz supplies every digit of mu, so the
-# bisection only has to seed ?stein; the tight one is the retry when the
-# loose block fails (?stein does not converge or a pair misses the contract).
-_BISECT_TOL = 1e-4
+# bisection only has to seed ?stein.  Of 1e-4 to 1e-3, 1e-3 was the fastest
+# on the fig2 and random benchmark sweeps (1 of 98 and 2 of 619 solves
+# retried); the vectors' residuals grow with it (median 7e-15 at 1e-4,
+# 2e-11 at 1e-3), still inside the contract.  The tight one is the retry
+# when the loose block fails (?stein or the Cholesky factor fails, a pair
+# misses the residual contract, or the block misses orthonormality).
+_BISECT_TOL = 1e-3
 _RETRY_TOL = 1e-8
 
 
@@ -135,23 +141,28 @@ class FiberMatrix:
 
 @dataclass(frozen=True, eq=False)
 class FiberFamily:
-    """Hhat(zeta) on one grid: `of` evaluates d and A2(x) once, `at(zeta)` builds e."""
+    """Hhat(zeta) on one grid as the pencil e(zeta) = e0 - zeta s: `of` evaluates the
+    profiles once, `at(zeta)` builds e.  s is the on-site indicator (1 on site, 0
+    between sites), so dJ/dzeta = tridiag(-s, 0, -s) exactly."""
 
     grid: Grid1D
     d: np.ndarray
-    A2: np.ndarray
+    e0: np.ndarray
+    s: np.ndarray
 
     @classmethod
     def of(cls, grid: Grid1D, ps: ProfileSet) -> "FiberFamily":
         m, V = evaluate(ps.m, grid.x), evaluate(ps.V, grid.x)
         d = np.column_stack([V - m, V + m]).ravel()  # (V - m, V + m) per site
-        return cls(grid=grid, d=d, A2=magnetic_potential(ps, grid.x))
+        # forward difference plus transverse term -(zeta - A2) on site; its hop between sites
+        e0 = np.full(2 * grid.N - 1, -1.0 / grid.h)
+        e0[0::2] = 1.0 / grid.h + magnetic_potential(ps, grid.x)
+        s = np.zeros_like(e0)
+        s[0::2] = 1.0
+        return cls(grid=grid, d=d, e0=e0, s=s)
 
     def at(self, zeta: float) -> FiberMatrix:
-        # forward difference plus transverse term on site; its hop between sites
-        e = np.full(2 * self.grid.N - 1, -1.0 / self.grid.h)
-        e[0::2] = 1.0 / self.grid.h - (zeta - self.A2)
-        return FiberMatrix(grid=self.grid, d=self.d, e=e)
+        return FiberMatrix(grid=self.grid, d=self.d, e=self.e0 - zeta * self.s)
 
 
 def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
@@ -163,7 +174,8 @@ def assemble_fiber(grid: Grid1D, ps: ProfileSet, zeta: float) -> FiberMatrix:
 class Eigenpairs:
     """A block of k eigenpairs in rows, sorted by mu: eigenvalues mu (k,), real Jacobi
     vectors t (k, 2N), verified residuals ||H psi - mu psi|| (k,) and slopes d mu/d zeta (k,);
-    `mass` holds each row's boundary-strip mass once `filter_spurious` has kept the row.
+    `mass` holds each row's boundary-strip mass once `filter_spurious` has kept the row;
+    `retried` is whether the solve behind the block took `eig_window`'s tight pass.
 
     An int index gives one pair (the same fields, one row each); a mask or an
     index array gives a sub-block.  `psi` builds the interleaved spinors from t:
@@ -175,13 +187,14 @@ class Eigenpairs:
     residual: np.ndarray
     slope: np.ndarray
     mass: np.ndarray | None = None
+    retried: bool = False
 
     def __len__(self) -> int:
         return len(self.mu)
 
     def __getitem__(self, i) -> "Eigenpairs":  # iterating the block walks its rows
         mass = None if self.mass is None else self.mass[i]
-        return Eigenpairs(self.mu[i], self.t[i], self.residual[i], self.slope[i], mass)
+        return Eigenpairs(self.mu[i], self.t[i], self.residual[i], self.slope[i], mass, self.retried)
 
     @property
     def psi(self) -> np.ndarray:
@@ -258,13 +271,17 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> Eigenpairs:
 
     On the real Jacobi matrix J: bisection (?stebz) only to _BISECT_TOL, whose
     exact Sturm count still proves the window complete; inverse iteration
-    (?stein) for the block T, orthonormalized by QR (column norms alone leave
-    nearly parallel vectors in tight clusters); Rayleigh-Ritz eigh(T^T J T) =
-    (mu, Q), T <- T Q, for mu to working precision even in clusters narrower
-    than the bisection tolerance.  When ?stein fails or a pair misses the
-    residual contract, the solve is redone with bisection to _RETRY_TOL.
-    Slopes come from `slopes_of`.  Every pair must pass
-    `check_residuals` and `check_slopes`.
+    (?stein) for the block T; one Rayleigh-Ritz step on the pencil
+    (T^T J T, T^T T) by ?sygvd, a Cholesky QR inside Rayleigh-Ritz:
+    L L^T = T^T T, eigh(L^-1 T^T J T L^-T) = (mu, Y), T <- T L^-T Y.  That
+    gives mu to working precision even in clusters narrower than the
+    bisection tolerance, and an orthonormal T where column norms alone would
+    leave nearly parallel vectors.  When ?stein or the Cholesky factor fails,
+    a pair misses the residual contract or the block misses
+    max |T^T T - I| <= 1e-12, the solve is redone with bisection to
+    _RETRY_TOL, and the block is marked `retried`.  Slopes come from
+    `slopes_of`.  The returned block must pass `check_residuals`, the
+    orthonormality bound and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:
@@ -278,22 +295,28 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> Eigenpairs:
         T, info = lapack.dstein(A.d, A.e, w[:m], iblock, isplit)
         if info:
             continue
-        T = np.linalg.qr(T)[0]
         JT = _jacobi_times(A.d, A.e, T)
-        mus, Q = np.linalg.eigh(T.T @ JT)
-        T, JT = T @ Q, JT @ Q
-        res = np.linalg.norm(JT - T * mus, axis=0)
+        # info > m: T^T T is not positive definite; the wrapper rejects an empty pencil
+        mus, Q, info = lapack.dsygvd(T.T @ JT, T.T @ T, uplo="L") if m else (w[:0], T[:0], 0)
+        if info:
+            continue
         inside = (mus >= lo) & (mus <= hi)
-        mus, T, res = mus[inside], T[:, inside], res[inside]
-        if not _misses_contract(mus, res).any():
+        mus, Q = mus[inside], Q[:, inside]
+        T, JT = T @ Q, JT @ Q
+        JT -= T * mus
+        res = np.sqrt(np.einsum("ij,ij->j", JT, JT))
+        off = np.max(np.abs(T.T @ T - np.eye(len(mus))), initial=0.0)
+        if off <= 1e-12 and not _misses_contract(mus, res).any():
             break
     if info:
         raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
     V = np.ascontiguousarray(T.T)  # (k, 2N), also when k = 0
     slopes = slopes_of(V)
     check_residuals(mus, res)
+    if off > 1e-12:
+        raise SolverError(f"eigenvector block is {off:.3e} off orthonormal on [{lo:.6g}, {hi:.6g}]")
     check_slopes(mus, slopes)
-    return Eigenpairs(mu=mus, t=V, residual=res, slope=slopes)
+    return Eigenpairs(mu=mus, t=V, residual=res, slope=slopes, retried=tol != _BISECT_TOL)
 
 
 def boundary_mass(v: np.ndarray, grid: Grid1D, margin: float):

@@ -8,13 +8,15 @@ order, with zeta_n = 2 pi fftfreq(Ny, hy)[n] (the partial Fourier basis),
 
     H = J(0) (x) I + dJ/dzeta (x) diag(zeta_n) (+ W_hat),
 
-with dJ/dzeta = J(1) - J(0) the Jacobi form of sigma_2 (-1 between the
-two components of each site), so a y-invariant H is exactly the block sum
-of the fibers J(zeta_n); the x-stencil is defined only in the fiber
-module.  W(x, y) acts on the momenta by convolution: each component of
-site i carries the circulant block W_hat[n, n'] = w_hat_i(n - n' mod Ny),
-w_hat = Re fft(W, axis=1) / Ny, W's cosine transform: W must be even about
-Ly/2, so its y-DFT is real in exact arithmetic and the real part drops only
+with dJ/dzeta = tridiag(-s, 0, -s) the Jacobi form of sigma_2, read off
+the fiber pencil e(zeta) = e0 - zeta s (s is 1 on site and 0 between
+sites, so dJ/dzeta is -1 between the two components of each site).  So a
+y-invariant H is exactly the block sum of the fibers J(zeta_n), bit for
+bit; the x-stencil is defined only in the fiber module.  W(x, y) acts on
+the momenta by convolution: each component of site i carries the
+circulant block W_hat[n, n'] = w_hat_i(n - n' mod Ny), w_hat =
+Re fft(W, axis=1) / Ny, W's cosine transform: W must be even about Ly/2,
+so its y-DFT is real in exact arithmetic and the real part drops only
 FFT rounding.  Symmetrized, H is a bit-exactly symmetric float64 CSR matrix:
 9152 entries at dimension 3072 without W, plus Ny per row on the sites
 where W(x, .) is nonzero.
@@ -172,10 +174,8 @@ def assemble_2d(
     if g.dim > _BUDGET:
         raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
     fam = FiberFamily.of(g.grid_x, ps)
-    J0 = fam.at(0.0)
-    dJ = fam.at(1.0).e - J0.e  # dJ/dzeta, the Jacobi form of sigma_2: -1 on site, 0 between sites
-    J = sp.diags_array([J0.e, J0.d, J0.e], offsets=[-1, 0, 1])
-    S = sp.diags_array([dJ, dJ], offsets=[-1, 1])
+    J = sp.diags_array([fam.e0, fam.d, fam.e0], offsets=[-1, 0, 1])  # J(0)
+    S = sp.diags_array([-fam.s, -fam.s], offsets=[-1, 1])  # dJ/dzeta, the Jacobi form of sigma_2
     zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
     H = sp.kron(J, sp.eye_array(g.Ny)) + sp.kron(S, sp.diags_array(zeta))
     if w is not None and coupling != 0.0:
@@ -346,12 +346,18 @@ def stability_experiment(
     g: Grid2D,
     P: SwitchProfile,
     dens: DensityProfile,
+    unperturbed: float | None = None,
 ) -> StabilityResult:
-    """Conductivity at each coupling; stable iff all round to the unperturbed integer."""
+    """Conductivity at each coupling; stable iff all round to the unperturbed integer.
+    `unperturbed`, when given, is the already traced 2 pi sigma of `base`: a zero
+    coupling takes it instead of tracing the same H again."""
     rows = []
     for c in couplings:
-        H = assemble_2d(g, base, w, coupling=c)
-        rows.append((float(c), float(trace_conductivity(H, g, P, dens))))
+        if c == 0.0 and unperturbed is not None:
+            s = unperturbed
+        else:
+            s = float(trace_conductivity(assemble_2d(g, base, w, coupling=c), g, P, dens))
+        rows.append((float(c), s))
     baseline = round(rows[0][1])
     stable = all(round(s) == baseline for _, s in rows)
     return StabilityResult(rows=tuple(rows), baseline=baseline, verdict="stable" if stable else "unstable")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracflow import cli
+from diracflow import cli, oracle2d
 from diracflow.cli import main
 from diracflow.config import RunConfig, config_from_dict, load_config
 from diracflow.errors import DiracflowError
@@ -295,6 +295,36 @@ class TestCliOracle:
         diag = man["diagnostics"]["oracle"]
         assert not {"literal_commutator", "analytic_vs_literal", "seam_contribution"} & set(diag)
 
+
+    def test_perturbed_run_traces_the_unperturbed_h_once(self, tmp_path, monkeypatch):
+        """With a perturbation set, the stability run's coupling-0 row reuses the
+        first trace: three traces for couplings 0, 0.5 and 1, and oracle.csv holds
+        the values that tracing every coupling anew gives."""
+        raw = tiny_config(grid2d={"N": 24, "Ny": 16}, perturbation={"kind": "decay_xy", "amplitude": 0.3})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        traces = []
+        trace = oracle2d.trace_conductivity
+
+        def counted(H, *args, **kwargs):
+            traces.append(H)
+            return trace(H, *args, **kwargs)
+
+        monkeypatch.setattr(oracle2d, "trace_conductivity", counted)
+        monkeypatch.setattr(cli, "trace_conductivity", counted)
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", str(p), "--out", str(out)]) == 0
+        assert len(traces) == 3
+        cfg = config_from_dict(raw)
+        g = cfg.grid2d
+        st = oracle2d.stability_experiment(
+            cfg.profiles, cfg.perturbation, [0.0, 0.5, 1.0], g, oracle2d.default_projection(g), cfg.density
+        )
+        assert len(traces) == 6
+        values = [st.rows[0][1]] + [v for _, v in st.rows]
+        rows = [line.split(",") for line in (out / "oracle.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == [cli._fmt(v) for v in values]
+        assert [r[1] for r in rows] == ["0", "0", "0.5", "1"]
 
     def test_manifest_records_the_certificate(self, tmp_path):
         raw = tiny_config()

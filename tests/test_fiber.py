@@ -22,6 +22,7 @@ from diracflow.fiber import (
     filter_spurious,
     zone_edge_fraction,
 )
+from diracflow.presets import preset_profiles
 from diracflow.profiles import (
     ProfileSet,
     SwitchProfile,
@@ -169,17 +170,18 @@ class TestEigWindow:
         V = np.array([p.psi for p in pairs])
         assert np.max(np.abs(V.conj() @ V.T - np.eye(32))) < 1e-12
 
-    @pytest.mark.parametrize("fault", ["residual", "stein_info"])
-    def test_loose_pass_that_fails_is_redone_tight(self, monkeypatch, fault):
-        """A loose pass whose ?stein block misses the residual contract (noise of 1e-3
-        added to it) or whose ?stein reports failure is redone: eig_window then
-        returns, bit for bit, the pairs of a solve bisected to _RETRY_TOL."""
-        ps = walls(HalfSpaceParams(-2.0, 0.0, 0.0), HalfSpaceParams(2.0, 0.0, 0.0))
-        A, window = assemble_fiber(Grid1D(L=20.0, N=800), ps, 6.0), (-3.5, 3.5)
-        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
-        tight = eig_window(A, window)
-        monkeypatch.undo()
-        tols = []
+    @staticmethod
+    def _faulty_lapack(fault, tols, passes):
+        """scipy's ?stebz, ?stein and ?sygvd with `fault` injected into the first
+        `passes` solve passes; each ?stebz call starts a pass and logs its tolerance.
+
+        residual: noise of 1e-3 on the ?stein block, so pairs miss the contract;
+        stein_info: ?stein reports failure; parallel: one ?stein column becomes a
+        near-copy of another, so the Gram matrix T^T T is singular and its Cholesky
+        factor fails; skew: the Rayleigh-Ritz vectors come back 1e-9 too long, which
+        leaves every residual within the contract and only the orthonormality
+        bound can see.
+        """
 
         def dstebz(d, e, irange, lo, hi, il, iu, tol, order):
             tols.append(tol)
@@ -187,28 +189,76 @@ class TestEigWindow:
 
         def dstein(d, e, w, iblock, isplit):
             T, info = sla.lapack.dstein(d, e, w, iblock, isplit)
-            if len(tols) == 1:
+            if len(tols) <= passes:
                 if fault == "stein_info":
-                    return T, 1
-                T = T + 1e-3 * np.random.default_rng(3).standard_normal(T.shape)
+                    return T, 2
+                if fault == "residual":
+                    T = T + 1e-3 * np.random.default_rng(3).standard_normal(T.shape)
+                if fault == "parallel":
+                    T = T.copy()
+                    T[:, 1] = T[:, 0] + 1e-12 * T[:, 1]
             return T, info
 
-        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(dstebz=dstebz, dstein=dstein))
+        def dsygvd(a, b, uplo):
+            mus, Q, info = sla.lapack.dsygvd(a, b, uplo=uplo)
+            if fault == "skew" and len(tols) <= passes:
+                Q = Q * (1.0 + 1e-9)
+            return mus, Q, info
+
+        return SimpleNamespace(dstebz=dstebz, dstein=dstein, dsygvd=dsygvd)
+
+    @pytest.mark.parametrize("fault", ["residual", "stein_info", "parallel", "skew"])
+    def test_loose_pass_that_fails_is_redone_tight(self, monkeypatch, fault):
+        """A loose pass that fails in any of the ways of `_faulty_lapack` is redone:
+        eig_window then returns, bit for bit, the pairs of a solve bisected to
+        _RETRY_TOL, and the block says it was retried."""
+        ps = walls(HalfSpaceParams(-2.0, 0.0, 0.0), HalfSpaceParams(2.0, 0.0, 0.0))
+        A, window = assemble_fiber(Grid1D(L=20.0, N=800), ps, 6.0), (-3.5, 3.5)
+        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
+        tight = eig_window(A, window)
+        monkeypatch.undo()
+        assert not eig_window(A, window).retried
+        tols = []
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, tols, passes=1))
         pairs = eig_window(A, window)
         assert tols == [fiber._BISECT_TOL, fiber._RETRY_TOL] and fiber._BISECT_TOL > fiber._RETRY_TOL
-        assert len(pairs) == len(tight) > 0
+        assert pairs.retried and len(pairs) == len(tight) > 1
         for p, q in zip(pairs, tight):
             assert (p.mu, p.residual, p.slope) == (q.mu, q.residual, q.slope)
             assert np.array_equal(p.t, q.t)
 
     def test_tight_pass_failure_raises(self, monkeypatch):
-        def dstein(d, e, w, iblock, isplit):
-            return sla.lapack.dstein(d, e, w, iblock, isplit)[0], 2
-
-        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(dstebz=sla.lapack.dstebz, dstein=dstein))
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack("stein_info", [], passes=2))
         A = assemble_fiber(Grid1D(L=8.0, N=200), CONST_220, 0.0)
         with pytest.raises(SolverError, match="LAPACK info 2"):
             eig_window(A, (-3.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("parallel", "LAPACK info"), ("residual", "exceeds contract"), ("skew", "off orthonormal")],
+    )
+    def test_tight_pass_that_misses_a_certificate_raises(self, monkeypatch, fault, message):
+        """A block that fails its Cholesky factor, the residual contract or the
+        orthonormality bound on the tight pass too is a SolverError."""
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, [], passes=2))
+        A = assemble_fiber(Grid1D(L=8.0, N=200), CONST_220, 0.0)
+        with pytest.raises(SolverError, match=message):
+            eig_window(A, (-3.0, 3.0))
+
+    @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
+    def test_loose_solve_agrees_with_tight(self, monkeypatch, zeta):
+        """fig2's geometry (dual_wall_v01, L = 20, N = 800, window (-4, 4)): the solve
+        at _BISECT_TOL and one bisected to _RETRY_TOL find the same count, mu within
+        1e-12, and the same subspace: every singular value of T_loose T_tight^T lies
+        within 1e-12 of 1."""
+        A = assemble_fiber(Grid1D(L=20.0, N=800), preset_profiles("dual_wall_v01"), zeta)
+        loose = eig_window(A, (-4.0, 4.0))
+        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
+        tight = eig_window(A, (-4.0, 4.0))
+        assert len(loose) == len(tight) > 0
+        assert np.max(np.abs(loose.mu - tight.mu)) <= 1e-12
+        sv = np.linalg.svd(loose.t @ tight.t.T, compute_uv=False)
+        assert np.max(np.abs(sv - 1.0)) <= 1e-12
 
 
 class TestFilter:
@@ -279,9 +329,9 @@ class TestJacobiForm:
         for i in range(24):
             want[2 * i, 2 * i] = V[i] + m[i]
             want[2 * i + 1, 2 * i + 1] = V[i] - m[i]
-            w = zeta - A2[i]
-            want[2 * i, 2 * i + 1] = 1j * (1.0 / h - w)
-            want[2 * i + 1, 2 * i] = -1j * (1.0 / h - w)
+            # 1/h - w with w = zeta - A2, summed as the pencil e0 - zeta s does
+            want[2 * i, 2 * i + 1] = 1j * ((1.0 / h + A2[i]) - zeta)
+            want[2 * i + 1, 2 * i] = -1j * ((1.0 / h + A2[i]) - zeta)
             if i + 1 < 24:
                 want[2 * i, 2 * i + 3] = -1j / h
                 want[2 * i + 3, 2 * i] = 1j / h

@@ -120,9 +120,8 @@ class TestAssemble2D:
         H = assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: W), coupling=1.0)
         assert H.dtype == np.float64 and np.max(np.abs(H - H.T)) == 0.0
         fam = FiberFamily.of(g.grid_x, FIG2)
-        J0, dJ = fam.at(0.0), fam.at(1.0).e - fam.at(0.0).e
-        J = np.diag(J0.d) + np.diag(J0.e, 1) + np.diag(J0.e, -1)
-        S = np.diag(dJ, 1) + np.diag(dJ, -1)
+        J = np.diag(fam.d) + np.diag(fam.e0, 1) + np.diag(fam.e0, -1)
+        S = np.diag(-fam.s, 1) + np.diag(-fam.s, -1)
         Hy = np.kron(J, np.eye(Ny)) + np.kron(S, _spectral_momentum(g)) + np.diag(np.repeat(W, 2, axis=0).ravel())
         U = np.kron(np.eye(32), np.fft.fft(np.eye(Ny), norm="ortho"))
         assert np.max(np.abs(H.toarray() - U @ Hy @ U.conj().T)) < 1e-12
@@ -130,12 +129,13 @@ class TestAssemble2D:
     @pytest.mark.parametrize("g", [SMALL], ids=["dirichlet"])
     def test_fourier_blocks_reproduce_fibers(self, g):
         """No entry of H joins two momenta, and momentum n's block is the fiber
-        Jacobi matrix at the discrete momentum 2*pi*n/Ly, entrywise below 1e-12."""
+        Jacobi matrix at the discrete momentum 2*pi*n/Ly bit for bit: both add
+        -zeta_n s to the pencil's e0."""
         H = assemble_2d(g, FIG2)
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
             fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
-            assert np.max(np.abs(_momentum_block(H, g, mode) - _jacobi(fib.d, fib.e))) < 1e-12
+            assert np.max(np.abs(_momentum_block(H, g, mode) - _jacobi(fib.d, fib.e))) == 0.0
 
     def test_mult_x_adds_w_to_both_components_of_each_site(self):
         """A y-independent W(x) leaves H block-diagonal in y: each Fourier mode is
