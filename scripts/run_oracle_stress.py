@@ -6,8 +6,8 @@ Runs `trace_conductivity` on 54 cases at each preset's `grid2d`
 times the perturbations decay_y, mult_xy and decay_xy at amplitude 1,
 times the couplings 0.5, 1.5 and 2.5, times the density windows (-1, 1)
 and (-0.5, 0.5).  Prints one row per case: the eigenvalues in the window
-(n), 2*pi*sigma, the states cut, whether the dense fallback ran, and the
-seconds of the trace (assembly excluded).  One untimed warm-up trace runs
+(n), 2*pi*sigma, the states cut, and the seconds of the trace (assembly
+excluded).  One untimed warm-up trace runs
 first, so that one-time start-up costs do not land on the first case.
 
 Usage: python scripts/run_oracle_stress.py
@@ -31,7 +31,7 @@ WINDOWS = ((-1.0, 1.0), (-0.5, 0.5))
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
-    print(f"{'case':<38} {'n':>4} {'2pi*sigma':>22} {'cut':>4} {'dense':>5} {'s':>7}")
+    print(f"{'case':<38} {'n':>4} {'2pi*sigma':>22} {'cut':>4} {'s':>7}")
     warm, total = True, 0.0
     for name, kind, coupling, window in itertools.product(PRESETS, KINDS, COUPLINGS, WINDOWS):
         cfg = config_from_dict(preset_config(name))
@@ -46,11 +46,8 @@ def main() -> int:
         dt = time.perf_counter() - t0
         total += dt
         case = f"{name}+{kind}@{coupling:g} ({window[0]:g}, {window[1]:g})"
-        print(
-            f"{case:<38} {res.n_window:4d} {res.two_pi_sigma!r:>22} {res.n_states_cut:4d} "
-            f"{str(res.dense_fallback):>5} {dt:7.3f}"
-        )
-    print(f"{'total':<38} {'':>4} {'':>22} {'':>4} {'':>5} {total:7.3f}")
+        print(f"{case:<38} {res.n_window:4d} {res.two_pi_sigma!r:>22} {res.n_states_cut:4d} {dt:7.3f}")
+    print(f"{'total':<38} {'':>4} {'':>22} {'':>4} {total:7.3f}")
     return 0
 
 

@@ -14,6 +14,9 @@ half-integer
 where N(alpha) counts Landau gaps crossed, and the predicted spectral flow
 across an interface is I_minus - I_plus.  Half-integers are carried as
 exact fractions so the predicted flow is exactly integral.
+
+The interface conductivity is that integer only when the density window
+[E1, E2] lies in a gap of both half-spaces' spectra (check_density_window).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BulkLevelError
+from .errors import BulkLevelError, WindowError
 
 __all__ = [
     "HalfSpaceParams",
@@ -32,6 +35,7 @@ __all__ = [
     "count_levels",
     "half_index",
     "predicted_sf",
+    "check_density_window",
 ]
 
 
@@ -124,3 +128,17 @@ def predicted_sf(minus: HalfSpaceParams, plus: HalfSpaceParams, alpha: float) ->
         N_plus=count_levels(plus, alpha),
     )
 
+
+def check_density_window(minus: HalfSpaceParams, plus: HalfSpaceParams, window: tuple[float, float]) -> None:
+    """WindowError when the closed window [E1, E2] holds a Landau level of
+    either half-space, the zeroth level included."""
+    lo, hi = window
+    for side, hp in (("minus", minus), ("plus", plus)):
+        r = max(abs(lo - hp.V), abs(hi - hp.V))  # no level in the window lies farther from V
+        k_max = max(1, math.ceil((r * r - hp.m * hp.m) / (2.0 * abs(hp.B))))
+        inside = [e for e in landau_levels(hp, k_max).levels if lo <= e <= hi]
+        if inside:
+            raise WindowError(
+                f"density window [{lo:g}, {hi:g}] holds the {side} half-space's bulk level {inside[0]:.6g}: "
+                "the conductivity is quantized only for a window in a bulk gap"
+            )

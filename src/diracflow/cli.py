@@ -8,7 +8,8 @@ Verbs:
   all-figures    branch plots for every preset scenario
 
 Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
-3 tracking failure, 4 invalid window, 5 2D oracle dimension budget exceeded,
+3 tracking failure, 4 invalid window (including a density window that holds a
+bulk Landau level), 5 2D oracle dimension budget exceeded,
 6 invalid config or command line, 7 failed result (a flow that does not
 reconcile with the prediction, or an unstable oracle verdict).
 """
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 
 from .branches import Branch, branch_points, sweep_branches
-from .bulk import HalfSpaceParams, landau_levels, predicted_sf
+from .bulk import HalfSpaceParams, check_density_window, landau_levels, predicted_sf
 from .config import RunConfig, RunManifest, config_from_dict, load_config
 from .errors import ConfigError, DiracflowError
 from .flow import conductivity, reconcile, spectral_flow
@@ -125,6 +126,7 @@ def cmd_branches(cfg: RunConfig, out: Path) -> int:
 
 def cmd_flow(cfg: RunConfig, out: Path) -> int:
     minus, plus = half_spaces(cfg.profiles)
+    check_density_window(minus, plus, cfg.density.window)
     branches, man = run_sweep(cfg, out)
 
     # sigma does not depend on alpha: one value, predicted at the density window's centre
@@ -152,6 +154,7 @@ def cmd_flow(cfg: RunConfig, out: Path) -> int:
 def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     if cfg.grid2d is None:
         raise ConfigError("oracle requires a grid2d section in the config")
+    check_density_window(*half_spaces(cfg.profiles), cfg.density.window)
     out.mkdir(parents=True, exist_ok=True)
     man = RunManifest(cfg.resolved())
     g = cfg.grid2d
@@ -169,7 +172,6 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
         "states_cut": res.n_states_cut,
         "states_in_window": res.n_window,
         "max_residual": res.max_residual,
-        "dense_fallback": res.dense_fallback,
     }
     print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}")
 

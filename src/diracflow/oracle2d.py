@@ -43,10 +43,10 @@ window centre c (ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang,
 ARPACK Users' Guide, 1998) asks for the n eigenvalues nearest c, which
 are exactly those inside the window; n = 0 means no solve.  H is real
 symmetric, so the solve is ARPACK's symmetric Lanczos (dsaupd) on a real
-SuperLU factor of H - c.  When n passes dim / _DENSE_SHARE, the window
-holds so much of the spectrum that the Krylov solve no longer pays, and a
-dense windowed eigh takes the solve.  The solve is certified when exactly n
-values come back, all inside the window, and every pair passes
+SuperLU factor of H - c, the only solve for 0 < n < dim (n = dim is a
+WindowError; a window in a bulk gap, bulk.check_density_window, holds at
+most 96 of 3072 on the presets' grid2d).  The solve is certified when
+exactly n values come back, all inside the window, and every pair passes
 ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
 
 States whose x-profile oscillates at the lattice momentum edge (the
@@ -83,11 +83,6 @@ __all__ = [
 
 _BUDGET = 6000
 _ZONE_EDGE_CUT = 0.5
-# The Krylov solve runs while k <= dim / _DENSE_SHARE.  Its work grows as
-# dim k^2 (a basis of 2k + 1 vectors), the dense solve's as dim^3; on the
-# criterion-7 grids (dims 1536, 3072) Lanczos is 1.2-1.3x faster than the dense
-# eigh at k = dim / 9 and 2.4-3x at dim / 16, and the two break even at dim / 8.
-_DENSE_SHARE = 9
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,6 @@ class TraceResult:
     n_states_cut: int
     n_window: int  # eigenvalues in the density window (lo, hi], exact (_window_count)
     max_residual: float  # largest ||H v - lambda v|| over the returned pairs
-    dense_fallback: bool
 
 
 def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
@@ -260,20 +254,18 @@ def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
 
     With the exact count n from _window_count, a shift-invert Lanczos (eigsh)
     about the window centre asks for the n nearest eigenvalues (no solve if
-    n = 0), or, once n passes dim / _DENSE_SHARE, the dense windowed eigh
-    runs.  The window is symmetric about its centre, so its n eigenvalues
-    are the n nearest: the solve is certified when exactly n values come
-    back, all inside (lo, hi], and each pair satisfies
-    ||H v - lambda v|| <= 1e-8 (1 + |lambda|).  Otherwise SolverError.
+    n = 0; WindowError before any solve if n = dim).  The window is symmetric
+    about its centre, so its n eigenvalues are the n nearest: the solve is
+    certified when exactly n values come back, all inside (lo, hi], and each
+    pair satisfies ||H v - lambda v|| <= 1e-8 (1 + |lambda|).  Else SolverError.
     """
     lo, hi = window
     dim = H.shape[0]
     n = _window_count(H, g, window)
-    dense = _DENSE_SHARE * n > dim
+    if n >= dim:
+        raise WindowError(f"density window ({lo:g}, {hi:g}] holds all {dim} eigenvalues of H")
     if n == 0:
         lam, vec = np.zeros(0), np.zeros((dim, 0))
-    elif dense:
-        lam, vec = sla.eigh(H.toarray(), subset_by_value=window)
     else:
         v0 = np.random.default_rng(0).standard_normal(dim)  # generic, fixed so that reruns are bit-identical
         c = 0.5 * (lo + hi)
@@ -289,7 +281,7 @@ def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     lam, vec = lam[order], vec[:, order]
     res = np.linalg.norm(H @ vec - vec * lam, axis=0)
     check_residuals(lam, res)
-    return lam, vec, dict(n_window=n, max_residual=float(np.max(res, initial=0.0)), dense_fallback=dense)
+    return lam, vec, dict(n_window=n, max_residual=float(np.max(res, initial=0.0)))
 
 
 def trace_conductivity(
@@ -303,9 +295,10 @@ def trace_conductivity(
 
     Each state contributes its fiber slope weighted by P'(y), using
     i[H, P] = P'(y) sigma_2 (module docstring).  Raises WindowError when
-    P's transition is too close to the periodic seam, ValueError when Hmat is
-    complex or not of the grid's dimension, and SolverError when an eigenpair
-    misses its residual contract.
+    P's transition is too close to the periodic seam or the density window
+    holds all of H's eigenvalues, ValueError when Hmat is complex or not of
+    the grid's dimension, and SolverError when an eigenpair misses its
+    residual contract.
     """
     _check_seam(P, g)
     N, Ny = g.grid_x.N, g.Ny

@@ -1,4 +1,5 @@
-"""Acceptance gate: the nine end-to-end criteria, one test per criterion.
+"""Acceptance gate: the nine end-to-end criteria, one test per criterion,
+plus one check that criterion 4's phi windows lie in bulk gaps.
 
 Each test prints a `[criterion N] ...: PASS/FAIL` line (echoed in the
 terminal summary) and then asserts, so a red run still reports every
@@ -13,7 +14,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from diracflow.branches import SweepConfig, autoscale, sweep_branches
-from diracflow.bulk import HalfSpaceParams, landau_levels, predicted_sf
+from diracflow.bulk import HalfSpaceParams, check_density_window, landau_levels, predicted_sf
 from diracflow.fiber import (
     Grid1D,
     SpuriousFilter,
@@ -180,6 +181,23 @@ def test_criterion_4_conductivity_identity(fig2_pipeline, random_suite):
     )
     assert worst <= 1e-6
     assert checked >= 10 * len(cases) * 0.8  # a few draws may be rejected
+
+
+def test_criterion_4_windows_lie_in_bulk_gaps(fig2_pipeline, random_suite):
+    """Every phi window that criterion 4 draws (same cases, same rng) holds no
+    Landau level of either half-space: the gap check passes them all."""
+    rng = np.random.default_rng(4)
+    branches, _ = fig2_pipeline
+    cases = [
+        (branches, (-3.35, 1.9), 0.0, FIG2_MINUS, FIG2_PLUS),
+        (branches, (2.1, 3.35), 2.5, FIG2_MINUS, FIG2_PLUS),
+    ] + [(s["branches"], s["comp"], s["alpha"], s["minus"], s["plus"]) for s in random_suite]
+    checked = 0
+    for brs, comp, alpha, minus, plus in cases:
+        for window in _admissible_phi_windows(brs, comp, alpha, rng):
+            check_density_window(minus, plus, window)
+            checked += 1
+    assert checked >= 10 * len(cases) * 0.8
 
 
 def test_criterion_5_weyl_lipschitz():

@@ -8,12 +8,16 @@ import pytest
 
 from diracflow.bulk import (
     HalfSpaceParams,
+    check_density_window,
     count_levels,
     half_index,
     landau_levels,
     predicted_sf,
 )
-from diracflow.errors import BulkLevelError
+from diracflow.cli import half_spaces
+from diracflow.config import config_from_dict
+from diracflow.errors import BulkLevelError, WindowError
+from diracflow.presets import PRESETS, preset_config
 
 from conftest import gap_components_joint
 
@@ -145,3 +149,49 @@ class TestPredictedSf:
         alphas = np.linspace(lo + 0.05, hi - 0.05, 100)
         vals = {predicted_sf(minus, plus, float(a)).sf for a in alphas}
         assert vals == {1}
+
+
+class TestCheckDensityWindow:
+    """The density window [E1, E2] must hold no Landau level of either half-space."""
+
+    HP = HalfSpaceParams(B=2.0, m=2.0, V=0.0)  # levels -sqrt(8), 2 (zeroth), sqrt(8), ...
+    GAPPED = HalfSpaceParams(B=2.0, m=5.0, V=0.0)  # no level in (-5, 5)
+
+    def test_edge_on_a_level_is_rejected(self):
+        lowest_pair = landau_levels(self.HP, 1).levels[0]  # -sqrt(8), as landau_levels computes it
+        for window in ((1.0, 2.0), (2.0, 2.5), (lowest_pair, 0.0), (-4.0, lowest_pair)):
+            with pytest.raises(WindowError, match="level"):
+                check_density_window(self.HP, self.HP, window)
+        check_density_window(self.HP, self.HP, (1.0, math.nextafter(2.0, 0.0)))
+        check_density_window(self.HP, self.HP, (math.nextafter(lowest_pair, 0.0), 1.0))
+
+    def test_zeroth_level_counts(self):
+        with pytest.raises(WindowError, match="level 2"):
+            check_density_window(self.HP, self.HP, (1.5, 2.5))  # holds only the zeroth level 2
+        flipped = HalfSpaceParams(B=-2.0, m=2.0, V=0.0)  # zeroth level -2
+        with pytest.raises(WindowError, match="level -2"):
+            check_density_window(flipped, flipped, (-2.5, -1.5))
+
+    def test_either_half_space_counts(self):
+        window = (1.5, 2.5)
+        with pytest.raises(WindowError, match="minus"):
+            check_density_window(self.HP, self.GAPPED, window)
+        with pytest.raises(WindowError, match="plus"):
+            check_density_window(self.GAPPED, self.HP, window)
+        check_density_window(self.GAPPED, self.GAPPED, window)
+
+    def test_levels_far_from_v_count(self):
+        """The levels are listed up to the window's far end.  A massless B = 2
+        half-space at V = 0.5 has levels 0.5 +/- sqrt(4 k): k = 24, 25 and 26
+        give 10.298, 10.5 and 10.698 above V and their mirrors below it."""
+        hp = HalfSpaceParams(B=2.0, m=0.0, V=0.5)
+        for window in ((10.4, 10.6), (-9.6, -9.4), (9.0, 10.5)):
+            with pytest.raises(WindowError):
+                check_density_window(hp, hp, window)
+        check_density_window(hp, hp, (10.51, 10.69))
+        check_density_window(hp, hp, (-9.69, -9.51))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_windows_pass(self, name):
+        cfg = config_from_dict(preset_config(name))
+        check_density_window(*half_spaces(cfg.profiles), cfg.density.window)

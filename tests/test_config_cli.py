@@ -252,6 +252,27 @@ class TestCliFlow:
         assert header.split()[0] == "alpha"
         assert [row.split()[0] for row in rows] == ["0.1000001", "0.1000002"]
 
+    @pytest.mark.parametrize(
+        "profiles, window",
+        [
+            (tiny_config()["profiles"], [1.5, 2.5]),  # holds the bulk levels 1.9 and 2.1
+            # the default window (-0.5, 0.5) holds the zeroth level 0, its centre
+            (preset_config("field_wall_massless")["profiles"], None),
+        ],
+        ids=["tiny-1.9-2.1", "field_wall_massless-0"],
+    )
+    def test_window_on_a_bulk_level_exits_4_before_the_sweep(self, tmp_path, capsys, monkeypatch, profiles, window):
+        monkeypatch.setattr(cli, "sweep_branches", _forbidden)
+        raw = tiny_config(profiles=profiles)
+        if window is None:
+            del raw["density"]
+        else:
+            raw["density"] = {"window": window}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["flow", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+        assert "bulk level" in capsys.readouterr().err
+
     def test_invalid_window_exits_4(self, tmp_path, capsys):
         # alpha next to the bulk level 1.9: endpoint branches hug it
         raw = tiny_config(alphas=[1.93])
@@ -260,6 +281,10 @@ class TestCliFlow:
         rc = main(["flow", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 4
         assert "window" in capsys.readouterr().err.lower()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("not expected to run")
 
 
 class TestCliOracle:
@@ -271,6 +296,18 @@ class TestCliOracle:
         rc = main(["oracle", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 5
         assert "budget" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("window", [[-2.5, 2.5], [1.5, 2.5]])
+    def test_window_on_a_bulk_level_exits_4_before_assembly(self, tmp_path, capsys, monkeypatch, window):
+        """dual_wall_v01's bulk levels 1.9 and 2.1 in the window: without the
+        gap check these windows trace to 0.860 and -1.237 and exit 0."""
+        monkeypatch.setattr(cli, "assemble_2d", _forbidden)
+        raw = preset_config("dual_wall_v01")
+        raw["density"] = {"window": window}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["oracle", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+        assert "bulk level 1.9" in capsys.readouterr().err
 
     def test_missing_grid2d_exits_6(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -337,10 +374,9 @@ class TestCliOracle:
         man = json.loads((out / "manifest.json").read_text())
         assert "trace_seconds" in man["timings"] and "dense_trace_seconds" not in man["timings"]
         diag = man["diagnostics"]["oracle"]
-        assert set(diag) == {"two_pi_sigma", "states_cut", "states_in_window", "max_residual", "dense_fallback"}
+        assert set(diag) == {"two_pi_sigma", "states_cut", "states_in_window", "max_residual"}
         assert diag["states_in_window"] > 0
         assert diag["max_residual"] <= 1e-8
-        assert diag["dense_fallback"] is False
 
 
 def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):

@@ -209,7 +209,7 @@ class TestTrace:
             assemble_2d(g, FIG2), g, default_projection(g),
             DensityProfile.from_window(-1.0, 1.0), full_result=True,
         )
-        assert set(vars(res)) == {"two_pi_sigma", "n_states_cut", "n_window", "max_residual", "dense_fallback"}
+        assert set(vars(res)) == {"two_pi_sigma", "n_states_cut", "n_window", "max_residual"}
         assert res.n_states_cut >= 0 and np.isfinite(res.two_pi_sigma)
 
 
@@ -381,13 +381,12 @@ class TestWindowedSolve:
     def test_matches_dense_on_presets(self, name, g, window):
         res = self._check(g, preset_profiles(name), window)
         assert res.n_window > 0 and res.n_states_cut > 0
-        assert not res.dense_fallback
 
     def test_matches_dense_perturbed(self):
         for g, kind in ((GRID_768, "mult_xy"), (GRID_768, "mult_x"), (GRID_768_NY24, "mult_xy")):
             w = PerturbationSpec(kind=kind, amplitude=0.5)
             res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
-            assert res.n_window > 0 and not res.dense_fallback
+            assert res.n_window > 0
 
     @pytest.mark.parametrize(
         "kind",
@@ -412,7 +411,9 @@ class TestWindowedSolve:
             trace_conductivity(H, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
         assert seen == [(np.float64, np.float64)] * 4
 
-    def test_one_solve_at_k_equal_n_past_32(self, monkeypatch):
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The k of every eigsh call."""
         real, calls = spla.eigsh, []
 
         def recorded(H, k, **kwargs):
@@ -420,21 +421,21 @@ class TestWindowedSolve:
             return real(H, k, **kwargs)
 
         monkeypatch.setattr(oracle2d.spla, "eigsh", recorded)
-        res = self._check(GRID_1536, FIG2, (-2.5, 2.5))
-        assert calls == [res.n_window] and res.n_window > 32
-        assert not res.dense_fallback
+        return calls
 
-    def test_lanczos_past_dim_over_16(self):
-        """n = 60 on dimension 768, between dim / 16 and dim / _DENSE_SHARE: Lanczos, not dense."""
-        res = self._check(GRID_768, FIG2, (-3.0, 3.0))
-        assert 16 * res.n_window > GRID_768.dim >= oracle2d._DENSE_SHARE * res.n_window
-        assert not res.dense_fallback
+    def test_one_solve_at_k_equal_n_past_32(self, solves):
+        res = self._check(GRID_1536, FIG2, (-2.5, 2.5))
+        assert solves == [res.n_window] and res.n_window > 32
+
+    def test_lanczos_holds_a_quarter_of_the_spectrum(self, solves):
+        """n = 161 on dimension 640, past dim / 4: one Lanczos solve takes it too."""
+        res = self._check(SMALL, FIG2, (-5.3, 5.3))
+        assert solves == [res.n_window] and 4 * res.n_window > SMALL.dim
 
     def test_empty_window_runs_no_solve(self, monkeypatch):
         monkeypatch.setattr(oracle2d.spla, "eigsh", _forbidden)
-        monkeypatch.setattr(oracle2d.sla, "eigh", _forbidden)
         res = self._check(GRID_768, preset_profiles("bulk_uniform"), (-0.5, 0.5))
-        assert res.two_pi_sigma == 0.0 and res.n_window == 0 and not res.dense_fallback
+        assert res.two_pi_sigma == 0.0 and res.n_window == 0
 
     def test_count_certificate_can_fail(self, monkeypatch):
         """A solve that drops the in-window pair nearest c returns n - 1 values
@@ -454,10 +455,14 @@ class TestWindowedSolve:
             trace_conductivity(H, GRID_768, default_projection(GRID_768), dens)
         assert calls == [_dense_count(H, dens.window)] and calls[0] > 0
 
-    def test_window_wider_than_spectrum_takes_dense_fallback(self):
-        res = self._check(SMALL, FIG2, (-40.0, 40.0))
-        assert res.dense_fallback
-        assert res.n_window == SMALL.dim
+    def test_window_holding_the_whole_spectrum_raises(self, monkeypatch):
+        """n = dim, past what eigsh can return on a sparse matrix: WindowError before any solve."""
+        monkeypatch.setattr(oracle2d.spla, "eigsh", _forbidden)
+        H = assemble_2d(SMALL, FIG2)
+        window = (-40.0, 40.0)
+        assert _dense_count(H, window) == SMALL.dim
+        with pytest.raises(WindowError, match=f"all {SMALL.dim} eigenvalues"):
+            trace_conductivity(H, SMALL, default_projection(SMALL), DensityProfile.from_window(*window))
 
     def test_repeated_calls_bit_identical(self):
         dens = DensityProfile.from_window(-1.0, 1.0)
@@ -465,7 +470,7 @@ class TestWindowedSolve:
             H = assemble_2d(g, FIG2, w, coupling=0.7)
             P = default_projection(g)
             first = trace_conductivity(H, g, P, dens, full_result=True)
-            assert first.n_window > 0 and not first.dense_fallback
+            assert first.n_window > 0
             assert trace_conductivity(H, g, P, dens, full_result=True) == first
 
     def test_no_convergence_raises_solver_error(self, monkeypatch):
