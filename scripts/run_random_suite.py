@@ -4,9 +4,10 @@
 Draws admissible random interface scenarios, auto-scales grid and sweep
 per scenario, and compares the tracked spectral flow with the closed-form
 half-space prediction. Prints one line per scenario, with its fiber
-solves, the solves that took the eigensolver's tight retry and the
-bisections (by reason: motion / stranded), and a final tally with the
-suite totals, the seconds spent in the sweeps and the cluster rotations.
+solves, the solves that the eigensolver's warm start served (`warm`),
+the solves that took its tight retry and the bisections (by reason:
+motion / stranded), and a final tally with the suite totals, the seconds
+spent in the sweeps and the cluster rotations.
 `--n 50 --seed 11` draws the acceptance suite's scenarios.
 
 Usage: python scripts/run_random_suite.py [--n N] [--seed S]
@@ -35,7 +36,7 @@ def main() -> int:
     ns = ap.parse_args()
 
     rng = np.random.default_rng(ns.seed)
-    bad = solves = retries = motion = stranded = rotations = 0
+    bad = solves = warm = retries = motion = stranded = rotations = 0
     sweep_s = 0.0
     for i in range(ns.n):
         minus, plus, alpha, _ = draw_interface_scenario(rng)
@@ -46,6 +47,7 @@ def main() -> int:
         sweep_s += time.perf_counter() - t0
         bis = stats["bisections"]
         solves += stats["solves"]
+        warm += stats["warm"]
         retries += stats["retries"]
         motion += bis["motion"]
         stranded += bis["stranded"]
@@ -57,11 +59,11 @@ def main() -> int:
             f"[{i + 1:3d}/{ns.n}] B=({minus.B:+.2f},{plus.B:+.2f}) "
             f"m=({minus.m:+.2f},{plus.m:+.2f}) V=({minus.V:+.2f},{plus.V:+.2f}) "
             f"alpha={alpha:+.2f}  sf={report.sf_numeric} pred={report.sf_predicted} "
-            f"N={grid.N} solves={stats['solves']} retries={stats['retries']} bisections={bis['motion']}/{bis['stranded']} "
+            f"N={grid.N} solves={stats['solves']} warm={stats['warm']} retries={stats['retries']} bisections={bis['motion']}/{bis['stranded']} "
             f"{'ok' if ok else 'MISMATCH'} ({time.perf_counter() - t0:.1f}s)"
         )
     print(
-        f"{ns.n - bad}/{ns.n} matched; solves={solves} retries={retries} bisections={motion}/{stranded} (motion/stranded) "
+        f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} retries={retries} bisections={motion}/{stranded} (motion/stranded) "
         f"cluster_rotations={rotations} sweep_seconds={sweep_s:.2f}"
     )
     return 1 if bad else 0

@@ -29,7 +29,12 @@ on-site indicator, so dJ/dzeta is exact.
 Windowed eigenpairs of that form come from loose LAPACK bisection
 (?stebz), inverse iteration (?stein), and one Rayleigh-Ritz step that
 also orthonormalizes the block (a Cholesky QR); a block that fails one of
-its checks is redone with tight bisection.
+its checks is redone with tight bisection.  A solve may instead start
+warm from the block of a nearby zeta: when the window's exact count is
+unchanged, inverse iteration from those vectors, at shifts predicted by
+their slopes, replaces the bisection (one stacked tridiagonal LU serves
+every shift), and the block must pass the same checks; otherwise the
+cold path runs.
 A solve returns one Eigenpairs block whose rows hold the real Jacobi
 vectors t; the interleaved complex psi is built from them on demand, and
 <psi, psi'> = t . t' exactly.
@@ -80,6 +85,12 @@ __all__ = [
 # misses the residual contract, or the block misses orthonormality).
 _BISECT_TOL = 1e-3
 _RETRY_TOL = 1e-8
+# The warm attempt's inverse-iteration steps: one at the predicted shifts, then
+# two at the Ritz values.  Of the random benchmark pass's 512 nonempty solves
+# whose count matches, (1, 1) leaves 109 outside the residual contract and
+# (1, 2) 19; the cold solves that follow make (1, 1) the slowest.  (2, 1) and
+# (1, 1, 1) leave 10 and 2 but were no faster.
+_WARM_SWEEPS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -175,7 +186,9 @@ class Eigenpairs:
     """A block of k eigenpairs in rows, sorted by mu: eigenvalues mu (k,), real Jacobi
     vectors t (k, 2N), verified residuals ||H psi - mu psi|| (k,) and slopes d mu/d zeta (k,);
     `mass` holds each row's boundary-strip mass once `filter_spurious` has kept the row;
-    `retried` is whether the solve behind the block took `eig_window`'s tight pass.
+    `retried` is whether the solve behind the block took `eig_window`'s tight pass, and
+    `warm` whether its warm start served it.  A warm attempt that fails is not a retry:
+    its solve is `retried` only if the cold loose pass fails too.
 
     An int index gives one pair (the same fields, one row each); a mask or an
     index array gives a sub-block.  `psi` builds the interleaved spinors from t:
@@ -188,13 +201,14 @@ class Eigenpairs:
     slope: np.ndarray
     mass: np.ndarray | None = None
     retried: bool = False
+    warm: bool = False
 
     def __len__(self) -> int:
         return len(self.mu)
 
     def __getitem__(self, i) -> "Eigenpairs":  # iterating the block walks its rows
         mass = None if self.mass is None else self.mass[i]
-        return Eigenpairs(self.mu[i], self.t[i], self.residual[i], self.slope[i], mass, self.retried)
+        return Eigenpairs(self.mu[i], self.t[i], self.residual[i], self.slope[i], mass, self.retried, self.warm)
 
     @property
     def psi(self) -> np.ndarray:
@@ -227,6 +241,11 @@ def _misses_contract(lam: np.ndarray, res: np.ndarray) -> np.ndarray:
     return res > 1e-8 * (1.0 + np.abs(lam))
 
 
+def _misses_slope_bound(slopes: np.ndarray) -> np.ndarray:
+    """Mask of the pairs with |d mu/d zeta| > 1 + 1e-12."""
+    return np.abs(slopes) > 1.0 + 1e-12
+
+
 def check_residuals(lam: np.ndarray, res: np.ndarray) -> None:
     """Raise SolverError unless every pair meets ||H v - lambda v|| <= 1e-8 (1 + |lambda|)."""
     bad = np.nonzero(_misses_contract(lam, res))[0]
@@ -241,18 +260,18 @@ def check_slopes(lam: np.ndarray, slopes: np.ndarray) -> None:
     <psi, sigma_2 psi> is bounded by 1 for a normalized psi, so a breach
     means a badly normalized vector or broken slope arithmetic.
     """
-    bad = np.nonzero(np.abs(slopes) > 1.0 + 1e-12)[0]
+    bad = np.nonzero(_misses_slope_bound(slopes))[0]
     if bad.size:
         i = bad[0]
         raise SolverError(f"slope {slopes[i]:.6g} exceeds the Lipschitz bound 1 at eigenvalue {lam[i]:.6g}")
 
 
-def _jacobi_times(d: np.ndarray, e: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """J T for the Jacobi matrix J = tridiag(e, d, e), in O(n) per column."""
-    JT = d[:, None] * T
-    JT[:-1] += e[:, None] * T[1:]
-    JT[1:] += e[:, None] * T[:-1]
-    return JT
+def _jacobi_times(d: np.ndarray, e: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The rows J v of the rows v of V, for the Jacobi matrix J = tridiag(e, d, e), in O(n) per row."""
+    JV = d * V
+    JV[:, :-1] += e * V[:, 1:]
+    JV[:, 1:] += e * V[:, :-1]
+    return JV
 
 
 def slopes_of(V: np.ndarray) -> np.ndarray:
@@ -266,26 +285,111 @@ def count_eigenvalues(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int
     return int(lapack.dstebz(d, e, 1, lo, hi, 0, 0, 1e3, "B")[0])
 
 
-def eig_window(A: FiberMatrix, window: tuple[float, float]) -> Eigenpairs:
+def _rayleigh_ritz(d: np.ndarray, e: np.ndarray, V: np.ndarray):
+    """Rayleigh-Ritz on the rows of V: (mu, Q, the rows J v, info), the Ritz vectors
+    being the rows of Q^T V.
+
+    One ?sygvd call on the pencil (V J V^T, V V^T) is a Cholesky QR inside
+    Rayleigh-Ritz: L L^T = V V^T, eigh(L^-1 V J V^T L^-T) = (mu, Y), Q = L^-T Y.
+    info > k means V V^T is not positive definite.
+    """
+    JV = _jacobi_times(d, e, V)
+    # the wrapper rejects an empty pencil
+    mus, Q, info = lapack.dsygvd(JV @ V.T, V @ V.T, uplo="L") if len(V) else (np.empty(0), V[:, :0], 0)
+    return mus, Q, JV, info
+
+
+def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi: float):
+    """The Ritz pairs of V's rows with mu in [lo, hi] and their certificate:
+    (block, certified, off, info).
+
+    `certified` says that every pair meets the residual contract and the slope
+    bound and that the block's rows t meet max |t t^T - I| = off <= 1e-12.  When
+    ?sygvd fails (info != 0) the block is None.
+    """
+    mus, Q, JV, info = _rayleigh_ritz(d, e, V)
+    if info:
+        return None, False, np.inf, info
+    inside = (mus >= lo) & (mus <= hi)
+    mus, Q = mus[inside], Q[:, inside]
+    V, JV = Q.T @ V, Q.T @ JV
+    JV -= mus[:, None] * V
+    res = np.sqrt(np.einsum("ij,ij->i", JV, JV))
+    off = np.max(np.abs(V @ V.T - np.eye(len(mus))), initial=0.0)
+    block = Eigenpairs(mu=mus, t=V, residual=res, slope=slopes_of(V))
+    certified = off <= 1e-12 and not (_misses_contract(mus, res).any() or _misses_slope_bound(block.slope).any())
+    return block, certified, off, 0
+
+
+def _warm_solve(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: float) -> Eigenpairs | None:
+    """The window's block by inverse iteration from `guess`, or None when the exact count
+    differs from len(guess) or the block fails (see `eig_window`)."""
+    k, n = guess.t.shape
+    if count_eigenvalues(A.d, A.e, lo, hi) != k:
+        return None
+    if not k:
+        return replace(guess, warm=True)
+    off_diag = np.zeros((k, n))
+    off_diag[:, :-1] = A.e  # zero couplings between the k blocks
+    off_diag = off_diag.ravel()[:-1]
+    V, shifts = guess.t, guess.mu + step * guess.slope  # Hellmann-Feynman prediction
+    for i, sweeps in enumerate(_WARM_SWEEPS):
+        if i:  # shifts and vectors refreshed by Rayleigh-Ritz
+            shifts, Q, _, info = _rayleigh_ritz(A.d, A.e, V)
+            if info:
+                return None
+            V = Q.T @ V
+        # every J - shift_i at once, as one block-diagonal tridiagonal
+        *lu, info = lapack.dgttrf(off_diag, (A.d - shifts[:, None]).ravel(), off_diag)
+        if info:
+            return None
+        for _ in range(sweeps):
+            X, info = lapack.dgttrs(*lu, V.reshape(-1, 1))
+            V = X.reshape(k, n)
+            scale = np.max(np.abs(V), axis=1, keepdims=True)
+            if info or not np.isfinite(scale).all():
+                return None
+            V /= scale
+    pairs, certified, _, _ = _certified_block(A.d, A.e, V, lo, hi)
+    return replace(pairs, warm=True) if certified and len(pairs) == k else None
+
+
+def eig_window(
+    A: FiberMatrix, window: tuple[float, float], guess: Eigenpairs | None = None, step: float = 0.0
+) -> Eigenpairs:
     """The block of all eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
-    On the real Jacobi matrix J: bisection (?stebz) only to _BISECT_TOL, whose
-    exact Sturm count still proves the window complete; inverse iteration
-    (?stein) for the block T; one Rayleigh-Ritz step on the pencil
-    (T^T J T, T^T T) by ?sygvd, a Cholesky QR inside Rayleigh-Ritz:
+    With a `guess`, the unfiltered block of the same family at a zeta `step`
+    away, a warm attempt runs first.  It runs only when the exact Sturm count
+    of the window equals len(guess) (an empty window returns the empty
+    block).  Each pair's shift mu + slope * step is predicted by its
+    Hellmann-Feynman slope; one stacked tridiagonal LU (?gttrf) of every
+    J - shift_i serves one inverse-iteration step (?gttrs) from the guess
+    vectors, Rayleigh-Ritz refreshes the shifts, and after a refactoring
+    two more steps and a final Rayleigh-Ritz give the block, marked `warm`
+    (_WARM_SWEEPS).  Rows are rescaled after every step.  The warm block
+    must pass exactly the cold certificates below; a miss, a zero pivot or
+    a non-finite entry falls through to the cold passes.
+
+    The cold passes, on the real Jacobi matrix J: bisection (?stebz) only to
+    _BISECT_TOL, whose exact Sturm count still proves the window complete;
+    inverse iteration (?stein) for the block T; one Rayleigh-Ritz step on the
+    pencil (T^T J T, T^T T) by ?sygvd, a Cholesky QR inside Rayleigh-Ritz:
     L L^T = T^T T, eigh(L^-1 T^T J T L^-T) = (mu, Y), T <- T L^-T Y.  That
     gives mu to working precision even in clusters narrower than the
     bisection tolerance, and an orthonormal T where column norms alone would
     leave nearly parallel vectors.  When ?stein or the Cholesky factor fails,
-    a pair misses the residual contract or the block misses
-    max |T^T T - I| <= 1e-12, the solve is redone with bisection to
-    _RETRY_TOL, and the block is marked `retried`.  Slopes come from
-    `slopes_of`.  The returned block must pass `check_residuals`, the
-    orthonormality bound and `check_slopes`.
+    or the block misses a certificate (a pair misses the residual contract or
+    the slope bound, or the block misses max |T^T T - I| <= 1e-12), the
+    solve is redone with bisection to _RETRY_TOL, and the block is marked
+    `retried`.  Slopes come from `slopes_of`.  The returned block must pass
+    `check_residuals`, the orthonormality bound and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("window lo must be < hi")
+    if guess is not None and (pairs := _warm_solve(A, lo, hi, guess, step)) is not None:
+        return pairs
 
     for tol in (_BISECT_TOL, _RETRY_TOL):
         # range 1: the eigenvalues in (lo, hi]; order "B": by split-off block, as ?stein needs
@@ -295,28 +399,16 @@ def eig_window(A: FiberMatrix, window: tuple[float, float]) -> Eigenpairs:
         T, info = lapack.dstein(A.d, A.e, w[:m], iblock, isplit)
         if info:
             continue
-        JT = _jacobi_times(A.d, A.e, T)
-        # info > m: T^T T is not positive definite; the wrapper rejects an empty pencil
-        mus, Q, info = lapack.dsygvd(T.T @ JT, T.T @ T, uplo="L") if m else (w[:0], T[:0], 0)
-        if info:
-            continue
-        inside = (mus >= lo) & (mus <= hi)
-        mus, Q = mus[inside], Q[:, inside]
-        T, JT = T @ Q, JT @ Q
-        JT -= T * mus
-        res = np.sqrt(np.einsum("ij,ij->j", JT, JT))
-        off = np.max(np.abs(T.T @ T - np.eye(len(mus))), initial=0.0)
-        if off <= 1e-12 and not _misses_contract(mus, res).any():
+        pairs, certified, off, info = _certified_block(A.d, A.e, T.T, lo, hi)
+        if certified:
             break
     if info:
         raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
-    V = np.ascontiguousarray(T.T)  # (k, 2N), also when k = 0
-    slopes = slopes_of(V)
-    check_residuals(mus, res)
+    check_residuals(pairs.mu, pairs.residual)
     if off > 1e-12:
         raise SolverError(f"eigenvector block is {off:.3e} off orthonormal on [{lo:.6g}, {hi:.6g}]")
-    check_slopes(mus, slopes)
-    return Eigenpairs(mu=mus, t=V, residual=res, slope=slopes, retried=tol != _BISECT_TOL)
+    check_slopes(pairs.mu, pairs.slope)
+    return replace(pairs, retried=tol != _BISECT_TOL)
 
 
 def boundary_mass(v: np.ndarray, grid: Grid1D, margin: float):

@@ -150,6 +150,27 @@ class TestSweep:
         assert stats["min_overlap"] == min(b.min_overlap for b in branches)
         assert stats["min_overlap_zeta"] in {z for b in branches for z in b.zetas}
 
+    def test_warm_start_leaves_the_sweep_as_it_is(self, monkeypatch):
+        """fig2's sweep (criterion 1) with and without the warm start: each solve after
+        the first gets the block at z_prev, and dropping it leaves the branch count,
+        every zeta sample, the solves and the bisections as they are, with mu within
+        1e-12."""
+        grid = Grid1D(L=20.0, N=800)
+        cfg = SweepConfig(-8.0, 8.0, 81, (-4.0, 4.0), refine_tol=0.05)
+        f = SpuriousFilter(margin=2.5, threshold=0.3)
+        ps = preset_profiles("dual_wall_v01")
+        warm_stats, cold_stats = {}, {}
+        warm = sweep_branches(grid, ps, cfg, f, stats=warm_stats)
+        monkeypatch.setattr("diracflow.branches.eig_window", lambda A, window, guess, step: eig_window(A, window))
+        cold = sweep_branches(grid, ps, cfg, f, stats=cold_stats)
+        assert 0 < warm_stats["warm"] < warm_stats["solves"] and cold_stats["warm"] == 0
+        assert len(warm) == len(cold) == 13
+        for key in ("solves", "bisections"):
+            assert warm_stats[key] == cold_stats[key]
+        for b, c in zip(warm, cold):
+            assert b.zetas == c.zetas
+            assert np.max(np.abs(np.array(b.mus) - np.array(c.mus))) <= 1e-12
+
 
 class TestMatching:
     def test_threshold_makes_matches_unique(self):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import os
 import runpy
@@ -19,6 +20,7 @@ from diracflow.cli import main
 from diracflow.config import RunConfig, config_from_dict, load_config
 from diracflow.errors import DiracflowError
 from diracflow.presets import PRESETS, preset_config
+from diracflow.profiles import DensityProfile
 
 
 def tiny_config(**overrides):
@@ -171,6 +173,8 @@ class TestCliBranches:
         sweep = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep"]
         bis = sweep["bisections"]
         assert sweep["solves"] == 17 + bis["motion"] + bis["stranded"]
+        # the first solve has no earlier sample to start from
+        assert 0 < sweep["warm"] < sweep["solves"]
         assert 0.8 <= sweep["min_overlap"] < 1.0 and -4.0 < sweep["min_overlap_zeta"] <= 4.0
         rows = (out / "branches.csv").read_text().splitlines()[1:]
         slopes = [float(r.split(",")[3]) for r in rows]
@@ -391,6 +395,32 @@ def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):
     assert header.split()[-1] == "ms" and all(float(row.split()[-1]) > 0.0 for row in levels)
     assert err.startswith("error: ") and "budget" in err
     assert "Traceback" not in err
+
+
+def test_stress_script_runs_one_case(monkeypatch, capsys):
+    """The stress table cut to one preset, kind, coupling and window: one row between
+    the header and the total, whose n, 2*pi*sigma and cut are the trace's own."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_stress.py"
+    spec = importlib.util.spec_from_file_location("run_oracle_stress", script)
+    stress = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stress)
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    monkeypatch.setattr(stress, "PRESETS", ("dual_wall_v01",))
+    monkeypatch.setattr(stress, "KINDS", ("decay_xy",))
+    monkeypatch.setattr(stress, "COUPLINGS", (0.5,))
+    monkeypatch.setattr(stress, "WINDOWS", ((-0.5, 0.5),))
+    assert stress.main() == 0
+    header, row, total = capsys.readouterr().out.splitlines()
+    assert header.split()[1:4] == ["n", "2pi*sigma", "cut"] and total.startswith("total")
+    case, n, two_pi_sigma, cut, seconds = row.rsplit(maxsplit=4)
+    assert case == "dual_wall_v01+decay_xy@0.5 (-0.5, 0.5)"
+    cfg = config_from_dict(preset_config("dual_wall_v01"))
+    H = oracle2d.assemble_2d(cfg.grid2d, cfg.profiles, oracle2d.PerturbationSpec("decay_xy", 1.0), coupling=0.5)
+    res = oracle2d.trace_conductivity(
+        H, cfg.grid2d, oracle2d.default_projection(cfg.grid2d), DensityProfile.from_window(-0.5, 0.5), full_result=True
+    )
+    assert (int(n), two_pi_sigma, int(cut)) == (res.n_window, repr(res.two_pi_sigma), res.n_states_cut)
+    assert int(n) > 0 and float(seconds) > 0.0
 
 
 @pytest.mark.parametrize(

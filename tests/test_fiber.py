@@ -261,6 +261,102 @@ class TestEigWindow:
         assert np.max(np.abs(sv - 1.0)) <= 1e-12
 
 
+def _same_block(p: Eigenpairs, q: Eigenpairs) -> bool:
+    """Bit-for-bit equal blocks, flags included."""
+    arrays = all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("mu", "t", "residual", "slope"))
+    return arrays and (p.retried, p.warm) == (q.retried, q.warm)
+
+
+class TestWarmStart:
+    """`eig_window` started from the block of a nearby zeta (fig2's geometry unless named)."""
+
+    GRID, WINDOW = Grid1D(L=20.0, N=800), (-4.0, 4.0)
+
+    def _fiber(self, zeta):
+        return assemble_fiber(self.GRID, preset_profiles("dual_wall_v01"), zeta)
+
+    @pytest.mark.parametrize("step", [0.2, 0.05])
+    @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
+    def test_warm_solve_agrees_with_tight(self, monkeypatch, zeta, step):
+        """Started from the solve at zeta - step, the warm attempt serves the solve and
+        finds the tight solve's count, mu within 1e-12 and its subspace: every singular
+        value of T_warm T_tight^T lies within 1e-13 of 1 (measured: mu within 5.3e-15,
+        singular values within 1.3e-15 of 1)."""
+        A = self._fiber(zeta)
+        warm = eig_window(A, self.WINDOW, eig_window(self._fiber(zeta - step), self.WINDOW), step)
+        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
+        tight = eig_window(A, self.WINDOW)
+        assert warm.warm and not warm.retried
+        assert len(warm) == len(tight) > 0
+        assert np.max(np.abs(warm.mu - tight.mu)) <= 1e-12
+        sv = np.linalg.svd(warm.t @ tight.t.T, compute_uv=False)
+        assert np.max(np.abs(sv - 1.0)) <= 1e-13
+
+    def test_empty_window_returns_the_empty_block(self):
+        """A count of 0 needs no iteration: the empty block, marked warm."""
+        A = self._fiber(0.0)
+        gap = (-0.3, -0.2)
+        guess = eig_window(self._fiber(-0.2), gap)
+        pairs = eig_window(A, gap, guess, 0.2)
+        assert len(guess) == 0 and pairs.warm and len(pairs) == 0 and pairs.t.shape == (0, 2 * self.GRID.N)
+
+    def test_guess_of_another_size_falls_back(self):
+        """The exact count differs from len(guess): the cold block, bit for bit."""
+        A = self._fiber(4.0)
+        guess = eig_window(self._fiber(3.8), self.WINDOW)[1:]
+        cold = eig_window(A, self.WINDOW)
+        pairs = eig_window(A, self.WINDOW, guess, 0.2)
+        assert len(guess) != len(cold) and not cold.warm
+        assert _same_block(pairs, cold) and not pairs.retried
+
+    @pytest.mark.parametrize("fault", ["noise", "parallel"])
+    def test_skewed_inverse_iteration_falls_back(self, monkeypatch, fault):
+        """?gttrs returns a skewed block: noise of 1e-4 (the residual contract sees it)
+        or a second row that is a near-copy of the first (the Cholesky factor or the
+        orthonormality bound sees it).  The warm attempt runs to its end or to the
+        failed Cholesky factor and falls through to the cold block, bit for bit, which
+        is not marked retried."""
+        A = self._fiber(4.0)
+        guess = eig_window(self._fiber(3.8), self.WINDOW)
+        cold = eig_window(A, self.WINDOW)
+        calls = []
+
+        def dgttrs(*args):
+            X, info = sla.lapack.dgttrs(*args)
+            calls.append(info)
+            X = X.reshape(len(guess), -1)
+            if fault == "noise":
+                X = X + 1e-4 * np.abs(X).max() * np.random.default_rng(5).standard_normal(X.shape)
+            else:
+                X[1] = X[0] + 1e-12 * X[1]
+            return X.reshape(-1, 1), info
+
+        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(**vars(sla.lapack) | {"dgttrs": dgttrs}))
+        pairs = eig_window(A, self.WINDOW, guess, 0.2)
+        assert calls and _same_block(pairs, cold) and not pairs.retried
+
+    def test_zero_pivot_falls_back(self, monkeypatch):
+        """A diagonal matrix whose predicted shifts are diagonal entries: ?gttrf meets
+        a zero pivot, no ?gttrs step runs, and the cold block comes back, bit for bit."""
+        A = FiberMatrix(grid=Grid1D(L=1.0, N=16), d=np.arange(32, dtype=float), e=np.zeros(31))
+        cold = eig_window(A, (4.5, 7.5))
+        infos = []
+
+        def dgttrf(*args):
+            *lu, info = sla.lapack.dgttrf(*args)
+            infos.append(info)
+            return (*lu, info)
+
+        def dgttrs(*args):
+            raise AssertionError("?gttrs ran on a singular factor")
+
+        faults = {"dgttrf": dgttrf, "dgttrs": dgttrs}
+        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(**vars(sla.lapack) | faults))
+        pairs = eig_window(A, (4.5, 7.5), cold, 0.0)
+        assert cold.mu.tolist() == [5.0, 6.0, 7.0] and len(infos) == 1 and infos[0] > 0
+        assert _same_block(pairs, cold) and not pairs.retried
+
+
 class TestFilter:
     def test_interior_state_kept(self):
         g = Grid1D(L=8.0, N=128)
