@@ -44,9 +44,9 @@ size, and that count includes the states the filter drops.  A bisection
 midpoint starts from z_prev as well: it lies as near to z_prev as to the
 far sample, and z_prev holds the states the tracks end on, while the far
 sample is the one that failed to match them.  On the presets and the
-benchmark sweeps the warm start changed no count, sample or match; its
-vectors are more exact than the loose cold pass's, so slopes and
-overlaps move at the level of the cold residuals.
+benchmark sweeps the warm start changed no count, sample or match.  A
+warm block stops at the first step that meets the cold pass's residual
+contract, so slopes and overlaps move within what that contract allows.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ _POINTS_BUDGET = 4000  # largest grid autoscale picks
 _OVERLAP_THRESHOLD = 0.8  # smallest |<psi_prev, psi_new>| that matches two samples
 _BISECT_FLOOR = 1e-4  # smallest zeta step bisection takes
 _CLUSTER_RTOL = 1e-10  # mu within this * (1 + |mu|) of a neighbour: degenerate to rounding
+_OVERLAP_TIE = 1e-6  # overlaps this near min_overlap tie (in uniform bulk, rounding picks one)
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,9 @@ def sweep_branches(
     given, is filled with the sweep telemetry: `solves` (fiber solves),
     `bisections` by reason (`motion`: a matched value left refine_tol;
     `stranded`: a track went unmatched without exiting, which takes
-    precedence), the smallest matched overlap `min_overlap` with the zeta
-    where it occurred (`min_overlap_zeta`, None when nothing was matched),
+    precedence), the smallest matched overlap `min_overlap` and the first
+    committed zeta whose matched overlap lies within _OVERLAP_TIE of it
+    (`min_overlap_zeta`, None when nothing was matched),
     the states the solves `retained` and `filtered` out, summed over
     solves, their `max_residual`, the `retries` (solves that took
     `eig_window`'s tight pass), the solves that the warm start served
@@ -250,6 +252,7 @@ def sweep_branches(
         return b
 
     done: list[Branch] = []
+    lowest: list[tuple[float, float]] = []  # each committed zeta's smallest matched overlap
     z_prev = targets[0]
     kept = solve(z_prev)
     active = [append(Branch(), z_prev, kept, j, 1.0) for j in range(len(kept))]
@@ -293,8 +296,11 @@ def sweep_branches(
         stats["cluster_rotations"] += rotated
         for i, j, ov in matched:
             append(active[i], z, kept, j, float(ov))
-            if ov < stats["min_overlap"]:
-                stats["min_overlap"], stats["min_overlap_zeta"] = float(ov), float(z)
+        if matched:
+            lowest.append((float(z), float(min(ov for _, _, ov in matched))))
+            if lowest[-1][1] < stats["min_overlap"]:
+                low = stats["min_overlap"] = lowest[-1][1]
+                stats["min_overlap_zeta"] = next(zl for zl, ol in lowest if ol <= low + _OVERLAP_TIE)
         for i in unmatched:
             active[i].clipped = True
             done.append(active[i])

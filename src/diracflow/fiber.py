@@ -31,10 +31,10 @@ Windowed eigenpairs of that form come from loose LAPACK bisection
 also orthonormalizes the block (a Cholesky QR); a block that fails one of
 its checks is redone with tight bisection.  A solve may instead start
 warm from the block of a nearby zeta: when the window's exact count is
-unchanged, inverse iteration from those vectors, at shifts predicted by
-their slopes, replaces the bisection (one stacked tridiagonal LU serves
-every shift), and the block must pass the same checks; otherwise the
-cold path runs.
+unchanged, Rayleigh-quotient iteration from those vectors, first at shifts
+predicted by their slopes, replaces the bisection (one stacked tridiagonal
+LU serves every shift of a step), and it stops at the first block that
+passes the same checks; otherwise the cold path runs.
 A solve returns one Eigenpairs block whose rows hold the real Jacobi
 vectors t; the interleaved complex psi is built from them on demand, and
 <psi, psi'> = t . t' exactly.
@@ -85,12 +85,12 @@ __all__ = [
 # misses the residual contract, or the block misses orthonormality).
 _BISECT_TOL = 1e-3
 _RETRY_TOL = 1e-8
-# The warm attempt's inverse-iteration steps: one at the predicted shifts, then
-# two at the Ritz values.  Of the random benchmark pass's 512 nonempty solves
-# whose count matches, (1, 1) leaves 109 outside the residual contract and
-# (1, 2) 19; the cold solves that follow make (1, 1) the slowest.  (2, 1) and
-# (1, 1, 1) leave 10 and 2 but were no faster.
-_WARM_SWEEPS = (1, 2)
+# Most Rayleigh-quotient steps of a warm attempt.  On the random benchmark
+# pass (seed 11), of the 512 nonempty solves whose count matches, 182 are
+# certified after one step, 221 after two and 107 after three; a cap of 2
+# sends those 107 to the cold passes as well, and a cap of 4 serves none more
+# than 3 (the 2 left over fall back either way).
+_WARM_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -285,29 +285,20 @@ def count_eigenvalues(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int
     return int(lapack.dstebz(d, e, 1, lo, hi, 0, 0, 1e3, "B")[0])
 
 
-def _rayleigh_ritz(d: np.ndarray, e: np.ndarray, V: np.ndarray):
-    """Rayleigh-Ritz on the rows of V: (mu, Q, the rows J v, info), the Ritz vectors
-    being the rows of Q^T V.
+def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi: float):
+    """Rayleigh-Ritz on the rows of V: the Ritz pairs with mu in [lo, hi] and their
+    certificate, (block, certified, off, info).
 
     One ?sygvd call on the pencil (V J V^T, V V^T) is a Cholesky QR inside
-    Rayleigh-Ritz: L L^T = V V^T, eigh(L^-1 V J V^T L^-T) = (mu, Y), Q = L^-T Y.
-    info > k means V V^T is not positive definite.
+    Rayleigh-Ritz: L L^T = V V^T, eigh(L^-1 V J V^T L^-T) = (mu, Y), Q = L^-T Y,
+    and the Ritz vectors are the rows of Q^T V.  When ?sygvd fails (info > k
+    means V V^T is not positive definite) the block is None.  `certified` says
+    that every pair meets the residual contract and the slope bound and that
+    the block's rows t meet max |t t^T - I| = off <= 1e-12.
     """
     JV = _jacobi_times(d, e, V)
     # the wrapper rejects an empty pencil
     mus, Q, info = lapack.dsygvd(JV @ V.T, V @ V.T, uplo="L") if len(V) else (np.empty(0), V[:, :0], 0)
-    return mus, Q, JV, info
-
-
-def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi: float):
-    """The Ritz pairs of V's rows with mu in [lo, hi] and their certificate:
-    (block, certified, off, info).
-
-    `certified` says that every pair meets the residual contract and the slope
-    bound and that the block's rows t meet max |t t^T - I| = off <= 1e-12.  When
-    ?sygvd fails (info != 0) the block is None.
-    """
-    mus, Q, JV, info = _rayleigh_ritz(d, e, V)
     if info:
         return None, False, np.inf, info
     inside = (mus >= lo) & (mus <= hi)
@@ -322,8 +313,9 @@ def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi:
 
 
 def _warm_solve(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: float) -> Eigenpairs | None:
-    """The window's block by inverse iteration from `guess`, or None when the exact count
-    differs from len(guess) or the block fails (see `eig_window`)."""
+    """The window's block by Rayleigh-quotient iteration from `guess`, or None when the
+    exact count differs from len(guess) or no step gives a certified block (see
+    `eig_window`)."""
     k, n = guess.t.shape
     if count_eigenvalues(A.d, A.e, lo, hi) != k:
         return None
@@ -333,25 +325,24 @@ def _warm_solve(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: f
     off_diag[:, :-1] = A.e  # zero couplings between the k blocks
     off_diag = off_diag.ravel()[:-1]
     V, shifts = guess.t, guess.mu + step * guess.slope  # Hellmann-Feynman prediction
-    for i, sweeps in enumerate(_WARM_SWEEPS):
-        if i:  # shifts and vectors refreshed by Rayleigh-Ritz
-            shifts, Q, _, info = _rayleigh_ritz(A.d, A.e, V)
-            if info:
-                return None
-            V = Q.T @ V
+    for _ in range(_WARM_STEPS):
         # every J - shift_i at once, as one block-diagonal tridiagonal
         *lu, info = lapack.dgttrf(off_diag, (A.d - shifts[:, None]).ravel(), off_diag)
         if info:
             return None
-        for _ in range(sweeps):
-            X, info = lapack.dgttrs(*lu, V.reshape(-1, 1))
-            V = X.reshape(k, n)
-            scale = np.max(np.abs(V), axis=1, keepdims=True)
-            if info or not np.isfinite(scale).all():
-                return None
-            V /= scale
-    pairs, certified, _, _ = _certified_block(A.d, A.e, V, lo, hi)
-    return replace(pairs, warm=True) if certified and len(pairs) == k else None
+        X, info = lapack.dgttrs(*lu, V.reshape(-1, 1))
+        V = X.reshape(k, n)
+        scale = np.max(np.abs(V), axis=1, keepdims=True)
+        if info or not np.isfinite(scale).all():
+            return None
+        # all k Ritz pairs: one outside the window may come back in at the next step
+        pairs, certified, _, info = _certified_block(A.d, A.e, V / scale, -np.inf, np.inf)
+        if info:
+            return None
+        if certified and lo <= pairs.mu[0] and pairs.mu[-1] <= hi:
+            return replace(pairs, warm=True)
+        V, shifts = pairs.t, pairs.mu
+    return None
 
 
 def eig_window(
@@ -360,30 +351,30 @@ def eig_window(
     """The block of all eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
     With a `guess`, the unfiltered block of the same family at a zeta `step`
-    away, a warm attempt runs first.  It runs only when the exact Sturm count
-    of the window equals len(guess) (an empty window returns the empty
-    block).  Each pair's shift mu + slope * step is predicted by its
-    Hellmann-Feynman slope; one stacked tridiagonal LU (?gttrf) of every
-    J - shift_i serves one inverse-iteration step (?gttrs) from the guess
-    vectors, Rayleigh-Ritz refreshes the shifts, and after a refactoring
-    two more steps and a final Rayleigh-Ritz give the block, marked `warm`
-    (_WARM_SWEEPS).  Rows are rescaled after every step.  The warm block
-    must pass exactly the cold certificates below; a miss, a zero pivot or
-    a non-finite entry falls through to the cold passes.
+    away, a warm attempt runs first when the window's exact Sturm count
+    equals len(guess) (an empty window returns the empty block):
+    Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4), first at the shifts mu + slope * step that the Hellmann-Feynman
+    slopes predict.  Each step factors every J - shift_i at once (one stacked
+    tridiagonal LU, ?gttrf), takes one ?gttrs step from the current rows,
+    rescales them and runs the Rayleigh-Ritz step and the certificates of the
+    cold passes below.  The first block that passes, with all its Ritz values
+    in the window, is returned, marked `warm`; otherwise all its Ritz pairs
+    are the next step's shifts and rows.  After _WARM_STEPS steps, a failed
+    Cholesky factor, a zero pivot or a non-finite entry, the cold passes run.
 
     The cold passes, on the real Jacobi matrix J: bisection (?stebz) only to
     _BISECT_TOL, whose exact Sturm count still proves the window complete;
-    inverse iteration (?stein) for the block T; one Rayleigh-Ritz step on the
-    pencil (T^T J T, T^T T) by ?sygvd, a Cholesky QR inside Rayleigh-Ritz:
-    L L^T = T^T T, eigh(L^-1 T^T J T L^-T) = (mu, Y), T <- T L^-T Y.  That
-    gives mu to working precision even in clusters narrower than the
-    bisection tolerance, and an orthonormal T where column norms alone would
-    leave nearly parallel vectors.  When ?stein or the Cholesky factor fails,
-    or the block misses a certificate (a pair misses the residual contract or
-    the slope bound, or the block misses max |T^T T - I| <= 1e-12), the
-    solve is redone with bisection to _RETRY_TOL, and the block is marked
-    `retried`.  Slopes come from `slopes_of`.  The returned block must pass
-    `check_residuals`, the orthonormality bound and `check_slopes`.
+    inverse iteration (?stein) for the block T; one Rayleigh-Ritz step that
+    is also a Cholesky QR (`_certified_block`).  That gives mu to working
+    precision even in clusters narrower than the bisection tolerance, and an
+    orthonormal T where column norms alone would leave nearly parallel
+    vectors.  When ?stein or the Cholesky factor fails, or the block misses a
+    certificate (a pair misses the residual contract or the slope bound, or
+    the block misses max |T^T T - I| <= 1e-12), the solve is redone with
+    bisection to _RETRY_TOL, and the block is marked `retried`.  Slopes come
+    from `slopes_of`.  The returned block must pass `check_residuals`, the
+    orthonormality bound and `check_slopes`.
     """
     lo, hi = window
     if not lo < hi:

@@ -12,6 +12,7 @@ import pytest
 from diracflow import fiber
 from diracflow.branches import (
     _OVERLAP_THRESHOLD,
+    _OVERLAP_TIE,
     _align_clusters,
     Branch,
     SweepConfig,
@@ -25,7 +26,7 @@ from diracflow.fiber import FiberMatrix, Grid1D, SpuriousFilter, boundary_mass, 
 from diracflow.flow import spectral_flow, validate_window
 from diracflow.presets import preset_config, preset_profiles
 
-from conftest import walls
+from conftest import draw_interface_scenario, walls
 
 
 def small_sweep(ps, zr=(-5.0, 5.0), window=(-3.5, 3.5), N=400, L=14.0, margin=4.0, samples=21):
@@ -150,21 +151,41 @@ class TestSweep:
         assert stats["min_overlap"] == min(b.min_overlap for b in branches)
         assert stats["min_overlap_zeta"] in {z for b in branches for z in b.zetas}
 
-    def test_warm_start_leaves_the_sweep_as_it_is(self, monkeypatch):
-        """fig2's sweep (criterion 1) with and without the warm start: each solve after
-        the first gets the block at z_prev, and dropping it leaves the branch count,
-        every zeta sample, the solves and the bisections as they are, with mu within
-        1e-12."""
-        grid = Grid1D(L=20.0, N=800)
-        cfg = SweepConfig(-8.0, 8.0, 81, (-4.0, 4.0), refine_tol=0.05)
-        f = SpuriousFilter(margin=2.5, threshold=0.3)
-        ps = preset_profiles("dual_wall_v01")
+    def test_min_overlap_zeta_is_the_first_near_tie(self):
+        """bulk_uniform's overlaps tie to about 1e-9 at many samples, so the exact argmin
+        of the smallest overlap is rounding noise; the sweep reports the smallest zeta
+        whose matched overlap lies within _OVERLAP_TIE of min_overlap, which stays the
+        exact minimum."""
+        cfg = config_from_dict(preset_config("bulk_uniform"))
+        stats = {}
+        branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, stats=stats)
+        low = stats["min_overlap"]
+        assert low == min(b.min_overlap for b in branches) < 1.0
+        # overlaps[0] is the 1.0 a branch starts with, not a match
+        near = sorted(z for b in branches for z, ov in zip(b.zetas[1:], b.overlaps[1:]) if ov <= low + _OVERLAP_TIE)
+        assert len(near) > 1 and stats["min_overlap_zeta"] == near[0] == pytest.approx(-7.8, abs=1e-12)
+
+    @pytest.mark.parametrize("geometry", ["fig2", "autoscaled"])
+    def test_warm_start_leaves_the_sweep_as_it_is(self, monkeypatch, geometry):
+        """fig2's sweep (criterion 1) and criterion 2's first autoscaled sweep, whose full
+        0.5-wide steps are where warm blocks take three steps, with and without the warm
+        start: each solve after the first gets the block at z_prev, and dropping it
+        leaves the branch count, every zeta sample, the solves and the bisections as
+        they are, with mu within 1e-12."""
+        if geometry == "fig2":
+            grid, ps, n_branches = Grid1D(L=20.0, N=800), preset_profiles("dual_wall_v01"), 13
+            cfg = SweepConfig(-8.0, 8.0, 81, (-4.0, 4.0), refine_tol=0.05)
+            f = SpuriousFilter(margin=2.5, threshold=0.3)
+        else:
+            minus, plus, alpha, _ = draw_interface_scenario(np.random.default_rng(11))
+            grid, cfg, f = autoscale(minus, plus, (alpha - 1.5, alpha + 1.5))
+            ps, n_branches = walls(minus, plus), 4
         warm_stats, cold_stats = {}, {}
         warm = sweep_branches(grid, ps, cfg, f, stats=warm_stats)
         monkeypatch.setattr("diracflow.branches.eig_window", lambda A, window, guess, step: eig_window(A, window))
         cold = sweep_branches(grid, ps, cfg, f, stats=cold_stats)
         assert 0 < warm_stats["warm"] < warm_stats["solves"] and cold_stats["warm"] == 0
-        assert len(warm) == len(cold) == 13
+        assert len(warm) == len(cold) == n_branches
         for key in ("solves", "bisections"):
             assert warm_stats[key] == cold_stats[key]
         for b, c in zip(warm, cold):
