@@ -6,7 +6,8 @@ per scenario, and compares the tracked spectral flow with the closed-form
 half-space prediction. Prints one line per scenario, with its fiber
 solves, the solves that the eigensolver's warm start served (`warm`),
 the solves that took its tight retry and the bisections (by reason:
-motion / stranded), and a final tally with the suite totals, the seconds
+motion / stranded), and a final tally with the suite totals, the warm
+solves by Rayleigh-quotient steps taken (`warm_steps`), the seconds
 spent in the sweeps and the cluster rotations.
 `--n 50 --seed 11` draws the acceptance suite's scenarios.
 
@@ -16,6 +17,7 @@ Usage: python scripts/run_random_suite.py [--n N] [--seed S]
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -37,6 +39,7 @@ def main() -> int:
 
     rng = np.random.default_rng(ns.seed)
     bad = solves = warm = retries = motion = stranded = rotations = 0
+    warm_steps: Counter = Counter()
     sweep_s = 0.0
     for i in range(ns.n):
         minus, plus, alpha, _ = draw_interface_scenario(rng)
@@ -48,6 +51,7 @@ def main() -> int:
         bis = stats["bisections"]
         solves += stats["solves"]
         warm += stats["warm"]
+        warm_steps.update(stats["warm_steps"])
         retries += stats["retries"]
         motion += bis["motion"]
         stranded += bis["stranded"]
@@ -63,7 +67,8 @@ def main() -> int:
             f"{'ok' if ok else 'MISMATCH'} ({time.perf_counter() - t0:.1f}s)"
         )
     print(
-        f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} retries={retries} bisections={motion}/{stranded} (motion/stranded) "
+        f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} warm_steps={dict(sorted(warm_steps.items()))} "
+        f"retries={retries} bisections={motion}/{stranded} (motion/stranded) "
         f"cluster_rotations={rotations} sweep_seconds={sweep_s:.2f}"
     )
     return 1 if bad else 0

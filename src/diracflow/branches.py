@@ -202,7 +202,9 @@ def sweep_branches(
     the states the solves `retained` and `filtered` out, summed over
     solves, their `max_residual`, the `retries` (solves that took
     `eig_window`'s tight pass), the solves that the warm start served
-    (`warm`), and the `cluster_rotations` of the committed steps.
+    (`warm`) and how many of them took each number of Rayleigh-quotient
+    steps (`warm_steps`; 0 is the empty window, served by its count), and
+    the `cluster_rotations` of the committed steps.
     """
     lo, hi = cfg.window
     targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
@@ -220,6 +222,7 @@ def sweep_branches(
         max_residual=0.0,
         retries=0,
         warm=0,
+        warm_steps={},
         cluster_rotations=0,
     )
 
@@ -234,6 +237,8 @@ def sweep_branches(
             stats["max_residual"] = max(stats["max_residual"], float(np.max(pairs.residual, initial=0.0)))
             stats["retries"] += pairs.retried
             stats["warm"] += pairs.warm
+            if pairs.warm:
+                stats["warm_steps"][pairs.steps] = stats["warm_steps"].get(pairs.steps, 0) + 1
         return cache[z].kept
 
     def exits(b: Branch, step: float) -> bool:

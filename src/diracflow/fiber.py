@@ -32,9 +32,9 @@ also orthonormalizes the block (a Cholesky QR); a block that fails one of
 its checks is redone with tight bisection.  A solve may instead start
 warm from the block of a nearby zeta: when the window's exact count is
 unchanged, Rayleigh-quotient iteration from those vectors, first at shifts
-predicted by their slopes, replaces the bisection (one stacked tridiagonal
-LU serves every shift of a step), and it stops at the first block that
-passes the same checks; otherwise the cold path runs.
+predicted by their slopes, replaces the bisection (one ?gtsv call on a
+stacked tridiagonal solves every shift of a step), and it stops at the
+first block that passes the same checks; otherwise the cold path runs.
 A solve returns one Eigenpairs block whose rows hold the real Jacobi
 vectors t; the interleaved complex psi is built from them on demand, and
 <psi, psi'> = t . t' exactly.
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -187,7 +188,8 @@ class Eigenpairs:
     vectors t (k, 2N), verified residuals ||H psi - mu psi|| (k,) and slopes d mu/d zeta (k,);
     `mass` holds each row's boundary-strip mass once `filter_spurious` has kept the row;
     `retried` is whether the solve behind the block took `eig_window`'s tight pass, and
-    `warm` whether its warm start served it.  A warm attempt that fails is not a retry:
+    `warm` whether its warm start served it, after `steps` Rayleigh-quotient steps (0 for
+    a cold block and for the empty window).  A warm attempt that fails is not a retry:
     its solve is `retried` only if the cold loose pass fails too.
 
     An int index gives one pair (the same fields, one row each); a mask or an
@@ -202,13 +204,14 @@ class Eigenpairs:
     mass: np.ndarray | None = None
     retried: bool = False
     warm: bool = False
+    steps: int = 0
 
     def __len__(self) -> int:
         return len(self.mu)
 
     def __getitem__(self, i) -> "Eigenpairs":  # iterating the block walks its rows
         mass = None if self.mass is None else self.mass[i]
-        return Eigenpairs(self.mu[i], self.t[i], self.residual[i], self.slope[i], mass, self.retried, self.warm)
+        return replace(self, mu=self.mu[i], t=self.t[i], residual=self.residual[i], slope=self.slope[i], mass=mass)
 
     @property
     def psi(self) -> np.ndarray:
@@ -234,6 +237,12 @@ class SpuriousFilter:
     @classmethod
     def default(cls, grid: Grid1D) -> "SpuriousFilter":
         return cls(margin=grid.L / 8.0)
+
+
+class _RitzPairs(NamedTuple):  # Ritz pairs that missed the residual contract: no slopes
+    mu: np.ndarray
+    t: np.ndarray
+    residual: np.ndarray
 
 
 def _misses_contract(lam: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -294,7 +303,10 @@ def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi:
     and the Ritz vectors are the rows of Q^T V.  When ?sygvd fails (info > k
     means V V^T is not positive definite) the block is None.  `certified` says
     that every pair meets the residual contract and the slope bound and that
-    the block's rows t meet max |t t^T - I| = off <= 1e-12.
+    the block's rows t meet max |t t^T - I| = off <= 1e-12.  The residuals are
+    checked first: when a pair misses the contract, the block is the bare
+    `_RitzPairs` (mu, t, residual), off is inf, and neither the orthonormality
+    product nor the slopes are computed.
     """
     JV = _jacobi_times(d, e, V)
     # the wrapper rejects an empty pencil
@@ -306,10 +318,11 @@ def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi:
     V, JV = Q.T @ V, Q.T @ JV
     JV -= mus[:, None] * V
     res = np.sqrt(np.einsum("ij,ij->i", JV, JV))
+    if _misses_contract(mus, res).any():
+        return _RitzPairs(mus, V, res), False, np.inf, 0
     off = np.max(np.abs(V @ V.T - np.eye(len(mus))), initial=0.0)
     block = Eigenpairs(mu=mus, t=V, residual=res, slope=slopes_of(V))
-    certified = off <= 1e-12 and not (_misses_contract(mus, res).any() or _misses_slope_bound(block.slope).any())
-    return block, certified, off, 0
+    return block, off <= 1e-12 and not _misses_slope_bound(block.slope).any(), off, 0
 
 
 def _warm_solve(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: float) -> Eigenpairs | None:
@@ -325,22 +338,24 @@ def _warm_solve(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: f
     off_diag[:, :-1] = A.e  # zero couplings between the k blocks
     off_diag = off_diag.ravel()[:-1]
     V, shifts = guess.t, guess.mu + step * guess.slope  # Hellmann-Feynman prediction
-    for _ in range(_WARM_STEPS):
-        # every J - shift_i at once, as one block-diagonal tridiagonal
-        *lu, info = lapack.dgttrf(off_diag, (A.d - shifts[:, None]).ravel(), off_diag)
-        if info:
-            return None
-        X, info = lapack.dgttrs(*lu, V.reshape(-1, 1))
-        V = X.reshape(k, n)
-        scale = np.max(np.abs(V), axis=1, keepdims=True)
-        if info or not np.isfinite(scale).all():
+    for steps in range(1, _WARM_STEPS + 1):
+        # every (J - shift_i) x_i = v_i at once, as one block-diagonal tridiagonal; a
+        # shift on an eigenvalue (a zero pivot, or an overflow to inf or NaN) is moved
+        # by 1e-10 (1 + |shift|), far inside the residual contract, and tried once more
+        for moved in (shifts, shifts + 1e-10 * (1.0 + np.abs(shifts))):
+            *_, X, info = lapack.dgtsv(off_diag, (A.d - moved[:, None]).ravel(), off_diag, V.reshape(-1, 1))
+            X = X.reshape(k, n)
+            scale = np.max(np.abs(X), axis=1, keepdims=True)
+            if not info and np.isfinite(scale).all():
+                break
+        else:
             return None
         # all k Ritz pairs: one outside the window may come back in at the next step
-        pairs, certified, _, info = _certified_block(A.d, A.e, V / scale, -np.inf, np.inf)
+        pairs, certified, _, info = _certified_block(A.d, A.e, X / scale, -np.inf, np.inf)
         if info:
             return None
         if certified and lo <= pairs.mu[0] and pairs.mu[-1] <= hi:
-            return replace(pairs, warm=True)
+            return replace(pairs, warm=True, steps=steps)
         V, shifts = pairs.t, pairs.mu
     return None
 
@@ -355,13 +370,16 @@ def eig_window(
     equals len(guess) (an empty window returns the empty block):
     Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue Problem,
     ch. 4), first at the shifts mu + slope * step that the Hellmann-Feynman
-    slopes predict.  Each step factors every J - shift_i at once (one stacked
-    tridiagonal LU, ?gttrf), takes one ?gttrs step from the current rows,
-    rescales them and runs the Rayleigh-Ritz step and the certificates of the
-    cold passes below.  The first block that passes, with all its Ritz values
-    in the window, is returned, marked `warm`; otherwise all its Ritz pairs
-    are the next step's shifts and rows.  After _WARM_STEPS steps, a failed
-    Cholesky factor, a zero pivot or a non-finite entry, the cold passes run.
+    slopes predict.  Each step solves (J - shift_i) x_i = v_i for every row v_i
+    at once (one ?gtsv call: partial-pivoting elimination and solve of the
+    stacked block-diagonal tridiagonal), rescales the rows and runs the
+    Rayleigh-Ritz step and the certificates of the cold passes below.  The
+    first block that passes, with all its Ritz values in the window, is
+    returned, marked `warm` with its `steps`; otherwise all its Ritz pairs
+    are the next step's shifts and rows.  A zero pivot or a non-finite entry
+    (a shift on an eigenvalue) redoes the step once at shifts moved by
+    1e-10 (1 + |shift|).  After _WARM_STEPS steps, a failed Cholesky factor,
+    or a step that fails at the moved shifts too, the cold passes run.
 
     The cold passes, on the real Jacobi matrix J: bisection (?stebz) only to
     _BISECT_TOL, whose exact Sturm count still proves the window complete;

@@ -240,7 +240,7 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
     S = blocks[0, 0] - shift
     below = np.zeros(2, dtype=int)
     for i in range(nk):
-        w, V = np.linalg.eigh(S)
+        w, V = sla.eigh(S)  # scipy's LAPACK, as SuperLU and ARPACK use: one BLAS pool
         w = np.where(np.abs(w) < pivmin, -pivmin, w)
         below += np.count_nonzero(w < 0.0, axis=-1)
         if i + 1 < nk:

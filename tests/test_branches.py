@@ -185,6 +185,7 @@ class TestSweep:
         monkeypatch.setattr("diracflow.branches.eig_window", lambda A, window, guess, step: eig_window(A, window))
         cold = sweep_branches(grid, ps, cfg, f, stats=cold_stats)
         assert 0 < warm_stats["warm"] < warm_stats["solves"] and cold_stats["warm"] == 0
+        assert sum(warm_stats["warm_steps"].values()) == warm_stats["warm"] and cold_stats["warm_steps"] == {}
         assert len(warm) == len(cold) == n_branches
         for key in ("solves", "bisections"):
             assert warm_stats[key] == cold_stats[key]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracflow import cli, oracle2d
+from diracflow import cli, fiber, oracle2d
 from diracflow.cli import main
 from diracflow.config import RunConfig, config_from_dict, load_config
 from diracflow.errors import DiracflowError
@@ -175,6 +175,9 @@ class TestCliBranches:
         assert sweep["solves"] == 17 + bis["motion"] + bis["stranded"]
         # the first solve has no earlier sample to start from
         assert 0 < sweep["warm"] < sweep["solves"]
+        # served solves by Rayleigh-quotient steps (JSON keys are strings)
+        steps = sweep["warm_steps"]
+        assert sum(steps.values()) == sweep["warm"] and all(0 <= int(n) <= fiber._WARM_STEPS for n in steps)
         assert 0.8 <= sweep["min_overlap"] < 1.0 and -4.0 < sweep["min_overlap_zeta"] <= 4.0
         rows = (out / "branches.csv").read_text().splitlines()[1:]
         slopes = [float(r.split(",")[3]) for r in rows]

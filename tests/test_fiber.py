@@ -262,9 +262,14 @@ class TestEigWindow:
 
 
 def _same_block(p: Eigenpairs, q: Eigenpairs) -> bool:
-    """Bit-for-bit equal blocks, flags included."""
+    """Bit-for-bit equal blocks, flags and step counts included."""
     arrays = all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("mu", "t", "residual", "slope"))
-    return arrays and (p.retried, p.warm) == (q.retried, q.warm)
+    return arrays and (p.retried, p.warm, p.steps) == (q.retried, q.warm, q.steps)
+
+
+def _lapack_with(**names):
+    """scipy's LAPACK wrappers with `names` put in place of some of them."""
+    return SimpleNamespace(**vars(sla.lapack) | names)
 
 
 class TestWarmStart:
@@ -295,17 +300,17 @@ class TestWarmStart:
     @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
     def test_near_guess_is_certified_after_one_step(self, monkeypatch, zeta):
         """Started from the solve at zeta - 1e-3, the predicted shifts are all but exact:
-        the first step's block is certified and returned, after one ?gttrf call."""
+        the first step's block is certified and returned, after one ?gtsv call."""
         guess = eig_window(self._fiber(zeta - 1e-3), self.WINDOW)
-        factors = []
+        solves = []
 
-        def dgttrf(*args):
-            factors.append(args)
-            return sla.lapack.dgttrf(*args)
+        def dgtsv(*args):
+            solves.append(args)
+            return sla.lapack.dgtsv(*args)
 
-        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(**vars(sla.lapack) | {"dgttrf": dgttrf}))
+        monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv))
         pairs = eig_window(self._fiber(zeta), self.WINDOW, guess, 1e-3)
-        assert pairs.warm and len(pairs) == len(guess) > 0 and len(factors) == 1
+        assert pairs.warm and len(pairs) == len(guess) > 0 and len(solves) == 1 and pairs.steps == 1
 
     def test_empty_window_returns_the_empty_block(self):
         """A count of 0 needs no iteration: the empty block, marked warm."""
@@ -326,51 +331,109 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("fault", ["noise", "parallel"])
     def test_skewed_inverse_iteration_falls_back(self, monkeypatch, fault):
-        """?gttrs returns a skewed block: noise of 1e-4 (the residual contract sees it)
+        """?gtsv returns a skewed block: noise of 1e-4 (the residual contract sees it)
         or a second row that is a near-copy of the first (the Cholesky factor or the
         orthonormality bound sees it).  The warm attempt runs all _WARM_STEPS steps
         (noise) or stops at the failed Cholesky factor and falls through to the cold
-        block, bit for bit, which is not marked retried."""
+        block, bit for bit, which is not marked retried.  No warm block gets slopes:
+        those outside the residual contract skip the rest of the certificate, so only
+        the cold pass computes them."""
         A = self._fiber(4.0)
         guess = eig_window(self._fiber(3.8), self.WINDOW)
         cold = eig_window(A, self.WINDOW)
-        calls = []
+        calls, sloped = [], []
+        real_slopes = fiber.slopes_of
+        monkeypatch.setattr(fiber, "slopes_of", lambda V: sloped.append(len(calls)) or real_slopes(V))
 
-        def dgttrs(*args):
-            X, info = sla.lapack.dgttrs(*args)
+        def dgtsv(*args):
+            *lu, X, info = sla.lapack.dgtsv(*args)
             calls.append(info)
             X = X.reshape(len(guess), -1)
             if fault == "noise":
                 X = X + 1e-4 * np.abs(X).max() * np.random.default_rng(5).standard_normal(X.shape)
             else:
                 X[1] = X[0] + 1e-12 * X[1]
-            return X.reshape(-1, 1), info
+            return (*lu, X.reshape(-1, 1), info)
 
-        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(**vars(sla.lapack) | {"dgttrs": dgttrs}))
+        monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv))
         pairs = eig_window(A, self.WINDOW, guess, 0.2)
         assert calls and _same_block(pairs, cold) and not pairs.retried
+        assert sloped == [len(calls)]
         if fault == "noise":
             assert len(calls) == fiber._WARM_STEPS
 
-    def test_zero_pivot_falls_back(self, monkeypatch):
-        """A diagonal matrix whose predicted shifts are diagonal entries: ?gttrf meets
-        a zero pivot, no ?gttrs step runs, and the cold block comes back, bit for bit."""
+    @pytest.mark.parametrize("fault", ["slope", "orthonormality"])
+    def test_block_inside_the_contract_that_misses_a_certificate_falls_back(self, monkeypatch, fault):
+        """Started from the solve at zeta - 1e-3, every warm step's block meets the
+        residual contract, but its slopes come back as 1 + 1e-9 (the slope bound sees
+        it) or its Ritz vectors 1e-9 too long (only the orthonormality bound sees it).
+        Each block's slopes are computed once its residuals pass, the block is rejected,
+        and after _WARM_STEPS steps the cold block comes back, bit for bit."""
+        A = self._fiber(4.0)
+        guess = eig_window(self._fiber(4.0 - 1e-3), self.WINDOW)
+        cold = eig_window(A, self.WINDOW)
+        real_slopes, warm_steps, checked = fiber.slopes_of, [], []
+
+        def dgtsv(*args):
+            warm_steps.append(args)
+            return sla.lapack.dgtsv(*args)
+
+        def dstebz(*args):  # the window count, then the cold passes: no fault from here on
+            warm_steps.clear()
+            return sla.lapack.dstebz(*args)
+
+        def dsygvd(a, b, uplo):
+            mus, Q, info = sla.lapack.dsygvd(a, b, uplo=uplo)
+            return mus, Q * (1.0 + 1e-9) if fault == "orthonormality" and warm_steps else Q, info
+
+        def slopes_of(V):
+            checked.append(len(warm_steps))
+            slopes = real_slopes(V)
+            return np.full_like(slopes, 1.0 + 1e-9) if fault == "slope" and warm_steps else slopes
+
+        monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv, dstebz=dstebz, dsygvd=dsygvd))
+        monkeypatch.setattr(fiber, "slopes_of", slopes_of)
+        pairs = eig_window(A, self.WINDOW, guess, 1e-3)
+        # slopes at warm steps 1, 2 and 3, then once more for the cold loose pass
+        assert checked == list(range(1, fiber._WARM_STEPS + 1)) + [0]
+        assert _same_block(pairs, cold) and not pairs.warm and not pairs.retried
+
+    def test_shifts_on_exact_eigenvalues_are_served_warm(self, monkeypatch):
+        """A diagonal matrix whose predicted shifts are diagonal entries: the first solve
+        meets a zero pivot, the step is redone at shifts moved by 1e-10 (1 + |shift|),
+        and the block is served warm after that one step, exact."""
         A = FiberMatrix(grid=Grid1D(L=1.0, N=16), d=np.arange(32, dtype=float), e=np.zeros(31))
         cold = eig_window(A, (4.5, 7.5))
         infos = []
 
-        def dgttrf(*args):
-            *lu, info = sla.lapack.dgttrf(*args)
+        def dgtsv(*args):
+            *lu, X, info = sla.lapack.dgtsv(*args)
             infos.append(info)
-            return (*lu, info)
+            return (*lu, X, info)
 
-        def dgttrs(*args):
-            raise AssertionError("?gttrs ran on a singular factor")
-
-        faults = {"dgttrf": dgttrf, "dgttrs": dgttrs}
-        monkeypatch.setattr(fiber, "lapack", SimpleNamespace(**vars(sla.lapack) | faults))
+        monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv))
         pairs = eig_window(A, (4.5, 7.5), cold, 0.0)
-        assert cold.mu.tolist() == [5.0, 6.0, 7.0] and len(infos) == 1 and infos[0] > 0
+        assert cold.mu.tolist() == [5.0, 6.0, 7.0] and not cold.warm
+        assert len(infos) == 2 and infos[0] > 0 and infos[1] == 0
+        assert pairs.warm and pairs.steps == 1 and pairs.mu.tolist() == [5.0, 6.0, 7.0]
+        assert np.array_equal(np.abs(pairs.t), np.abs(cold.t)) and not pairs.residual.any()
+
+    def test_zero_pivot_twice_falls_back(self, monkeypatch):
+        """A ?gtsv that always reports a zero pivot: the step is tried at the moved
+        shifts once, then the cold block comes back, bit for bit, not retried."""
+        A = self._fiber(4.0)
+        guess = eig_window(self._fiber(3.8), self.WINDOW)
+        cold = eig_window(A, self.WINDOW)
+        calls = []
+
+        def dgtsv(*args):
+            *lu, X, _ = sla.lapack.dgtsv(*args)
+            calls.append(args)
+            return (*lu, X, 7)
+
+        monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv))
+        pairs = eig_window(A, self.WINDOW, guess, 0.2)
+        assert len(calls) == 2 and not np.array_equal(calls[0][1], calls[1][1])
         assert _same_block(pairs, cold) and not pairs.retried
 
 

@@ -314,6 +314,15 @@ class TestWindowBound:
         for window in ((-1.0, 1.0), (-0.5, 0.5), (-2.5, 2.5), (0.3, 4.0)):
             assert oracle2d._window_count(H, GRID_768, window) == _dense_count(H, window)
 
+    def test_y_dependent_count_runs_no_numpy_eigh(self, monkeypatch):
+        """The block recursion's batched eigh is scipy's, on the BLAS pool that SuperLU
+        and ARPACK use; numpy's eigh, whose own OpenBLAS pool would contend with that
+        one, never runs.  The count still equals dense eigvalsh's."""
+        H = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind="mult_xy", amplitude=0.5), coupling=0.7)
+        dense = _dense_count(H, (-1.0, 1.0))
+        monkeypatch.setattr(np.linalg, "eigh", _forbidden)
+        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0)) == dense > 0
+
     def test_small_pivot_counts_as_negative(self):
         """bulk_uniform + decay_y at coupling 1.5 on the preset grid2d (dimension
         3072): at lam = -0.5 a Schur complement S_k has an eigenvalue near 1e-17.
