@@ -5,10 +5,12 @@ Draws admissible random interface scenarios, auto-scales grid and sweep
 per scenario, and compares the tracked spectral flow with the closed-form
 half-space prediction. Prints one line per scenario, with its fiber
 solves, the solves that the eigensolver's warm start served (`warm`),
-the solves that took its tight retry and the bisections (by reason:
-motion / stranded), and a final tally with the suite totals, the warm
-solves by Rayleigh-quotient steps taken (`warm_steps`), the seconds
-spent in the sweeps and the cluster rotations.
+those of them served across a change of the window's count
+(`warm_recounted`), the solves that took its tight retry and the
+bisections (by reason: motion / stranded), and a final tally with the
+suite totals, the warm solves by Rayleigh-quotient steps taken
+(`warm_steps`), the seconds spent in the sweeps and the cluster
+rotations.
 `--n 50 --seed 11` draws the acceptance suite's scenarios.
 
 Usage: python scripts/run_random_suite.py [--n N] [--seed S]
@@ -38,7 +40,7 @@ def main() -> int:
     ns = ap.parse_args()
 
     rng = np.random.default_rng(ns.seed)
-    bad = solves = warm = retries = motion = stranded = rotations = 0
+    bad = solves = warm = recounted = retries = motion = stranded = rotations = 0
     warm_steps: Counter = Counter()
     sweep_s = 0.0
     for i in range(ns.n):
@@ -51,6 +53,7 @@ def main() -> int:
         bis = stats["bisections"]
         solves += stats["solves"]
         warm += stats["warm"]
+        recounted += stats["warm_recounted"]
         warm_steps.update(stats["warm_steps"])
         retries += stats["retries"]
         motion += bis["motion"]
@@ -63,11 +66,11 @@ def main() -> int:
             f"[{i + 1:3d}/{ns.n}] B=({minus.B:+.2f},{plus.B:+.2f}) "
             f"m=({minus.m:+.2f},{plus.m:+.2f}) V=({minus.V:+.2f},{plus.V:+.2f}) "
             f"alpha={alpha:+.2f}  sf={report.sf_numeric} pred={report.sf_predicted} "
-            f"N={grid.N} solves={stats['solves']} warm={stats['warm']} retries={stats['retries']} bisections={bis['motion']}/{bis['stranded']} "
+            f"N={grid.N} solves={stats['solves']} warm={stats['warm']} warm_recounted={stats['warm_recounted']} retries={stats['retries']} bisections={bis['motion']}/{bis['stranded']} "
             f"{'ok' if ok else 'MISMATCH'} ({time.perf_counter() - t0:.1f}s)"
         )
     print(
-        f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} warm_steps={dict(sorted(warm_steps.items()))} "
+        f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} warm_recounted={recounted} warm_steps={dict(sorted(warm_steps.items()))} "
         f"retries={retries} bisections={motion}/{stranded} (motion/stranded) "
         f"cluster_rotations={rotations} sweep_seconds={sweep_s:.2f}"
     )

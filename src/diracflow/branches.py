@@ -39,11 +39,13 @@ step still unmatched at the 1e-4 floor is a TrackingError.
 Every solve after the first is handed a warm start (`eig_window`'s
 `guess`): the whole block of the committed sample z_prev, before the
 spurious filter, with step = z - z_prev.  The whole block, because the
-warm attempt runs only when the window's exact count equals the block's
-size, and that count includes the states the filter drops.  A bisection
-midpoint starts from z_prev as well: it lies as near to z_prev as to the
-far sample, and z_prev holds the states the tracks end on, while the far
-sample is the one that failed to match them.  On the presets and the
+warm attempt maps it onto the window by Sturm index when the window's
+exact count has changed, and those counts include the states the filter
+drops: a filtered block is not the window block at z_prev, and its solve
+would fall back to the cold passes.  A bisection midpoint starts from
+z_prev as well: it lies as near to z_prev as to the far sample, and
+z_prev holds the states the tracks end on, while the far sample is the
+one that failed to match them.  On the presets and the
 benchmark sweeps the warm start changed no count, sample or match.  A
 warm block stops at the first step that meets the cold pass's residual
 contract, so slopes and overlaps move within what that contract allows.
@@ -202,9 +204,11 @@ def sweep_branches(
     the states the solves `retained` and `filtered` out, summed over
     solves, their `max_residual`, the `retries` (solves that took
     `eig_window`'s tight pass), the solves that the warm start served
-    (`warm`) and how many of them took each number of Rayleigh-quotient
-    steps (`warm_steps`; 0 is the empty window, served by its count), and
-    the `cluster_rotations` of the committed steps.
+    (`warm`), those of them across a change of the window's count
+    (`warm_recounted`: a state entered or left the window) and how many
+    of them took each number of Rayleigh-quotient steps (`warm_steps`; 0
+    is the empty window, served by its count), and the
+    `cluster_rotations` of the committed steps.
     """
     lo, hi = cfg.window
     targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
@@ -222,6 +226,7 @@ def sweep_branches(
         max_residual=0.0,
         retries=0,
         warm=0,
+        warm_recounted=0,
         warm_steps={},
         cluster_rotations=0,
     )
@@ -237,6 +242,7 @@ def sweep_branches(
             stats["max_residual"] = max(stats["max_residual"], float(np.max(pairs.residual, initial=0.0)))
             stats["retries"] += pairs.retried
             stats["warm"] += pairs.warm
+            stats["warm_recounted"] += pairs.warm and len(pairs) != len(guess)
             if pairs.warm:
                 stats["warm_steps"][pairs.steps] = stats["warm_steps"].get(pairs.steps, 0) + 1
         return cache[z].kept

@@ -30,11 +30,15 @@ Windowed eigenpairs of that form come from loose LAPACK bisection
 (?stebz), inverse iteration (?stein), and one Rayleigh-Ritz step that
 also orthonormalizes the block (a Cholesky QR); a block that fails one of
 its checks is redone with tight bisection.  A solve may instead start
-warm from the block of a nearby zeta: when the window's exact count is
-unchanged, Rayleigh-quotient iteration from those vectors, first at shifts
-predicted by their slopes, replaces the bisection (one ?gtsv call on a
-stacked tridiagonal solves every shift of a step), and it stops at the
-first block that passes the same checks; otherwise the cold path runs.
+warm from the block of a nearby zeta: Rayleigh-quotient iteration from
+those vectors, first at shifts predicted by their slopes, replaces the
+bisection (one ?gtsv call on a stacked tridiagonal solves every shift of a
+step), and it stops at the first block that passes the same checks;
+otherwise the cold path runs.  When states crossed a window edge, the
+block is first mapped onto the window by Sturm index: the rows that left
+are dropped, and each state that entered is seeded by bisection on the
+strip of width |step| inside the edge it crossed (Weyl's inequality, with
+||dJ/dzeta|| = 1).
 A solve returns one Eigenpairs block whose rows hold the real Jacobi
 vectors t; the interleaved complex psi is built from them on demand, and
 <psi, psi'> = t . t' exactly.
@@ -78,20 +82,24 @@ __all__ = [
 ]
 
 # ?stebz tolerances.  Rayleigh-Ritz supplies every digit of mu, so the
-# bisection only has to seed ?stein.  Of 1e-4 to 1e-3, 1e-3 was the fastest
-# on the fig2 and random benchmark sweeps (1 of 98 and 2 of 619 solves
-# retried); the vectors' residuals grow with it (median 7e-15 at 1e-4,
-# 2e-11 at 1e-3), still inside the contract.  The tight one is the retry
-# when the loose block fails (?stein or the Cholesky factor fails, a pair
-# misses the residual contract, or the block misses orthonormality).
+# bisection only has to seed ?stein (the cold passes' and the warm start's
+# entering states).  Of 1e-4 to 1e-3, 1e-3 was the fastest on the fig2 and
+# random benchmark sweeps; the vectors' residuals grow with it (median 7e-15
+# at 1e-4, 2e-11 at 1e-3), still inside the contract.  On those sweeps' passes
+# at seed 11, the cold passes run for 1 of 98 and 13 of 619 solves, and none
+# retries.  The tight one is the retry when the loose block fails (?stein or
+# the Cholesky factor fails, a pair misses the residual contract, or the
+# block misses orthonormality).
 _BISECT_TOL = 1e-3
 _RETRY_TOL = 1e-8
 # Most Rayleigh-quotient steps of a warm attempt.  On the random benchmark
-# pass (seed 11), of the 512 nonempty solves whose count matches, 182 are
-# certified after one step, 221 after two and 107 after three; a cap of 2
-# sends those 107 to the cold passes as well, and a cap of 4 serves none more
-# than 3 (the 2 left over fall back either way).
+# pass (seed 11), of the 579 nonempty solves that get a guess, 187 are
+# certified after one step, 265 after two and 124 after three; a cap of 2
+# sends those 124 to the cold passes as well, and a cap of 4 serves none more
+# than 3 (the 3 left over fall back either way).
 _WARM_STEPS = 3
+# The entries of e that sit on a site, where zeta enters: s is 1 there and 0 between sites.
+_ON_SITE = slice(0, None, 2)
 
 
 @dataclass(frozen=True)
@@ -168,9 +176,9 @@ class FiberFamily:
         d = np.column_stack([V - m, V + m]).ravel()  # (V - m, V + m) per site
         # forward difference plus transverse term -(zeta - A2) on site; its hop between sites
         e0 = np.full(2 * grid.N - 1, -1.0 / grid.h)
-        e0[0::2] = 1.0 / grid.h + magnetic_potential(ps, grid.x)
+        e0[_ON_SITE] = 1.0 / grid.h + magnetic_potential(ps, grid.x)
         s = np.zeros_like(e0)
-        s[0::2] = 1.0
+        s[_ON_SITE] = 1.0
         return cls(grid=grid, d=d, e0=e0, s=s)
 
     def at(self, zeta: float) -> FiberMatrix:
@@ -325,32 +333,71 @@ def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi:
     return block, off <= 1e-12 and not _misses_slope_bound(block.slope).any(), off, 0
 
 
+def _mapped_start(A: FiberMatrix, lo: float, hi: float, V: np.ndarray, shifts: np.ndarray, step: float, c: int):
+    """The rows V of the window block at z_prev = zeta - step and their shifts, mapped
+    by Sturm index onto the window at zeta, whose count c differs from len(V), with
+    the states that entered seeded (see `eig_window`); None when V is not the whole
+    window block at z_prev or a seed fails."""
+    k = len(V)
+    e_prev = A.e.copy()
+    e_prev[_ON_SITE] += step  # J(z_prev) = J(z) + step S
+    if count_eigenvalues(A.d, e_prev, lo, hi) != k:
+        return None
+    # V holds eigenvalues a_old .. a_old + k - 1 of J(z_prev), the window a_new .. a_new + c - 1 of J(z)
+    a_old, a_new = count_eigenvalues(A.d, e_prev, -np.inf, lo), count_eigenvalues(A.d, A.e, -np.inf, lo)
+    r0 = min(max(a_new - a_old, 0), k)
+    r1 = max(min(a_new + c - a_old, k), r0)
+    n_lo = max(min(a_old, a_new + c) - a_new, 0)
+    V, shifts = V[r0:r1], shifts[r0:r1]
+    # by Weyl, an index that entered through lo lies in (lo, lo + |step|], one through hi in (hi - |step|, hi]
+    reach = abs(step)
+    seeds, blocks = [], []
+    for need, a, b, sign in ((n_lo, lo, min(lo + reach, hi), 1.0), (c - n_lo - len(V), max(hi - reach, lo), hi, -1.0)):
+        if need:
+            m, w, iblock, isplit, info = lapack.dstebz(A.d, A.e, 1, a, b, 0, 0, _BISECT_TOL, "B")
+            if info or m < need:
+                return None
+            pick = np.argsort(sign * w[:m], kind="stable")[:need]  # the lowest (highest) by value
+            seeds.append(w[pick])
+            blocks.append(iblock[pick])
+    if not seeds:
+        return V, shifts
+    w, blocks = np.concatenate(seeds), np.concatenate(blocks)
+    order = np.lexsort((w, blocks))  # grouped by split-off block, ascending in each, as ?stein needs
+    iblock[: len(w)] = blocks[order]
+    T, info = lapack.dstein(A.d, A.e, w[order], iblock, isplit)
+    return None if info else (np.vstack([V, T.T]), np.concatenate([shifts, w[order]]))
+
+
 def _warm_solve(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: float) -> Eigenpairs | None:
     """The window's block by Rayleigh-quotient iteration from `guess`, or None when the
-    exact count differs from len(guess) or no step gives a certified block (see
+    guess cannot be mapped onto the window or no step gives a certified block (see
     `eig_window`)."""
-    k, n = guess.t.shape
-    if count_eigenvalues(A.d, A.e, lo, hi) != k:
-        return None
-    if not k:
-        return replace(guess, warm=True)
-    off_diag = np.zeros((k, n))
-    off_diag[:, :-1] = A.e  # zero couplings between the k blocks
-    off_diag = off_diag.ravel()[:-1]
+    c = count_eigenvalues(A.d, A.e, lo, hi)
+    if not c:
+        return replace(guess[:0], retried=False, warm=True, steps=0)
     V, shifts = guess.t, guess.mu + step * guess.slope  # Hellmann-Feynman prediction
+    if c != len(guess):
+        if (start := _mapped_start(A, lo, hi, V, shifts, step, c)) is None:
+            return None
+        V, shifts = start
+    n = V.shape[1]
+    off_diag = np.zeros((c, n))
+    off_diag[:, :-1] = A.e  # zero couplings between the c blocks
+    off_diag = off_diag.ravel()[:-1]
     for steps in range(1, _WARM_STEPS + 1):
         # every (J - shift_i) x_i = v_i at once, as one block-diagonal tridiagonal; a
         # shift on an eigenvalue (a zero pivot, or an overflow to inf or NaN) is moved
         # by 1e-10 (1 + |shift|), far inside the residual contract, and tried once more
         for moved in (shifts, shifts + 1e-10 * (1.0 + np.abs(shifts))):
             *_, X, info = lapack.dgtsv(off_diag, (A.d - moved[:, None]).ravel(), off_diag, V.reshape(-1, 1))
-            X = X.reshape(k, n)
+            X = X.reshape(c, n)
             scale = np.max(np.abs(X), axis=1, keepdims=True)
             if not info and np.isfinite(scale).all():
                 break
         else:
             return None
-        # all k Ritz pairs: one outside the window may come back in at the next step
+        # all c Ritz pairs: one outside the window may come back in at the next step
         pairs, certified, _, info = _certified_block(A.d, A.e, X / scale, -np.inf, np.inf)
         if info:
             return None
@@ -366,17 +413,29 @@ def eig_window(
     """The block of all eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
     With a `guess`, the unfiltered block of the same family at a zeta `step`
-    away, a warm attempt runs first when the window's exact Sturm count
-    equals len(guess) (an empty window returns the empty block):
-    Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 4), first at the shifts mu + slope * step that the Hellmann-Feynman
-    slopes predict.  Each step solves (J - shift_i) x_i = v_i for every row v_i
-    at once (one ?gtsv call: partial-pivoting elimination and solve of the
-    stacked block-diagonal tridiagonal), rescales the rows and runs the
-    Rayleigh-Ritz step and the certificates of the cold passes below.  The
-    first block that passes, with all its Ritz values in the window, is
-    returned, marked `warm` with its `steps`; otherwise all its Ritz pairs
-    are the next step's shifts and rows.  A zero pivot or a non-finite entry
+    away, a warm attempt runs first.  The window's exact Sturm count c at
+    zeta decides it: c = 0 returns the empty block after 0 steps.  When c
+    differs from k = len(guess), the guess is mapped by global index, with
+    J(zeta - step) = J(zeta) + step S: Sturm counts give a_old and a_new, the
+    eigenvalues <= lo at zeta - step and at zeta, and a third one checks that
+    the window at zeta - step holds k (else the guess is not that whole block,
+    and the cold passes run).  Guess row r keeps its place when its index
+    a_old + r lies in [a_new, a_new + c) and is dropped otherwise.  An index
+    that entered through lo lies in (lo, lo + |step|] and one through hi in
+    (hi - |step|, hi], since ||S|| = 1 bounds each sorted eigenvalue's move by
+    |step| (Weyl); ?stebz seeds them on that strip at _BISECT_TOL, the lowest
+    (highest) by value, and ?stein gives their rows.  A strip that holds
+    fewer than needed, or a failed ?stein, sends the solve to the cold
+    passes.  The c rows then run Rayleigh-quotient iteration (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4), first at the shifts
+    mu + slope * step that the Hellmann-Feynman slopes predict (the seeds'
+    at their bisection values).  Each step solves (J - shift_i) x_i = v_i for
+    every row v_i at once (one ?gtsv call: partial-pivoting elimination and
+    solve of the stacked block-diagonal tridiagonal), rescales the rows and
+    runs the Rayleigh-Ritz step and the certificates of the cold passes
+    below.  The first block that passes, with all its c Ritz values in the
+    window, is returned, marked `warm` with its `steps`; otherwise all its
+    Ritz pairs are the next step's shifts and rows.  A zero pivot or a non-finite entry
     (a shift on an eigenvalue) redoes the step once at shifts moved by
     1e-10 (1 + |shift|).  After _WARM_STEPS steps, a failed Cholesky factor,
     or a step that fails at the moved shifts too, the cold passes run.

@@ -20,11 +20,7 @@ __all__ = [
     "evaluate",
     "derivative",
     "magnetic_potential",
-    "magnetic_potential_prime",
-    "sup_A2_prime",
 ]
-
-_SUP_SAMPLES = 10_000  # points of the dense sample in sup_A2_prime
 
 
 def _g(t: np.ndarray) -> np.ndarray:
@@ -107,26 +103,6 @@ def magnetic_potential(ps: ProfileSet, x):
     x = np.asarray(x, dtype=float)
     out = x * evaluate(ps.B, x)
     return float(out) if out.ndim == 0 else out
-
-
-def magnetic_potential_prime(ps: ProfileSet, x):
-    """A2'(x) = B(x) + x * B'(x)."""
-    x = np.asarray(x, dtype=float)
-    out = evaluate(ps.B, x) + x * derivative(ps.B, x)
-    return float(out) if out.ndim == 0 else out
-
-
-def sup_A2_prime(ps: ProfileSet, L: float) -> float:
-    """sup over [-L, L] of |A2'(x)| by dense sampling.
-
-    Exact on the plateaus, where A2' = B is constant; the transition
-    interval is covered by the dense sample.
-    """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    x = np.linspace(-L, L, _SUP_SAMPLES)
-    sup = float(np.max(np.abs(magnetic_potential_prime(ps, x))))
-    return max(sup, abs(ps.B.lower), abs(ps.B.upper))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared helpers: random admissible interface scenarios and wall builders."""
+"""Shared helpers: random admissible interface scenarios, wall builders and the A2' bound."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from diracflow.bulk import HalfSpaceParams, count_levels, landau_levels
-from diracflow.profiles import ProfileSet, SwitchProfile
+from diracflow.profiles import ProfileSet, SwitchProfile, derivative, evaluate
+
+_SUP_SAMPLES = 10_000  # points of the dense sample in sup_A2_prime
 
 
 def walls(minus: HalfSpaceParams, plus: HalfSpaceParams) -> ProfileSet:
@@ -16,6 +18,26 @@ def walls(minus: HalfSpaceParams, plus: HalfSpaceParams) -> ProfileSet:
         m=SwitchProfile(minus.m, plus.m),
         V=SwitchProfile(minus.V, plus.V),
     )
+
+
+def magnetic_potential_prime(ps: ProfileSet, x):
+    """A2'(x) = B(x) + x * B'(x)."""
+    x = np.asarray(x, dtype=float)
+    out = evaluate(ps.B, x) + x * derivative(ps.B, x)
+    return float(out) if out.ndim == 0 else out
+
+
+def sup_A2_prime(ps: ProfileSet, L: float) -> float:
+    """sup over [-L, L] of |A2'(x)| by dense sampling.
+
+    Exact on the plateaus, where A2' = B is constant; the transition
+    interval is covered by the dense sample.
+    """
+    if L <= 0:
+        raise ValueError("L must be positive")
+    x = np.linspace(-L, L, _SUP_SAMPLES)
+    sup = float(np.max(np.abs(magnetic_potential_prime(ps, x))))
+    return max(sup, abs(ps.B.lower), abs(ps.B.upper))
 
 
 def gap_components_joint(

@@ -38,10 +38,9 @@ from diracflow.profiles import (
     ProfileSet,
     SwitchProfile,
     evaluate,
-    sup_A2_prime,
 )
 
-from conftest import draw_interface_scenario, record_criterion, walls
+from conftest import draw_interface_scenario, record_criterion, sup_A2_prime, walls
 
 FIG2_MINUS = HalfSpaceParams(B=-2.0, m=-2.0, V=-0.1)
 FIG2_PLUS = HalfSpaceParams(B=2.0, m=2.0, V=0.1)

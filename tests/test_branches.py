@@ -169,9 +169,9 @@ class TestSweep:
     def test_warm_start_leaves_the_sweep_as_it_is(self, monkeypatch, geometry):
         """fig2's sweep (criterion 1) and criterion 2's first autoscaled sweep, whose full
         0.5-wide steps are where warm blocks take three steps, with and without the warm
-        start: each solve after the first gets the block at z_prev, and dropping it
-        leaves the branch count, every zeta sample, the solves and the bisections as
-        they are, with mu within 1e-12."""
+        start: each solve after the first gets the block at z_prev (some of them across
+        a change of the window's count), and dropping it leaves the branch count, every
+        zeta sample, the solves and the bisections as they are, with mu within 1e-12."""
         if geometry == "fig2":
             grid, ps, n_branches = Grid1D(L=20.0, N=800), preset_profiles("dual_wall_v01"), 13
             cfg = SweepConfig(-8.0, 8.0, 81, (-4.0, 4.0), refine_tol=0.05)
@@ -185,6 +185,7 @@ class TestSweep:
         monkeypatch.setattr("diracflow.branches.eig_window", lambda A, window, guess, step: eig_window(A, window))
         cold = sweep_branches(grid, ps, cfg, f, stats=cold_stats)
         assert 0 < warm_stats["warm"] < warm_stats["solves"] and cold_stats["warm"] == 0
+        assert 0 < warm_stats["warm_recounted"] < warm_stats["warm"] and cold_stats["warm_recounted"] == 0
         assert sum(warm_stats["warm_steps"].values()) == warm_stats["warm"] and cold_stats["warm_steps"] == {}
         assert len(warm) == len(cold) == n_branches
         for key in ("solves", "bisections"):

@@ -175,6 +175,8 @@ class TestCliBranches:
         assert sweep["solves"] == 17 + bis["motion"] + bis["stranded"]
         # the first solve has no earlier sample to start from
         assert 0 < sweep["warm"] < sweep["solves"]
+        # states enter and leave the window on this sweep, and the warm start serves some of those solves
+        assert 0 < sweep["warm_recounted"] < sweep["warm"]
         # served solves by Rayleigh-quotient steps (JSON keys are strings)
         steps = sweep["warm_steps"]
         assert sum(steps.values()) == sweep["warm"] and all(0 <= int(n) <= fiber._WARM_STEPS for n in steps)

@@ -28,10 +28,9 @@ from diracflow.profiles import (
     SwitchProfile,
     evaluate,
     magnetic_potential,
-    sup_A2_prime,
 )
 
-from conftest import walls
+from conftest import sup_A2_prime, walls
 
 CONST_220 = ProfileSet(
     B=SwitchProfile(2.0, 2.0), m=SwitchProfile(2.0, 2.0), V=SwitchProfile(0.0, 0.0)
@@ -280,22 +279,66 @@ class TestWarmStart:
     def _fiber(self, zeta):
         return assemble_fiber(self.GRID, preset_profiles("dual_wall_v01"), zeta)
 
-    @pytest.mark.parametrize("step", [0.2, 0.05])
-    @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
-    def test_warm_solve_agrees_with_tight(self, monkeypatch, zeta, step):
-        """Started from the solve at zeta - step, the warm attempt serves the solve and
-        finds the tight solve's count, mu within 1e-12 and its subspace: every singular
-        value of T_warm T_tight^T lies within 1e-13 of 1 (measured: mu within 8.0e-15,
-        singular values within 1.6e-15 of 1)."""
-        A = self._fiber(zeta)
-        warm = eig_window(A, self.WINDOW, eig_window(self._fiber(zeta - step), self.WINDOW), step)
-        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
-        tight = eig_window(A, self.WINDOW)
+    @staticmethod
+    def _served_as_tight(monkeypatch, A, window, guess, step):
+        """The warm block of A from `guess`, after checking that the warm attempt serves
+        the solve and finds the tight solve's count, mu within 1e-12 and its subspace:
+        every singular value of T_warm T_tight^T lies within 1e-13 of 1."""
+        warm = eig_window(A, window, guess, step)
+        with monkeypatch.context() as m:
+            m.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
+            tight = eig_window(A, window)
         assert warm.warm and not warm.retried
         assert len(warm) == len(tight) > 0
         assert np.max(np.abs(warm.mu - tight.mu)) <= 1e-12
         sv = np.linalg.svd(warm.t @ tight.t.T, compute_uv=False)
         assert np.max(np.abs(sv - 1.0)) <= 1e-13
+        return warm
+
+    @pytest.mark.parametrize("step", [0.2, 0.05])
+    @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
+    def test_warm_solve_agrees_with_tight(self, monkeypatch, zeta, step):
+        """Started from the solve at zeta - step, the warm attempt serves the solve as
+        `_served_as_tight` checks (measured: mu within 8.0e-15, singular values within
+        1.6e-15 of 1)."""
+        guess = eig_window(self._fiber(zeta - step), self.WINDOW)
+        self._served_as_tight(monkeypatch, self._fiber(zeta), self.WINDOW, guess, step)
+
+    @pytest.mark.parametrize(
+        "zeta, k, c, through_lo",
+        [(-3.4, 0, 1, 1), (-2.6, 1, 2, 0), (-1.6, 2, 3, 1), (-0.4, 4, 6, 1), (4.4, 13, 12, 0)],
+        ids=["0-to-1-at-lo", "1-to-2-at-hi", "2-to-3-at-lo", "4-to-6-at-both-edges", "13-to-12-at-hi"],
+    )
+    def test_count_change_is_served_warm(self, monkeypatch, zeta, k, c, through_lo):
+        """Steps of fig2's sweep, from zeta - 0.2, across which the window's count goes
+        k -> c and `through_lo` states cross lo (the rest of the change is at hi): the
+        guess is mapped by Sturm index and the states that entered are seeded from the
+        edge strips (with k = 0, from the strips alone).  Served as `_served_as_tight`
+        checks (measured: mu within 4.0e-15, singular values within 8.9e-16 of 1)."""
+        A, prev = self._fiber(zeta), self._fiber(zeta - 0.2)
+        guess = eig_window(prev, self.WINDOW)
+        lo = self.WINDOW[0]
+        below = [fiber.count_eigenvalues(B.d, B.e, -np.inf, lo) for B in (prev, A)]
+        assert len(guess) == k and below[0] - below[1] == through_lo
+        assert len(self._served_as_tight(monkeypatch, A, self.WINDOW, guess, 0.2)) == c
+
+    def test_split_block_entries_are_the_lowest_by_value(self, monkeypatch):
+        """A Jacobi matrix that splits into two blocks at a zero coupling, stepped by
+        0.5 along the on-site pencil: two states enter through lo, and the strip
+        (lo, lo + 0.5] holds four values, which ?stebz lists block by block, so its
+        first two are not the lowest two.  The lowest two by value are seeded, and the
+        solve is served as `_served_as_tight` checks."""
+        rng = np.random.default_rng(3)
+        d, e1, e2 = rng.uniform(-0.5, 0.5, 32), rng.uniform(0.8, 1.2, 15), rng.uniform(0.8, 1.2, 15)
+        e = np.concatenate([e1, [0.0], e2])
+        e_prev = e.copy()
+        e_prev[0::2] += 0.5
+        grid, window = Grid1D(L=1.0, N=16), (-1.5, 0.5)
+        A = FiberMatrix(grid=grid, d=d, e=e)
+        guess = eig_window(FiberMatrix(grid=grid, d=d, e=e_prev), window)
+        m, w, iblock = sla.lapack.dstebz(d, e, 1, -1.5, -1.0, 0, 0, fiber._BISECT_TOL, "B")[:3]
+        assert m == 4 and iblock[:m].tolist() == [1, 1, 2, 2] and w[1] > w[2]
+        assert len(self._served_as_tight(monkeypatch, A, window, guess, 0.5)) == len(guess) + 2
 
     @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
     def test_near_guess_is_certified_after_one_step(self, monkeypatch, zeta):
@@ -313,18 +356,22 @@ class TestWarmStart:
         assert pairs.warm and len(pairs) == len(guess) > 0 and len(solves) == 1 and pairs.steps == 1
 
     def test_empty_window_returns_the_empty_block(self):
-        """A count of 0 needs no iteration: the empty block, marked warm."""
-        A = self._fiber(0.0)
-        gap = (-0.3, -0.2)
-        guess = eig_window(self._fiber(-0.2), gap)
-        pairs = eig_window(A, gap, guess, 0.2)
-        assert len(guess) == 0 and pairs.warm and len(pairs) == 0 and pairs.t.shape == (0, 2 * self.GRID.N)
+        """A count of 0 needs no iteration: the empty block, marked warm after 0 steps,
+        from an empty guess or from one whose one state left the window."""
+        for zeta, window, k in [(0.0, (-0.3, -0.2), 0), (4.4, (3.30, 3.34), 1)]:
+            guess = eig_window(self._fiber(zeta - 0.2), window)
+            pairs = eig_window(self._fiber(zeta), window, guess, 0.2)
+            assert len(guess) == k and pairs.warm and pairs.steps == 0 and not pairs.retried
+            assert len(pairs) == 0 and pairs.t.shape == (0, 2 * self.GRID.N)
 
-    def test_guess_of_another_size_falls_back(self):
-        """The exact count differs from len(guess): the cold block, bit for bit."""
+    def test_guess_of_another_size_falls_back(self, monkeypatch):
+        """A guess that is not the whole window block at z_prev falls back: the window
+        count at z_prev is not len(guess), so no warm step runs, and the cold block
+        comes back, bit for bit."""
         A = self._fiber(4.0)
         guess = eig_window(self._fiber(3.8), self.WINDOW)[1:]
         cold = eig_window(A, self.WINDOW)
+        monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=None))
         pairs = eig_window(A, self.WINDOW, guess, 0.2)
         assert len(guess) != len(cold) and not cold.warm
         assert _same_block(pairs, cold) and not pairs.retried

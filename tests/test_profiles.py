@@ -13,9 +13,9 @@ from diracflow.profiles import (
     derivative,
     evaluate,
     magnetic_potential,
-    magnetic_potential_prime,
-    sup_A2_prime,
 )
+
+from conftest import magnetic_potential_prime, sup_A2_prime
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
