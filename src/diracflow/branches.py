@@ -202,8 +202,7 @@ def sweep_branches(
     committed zeta whose matched overlap lies within _OVERLAP_TIE of it
     (`min_overlap_zeta`, None when nothing was matched),
     the states the solves `retained` and `filtered` out, summed over
-    solves, their `max_residual`, the `retries` (solves that took
-    `eig_window`'s tight pass), the solves that the warm start served
+    solves, their `max_residual`, the solves that the warm start served
     (`warm`), those of them across a change of the window's count
     (`warm_recounted`: a state entered or left the window) and how many
     of them took each number of Rayleigh-quotient steps (`warm_steps`; 0
@@ -224,7 +223,6 @@ def sweep_branches(
         retained=0,
         filtered=0,
         max_residual=0.0,
-        retries=0,
         warm=0,
         warm_recounted=0,
         warm_steps={},
@@ -240,7 +238,6 @@ def sweep_branches(
             stats["retained"] += len(kept)
             stats["filtered"] += len(pairs) - len(kept)
             stats["max_residual"] = max(stats["max_residual"], float(np.max(pairs.residual, initial=0.0)))
-            stats["retries"] += pairs.retried
             stats["warm"] += pairs.warm
             stats["warm_recounted"] += pairs.warm and len(pairs) != len(guess)
             if pairs.warm:

@@ -26,22 +26,21 @@ Hellmann-Feynman expectation d mu/d zeta = <psi, sigma_2 psi> =
 ||sigma_2|| = 1.
 `FiberFamily` holds that pencil: e(zeta) = e0 - zeta s, with s the
 on-site indicator, so dJ/dzeta is exact.
-Windowed eigenpairs of that form come from loose LAPACK bisection
-(?stebz), inverse iteration (?stein), and one Rayleigh-Ritz step that
-also orthonormalizes the block (a Cholesky QR); a block that fails one of
-its checks is redone with tight bisection.  A solve may instead start
-warm from the block of a nearby zeta: Rayleigh-quotient iteration from
-those vectors, first at shifts predicted by their slopes, replaces the
-bisection (one ?gtsv call on a stacked tridiagonal solves every shift of a
-step), and it stops at the first block that passes the same checks;
-otherwise the cold path runs.  When states crossed a window edge, the
+Every windowed solve is one seed and one certification loop: Rayleigh-quotient
+iteration (one ?gtsv call on a stacked tridiagonal solves every shift of a
+step), each step ending in one Rayleigh-Ritz step that also orthonormalizes
+the block (a Cholesky QR) and its checks; the first block that passes them is
+returned.  The cold seed is loose LAPACK bisection (?stebz) and inverse
+iteration (?stein), whose rows are checked as they are first (step 0).  A
+solve may instead start warm from the block of a nearby zeta, at shifts
+predicted by its slopes; a warm attempt that the loop cannot certify falls
+through to the cold seed.  When states crossed a window edge, the
 block is first mapped onto the window by Sturm index: the rows that left
 are dropped, and each state that entered is seeded by bisection on the
 strip of width |step| inside the edge it crossed (Weyl's inequality, with
 ||dJ/dzeta|| = 1).
 A solve returns one Eigenpairs block whose rows hold the real Jacobi
-vectors t; the interleaved complex psi is built from them on demand, and
-<psi, psi'> = t . t' exactly.
+vectors t; <psi, psi'> = t . t' exactly for the interleaved complex psi.
 The x-cut at +-L is Dirichlet: the stencil stops at the last site.
 
 Known lattice artifact (recorded in the decisions ledger): the combined
@@ -81,22 +80,19 @@ __all__ = [
     "slopes_of",
 ]
 
-# ?stebz tolerances.  Rayleigh-Ritz supplies every digit of mu, so the
-# bisection only has to seed ?stein (the cold passes' and the warm start's
-# entering states).  Of 1e-4 to 1e-3, 1e-3 was the fastest on the fig2 and
-# random benchmark sweeps; the vectors' residuals grow with it (median 7e-15
-# at 1e-4, 2e-11 at 1e-3), still inside the contract.  On those sweeps' passes
-# at seed 11, the cold passes run for 1 of 98 and 13 of 619 solves, and none
-# retries.  The tight one is the retry when the loose block fails (?stein or
-# the Cholesky factor fails, a pair misses the residual contract, or the
-# block misses orthonormality).
+# ?stebz tolerance.  Rayleigh-Ritz supplies every digit of mu, so the bisection
+# only has to seed ?stein (the cold seed and the warm start's entering states).
+# Of 1e-4 to 1e-3, 1e-3 was the fastest on the fig2 and random benchmark sweeps;
+# the vectors' residuals grow with it (median 7e-15 at 1e-4, 2e-11 at 1e-3),
+# still inside the contract.  On those sweeps' passes at seed 11, the cold seed
+# serves 1 of 98 and 13 of 619 solves, each certified at step 0; a cold block
+# that misses a check goes on through the certification loop.
 _BISECT_TOL = 1e-3
-_RETRY_TOL = 1e-8
-# Most Rayleigh-quotient steps of a warm attempt.  On the random benchmark
-# pass (seed 11), of the 579 nonempty solves that get a guess, 187 are
-# certified after one step, 265 after two and 124 after three; a cap of 2
-# sends those 124 to the cold passes as well, and a cap of 4 serves none more
-# than 3 (the 3 left over fall back either way).
+# Most steps of the certification loop.  On the random benchmark pass (seed 11),
+# of the 579 nonempty solves that get a guess, 187 are certified after one step,
+# 265 after two and 124 after three; a cap of 2 sends those 124 to the cold seed
+# as well, and a cap of 4 serves none more than 3 (the 3 left over fall back
+# either way).
 _WARM_STEPS = 3
 # The entries of e that sit on a site, where zeta enters: s is 1 there and 0 between sites.
 _ON_SITE = slice(0, None, 2)
@@ -128,14 +124,8 @@ class Grid1D:
 
 @dataclass(eq=False)
 class FiberMatrix:
-    """Hermitian 2N x 2N discretization of Hhat(zeta).
-
-    Held as the real Jacobi pair (d, e) of the module docstring.
-    `entries` is the dense Hermitian view in the physical interleaved
-    ordering (site i occupies rows 2i = up, 2i + 1 = down), built from
-    (d, e) on first access.  No code in the package calls it: it is the
-    reference that the tests check the Jacobi form against.
-    """
+    """Hermitian 2N x 2N discretization of Hhat(zeta), held as the real Jacobi pair
+    (d, e) of the module docstring."""
 
     grid: Grid1D
     d: np.ndarray
@@ -144,19 +134,6 @@ class FiberMatrix:
     @property
     def dim(self) -> int:
         return 2 * self.grid.N
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        n = self.dim
-        # Jacobi index k -> interleaved row: down_i (k = 2i) -> 2i + 1, up_i -> 2i
-        pos = np.arange(n) ^ 1
-        # undo the -i phase on down components: <down|H|up> = -i e, <up|H|down> = i e
-        upper = np.where(np.arange(n - 1) % 2 == 0, -1j, 1j) * self.e
-        H = np.zeros((n, n), dtype=complex)
-        H[pos, pos] = self.d
-        H[pos[:-1], pos[1:]] = upper
-        H[pos[1:], pos[:-1]] = np.conj(upper)
-        return H
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,13 +172,12 @@ class Eigenpairs:
     """A block of k eigenpairs in rows, sorted by mu: eigenvalues mu (k,), real Jacobi
     vectors t (k, 2N), verified residuals ||H psi - mu psi|| (k,) and slopes d mu/d zeta (k,);
     `mass` holds each row's boundary-strip mass once `filter_spurious` has kept the row;
-    `retried` is whether the solve behind the block took `eig_window`'s tight pass, and
-    `warm` whether its warm start served it, after `steps` Rayleigh-quotient steps (0 for
-    a cold block and for the empty window).  A warm attempt that fails is not a retry:
-    its solve is `retried` only if the cold loose pass fails too.
+    `warm` is whether `eig_window`'s warm seed served the solve behind the block, and
+    `steps` how many steps of its certification loop the block took (0 for a cold seed
+    certified as it came, and for the empty window).
 
     An int index gives one pair (the same fields, one row each); a mask or an
-    index array gives a sub-block.  `psi` builds the interleaved spinors from t:
+    index array gives a sub-block.  The interleaved spinor of a row t is
     psi_up,i = t_2i+1, psi_down,i = -i t_2i.
     """
 
@@ -210,7 +186,6 @@ class Eigenpairs:
     residual: np.ndarray
     slope: np.ndarray
     mass: np.ndarray | None = None
-    retried: bool = False
     warm: bool = False
     steps: int = 0
 
@@ -220,13 +195,6 @@ class Eigenpairs:
     def __getitem__(self, i) -> "Eigenpairs":  # iterating the block walks its rows
         mass = None if self.mass is None else self.mass[i]
         return replace(self, mu=self.mu[i], t=self.t[i], residual=self.residual[i], slope=self.slope[i], mass=mass)
-
-    @property
-    def psi(self) -> np.ndarray:
-        psi = np.empty(self.t.shape, dtype=complex)
-        psi[..., 0::2] = self.t[..., 1::2]
-        psi[..., 1::2] = -1j * self.t[..., 0::2]
-        return psi
 
 
 @dataclass(frozen=True)
@@ -302,8 +270,8 @@ def count_eigenvalues(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int
     return int(lapack.dstebz(d, e, 1, lo, hi, 0, 0, 1e3, "B")[0])
 
 
-def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi: float):
-    """Rayleigh-Ritz on the rows of V: the Ritz pairs with mu in [lo, hi] and their
+def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray):
+    """Rayleigh-Ritz on the rows of V: all its Ritz pairs, sorted by mu, and their
     certificate, (block, certified, off, info).
 
     One ?sygvd call on the pencil (V J V^T, V V^T) is a Cholesky QR inside
@@ -321,8 +289,6 @@ def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi:
     mus, Q, info = lapack.dsygvd(JV @ V.T, V @ V.T, uplo="L") if len(V) else (np.empty(0), V[:, :0], 0)
     if info:
         return None, False, np.inf, info
-    inside = (mus >= lo) & (mus <= hi)
-    mus, Q = mus[inside], Q[:, inside]
     V, JV = Q.T @ V, Q.T @ JV
     JV -= mus[:, None] * V
     res = np.sqrt(np.einsum("ij,ij->i", JV, JV))
@@ -333,12 +299,16 @@ def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi:
     return block, off <= 1e-12 and not _misses_slope_bound(block.slope).any(), off, 0
 
 
-def _mapped_start(A: FiberMatrix, lo: float, hi: float, V: np.ndarray, shifts: np.ndarray, step: float, c: int):
-    """The rows V of the window block at z_prev = zeta - step and their shifts, mapped
-    by Sturm index onto the window at zeta, whose count c differs from len(V), with
-    the states that entered seeded (see `eig_window`); None when V is not the whole
+def _warm_start(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: float, c: int):
+    """The warm seed: the rows of `guess`, the window block at z_prev = zeta - step,
+    and their shifts predicted by the slopes; when the window's count c at zeta
+    differs from len(guess), mapped by Sturm index onto the window, with the states
+    that entered seeded (see `eig_window`).  None when the guess is not the whole
     window block at z_prev or a seed fails."""
+    V, shifts = guess.t, guess.mu + step * guess.slope  # Hellmann-Feynman prediction
     k = len(V)
+    if c == k:
+        return V, shifts
     e_prev = A.e.copy()
     e_prev[_ON_SITE] += step  # J(z_prev) = J(z) + step S
     if count_eigenvalues(A.d, e_prev, lo, hi) != k:
@@ -369,42 +339,44 @@ def _mapped_start(A: FiberMatrix, lo: float, hi: float, V: np.ndarray, shifts: n
     return None if info else (np.vstack([V, T.T]), np.concatenate([shifts, w[order]]))
 
 
-def _warm_solve(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: float) -> Eigenpairs | None:
-    """The window's block by Rayleigh-quotient iteration from `guess`, or None when the
-    guess cannot be mapped onto the window or no step gives a certified block (see
-    `eig_window`)."""
-    c = count_eigenvalues(A.d, A.e, lo, hi)
-    if not c:
-        return replace(guess[:0], retried=False, warm=True, steps=0)
-    V, shifts = guess.t, guess.mu + step * guess.slope  # Hellmann-Feynman prediction
-    if c != len(guess):
-        if (start := _mapped_start(A, lo, hi, V, shifts, step, c)) is None:
-            return None
-        V, shifts = start
-    n = V.shape[1]
+def _rayleigh_quotient(A: FiberMatrix, lo: float, hi: float, V: np.ndarray, shifts: np.ndarray, first: int):
+    """The certification loop of `eig_window` from the seed rows V at `shifts`, from
+    step `first` (step 0 checks the rows V as they are)."""
+    c, n = V.shape
     off_diag = np.zeros((c, n))
     off_diag[:, :-1] = A.e  # zero couplings between the c blocks
     off_diag = off_diag.ravel()[:-1]
-    for steps in range(1, _WARM_STEPS + 1):
-        # every (J - shift_i) x_i = v_i at once, as one block-diagonal tridiagonal; a
-        # shift on an eigenvalue (a zero pivot, or an overflow to inf or NaN) is moved
-        # by 1e-10 (1 + |shift|), far inside the residual contract, and tried once more
-        for moved in (shifts, shifts + 1e-10 * (1.0 + np.abs(shifts))):
-            *_, X, info = lapack.dgtsv(off_diag, (A.d - moved[:, None]).ravel(), off_diag, V.reshape(-1, 1))
-            X = X.reshape(c, n)
-            scale = np.max(np.abs(X), axis=1, keepdims=True)
-            if not info and np.isfinite(scale).all():
-                break
-        else:
-            return None
-        # all c Ritz pairs: one outside the window may come back in at the next step
-        pairs, certified, _, info = _certified_block(A.d, A.e, X / scale, -np.inf, np.inf)
-        if info:
-            return None
-        if certified and lo <= pairs.mu[0] and pairs.mu[-1] <= hi:
-            return replace(pairs, warm=True, steps=steps)
-        V, shifts = pairs.t, pairs.mu
-    return None
+    for steps in range(first, _WARM_STEPS + 1):
+        if steps:
+            # every (J - shift_i) x_i = v_i at once, as one block-diagonal tridiagonal; a
+            # shift on an eigenvalue (a zero pivot, or an overflow to inf or NaN) is moved
+            # by 1e-10 (1 + |shift|), far inside the residual contract, and tried once more
+            for moved in (shifts, shifts + 1e-10 * (1.0 + np.abs(shifts))):
+                *_, X, info = lapack.dgtsv(off_diag, (A.d - moved[:, None]).ravel(), off_diag, V.reshape(-1, 1))
+                X = X.reshape(c, n)
+                scale = np.max(np.abs(X), axis=1, keepdims=True)
+                if not info and np.isfinite(scale).all():
+                    break
+            else:
+                what = f"LAPACK info {info}" if info else "a non-finite row"
+                raise SolverError(f"inverse iteration failed on [{lo:.6g}, {hi:.6g}]: {what}")
+            V = X / scale
+        pairs, certified, off, info = _certified_block(A.d, A.e, V)
+        if certified and np.all((lo <= pairs.mu) & (pairs.mu <= hi)):
+            return replace(pairs, steps=steps)
+        if not info:
+            # all c Ritz pairs: one outside the window may come back in at the next step
+            V, shifts = pairs.t, pairs.mu
+        elif steps:
+            break  # at step 0 the seed's own rows go on at its shifts
+    # what the last block missed
+    if info:
+        raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
+    check_residuals(pairs.mu, pairs.residual)
+    if off > 1e-12:
+        raise SolverError(f"eigenvector block is {off:.3e} off orthonormal on [{lo:.6g}, {hi:.6g}]")
+    check_slopes(pairs.mu, pairs.slope)
+    raise SolverError(f"a Ritz value of the block lies outside [{lo:.6g}, {hi:.6g}]")
 
 
 def eig_window(
@@ -412,71 +384,71 @@ def eig_window(
 ) -> Eigenpairs:
     """The block of all eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
 
-    With a `guess`, the unfiltered block of the same family at a zeta `step`
-    away, a warm attempt runs first.  The window's exact Sturm count c at
-    zeta decides it: c = 0 returns the empty block after 0 steps.  When c
-    differs from k = len(guess), the guess is mapped by global index, with
+    One seed, then one certification loop on the real Jacobi matrix J:
+    Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4) for at most _WARM_STEPS steps.  Each step solves
+    (J - shift_i) x_i = v_i for every row v_i at once (one ?gtsv call:
+    partial-pivoting elimination and solve of the stacked block-diagonal
+    tridiagonal), rescales the rows and ends in one Rayleigh-Ritz step on
+    the whole block that is also a Cholesky QR (`_certified_block`); a zero
+    pivot or a non-finite entry (a shift on an eigenvalue) redoes the step
+    once at shifts moved by 1e-10 (1 + |shift|).  A seed holds exactly the
+    window's count of rows.  The first block that is certified (every pair
+    meets the residual contract and the slope bound, and
+    max |T T^T - I| <= 1e-12, where column norms alone would leave nearly
+    parallel vectors) with all its Ritz values in [lo, hi] is returned with
+    its `steps`; otherwise its Ritz pairs are the next step's shifts and
+    rows.  A failed Cholesky factor after a step, a step that fails at the
+    moved shifts too, or _WARM_STEPS steps end the loop with a SolverError
+    that says what the last block missed.
+
+    The warm seed.  With a `guess`, the unfiltered block of the same family
+    at a zeta `step` away, the window's exact Sturm count c at zeta decides:
+    c = 0 returns the empty block after 0 steps.  When c differs from
+    k = len(guess), the guess is mapped by global index, with
     J(zeta - step) = J(zeta) + step S: Sturm counts give a_old and a_new, the
     eigenvalues <= lo at zeta - step and at zeta, and a third one checks that
-    the window at zeta - step holds k (else the guess is not that whole block,
-    and the cold passes run).  Guess row r keeps its place when its index
-    a_old + r lies in [a_new, a_new + c) and is dropped otherwise.  An index
-    that entered through lo lies in (lo, lo + |step|] and one through hi in
-    (hi - |step|, hi], since ||S|| = 1 bounds each sorted eigenvalue's move by
-    |step| (Weyl); ?stebz seeds them on that strip at _BISECT_TOL, the lowest
-    (highest) by value, and ?stein gives their rows.  A strip that holds
-    fewer than needed, or a failed ?stein, sends the solve to the cold
-    passes.  The c rows then run Rayleigh-quotient iteration (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 4), first at the shifts
-    mu + slope * step that the Hellmann-Feynman slopes predict (the seeds'
-    at their bisection values).  Each step solves (J - shift_i) x_i = v_i for
-    every row v_i at once (one ?gtsv call: partial-pivoting elimination and
-    solve of the stacked block-diagonal tridiagonal), rescales the rows and
-    runs the Rayleigh-Ritz step and the certificates of the cold passes
-    below.  The first block that passes, with all its c Ritz values in the
-    window, is returned, marked `warm` with its `steps`; otherwise all its
-    Ritz pairs are the next step's shifts and rows.  A zero pivot or a non-finite entry
-    (a shift on an eigenvalue) redoes the step once at shifts moved by
-    1e-10 (1 + |shift|).  After _WARM_STEPS steps, a failed Cholesky factor,
-    or a step that fails at the moved shifts too, the cold passes run.
+    the window at zeta - step holds k (else the guess is not that whole
+    block, and the cold seed serves the solve).  Guess row r keeps its place
+    when its index a_old + r lies in [a_new, a_new + c) and is dropped
+    otherwise.  An index that entered through lo lies in (lo, lo + |step|]
+    and one through hi in (hi - |step|, hi], since ||S|| = 1 bounds each
+    sorted eigenvalue's move by |step| (Weyl); ?stebz seeds them on that
+    strip at _BISECT_TOL, the lowest (highest) by value, and ?stein gives
+    their rows.  A strip that holds fewer than needed, or a failed ?stein,
+    sends the solve to the cold seed.  The c rows enter the loop at step 1,
+    at the shifts mu + slope * step that the Hellmann-Feynman slopes predict
+    (the seeds' at their bisection values), and the block is marked `warm`.
+    A warm attempt that the loop cannot certify falls through to the cold
+    seed.
 
-    The cold passes, on the real Jacobi matrix J: bisection (?stebz) only to
-    _BISECT_TOL, whose exact Sturm count still proves the window complete;
-    inverse iteration (?stein) for the block T; one Rayleigh-Ritz step that
-    is also a Cholesky QR (`_certified_block`).  That gives mu to working
-    precision even in clusters narrower than the bisection tolerance, and an
-    orthonormal T where column norms alone would leave nearly parallel
-    vectors.  When ?stein or the Cholesky factor fails, or the block misses a
-    certificate (a pair misses the residual contract or the slope bound, or
-    the block misses max |T^T T - I| <= 1e-12), the solve is redone with
-    bisection to _RETRY_TOL, and the block is marked `retried`.  Slopes come
-    from `slopes_of`.  The returned block must pass `check_residuals`, the
-    orthonormality bound and `check_slopes`.
+    The cold seed: bisection (?stebz) only to _BISECT_TOL, whose exact Sturm
+    count still proves the window complete, and inverse iteration (?stein)
+    for the rows T.  They enter the loop at step 0, the Rayleigh-Ritz step
+    and certificate of T alone, which gives mu to working precision even in
+    clusters narrower than the bisection tolerance; a failed Cholesky factor
+    there goes on to step 1 from T at the ?stebz values, and a failed ?stein
+    enters at step 1 the same way.  A cold seed that the loop cannot certify
+    is a SolverError.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("window lo must be < hi")
-    if guess is not None and (pairs := _warm_solve(A, lo, hi, guess, step)) is not None:
-        return pairs
-
-    for tol in (_BISECT_TOL, _RETRY_TOL):
-        # range 1: the eigenvalues in (lo, hi]; order "B": by split-off block, as ?stein needs
-        m, w, iblock, isplit, info = lapack.dstebz(A.d, A.e, 1, lo, hi, 0, 0, tol, "B")
-        if info:
-            break
-        T, info = lapack.dstein(A.d, A.e, w[:m], iblock, isplit)
-        if info:
-            continue
-        pairs, certified, off, info = _certified_block(A.d, A.e, T.T, lo, hi)
-        if certified:
-            break
+    if guess is not None:
+        c = count_eigenvalues(A.d, A.e, lo, hi)
+        if not c:
+            return replace(guess[:0], warm=True, steps=0)
+        if (start := _warm_start(A, lo, hi, guess, step, c)) is not None:
+            try:
+                return replace(_rayleigh_quotient(A, lo, hi, *start, first=1), warm=True)
+            except SolverError:
+                pass  # the cold seed serves the solve
+    # range 1: the eigenvalues in (lo, hi]; order "B": by split-off block, as ?stein needs
+    m, w, iblock, isplit, info = lapack.dstebz(A.d, A.e, 1, lo, hi, 0, 0, _BISECT_TOL, "B")
     if info:
         raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
-    check_residuals(pairs.mu, pairs.residual)
-    if off > 1e-12:
-        raise SolverError(f"eigenvector block is {off:.3e} off orthonormal on [{lo:.6g}, {hi:.6g}]")
-    check_slopes(pairs.mu, pairs.slope)
-    return replace(pairs, retried=tol != _BISECT_TOL)
+    T, info = lapack.dstein(A.d, A.e, w[:m], iblock, isplit)
+    return _rayleigh_quotient(A, lo, hi, T.T, w[:m], first=1 if info else 0)
 
 
 def boundary_mass(v: np.ndarray, grid: Grid1D, margin: float):

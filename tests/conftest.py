@@ -1,4 +1,5 @@
-"""Shared helpers: random admissible interface scenarios, wall builders and the A2' bound."""
+"""Shared helpers: random admissible interface scenarios, wall builders, the A2' bound,
+and the dense and spinor views of the fiber that the tests check against."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from diracflow.bulk import HalfSpaceParams, count_levels, landau_levels
+from diracflow.fiber import Eigenpairs, FiberMatrix
 from diracflow.profiles import ProfileSet, SwitchProfile, derivative, evaluate
 
 _SUP_SAMPLES = 10_000  # points of the dense sample in sup_A2_prime
@@ -18,6 +20,31 @@ def walls(minus: HalfSpaceParams, plus: HalfSpaceParams) -> ProfileSet:
         m=SwitchProfile(minus.m, plus.m),
         V=SwitchProfile(minus.V, plus.V),
     )
+
+
+def dense_fiber(A: FiberMatrix) -> np.ndarray:
+    """The dense Hermitian 2N x 2N view of a fiber matrix in the physical interleaved
+    ordering (site i occupies rows 2i = up, 2i + 1 = down), built from its Jacobi pair
+    (d, e): the reference that the tests check the Jacobi form against."""
+    n = A.dim
+    # Jacobi index k -> interleaved row: down_i (k = 2i) -> 2i + 1, up_i -> 2i
+    pos = np.arange(n) ^ 1
+    # undo the -i phase on down components: <down|H|up> = -i e, <up|H|down> = i e
+    upper = np.where(np.arange(n - 1) % 2 == 0, -1j, 1j) * A.e
+    H = np.zeros((n, n), dtype=complex)
+    H[pos, pos] = A.d
+    H[pos[:-1], pos[1:]] = upper
+    H[pos[1:], pos[:-1]] = np.conj(upper)
+    return H
+
+
+def spinors(pairs: Eigenpairs) -> np.ndarray:
+    """The interleaved complex spinors of a block's (or one pair's) Jacobi rows t:
+    psi_up,i = t_2i+1, psi_down,i = -i t_2i."""
+    psi = np.empty(pairs.t.shape, dtype=complex)
+    psi[..., 0::2] = pairs.t[..., 1::2]
+    psi[..., 1::2] = -1j * pairs.t[..., 0::2]
+    return psi
 
 
 def magnetic_potential_prime(ps: ProfileSet, x):

@@ -40,7 +40,7 @@ from diracflow.profiles import (
     evaluate,
 )
 
-from conftest import draw_interface_scenario, record_criterion, sup_A2_prime, walls
+from conftest import dense_fiber, draw_interface_scenario, record_criterion, spinors, sup_A2_prime, walls
 
 FIG2_MINUS = HalfSpaceParams(B=-2.0, m=-2.0, V=-0.1)
 FIG2_PLUS = HalfSpaceParams(B=2.0, m=2.0, V=0.1)
@@ -143,7 +143,7 @@ def test_criterion_3_landau_convergence():
             grid = Grid1D(L=20.0, N=N)
             pairs = eig_window(assemble_fiber(grid, ps, 0.0), window)
             kept = filter_spurious(pairs, grid, SpuriousFilter(margin=5.0, threshold=0.3))
-            kept = [p for p in kept if zone_edge_fraction(p.psi) < 0.5]
+            kept = [p for p in kept if zone_edge_fraction(spinors(p)) < 0.5]
             mus = np.array([p.mu for p in kept])
             errs[N] = max(float(np.min(np.abs(mus - lev))) for lev in levels)
             if N == 800:
@@ -304,22 +304,22 @@ def test_criterion_9_property_suites(fig2_pipeline):
             HalfSpaceParams(float(rng.uniform(-3, -0.5)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
         )
         g = Grid1D(L=5.0, N=64)
-        H = assemble_fiber(g, ps, float(rng.uniform(-3, 3))).entries
+        H = dense_fiber(assemble_fiber(g, ps, float(rng.uniform(-3, 3))))
         if np.max(np.abs(H - H.conj().T)) != 0.0:
             failures.append("hermiticity")
 
     # Chiral symmetry at m = V = 0
     ps0 = ProfileSet(B=SwitchProfile(-2.0, 2.0), m=SwitchProfile(0.0, 0.0), V=SwitchProfile(0.0, 0.0))
     g = Grid1D(L=6.0, N=120)
-    vals = np.linalg.eigvalsh(assemble_fiber(g, ps0, 1.3).entries)
+    vals = np.linalg.eigvalsh(dense_fiber(assemble_fiber(g, ps0, 1.3)))
     if np.max(np.abs(np.sort(vals) + np.sort(-vals)[::-1])) > 1e-10:
         failures.append("chiral symmetry")
 
     # V-shift covariance
     b1 = walls(HalfSpaceParams(-2.0, -1.0, -0.3), HalfSpaceParams(2.0, 1.0, 0.4))
     b2 = walls(HalfSpaceParams(-2.0, -1.0, 0.2), HalfSpaceParams(2.0, 1.0, 0.9))
-    a = np.linalg.eigvalsh(assemble_fiber(g, b1, 0.7).entries)
-    b = np.linalg.eigvalsh(assemble_fiber(g, b2, 0.7).entries)
+    a = np.linalg.eigvalsh(dense_fiber(assemble_fiber(g, b1, 0.7)))
+    b = np.linalg.eigvalsh(dense_fiber(assemble_fiber(g, b2, 0.7)))
     if np.max(np.abs(b - (a + 0.5))) > 1e-12:
         failures.append("V-shift covariance")
 

@@ -30,7 +30,7 @@ from diracflow.profiles import (
     magnetic_potential,
 )
 
-from conftest import sup_A2_prime, walls
+from conftest import dense_fiber, spinors, sup_A2_prime, walls
 
 CONST_220 = ProfileSet(
     B=SwitchProfile(2.0, 2.0), m=SwitchProfile(2.0, 2.0), V=SwitchProfile(0.0, 0.0)
@@ -58,13 +58,13 @@ class TestAssembly:
                 HalfSpaceParams(float(rng.uniform(-3, -0.5)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1))),
             )
             g = Grid1D(L=5.0, N=48)
-            H = assemble_fiber(g, ps, float(rng.uniform(-4, 4))).entries
+            H = dense_fiber(assemble_fiber(g, ps, float(rng.uniform(-4, 4))))
             assert np.max(np.abs(H - H.conj().T)) == 0.0
 
     def test_dirichlet_truncates(self):
         ps = CONST_220
         g = Grid1D(L=1.0, N=16)
-        H = assemble_fiber(g, ps, 0.0).entries
+        H = dense_fiber(assemble_fiber(g, ps, 0.0))
         assert H[2 * 15, 1] == 0.0 and H[1, 2 * 15] == 0.0
 
     def test_chiral_symmetry(self, rng):
@@ -74,7 +74,7 @@ class TestAssembly:
         )
         g = Grid1D(L=6.0, N=120)
         for zeta in (-2.0, 0.0, 1.7):
-            vals = np.linalg.eigvalsh(assemble_fiber(g, ps, zeta).entries)
+            vals = np.linalg.eigvalsh(dense_fiber(assemble_fiber(g, ps, zeta)))
             assert np.max(np.abs(np.sort(vals) + np.sort(-vals)[::-1])) < 1e-10
 
     def test_v_shift_exact(self):
@@ -83,9 +83,21 @@ class TestAssembly:
         shifted = walls(HalfSpaceParams(-2.0, -1.0, 0.4), HalfSpaceParams(2.0, 1.0, 1.1))
         g = Grid1D(L=6.0, N=120)
         for zeta in (-1.0, 0.5):
-            a = np.linalg.eigvalsh(assemble_fiber(g, base, zeta).entries)
-            b = np.linalg.eigvalsh(assemble_fiber(g, shifted, zeta).entries)
+            a = np.linalg.eigvalsh(dense_fiber(assemble_fiber(g, base, zeta)))
+            b = np.linalg.eigvalsh(dense_fiber(assemble_fiber(g, shifted, zeta)))
             assert np.max(np.abs(b - (a + 0.7))) < 1e-12
+
+
+# The bisection tolerance of the tight reference solves: the cold seed, bisected to
+# where its ?stein rows already meet every check.
+_TIGHT_TOL = 1e-8
+
+
+def _tight(monkeypatch, A: FiberMatrix, window: tuple[float, float]) -> Eigenpairs:
+    """The reference block of A: the cold seed bisected to _TIGHT_TOL."""
+    with monkeypatch.context() as m:
+        m.setattr(fiber, "_BISECT_TOL", _TIGHT_TOL)
+        return eig_window(A, window)
 
 
 class TestEigWindow:
@@ -100,7 +112,7 @@ class TestEigWindow:
         g = Grid1D(L=20.0, N=800)
         pairs = eig_window(assemble_fiber(g, CONST_220, 0.0), (-4.0, 4.0))
         kept = filter_spurious(pairs, g, SpuriousFilter(margin=5.0, threshold=0.3))
-        kept = [p for p in kept if zone_edge_fraction(p.psi) < 0.5]
+        kept = [p for p in kept if zone_edge_fraction(spinors(p)) < 0.5]
         mus = np.array([p.mu for p in kept])
         for lev in landau_levels(HalfSpaceParams(2.0, 2.0, 0.0), 2).levels:
             assert np.min(np.abs(mus - lev)) < 1e-2
@@ -112,7 +124,7 @@ class TestEigWindow:
         assert pairs, "expected states in the window"
         for p in pairs:
             assert p.residual <= 1e-8 * (1.0 + abs(p.mu))
-        V = np.array([p.psi for p in pairs])
+        V = np.array([spinors(p) for p in pairs])
         G = np.abs(V.conj() @ V.T - np.eye(len(pairs)))
         assert np.max(G) < 1e-8
 
@@ -137,7 +149,7 @@ class TestEigWindow:
         assert mus == sorted(mus)
 
     def test_block_indexing(self):
-        """An int gives one pair, a mask a sub-block; psi works on rows and on the stack."""
+        """An int gives one pair, a mask a sub-block; a row's spinor is the stack's row."""
         g = Grid1D(L=8.0, N=200)
         pairs = eig_window(assemble_fiber(g, CONST_220, 0.0), (-3.0, 3.0))
         mask = pairs.mu > 0.0
@@ -146,7 +158,8 @@ class TestEigWindow:
         assert np.array_equal(sub.mu, pairs.mu[mask]) and sub.mass is None
         p = pairs[1]
         assert (p.mu, p.residual, p.slope) == (pairs.mu[1], pairs.residual[1], pairs.slope[1])
-        assert np.array_equal(p.psi, pairs.psi[1]) and np.vdot(p.psi, p.psi).real == pytest.approx(1.0)
+        psi = spinors(p)
+        assert np.array_equal(psi, spinors(pairs)[1]) and np.vdot(psi, psi).real == pytest.approx(1.0)
         assert [q.mu for q in pairs] == pairs.mu.tolist()
 
     @pytest.mark.parametrize("link", [0.0, 1e-10], ids=["exact", "near"])
@@ -161,99 +174,114 @@ class TestEigWindow:
         d, e = rng.uniform(-0.5, 0.5, 16), rng.uniform(0.8, 1.2, 15)
         A = FiberMatrix(grid=Grid1D(L=1.0, N=16), d=np.concatenate([d, d]), e=np.concatenate([e, [link], e]))
         pairs = eig_window(A, (-6.0, 6.0))
-        dense = np.linalg.eigvalsh(A.entries)
+        dense = np.linalg.eigvalsh(dense_fiber(A))
         assert len(pairs) == dense.size == 32
         assert np.max(np.abs(np.array([p.mu for p in pairs]) - dense)) < 1e-12
         for p in pairs:
             assert p.residual <= 1e-8 * (1.0 + abs(p.mu))
-        V = np.array([p.psi for p in pairs])
+        V = np.array([spinors(p) for p in pairs])
         assert np.max(np.abs(V.conj() @ V.T - np.eye(32))) < 1e-12
 
     @staticmethod
-    def _faulty_lapack(fault, tols, passes):
-        """scipy's ?stebz, ?stein and ?sygvd with `fault` injected into the first
-        `passes` solve passes; each ?stebz call starts a pass and logs its tolerance.
+    def _faulty_lapack(fault, calls, n, persist):
+        """scipy's LAPACK wrappers with `fault` injected into the cold seed and, when
+        `persist`, into every step of the certification loop as well; `calls` logs the
+        name of each ?stebz, ?stein, ?gtsv and ?sygvd call, and n is the matrix order.
 
-        residual: noise of 1e-3 on the ?stein block, so pairs miss the contract;
-        stein_info: ?stein reports failure; parallel: one ?stein column becomes a
-        near-copy of another, so the Gram matrix T^T T is singular and its Cholesky
-        factor fails; skew: the Rayleigh-Ritz vectors come back 1e-9 too long, which
-        leaves every residual within the contract and only the orthonormality
-        bound can see.
+        residual: noise of 1e-3 times the largest entry on ?stein's rows (and on each
+        step's ?gtsv rows), so pairs miss the contract; stein_info: ?stein reports
+        failure (and each ?gtsv call info 2); parallel: the second row becomes a
+        near-copy of the first, so the Gram matrix is singular and its Cholesky factor
+        fails; skew: the Ritz vectors come back 1e-9 too long, which leaves every
+        residual within the contract and only the orthonormality bound can see.
         """
 
-        def dstebz(d, e, irange, lo, hi, il, iu, tol, order):
-            tols.append(tol)
-            return sla.lapack.dstebz(d, e, irange, lo, hi, il, iu, tol, order)
+        def faulty(R):  # the rows R, with the fault in them
+            if fault == "residual":
+                return R + 1e-3 * np.abs(R).max() * np.random.default_rng(3).standard_normal(R.shape)
+            if fault == "parallel":
+                R = R.copy()
+                R[1] = R[0] + 1e-12 * R[1]
+            return R
 
-        def dstein(d, e, w, iblock, isplit):
-            T, info = sla.lapack.dstein(d, e, w, iblock, isplit)
-            if len(tols) <= passes:
-                if fault == "stein_info":
-                    return T, 2
-                if fault == "residual":
-                    T = T + 1e-3 * np.random.default_rng(3).standard_normal(T.shape)
-                if fault == "parallel":
-                    T = T.copy()
-                    T[:, 1] = T[:, 0] + 1e-12 * T[:, 1]
-            return T, info
+        def dstebz(*args):
+            calls.append("dstebz")
+            return sla.lapack.dstebz(*args)
+
+        def dstein(*args):
+            calls.append("dstein")
+            T, info = sla.lapack.dstein(*args)
+            return (T, 2) if fault == "stein_info" else (faulty(T.T).T, info)
+
+        def dgtsv(*args):
+            calls.append("dgtsv")
+            *lu, X, info = sla.lapack.dgtsv(*args)
+            if not persist:
+                return (*lu, X, info)
+            return (*lu, faulty(X.reshape(-1, n)).reshape(-1, 1), 2 if fault == "stein_info" else info)
 
         def dsygvd(a, b, uplo):
+            skewed = fault == "skew" and (persist or "dgtsv" not in calls)
+            calls.append("dsygvd")
             mus, Q, info = sla.lapack.dsygvd(a, b, uplo=uplo)
-            if fault == "skew" and len(tols) <= passes:
-                Q = Q * (1.0 + 1e-9)
-            return mus, Q, info
+            return mus, Q * (1.0 + 1e-9) if skewed else Q, info
 
-        return SimpleNamespace(dstebz=dstebz, dstein=dstein, dsygvd=dsygvd)
+        return _lapack_with(dstebz=dstebz, dstein=dstein, dgtsv=dgtsv, dsygvd=dsygvd)
 
     @pytest.mark.parametrize("fault", ["residual", "stein_info", "parallel", "skew"])
     def test_loose_pass_that_fails_is_redone_tight(self, monkeypatch, fault):
-        """A loose pass that fails in any of the ways of `_faulty_lapack` is redone:
-        eig_window then returns, bit for bit, the pairs of a solve bisected to
-        _RETRY_TOL, and the block says it was retried."""
+        """A cold seed that fails in any of the ways of `_faulty_lapack` is redone by the
+        certification loop: after one ?stebz call and at least one step, eig_window
+        returns the tight solve's count, mu within 1e-12 and its subspace (every singular
+        value of T T_tight^T within 1e-12 of 1), not marked warm."""
         ps = walls(HalfSpaceParams(-2.0, 0.0, 0.0), HalfSpaceParams(2.0, 0.0, 0.0))
         A, window = assemble_fiber(Grid1D(L=20.0, N=800), ps, 6.0), (-3.5, 3.5)
-        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
-        tight = eig_window(A, window)
-        monkeypatch.undo()
-        assert not eig_window(A, window).retried
-        tols = []
-        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, tols, passes=1))
+        tight = _tight(monkeypatch, A, window)
+        assert eig_window(A, window).steps == 0
+        calls = []
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, calls, A.dim, persist=False))
         pairs = eig_window(A, window)
-        assert tols == [fiber._BISECT_TOL, fiber._RETRY_TOL] and fiber._BISECT_TOL > fiber._RETRY_TOL
-        assert pairs.retried and len(pairs) == len(tight) > 1
-        for p, q in zip(pairs, tight):
-            assert (p.mu, p.residual, p.slope) == (q.mu, q.residual, q.slope)
-            assert np.array_equal(p.t, q.t)
-
-    def test_tight_pass_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack("stein_info", [], passes=2))
-        A = assemble_fiber(Grid1D(L=8.0, N=200), CONST_220, 0.0)
-        with pytest.raises(SolverError, match="LAPACK info 2"):
-            eig_window(A, (-3.0, 3.0))
+        assert calls.count("dstebz") == 1 and not pairs.warm and pairs.steps >= 1
+        assert len(pairs) == len(tight) > 1
+        assert np.max(np.abs(pairs.mu - tight.mu)) <= 1e-12
+        sv = np.linalg.svd(pairs.t @ tight.t.T, compute_uv=False)
+        assert np.max(np.abs(sv - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "fault, message",
-        [("parallel", "LAPACK info"), ("residual", "exceeds contract"), ("skew", "off orthonormal")],
+        "fault, message, gtsv_calls",
+        [
+            ("stein_info", "LAPACK info 2", 2),
+            ("parallel", "LAPACK info", 1),
+            ("residual", "exceeds contract", fiber._WARM_STEPS),
+            ("skew", "off orthonormal", fiber._WARM_STEPS),
+            ("slope", "Lipschitz bound", fiber._WARM_STEPS),
+        ],
+        ids=["stein_info", "parallel", "residual", "skew", "slope"],
     )
-    def test_tight_pass_that_misses_a_certificate_raises(self, monkeypatch, fault, message):
-        """A block that fails its Cholesky factor, the residual contract or the
-        orthonormality bound on the tight pass too is a SolverError."""
-        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, [], passes=2))
+    def test_fault_at_every_step_raises(self, monkeypatch, fault, message, gtsv_calls):
+        """A fault that hits the cold seed and every step of the certification loop is a
+        SolverError that says what the last block missed: ?gtsv fails at the moved
+        shifts too (stein_info), the Cholesky factor fails after the first step
+        (parallel), or each of the _WARM_STEPS steps misses the residual contract, the
+        orthonormality bound or the slope bound (every slope 1 + 1e-9)."""
         A = assemble_fiber(Grid1D(L=8.0, N=200), CONST_220, 0.0)
+        calls = []
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, calls, A.dim, persist=True))
+        if fault == "slope":
+            monkeypatch.setattr(fiber, "slopes_of", lambda V: np.full(len(V), 1.0 + 1e-9))
         with pytest.raises(SolverError, match=message):
             eig_window(A, (-3.0, 3.0))
+        assert calls.count("dstebz") == 1 and calls.count("dgtsv") == gtsv_calls
 
     @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
     def test_loose_solve_agrees_with_tight(self, monkeypatch, zeta):
         """fig2's geometry (dual_wall_v01, L = 20, N = 800, window (-4, 4)): the solve
-        at _BISECT_TOL and one bisected to _RETRY_TOL find the same count, mu within
+        at _BISECT_TOL and one bisected to _TIGHT_TOL find the same count, mu within
         1e-12, and the same subspace: every singular value of T_loose T_tight^T lies
         within 1e-12 of 1."""
         A = assemble_fiber(Grid1D(L=20.0, N=800), preset_profiles("dual_wall_v01"), zeta)
         loose = eig_window(A, (-4.0, 4.0))
-        monkeypatch.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
-        tight = eig_window(A, (-4.0, 4.0))
+        tight = _tight(monkeypatch, A, (-4.0, 4.0))
         assert len(loose) == len(tight) > 0
         assert np.max(np.abs(loose.mu - tight.mu)) <= 1e-12
         sv = np.linalg.svd(loose.t @ tight.t.T, compute_uv=False)
@@ -261,9 +289,9 @@ class TestEigWindow:
 
 
 def _same_block(p: Eigenpairs, q: Eigenpairs) -> bool:
-    """Bit-for-bit equal blocks, flags and step counts included."""
+    """Bit-for-bit equal blocks, the warm flag and step counts included."""
     arrays = all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("mu", "t", "residual", "slope"))
-    return arrays and (p.retried, p.warm, p.steps) == (q.retried, q.warm, q.steps)
+    return arrays and (p.warm, p.steps) == (q.warm, q.steps)
 
 
 def _lapack_with(**names):
@@ -285,10 +313,8 @@ class TestWarmStart:
         the solve and finds the tight solve's count, mu within 1e-12 and its subspace:
         every singular value of T_warm T_tight^T lies within 1e-13 of 1."""
         warm = eig_window(A, window, guess, step)
-        with monkeypatch.context() as m:
-            m.setattr(fiber, "_BISECT_TOL", fiber._RETRY_TOL)
-            tight = eig_window(A, window)
-        assert warm.warm and not warm.retried
+        tight = _tight(monkeypatch, A, window)
+        assert warm.warm
         assert len(warm) == len(tight) > 0
         assert np.max(np.abs(warm.mu - tight.mu)) <= 1e-12
         sv = np.linalg.svd(warm.t @ tight.t.T, compute_uv=False)
@@ -361,7 +387,7 @@ class TestWarmStart:
         for zeta, window, k in [(0.0, (-0.3, -0.2), 0), (4.4, (3.30, 3.34), 1)]:
             guess = eig_window(self._fiber(zeta - 0.2), window)
             pairs = eig_window(self._fiber(zeta), window, guess, 0.2)
-            assert len(guess) == k and pairs.warm and pairs.steps == 0 and not pairs.retried
+            assert len(guess) == k and pairs.warm and pairs.steps == 0
             assert len(pairs) == 0 and pairs.t.shape == (0, 2 * self.GRID.N)
 
     def test_guess_of_another_size_falls_back(self, monkeypatch):
@@ -374,7 +400,7 @@ class TestWarmStart:
         monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=None))
         pairs = eig_window(A, self.WINDOW, guess, 0.2)
         assert len(guess) != len(cold) and not cold.warm
-        assert _same_block(pairs, cold) and not pairs.retried
+        assert _same_block(pairs, cold)
 
     @pytest.mark.parametrize("fault", ["noise", "parallel"])
     def test_skewed_inverse_iteration_falls_back(self, monkeypatch, fault):
@@ -382,9 +408,9 @@ class TestWarmStart:
         or a second row that is a near-copy of the first (the Cholesky factor or the
         orthonormality bound sees it).  The warm attempt runs all _WARM_STEPS steps
         (noise) or stops at the failed Cholesky factor and falls through to the cold
-        block, bit for bit, which is not marked retried.  No warm block gets slopes:
-        those outside the residual contract skip the rest of the certificate, so only
-        the cold pass computes them."""
+        block, bit for bit.  No warm block gets slopes: those outside the residual
+        contract skip the rest of the certificate, so only the cold seed's step 0
+        computes them."""
         A = self._fiber(4.0)
         guess = eig_window(self._fiber(3.8), self.WINDOW)
         cold = eig_window(A, self.WINDOW)
@@ -404,7 +430,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv))
         pairs = eig_window(A, self.WINDOW, guess, 0.2)
-        assert calls and _same_block(pairs, cold) and not pairs.retried
+        assert calls and _same_block(pairs, cold)
         assert sloped == [len(calls)]
         if fault == "noise":
             assert len(calls) == fiber._WARM_STEPS
@@ -425,7 +451,7 @@ class TestWarmStart:
             warm_steps.append(args)
             return sla.lapack.dgtsv(*args)
 
-        def dstebz(*args):  # the window count, then the cold passes: no fault from here on
+        def dstebz(*args):  # the window count, then the cold seed: no fault from here on
             warm_steps.clear()
             return sla.lapack.dstebz(*args)
 
@@ -441,9 +467,9 @@ class TestWarmStart:
         monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv, dstebz=dstebz, dsygvd=dsygvd))
         monkeypatch.setattr(fiber, "slopes_of", slopes_of)
         pairs = eig_window(A, self.WINDOW, guess, 1e-3)
-        # slopes at warm steps 1, 2 and 3, then once more for the cold loose pass
+        # slopes at warm steps 1, 2 and 3, then once more for the cold seed
         assert checked == list(range(1, fiber._WARM_STEPS + 1)) + [0]
-        assert _same_block(pairs, cold) and not pairs.warm and not pairs.retried
+        assert _same_block(pairs, cold) and not pairs.warm
 
     def test_shifts_on_exact_eigenvalues_are_served_warm(self, monkeypatch):
         """A diagonal matrix whose predicted shifts are diagonal entries: the first solve
@@ -467,7 +493,7 @@ class TestWarmStart:
 
     def test_zero_pivot_twice_falls_back(self, monkeypatch):
         """A ?gtsv that always reports a zero pivot: the step is tried at the moved
-        shifts once, then the cold block comes back, bit for bit, not retried."""
+        shifts once, then the cold block comes back, bit for bit."""
         A = self._fiber(4.0)
         guess = eig_window(self._fiber(3.8), self.WINDOW)
         cold = eig_window(A, self.WINDOW)
@@ -481,7 +507,7 @@ class TestWarmStart:
         monkeypatch.setattr(fiber, "lapack", _lapack_with(dgtsv=dgtsv))
         pairs = eig_window(A, self.WINDOW, guess, 0.2)
         assert len(calls) == 2 and not np.array_equal(calls[0][1], calls[1][1])
-        assert _same_block(pairs, cold) and not pairs.retried
+        assert _same_block(pairs, cold)
 
 
 class TestFilter:
@@ -515,7 +541,7 @@ class TestFilter:
         kept = filter_spurious(eig_window(assemble_fiber(g, ps, 6.0), (-4.0, 4.0)), g, f)
         assert kept
         for p in kept:
-            assert p.mass == boundary_mass(p.psi, g, f.margin) < 0.05
+            assert p.mass == boundary_mass(spinors(p), g, f.margin) < 0.05
 
     def test_zone_edge_fraction_separates(self):
         g = Grid1D(L=4.0, N=64)
@@ -547,7 +573,7 @@ class TestJacobiForm:
         h, x = g.h, g.x
         zeta = -0.7
         m, V, A2 = evaluate(ps.m, x), evaluate(ps.V, x), magnetic_potential(ps, x)
-        H = assemble_fiber(g, ps, zeta).entries
+        H = dense_fiber(assemble_fiber(g, ps, zeta))
         want = np.zeros((48, 48), dtype=complex)
         for i in range(24):
             want[2 * i, 2 * i] = V[i] + m[i]
@@ -577,12 +603,14 @@ class TestJacobiForm:
         for zeta in zetas:
             A = assemble_fiber(g, ps, zeta)
             pairs = eig_window(A, window)
-            dense = np.linalg.eigvalsh(A.entries)
+            H = dense_fiber(A)
+            dense = np.linalg.eigvalsh(H)
             dense = dense[(dense >= window[0]) & (dense <= window[1])]
             assert len(pairs) == dense.size
             assert np.all(np.abs(np.array([p.mu for p in pairs]) - dense) < 1e-12)
             for p in pairs:
-                r = np.linalg.norm(A.entries @ p.psi - p.mu * p.psi)
+                psi = spinors(p)
+                r = np.linalg.norm(H @ psi - p.mu * psi)
                 assert r <= 1e-8 * (1.0 + abs(p.mu))
             found += len(pairs)
         assert found > 0
@@ -624,12 +652,13 @@ class TestSlopes:
     def test_jacobi_and_dense_slopes_agree(self, zeta):
         A = assemble_fiber(self.GRID, self.PS, zeta)
         jac = eig_window(A, (-3.0, 3.0))
-        _, vecs = sla.eigh(A.entries, subset_by_value=(-3.0, 3.0))
+        _, vecs = sla.eigh(dense_fiber(A), subset_by_value=(-3.0, 3.0))
         dense = [np.real(np.vdot(v, _sigma2(v))) for v in vecs.T]
         assert len(jac) == len(dense) > 0
         for p, slope in zip(jac, dense):
             assert abs(p.slope - slope) <= 1e-10
-            assert abs(p.slope - np.real(np.vdot(p.psi, _sigma2(p.psi)))) <= 1e-12
+            psi = spinors(p)
+            assert abs(p.slope - np.real(np.vdot(psi, _sigma2(psi)))) <= 1e-12
 
     def test_certificate(self):
         mus = np.array([-0.5, 0.2, 1.1])
@@ -642,7 +671,7 @@ class TestSlopes:
 
 def _jacobi(psi: np.ndarray) -> np.ndarray:
     """The real Jacobi vector t of a spinor with real up and imaginary down parts:
-    t_2i = i psi_down,i, t_2i+1 = psi_up,i (the inverse of Eigenpairs.psi)."""
+    t_2i = i psi_down,i, t_2i+1 = psi_up,i (the inverse of `spinors`)."""
     t = np.empty(psi.size)
     t[0::2] = (1j * psi[1::2]).real
     t[1::2] = psi[0::2].real

@@ -20,7 +20,7 @@ from diracflow.oracle2d import (
 )
 from diracflow.profiles import DensityProfile, ProfileSet, SwitchProfile, derivative
 
-from conftest import walls
+from conftest import dense_fiber, walls
 from diracflow.bulk import HalfSpaceParams
 from diracflow.presets import PRESETS, preset_config, preset_profiles
 
@@ -229,7 +229,7 @@ def _dense_reference(g, ps, P, dens, w=None, coupling=0.0):
     N, Ny = g.grid_x.N, g.Ny
     n = N * Ny
     spinor_major = np.arange(2 * N).reshape(N, 2).T.ravel()  # interleaved rows as (spinor, x-site)
-    H0 = assemble_fiber(g.grid_x, ps, 0.0).entries[np.ix_(spinor_major, spinor_major)]
+    H0 = dense_fiber(assemble_fiber(g.grid_x, ps, 0.0))[np.ix_(spinor_major, spinor_major)]
     sigma2 = np.array([[0.0, -1j], [1j, 0.0]])
     H = np.kron(H0, np.eye(Ny)) + np.kron(np.kron(sigma2, np.eye(N)), _spectral_momentum(g))
     if w is not None:

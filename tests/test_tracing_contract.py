@@ -19,6 +19,8 @@ from diracflow.fiber import Grid1D, SpuriousFilter, assemble_fiber, boundary_mas
 from diracflow.flow import spectral_flow
 from diracflow.presets import preset_profiles
 
+from conftest import spinors
+
 
 def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -40,7 +42,7 @@ def test_annotators_report_pairs_residual_and_kept_count():
     A, window = assemble_fiber(grid, preset_profiles("bulk_uniform"), 4.0), (-4.0, 4.0)
     pairs = eig_window(A, window)
     kept = filter_spurious(pairs, grid, f)
-    masses = np.array([boundary_mass(p.psi, grid, f.margin) for p in pairs])
+    masses = np.array([boundary_mass(spinors(p), grid, f.margin) for p in pairs])
     n_kept = int(np.count_nonzero(masses <= f.threshold))
     assert 0 < n_kept < pairs.mu.size
 
