@@ -6,7 +6,9 @@ per scenario, and compares the tracked spectral flow with the closed-form
 half-space prediction. Prints one line per scenario, with its fiber
 solves, the solves that the eigensolver's warm start served (`warm`),
 those of them served across a change of the window's count
-(`warm_recounted`) and the bisections (by reason: motion / stranded),
+(`warm_recounted`), the solves handed a guess that the cold seed served
+instead (`fallbacks`: every solve after a sweep's first gets a guess, so
+solves - 1 - warm) and the bisections (by reason: motion / stranded),
 and a final tally with the suite totals, the warm solves by
 Rayleigh-quotient steps taken (`warm_steps`), the seconds spent in the
 sweeps and the cluster rotations.
@@ -64,11 +66,11 @@ def main() -> int:
             f"[{i + 1:3d}/{ns.n}] B=({minus.B:+.2f},{plus.B:+.2f}) "
             f"m=({minus.m:+.2f},{plus.m:+.2f}) V=({minus.V:+.2f},{plus.V:+.2f}) "
             f"alpha={alpha:+.2f}  sf={report.sf_numeric} pred={report.sf_predicted} "
-            f"N={grid.N} solves={stats['solves']} warm={stats['warm']} warm_recounted={stats['warm_recounted']} bisections={bis['motion']}/{bis['stranded']} "
+            f"N={grid.N} solves={stats['solves']} warm={stats['warm']} warm_recounted={stats['warm_recounted']} fallbacks={stats['solves'] - 1 - stats['warm']} bisections={bis['motion']}/{bis['stranded']} "
             f"{'ok' if ok else 'MISMATCH'} ({time.perf_counter() - t0:.1f}s)"
         )
     print(
-        f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} warm_recounted={recounted} warm_steps={dict(sorted(warm_steps.items()))} "
+        f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} warm_recounted={recounted} fallbacks={solves - ns.n - warm} warm_steps={dict(sorted(warm_steps.items()))} "
         f"bisections={motion}/{stranded} (motion/stranded) "
         f"cluster_rotations={rotations} sweep_seconds={sweep_s:.2f}"
     )

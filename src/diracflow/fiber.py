@@ -29,16 +29,17 @@ on-site indicator, so dJ/dzeta is exact.
 Every windowed solve is one seed and one certification loop: Rayleigh-quotient
 iteration (one ?gtsv call on a stacked tridiagonal solves every shift of a
 step), each step ending in one Rayleigh-Ritz step that also orthonormalizes
-the block (a Cholesky QR) and its checks; the first block that passes them is
-returned.  The cold seed is loose LAPACK bisection (?stebz) and inverse
-iteration (?stein), whose rows are checked as they are first (step 0).  A
-solve may instead start warm from the block of a nearby zeta, at shifts
-predicted by its slopes; a warm attempt that the loop cannot certify falls
-through to the cold seed.  When states crossed a window edge, the
-block is first mapped onto the window by Sturm index: the rows that left
-are dropped, and each state that entered is seeded by bisection on the
-strip of width |step| inside the edge it crossed (Weyl's inequality, with
-||dJ/dzeta|| = 1).
+the block (a Cholesky QR) and one certificate, which returns what the block
+missed, if anything.  The first block that misses nothing is returned; when
+none does, the solve raises what the last one missed.  The cold seed is loose
+LAPACK bisection (?stebz) and inverse iteration (?stein), whose rows are
+checked as they are first (step 0).  A solve may instead start warm from the
+block of a nearby zeta, at shifts predicted by its slopes; a warm attempt that
+the loop cannot certify falls through to the cold seed.  When states crossed
+a window edge, the block is first mapped onto the window by Sturm index: the
+rows that left are dropped, and each state that entered is seeded by bisection
+on the strip of width |step| inside the edge it crossed (Weyl's inequality,
+with ||dJ/dzeta|| = 1).
 A solve returns one Eigenpairs block whose rows hold the real Jacobi
 vectors t; <psi, psi'> = t . t' exactly for the interleaved complex psi.
 The x-cut at +-L is Dirichlet: the stencil stops at the last site.
@@ -75,7 +76,6 @@ __all__ = [
     "boundary_mass",
     "zone_edge_fraction",
     "check_residuals",
-    "check_slopes",
     "count_eigenvalues",
     "slopes_of",
 ]
@@ -131,10 +131,6 @@ class FiberMatrix:
     d: np.ndarray
     e: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.grid.N
-
 
 @dataclass(frozen=True, eq=False)
 class FiberFamily:
@@ -174,7 +170,8 @@ class Eigenpairs:
     `mass` holds each row's boundary-strip mass once `filter_spurious` has kept the row;
     `warm` is whether `eig_window`'s warm seed served the solve behind the block, and
     `steps` how many steps of its certification loop the block took (0 for a cold seed
-    certified as it came, and for the empty window).
+    certified as it came, and for the empty window).  A block from `eig_window` holds
+    as many rows as ?stebz counts in (lo, hi], each with mu in the closed [lo, hi].
 
     An int index gives one pair (the same fields, one row each); a mask or an
     index array gives a sub-block.  The interleaved spinor of a row t is
@@ -218,37 +215,34 @@ class SpuriousFilter:
 class _RitzPairs(NamedTuple):  # Ritz pairs that missed the residual contract: no slopes
     mu: np.ndarray
     t: np.ndarray
-    residual: np.ndarray
 
 
-def _misses_contract(lam: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Mask of the pairs with ||H v - lambda v|| > 1e-8 (1 + |lambda|)."""
-    return res > 1e-8 * (1.0 + np.abs(lam))
+def _residual_miss(lam: np.ndarray, res: np.ndarray) -> str | None:
+    """What the first pair with ||H v - lambda v|| > 1e-8 (1 + |lambda|) misses, or None."""
+    bad = np.flatnonzero(res > 1e-8 * (1.0 + np.abs(lam)))
+    if not bad.size:
+        return None
+    i = bad[0]
+    return f"residual {res[i]:.3e} exceeds contract at eigenvalue {lam[i]:.6g}"
 
 
-def _misses_slope_bound(slopes: np.ndarray) -> np.ndarray:
-    """Mask of the pairs with |d mu/d zeta| > 1 + 1e-12."""
-    return np.abs(slopes) > 1.0 + 1e-12
-
-
-def check_residuals(lam: np.ndarray, res: np.ndarray) -> None:
-    """Raise SolverError unless every pair meets ||H v - lambda v|| <= 1e-8 (1 + |lambda|)."""
-    bad = np.nonzero(_misses_contract(lam, res))[0]
-    if bad.size:
-        i = bad[0]
-        raise SolverError(f"residual {res[i]:.3e} exceeds contract at eigenvalue {lam[i]:.6g}")
-
-
-def check_slopes(lam: np.ndarray, slopes: np.ndarray) -> None:
-    """Raise SolverError unless every pair meets |d mu/d zeta| <= 1 + 1e-12.
+def _slope_miss(lam: np.ndarray, slopes: np.ndarray) -> str | None:
+    """What the first pair with |d mu/d zeta| > 1 + 1e-12 misses, or None.
 
     <psi, sigma_2 psi> is bounded by 1 for a normalized psi, so a breach
     means a badly normalized vector or broken slope arithmetic.
     """
-    bad = np.nonzero(_misses_slope_bound(slopes))[0]
-    if bad.size:
-        i = bad[0]
-        raise SolverError(f"slope {slopes[i]:.6g} exceeds the Lipschitz bound 1 at eigenvalue {lam[i]:.6g}")
+    bad = np.flatnonzero(np.abs(slopes) > 1.0 + 1e-12)
+    if not bad.size:
+        return None
+    i = bad[0]
+    return f"slope {slopes[i]:.6g} exceeds the Lipschitz bound 1 at eigenvalue {lam[i]:.6g}"
+
+
+def check_residuals(lam: np.ndarray, res: np.ndarray) -> None:
+    """Raise SolverError unless every pair meets ||H v - lambda v|| <= 1e-8 (1 + |lambda|)."""
+    if (missed := _residual_miss(lam, res)) is not None:
+        raise SolverError(missed)
 
 
 def _jacobi_times(d: np.ndarray, e: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -270,33 +264,39 @@ def count_eigenvalues(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int
     return int(lapack.dstebz(d, e, 1, lo, hi, 0, 0, 1e3, "B")[0])
 
 
-def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray):
-    """Rayleigh-Ritz on the rows of V: all its Ritz pairs, sorted by mu, and their
-    certificate, (block, certified, off, info).
+def _certified_block(d: np.ndarray, e: np.ndarray, V: np.ndarray, lo: float, hi: float):
+    """Rayleigh-Ritz on the rows of V: all its Ritz pairs, sorted by mu, and what
+    the first check they fail misses, (block, missed); missed is None for a
+    certified block.
 
     One ?sygvd call on the pencil (V J V^T, V V^T) is a Cholesky QR inside
     Rayleigh-Ritz: L L^T = V V^T, eigh(L^-1 V J V^T L^-T) = (mu, Y), Q = L^-T Y,
-    and the Ritz vectors are the rows of Q^T V.  When ?sygvd fails (info > k
-    means V V^T is not positive definite) the block is None.  `certified` says
-    that every pair meets the residual contract and the slope bound and that
-    the block's rows t meet max |t t^T - I| = off <= 1e-12.  The residuals are
-    checked first: when a pair misses the contract, the block is the bare
-    `_RitzPairs` (mu, t, residual), off is inf, and neither the orthonormality
-    product nor the slopes are computed.
+    and the Ritz vectors are the rows of Q^T V.  The checks, in order: ?sygvd
+    succeeds (info > k means V V^T is not positive definite; the block is
+    None), every pair meets the residual contract, the rows t meet
+    max |t t^T - I| <= 1e-12, every pair meets the slope bound, and every mu
+    lies in [lo, hi].  A block that misses the residual contract is the bare
+    `_RitzPairs` (mu, t): neither the orthonormality product nor the slopes
+    are computed for it.
     """
     JV = _jacobi_times(d, e, V)
     # the wrapper rejects an empty pencil
     mus, Q, info = lapack.dsygvd(JV @ V.T, V @ V.T, uplo="L") if len(V) else (np.empty(0), V[:, :0], 0)
     if info:
-        return None, False, np.inf, info
+        return None, f"the Rayleigh-Ritz step failed: LAPACK info {info}"
     V, JV = Q.T @ V, Q.T @ JV
     JV -= mus[:, None] * V
     res = np.sqrt(np.einsum("ij,ij->i", JV, JV))
-    if _misses_contract(mus, res).any():
-        return _RitzPairs(mus, V, res), False, np.inf, 0
+    if (missed := _residual_miss(mus, res)) is not None:
+        return _RitzPairs(mus, V), missed
     off = np.max(np.abs(V @ V.T - np.eye(len(mus))), initial=0.0)
     block = Eigenpairs(mu=mus, t=V, residual=res, slope=slopes_of(V))
-    return block, off <= 1e-12 and not _misses_slope_bound(block.slope).any(), off, 0
+    if not off <= 1e-12:
+        return block, f"the eigenvector block is {off:.3e} off orthonormal"
+    if (missed := _slope_miss(mus, block.slope)) is not None:
+        return block, missed
+    outside = np.flatnonzero(~((lo <= mus) & (mus <= hi)))
+    return block, f"a Ritz value of the block, {mus[outside[0]]:.6g}, lies outside the window" if outside.size else None
 
 
 def _warm_start(A: FiberMatrix, lo: float, hi: float, guess: Eigenpairs, step: float, c: int):
@@ -361,28 +361,22 @@ def _rayleigh_quotient(A: FiberMatrix, lo: float, hi: float, V: np.ndarray, shif
                 what = f"LAPACK info {info}" if info else "a non-finite row"
                 raise SolverError(f"inverse iteration failed on [{lo:.6g}, {hi:.6g}]: {what}")
             V = X / scale
-        pairs, certified, off, info = _certified_block(A.d, A.e, V)
-        if certified and np.all((lo <= pairs.mu) & (pairs.mu <= hi)):
+        pairs, missed = _certified_block(A.d, A.e, V, lo, hi)
+        if missed is None:
             return replace(pairs, steps=steps)
-        if not info:
+        if pairs is not None:
             # all c Ritz pairs: one outside the window may come back in at the next step
             V, shifts = pairs.t, pairs.mu
         elif steps:
             break  # at step 0 the seed's own rows go on at its shifts
-    # what the last block missed
-    if info:
-        raise SolverError(f"tridiagonal eigensolve failed on [{lo:.6g}, {hi:.6g}]: LAPACK info {info}")
-    check_residuals(pairs.mu, pairs.residual)
-    if off > 1e-12:
-        raise SolverError(f"eigenvector block is {off:.3e} off orthonormal on [{lo:.6g}, {hi:.6g}]")
-    check_slopes(pairs.mu, pairs.slope)
-    raise SolverError(f"a Ritz value of the block lies outside [{lo:.6g}, {hi:.6g}]")
+    raise SolverError(f"no block on [{lo:.6g}, {hi:.6g}] was certified: {missed}")
 
 
 def eig_window(
     A: FiberMatrix, window: tuple[float, float], guess: Eigenpairs | None = None, step: float = 0.0
 ) -> Eigenpairs:
-    """The block of all eigenpairs with mu in [lo, hi], sorted by mu, residual-verified.
+    """The block of all eigenpairs in the window, sorted by mu, residual-verified: as
+    many as ?stebz counts in (lo, hi], each certified with mu in [lo, hi].
 
     One seed, then one certification loop on the real Jacobi matrix J:
     Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue Problem,
@@ -390,17 +384,18 @@ def eig_window(
     (J - shift_i) x_i = v_i for every row v_i at once (one ?gtsv call:
     partial-pivoting elimination and solve of the stacked block-diagonal
     tridiagonal), rescales the rows and ends in one Rayleigh-Ritz step on
-    the whole block that is also a Cholesky QR (`_certified_block`); a zero
-    pivot or a non-finite entry (a shift on an eigenvalue) redoes the step
-    once at shifts moved by 1e-10 (1 + |shift|).  A seed holds exactly the
-    window's count of rows.  The first block that is certified (every pair
-    meets the residual contract and the slope bound, and
-    max |T T^T - I| <= 1e-12, where column norms alone would leave nearly
-    parallel vectors) with all its Ritz values in [lo, hi] is returned with
-    its `steps`; otherwise its Ritz pairs are the next step's shifts and
-    rows.  A failed Cholesky factor after a step, a step that fails at the
-    moved shifts too, or _WARM_STEPS steps end the loop with a SolverError
-    that says what the last block missed.
+    the whole block that is also a Cholesky QR; a zero pivot or a non-finite
+    entry (a shift on an eigenvalue) redoes the step once at shifts moved by
+    1e-10 (1 + |shift|).  A seed holds exactly the window's count of rows.
+    Each block is judged once, by `_certified_block`, which returns the
+    first check it misses: a failed Cholesky factor, the residual contract,
+    max |T T^T - I| <= 1e-12 (column norms alone would leave nearly parallel
+    vectors), the slope bound, or a Ritz value outside [lo, hi].  The first
+    block that misses none is returned with its `steps`; otherwise its Ritz
+    pairs are the next step's shifts and rows.  A failed Cholesky factor
+    after a step, a step that fails at the moved shifts too, or _WARM_STEPS
+    steps end the loop with one SolverError that names the window and what
+    the last block missed.
 
     The warm seed.  With a `guess`, the unfiltered block of the same family
     at a zeta `step` away, the window's exact Sturm count c at zeta decides:

@@ -26,7 +26,7 @@ def dense_fiber(A: FiberMatrix) -> np.ndarray:
     """The dense Hermitian 2N x 2N view of a fiber matrix in the physical interleaved
     ordering (site i occupies rows 2i = up, 2i + 1 = down), built from its Jacobi pair
     (d, e): the reference that the tests check the Jacobi form against."""
-    n = A.dim
+    n = 2 * A.grid.N
     # Jacobi index k -> interleaved row: down_i (k = 2i) -> 2i + 1, up_i -> 2i
     pos = np.arange(n) ^ 1
     # undo the -i phase on down components: <down|H|up> = -i e, <up|H|down> = i e

@@ -17,7 +17,6 @@ from diracflow.fiber import (
     SpuriousFilter,
     assemble_fiber,
     boundary_mass,
-    check_slopes,
     eig_window,
     filter_spurious,
     zone_edge_fraction,
@@ -98,6 +97,10 @@ def _tight(monkeypatch, A: FiberMatrix, window: tuple[float, float]) -> Eigenpai
     with monkeypatch.context() as m:
         m.setattr(fiber, "_BISECT_TOL", _TIGHT_TOL)
         return eig_window(A, window)
+
+
+# The slope that `test_fault_at_every_step_raises` puts on every pair: just past the bound.
+_SLOPES = {"slope": 1.0 + 1e-9, "slope_low": -1.0 - 1e-9}
 
 
 class TestEigWindow:
@@ -193,7 +196,9 @@ class TestEigWindow:
         failure (and each ?gtsv call info 2); parallel: the second row becomes a
         near-copy of the first, so the Gram matrix is singular and its Cholesky factor
         fails; skew: the Ritz vectors come back 1e-9 too long, which leaves every
-        residual within the contract and only the orthonormality bound can see.
+        residual within the contract and only the orthonormality bound can see;
+        window: ?stebz's range reaches past its upper end to hold one state beyond it,
+        which passes every check but the window test.
         """
 
         def faulty(R):  # the rows R, with the fault in them
@@ -204,9 +209,9 @@ class TestEigWindow:
                 R[1] = R[0] + 1e-12 * R[1]
             return R
 
-        def dstebz(*args):
+        def dstebz(d, e, rng, vl, vu, *args):
             calls.append("dstebz")
-            return sla.lapack.dstebz(*args)
+            return sla.lapack.dstebz(d, e, rng, vl, _past(d, e, vu) if fault == "window" else vu, *args)
 
         def dstein(*args):
             calls.append("dstein")
@@ -239,7 +244,7 @@ class TestEigWindow:
         tight = _tight(monkeypatch, A, window)
         assert eig_window(A, window).steps == 0
         calls = []
-        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, calls, A.dim, persist=False))
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, calls, 2 * A.grid.N, persist=False))
         pairs = eig_window(A, window)
         assert calls.count("dstebz") == 1 and not pairs.warm and pairs.steps >= 1
         assert len(pairs) == len(tight) > 1
@@ -255,23 +260,37 @@ class TestEigWindow:
             ("residual", "exceeds contract", fiber._WARM_STEPS),
             ("skew", "off orthonormal", fiber._WARM_STEPS),
             ("slope", "Lipschitz bound", fiber._WARM_STEPS),
+            ("slope_low", "Lipschitz bound", fiber._WARM_STEPS),
+            ("window", r"on \[-3, 3\].*outside the window", fiber._WARM_STEPS),
         ],
-        ids=["stein_info", "parallel", "residual", "skew", "slope"],
+        ids=["stein_info", "parallel", "residual", "skew", "slope", "slope_low", "window"],
     )
     def test_fault_at_every_step_raises(self, monkeypatch, fault, message, gtsv_calls):
         """A fault that hits the cold seed and every step of the certification loop is a
         SolverError that says what the last block missed: ?gtsv fails at the moved
         shifts too (stein_info), the Cholesky factor fails after the first step
         (parallel), or each of the _WARM_STEPS steps misses the residual contract, the
-        orthonormality bound or the slope bound (every slope 1 + 1e-9)."""
+        orthonormality bound, the slope bound (every slope 1 + 1e-9, or -1 - 1e-9) or
+        the window test; the error names the window."""
         A = assemble_fiber(Grid1D(L=8.0, N=200), CONST_220, 0.0)
         calls = []
-        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, calls, A.dim, persist=True))
-        if fault == "slope":
-            monkeypatch.setattr(fiber, "slopes_of", lambda V: np.full(len(V), 1.0 + 1e-9))
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(fault, calls, 2 * A.grid.N, persist=True))
+        if fault in _SLOPES:
+            monkeypatch.setattr(fiber, "slopes_of", lambda V: np.full(len(V), _SLOPES[fault]))
         with pytest.raises(SolverError, match=message):
             eig_window(A, (-3.0, 3.0))
         assert calls.count("dstebz") == 1 and calls.count("dgtsv") == gtsv_calls
+
+    def test_slopes_inside_the_rounding_margin_are_certified(self, monkeypatch):
+        """Every slope 1 + 1e-13, inside the bound's 1e-12 margin: the cold seed's block
+        is certified and served at step 0, with no ?gtsv call."""
+        A = assemble_fiber(Grid1D(L=8.0, N=200), CONST_220, 0.0)
+        calls = []
+        monkeypatch.setattr(fiber, "lapack", self._faulty_lapack(None, calls, 2 * A.grid.N, persist=True))
+        monkeypatch.setattr(fiber, "slopes_of", lambda V: np.full(len(V), 1.0 + 1e-13))
+        pairs = eig_window(A, (-3.0, 3.0))
+        assert len(pairs) > 0 and pairs.steps == 0 and "dgtsv" not in calls
+        assert np.all(pairs.slope == 1.0 + 1e-13)
 
     @pytest.mark.parametrize("zeta", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0])
     def test_loose_solve_agrees_with_tight(self, monkeypatch, zeta):
@@ -292,6 +311,12 @@ def _same_block(p: Eigenpairs, q: Eigenpairs) -> bool:
     """Bit-for-bit equal blocks, the warm flag and step counts included."""
     arrays = all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("mu", "t", "residual", "slope"))
     return arrays and (p.warm, p.steps) == (q.warm, q.steps)
+
+
+def _past(d: np.ndarray, e: np.ndarray, hi: float) -> float:
+    """A point between the two lowest eigenvalues of tridiag(e, d, e) above hi, so that
+    (hi, _past] holds exactly one."""
+    return float(np.mean(sla.eigvalsh_tridiagonal(d, e, select="v", select_range=(hi, hi + 1.0))[:2]))
 
 
 def _lapack_with(**names):
@@ -435,16 +460,23 @@ class TestWarmStart:
         if fault == "noise":
             assert len(calls) == fiber._WARM_STEPS
 
-    @pytest.mark.parametrize("fault", ["slope", "orthonormality"])
+    @pytest.mark.parametrize("fault", ["slope", "orthonormality", "window"])
     def test_block_inside_the_contract_that_misses_a_certificate_falls_back(self, monkeypatch, fault):
         """Started from the solve at zeta - 1e-3, every warm step's block meets the
         residual contract, but its slopes come back as 1 + 1e-9 (the slope bound sees
-        it) or its Ritz vectors 1e-9 too long (only the orthonormality bound sees it).
-        Each block's slopes are computed once its residuals pass, the block is rejected,
-        and after _WARM_STEPS steps the cold block comes back, bit for bit."""
-        A = self._fiber(4.0)
-        guess = eig_window(self._fiber(4.0 - 1e-3), self.WINDOW)
+        it), its Ritz vectors 1e-9 too long (only the orthonormality bound sees it), or
+        the guess, of the window's size, runs from the window's second state to the
+        first one beyond hi (only the window test sees it).  Each block's slopes are
+        computed once its residuals pass, the block is rejected, and after _WARM_STEPS
+        steps the cold block comes back, bit for bit."""
+        A, prev = self._fiber(4.0), self._fiber(4.0 - 1e-3)
+        lo, hi = self.WINDOW
+        if fault == "window":
+            guess = eig_window(prev, (lo, _past(prev.d, prev.e, hi)))[1:]
+        else:
+            guess = eig_window(prev, self.WINDOW)
         cold = eig_window(A, self.WINDOW)
+        assert len(guess) == len(cold)
         real_slopes, warm_steps, checked = fiber.slopes_of, [], []
 
         def dgtsv(*args):
@@ -659,14 +691,6 @@ class TestSlopes:
             assert abs(p.slope - slope) <= 1e-10
             psi = spinors(p)
             assert abs(p.slope - np.real(np.vdot(psi, _sigma2(psi)))) <= 1e-12
-
-    def test_certificate(self):
-        mus = np.array([-0.5, 0.2, 1.1])
-        check_slopes(mus, np.array([-1.0, 0.3, 1.0 + 1e-13]))
-        with pytest.raises(SolverError, match="slope 1.01 exceeds the Lipschitz bound 1 at eigenvalue 0.2"):
-            check_slopes(mus, np.array([0.0, 1.01, 0.5]))
-        with pytest.raises(SolverError, match="Lipschitz"):
-            check_slopes(mus, np.array([0.0, 0.0, -1.0 - 1e-9]))
 
 
 def _jacobi(psi: np.ndarray) -> np.ndarray:
