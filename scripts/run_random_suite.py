@@ -10,8 +10,9 @@ those of them served across a change of the window's count
 instead (`fallbacks`: every solve after a sweep's first gets a guess, so
 solves - 1 - warm) and the bisections (by reason: motion / stranded),
 and a final tally with the suite totals, the warm solves by
-Rayleigh-quotient steps taken (`warm_steps`), the seconds spent in the
-sweeps and the cluster rotations.
+Rayleigh-quotient steps taken (`warm_steps`), the cluster rotations, the
+states the spurious filter kept and dropped over every committed sample
+(`retained`, `filtered`) and the seconds spent in the sweeps.
 `--n 50 --seed 11` draws the acceptance suite's scenarios.
 
 Usage: python scripts/run_random_suite.py [--n N] [--seed S]
@@ -41,7 +42,7 @@ def main() -> int:
     ns = ap.parse_args()
 
     rng = np.random.default_rng(ns.seed)
-    bad = solves = warm = recounted = motion = stranded = rotations = 0
+    bad = solves = warm = recounted = motion = stranded = rotations = retained = filtered = 0
     warm_steps: Counter = Counter()
     sweep_s = 0.0
     for i in range(ns.n):
@@ -59,6 +60,8 @@ def main() -> int:
         motion += bis["motion"]
         stranded += bis["stranded"]
         rotations += stats["cluster_rotations"]
+        retained += stats["retained"]
+        filtered += stats["filtered"]
         report = spectral_flow(branches, alpha, prediction=predicted_sf(minus, plus, alpha))
         ok = report.sf_numeric == report.sf_predicted
         bad += not ok
@@ -72,7 +75,7 @@ def main() -> int:
     print(
         f"{ns.n - bad}/{ns.n} matched; solves={solves} warm={warm} warm_recounted={recounted} fallbacks={solves - ns.n - warm} warm_steps={dict(sorted(warm_steps.items()))} "
         f"bisections={motion}/{stranded} (motion/stranded) "
-        f"cluster_rotations={rotations} sweep_seconds={sweep_s:.2f}"
+        f"cluster_rotations={rotations} retained={retained} filtered={filtered} sweep_seconds={sweep_s:.2f}"
     )
     return 1 if bad else 0
 

@@ -1,8 +1,10 @@
 """Sweep zeta and track eigenvalue branches by eigenvector continuity.
 
-Each fiber solve arrives as one filtered `Eigenpairs` block, and the
-active tracks are Branch objects with T_prev, the matrix of their last
-Jacobi vectors.  A track matches a retained pair at the next zeta sample
+Each fiber solve is one `Eigenpairs` block from `eig_window`, cached as
+the warm start of later solves; a step aligns its degenerate clusters
+with the tracks, `filter_spurious` keeps the rows outside the boundary
+strip, and the tracks match those.  The active tracks are Branch objects
+with T_prev, the matrix of their last Jacobi vectors.  A track matches a retained pair at the next zeta sample
 when their vectors overlap by at least 0.8 in absolute value; the
 overlaps are one product |T_prev T_new^T|, which equals |<psi, psi'>|.
 The track vectors come from one solve and the new ones from another, so
@@ -12,18 +14,20 @@ such entry in its row and in its column, so the entries that clear the
 threshold already form a one-to-one matching (the threshold must stay
 above 1/sqrt(2) for this to hold).
 
-Inside a cluster of retained pairs degenerate to rounding (mu within
-1e-10 (1 + |mu|) of a neighbour) every orthonormal basis is a valid
-answer, and the solver's choice would set the overlaps.  So before
-matching, each cluster is rotated onto its incoming tracks, the tracks
-whose projection onto it reaches the threshold (at most one per member):
+Inside a cluster of pairs degenerate to rounding (mu within 1e-10
+(1 + |mu|) of a neighbour) every orthonormal basis is a valid answer, and
+the solver's choice would set the overlaps and the boundary masses.  So
+each cluster of the whole block is rotated onto its incoming tracks, the
+tracks whose projection onto it reaches the threshold (at most one per
+member), before the spurious filter judges the rows and the tracks match:
 with C = V S U^T the SVD of the members-by-tracks overlap block, the
 rotation V diag(U^T, I) is the polar factor of that block (orthogonal
 Procrustes).  The rotated overlaps U S U^T are symmetric and the other
 members are orthogonal to those tracks; a change of basis G maps V to
 G V, so the result, and with it the matching, does not depend on the
-basis.  Each rotated vector gets its slope, boundary mass and Rayleigh
-quotient anew.
+basis.  Each rotated vector gets its slope and Rayleigh quotient anew,
+and the filter its boundary mass; a kept state degenerate with a filtered
+one is rotated with it.
 
 The matrix depends on zeta only through zeta * sigma_2, so every
 eigenpair carries its exact slope d mu/d zeta = <psi, sigma_2 psi>
@@ -37,25 +41,22 @@ the prediction error below 2 * step, so bisection always terminates; a
 step still unmatched at the 1e-4 floor is a TrackingError.
 
 Every solve after the first is handed a warm start (`eig_window`'s
-`guess`): the whole block of the committed sample z_prev, before the
-spurious filter, with step = z - z_prev.  The whole block, because the
-warm attempt maps it onto the window by Sturm index when the window's
-exact count has changed, and those counts include the states the filter
-drops: a filtered block is not the window block at z_prev, and its solve
-would fall back to the cold passes.  A bisection midpoint starts from
-z_prev as well: it lies as near to z_prev as to the far sample, and
+`guess`): the block of the committed sample z_prev as the solver gave
+it, with step = z - z_prev.  A bisection midpoint starts from z_prev as
+well: it lies as near to z_prev as to the far sample, and
 z_prev holds the states the tracks end on, while the far sample is the
 one that failed to match them.  On the presets and the
 benchmark sweeps the warm start changed no count, sample or match.  A
 warm block stops at the first step that meets the cold pass's residual
-contract, so slopes and overlaps move within what that contract allows.
+contract, so slopes, overlaps and boundary masses move within what that
+contract allows; inside a degenerate cluster the alignment, not the
+solver's basis, sets them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .fiber import (
     Grid1D,
     SpuriousFilter,
     assemble_fiber,  # not called here: bench/tracing.py wraps this name
-    boundary_mass,
+    boundary_mass,  # not called here: bench/tracing.py wraps this name
     eig_window,
     filter_spurious,
     slopes_of,
@@ -119,51 +120,28 @@ class Branch:
     slopes: list[float] = field(default_factory=list)  # d mu/d zeta per sample
     overlaps: list[float] = field(default_factory=list)
     boundary_masses: list[float] = field(default_factory=list)
-    clipped: bool = False
 
     @property
     def min_overlap(self) -> float:
         return min(self.overlaps) if self.overlaps else 1.0
 
 
-class _Sample(NamedTuple):
-    """One fiber solve: its whole block (the warm start of the solves after it) and the
-    retained rows with their boundary masses."""
-
-    pairs: Eigenpairs
-    kept: Eigenpairs
-
-
-def _solve_retained(
-    fiber: FiberFamily,
-    zeta: float,
-    window: tuple[float, float],
-    f: SpuriousFilter,
-    guess: Eigenpairs | None = None,
-    step: float = 0.0,
-) -> _Sample:
-    pairs = eig_window(fiber.at(zeta), window, guess, step)
-    return _Sample(pairs, filter_spurious(pairs, fiber.grid, f))
-
-
-def _align_clusters(
-    prev: np.ndarray, kept: Eigenpairs, grid: Grid1D, f: SpuriousFilter
-) -> tuple[Eigenpairs, int]:
-    """`kept` with each degenerate cluster rotated onto its incoming tracks (rows of
+def _align_clusters(prev: np.ndarray, block: Eigenpairs) -> tuple[Eigenpairs, int]:
+    """`block` with each degenerate cluster rotated onto its incoming tracks (rows of
     `prev`), as the module docstring sets out; and the number of clusters rotated.
-    Rotated clusters go into copies: `kept` is a cached sample, and a bisected step
-    aligns it again against other tracks.
+    Rotated clusters go into copies: `block` is a cached solve, the warm start of
+    later solves, and a bisected step aligns it again against other tracks.
 
     A rotated vector u_j = sum_i R_ij t_i has the Rayleigh quotient sum_i R_ij^2 mu_i
     and a residual at most sqrt(sum_i r_i^2) + the cluster's spread in mu.
     """
-    mu = kept.mu
+    mu = block.mu
     cuts = [i for i in range(1, len(mu)) if mu[i] - mu[i - 1] > _CLUSTER_RTOL * (1.0 + abs(mu[i]))]
-    out, rotated = kept, 0
+    out, rotated = block, 0
     for a, b in zip([0, *cuts], [*cuts, len(mu)]):
         if b - a < 2:
             continue
-        Tc = kept.t[a:b]
+        Tc = block.t[a:b]
         C = Tc @ prev.T
         reach = np.linalg.norm(C, axis=0)  # each track's projection onto the cluster
         incoming = np.argsort(-reach, kind="stable")[: b - a]
@@ -174,13 +152,13 @@ def _align_clusters(
         R = V.copy()
         R[:, : incoming.size] = V[:, : incoming.size] @ Ut
         U = R.T @ Tc
-        if out is kept:
-            out = Eigenpairs(*(x.copy() for x in (mu, kept.t, kept.residual, kept.slope, kept.mass)))
+        if out is block:
+            out = replace(block, mu=mu.copy(), t=block.t.copy(), residual=block.residual.copy(),
+                          slope=block.slope.copy())
         out.mu[a:b] = (R**2).T @ mu[a:b]
         out.t[a:b] = U
-        out.residual[a:b] = math.hypot(*kept.residual[a:b]) + mu[b - 1] - mu[a]
+        out.residual[a:b] = math.hypot(*block.residual[a:b]) + mu[b - 1] - mu[a]
         out.slope[a:b] = slopes_of(U)
-        out.mass[a:b] = boundary_mass(U, grid, f.margin)
         rotated += 1
     return out, rotated
 
@@ -200,19 +178,19 @@ def sweep_branches(
     `stranded`: a track went unmatched without exiting, which takes
     precedence), the smallest matched overlap `min_overlap` and the first
     committed zeta whose matched overlap lies within _OVERLAP_TIE of it
-    (`min_overlap_zeta`, None when nothing was matched),
-    the states the solves `retained` and `filtered` out, summed over
-    solves, their `max_residual`, the solves that the warm start served
-    (`warm`), those of them across a change of the window's count
-    (`warm_recounted`: a state entered or left the window) and how many
-    of them took each number of Rayleigh-quotient steps (`warm_steps`; 0
-    is the empty window, served by its count), and the
-    `cluster_rotations` of the committed steps.
+    (`min_overlap_zeta`, None when nothing was matched), the solves'
+    `max_residual`, the solves that the warm start served (`warm`), those
+    of them across a change of the window's count (`warm_recounted`: a
+    state entered or left the window) and how many of them took each
+    number of Rayleigh-quotient steps (`warm_steps`; 0 is the empty
+    window, served by its count); and, summed over the committed samples
+    (every solved sample is committed once), their `cluster_rotations` and
+    the states the filter `retained` and `filtered` out after them.
     """
     lo, hi = cfg.window
     targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
     fiber = FiberFamily.of(grid, ps)
-    cache: dict[float, _Sample] = {}
+    cache: dict[float, Eigenpairs] = {}
     if stats is None:
         stats = {}
     stats.update(
@@ -232,17 +210,15 @@ def sweep_branches(
     def solve(z: float) -> Eigenpairs:
         if z not in cache:
             # the committed sample z_prev seeds every later solve, a bisection midpoint too
-            guess = cache[z_prev].pairs if cache else None
-            cache[z] = pairs, kept = _solve_retained(fiber, z, cfg.window, f, guess, z - z_prev)
+            guess = cache[z_prev] if cache else None
+            cache[z] = pairs = eig_window(fiber.at(z), cfg.window, guess, z - z_prev)
             stats["solves"] += 1
-            stats["retained"] += len(kept)
-            stats["filtered"] += len(pairs) - len(kept)
             stats["max_residual"] = max(stats["max_residual"], float(np.max(pairs.residual, initial=0.0)))
             stats["warm"] += pairs.warm
             stats["warm_recounted"] += pairs.warm and len(pairs) != len(guess)
             if pairs.warm:
                 stats["warm_steps"][pairs.steps] = stats["warm_steps"].get(pairs.steps, 0) + 1
-        return cache[z].kept
+        return cache[z]
 
     def exits(b: Branch, step: float) -> bool:
         # legitimate ways for a track to go unmatched: through the energy
@@ -262,14 +238,18 @@ def sweep_branches(
     done: list[Branch] = []
     lowest: list[tuple[float, float]] = []  # each committed zeta's smallest matched overlap
     z_prev = targets[0]
-    kept = solve(z_prev)
+    block = solve(z_prev)
+    kept = filter_spurious(block, grid, f)
+    stats["retained"] += len(kept)
+    stats["filtered"] += len(block) - len(kept)
     active = [append(Branch(), z_prev, kept, j, 1.0) for j in range(len(kept))]
     prev = kept.t
 
     queue = targets[1:]
     while queue:
         z = queue[0]
-        kept, rotated = _align_clusters(prev, solve(z), grid, f)
+        block, rotated = _align_clusters(prev, solve(z))
+        kept = filter_spurious(block, grid, f)
         step = z - z_prev
 
         # overlaps above the threshold are unique in their row and column
@@ -302,6 +282,8 @@ def sweep_branches(
         queue.pop(0)
         cache.pop(z_prev, None)
         stats["cluster_rotations"] += rotated
+        stats["retained"] += len(kept)
+        stats["filtered"] += len(block) - len(kept)
         for i, j, ov in matched:
             append(active[i], z, kept, j, float(ov))
         if matched:
@@ -309,14 +291,12 @@ def sweep_branches(
             if lowest[-1][1] < stats["min_overlap"]:
                 low = stats["min_overlap"] = lowest[-1][1]
                 stats["min_overlap_zeta"] = next(zl for zl, ol in lowest if ol <= low + _OVERLAP_TIE)
-        for i in unmatched:
-            active[i].clipped = True
-            done.append(active[i])
+        done += [active[i] for i in unmatched]
         active = [active[i] for i, _, _ in matched]
         rows = [j for _, j, _ in matched]
         # a branch entering mid-sweep through the window edge
         entering = [j for j in range(len(kept)) if j not in rows]
-        active += [append(Branch(clipped=True), z, kept, j, 1.0) for j in entering]
+        active += [append(Branch(), z, kept, j, 1.0) for j in entering]
         prev = kept.t[rows + entering]
         z_prev = z
 

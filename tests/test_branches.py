@@ -22,7 +22,16 @@ from diracflow.branches import (
 )
 from diracflow.bulk import HalfSpaceParams, landau_levels, predicted_sf
 from diracflow.config import config_from_dict
-from diracflow.fiber import FiberMatrix, Grid1D, SpuriousFilter, boundary_mass, eig_window, slopes_of
+from diracflow.fiber import (
+    FiberFamily,
+    FiberMatrix,
+    Grid1D,
+    SpuriousFilter,
+    boundary_mass,
+    eig_window,
+    filter_spurious,
+    slopes_of,
+)
 from diracflow.flow import spectral_flow, validate_window
 from diracflow.presets import preset_config, preset_profiles
 
@@ -34,6 +43,11 @@ def small_sweep(ps, zr=(-5.0, 5.0), window=(-3.5, 3.5), N=400, L=14.0, margin=4.
     cfg = SweepConfig(zr[0], zr[1], samples, window, refine_tol=0.15)
     f = SpuriousFilter(margin=margin, threshold=0.3)
     return grid, cfg, f, sweep_branches(grid, ps, cfg, f)
+
+
+def clipped(b: Branch, cfg: SweepConfig) -> bool:
+    """Whether the branch enters after the sweep starts or ends before it does."""
+    return b.zetas[0] != cfg.zeta_min or b.zetas[-1] != cfg.zeta_max
 
 
 class TestSweepConfig:
@@ -49,10 +63,10 @@ class TestSweepConfig:
 class TestSweep:
     def test_constant_bulk_flat_branches(self):
         ps = preset_profiles("bulk_uniform")
-        _, _, _, branches = small_sweep(ps, margin=5.0)
+        _, cfg, _, branches = small_sweep(ps, margin=5.0)
         assert branches
         for b in branches:
-            if b.clipped:
+            if clipped(b, cfg):
                 continue
             assert max(b.mus) - min(b.mus) <= 2e-2
 
@@ -80,11 +94,8 @@ class TestSweep:
         enters mid-sweep and carries the predicted flow."""
         ps = preset_profiles("mass_wall")
         grid, cfg, f, branches = small_sweep(ps, window=(-1.5, 1.5))
-        from diracflow.branches import _solve_retained
-        from diracflow.fiber import FiberFamily
-
-        assert len(_solve_retained(FiberFamily.of(grid, ps), cfg.zeta_min, cfg.window, f).kept) == 0
-        assert branches and all(b.clipped and b.zetas[0] > cfg.zeta_min for b in branches)
+        assert len(filter_spurious(eig_window(FiberFamily.of(grid, ps).at(cfg.zeta_min), cfg.window), grid, f)) == 0
+        assert branches and all(clipped(b, cfg) and b.zetas[0] > cfg.zeta_min for b in branches)
         minus, plus = HalfSpaceParams(2.0, -2.0, 0.0), HalfSpaceParams(2.0, 2.0, 0.0)
         assert spectral_flow(branches, 0.0).sf_numeric == predicted_sf(minus, plus, 0.0).sf != 0
 
@@ -141,7 +152,7 @@ class TestSweep:
         ]
         assert len(branches) == len(reference)
         for b, ref in zip(branches, reference):
-            assert b.clipped
+            assert clipped(b, cfg)
             ends = (b.zetas[0], b.mus[0], b.zetas[-1], b.mus[-1])
             assert np.allclose(ends, ref, rtol=0.0, atol=1e-9)
             assert len(b.slopes) == len(b.mus)
@@ -165,21 +176,28 @@ class TestSweep:
         near = sorted(z for b in branches for z, ov in zip(b.zetas[1:], b.overlaps[1:]) if ov <= low + _OVERLAP_TIE)
         assert len(near) > 1 and stats["min_overlap_zeta"] == near[0] == pytest.approx(-7.8, abs=1e-12)
 
-    @pytest.mark.parametrize("geometry", ["fig2", "autoscaled"])
+    @pytest.mark.parametrize("geometry", ["fig2", "autoscaled", "mass_wall", "bulk_uniform"])
     def test_warm_start_leaves_the_sweep_as_it_is(self, monkeypatch, geometry):
-        """fig2's sweep (criterion 1) and criterion 2's first autoscaled sweep, whose full
-        0.5-wide steps are where warm blocks take three steps, with and without the warm
-        start: each solve after the first gets the block at z_prev (some of them across
-        a change of the window's count), and dropping it leaves the branch count, every
-        zeta sample, the solves and the bisections as they are, with mu within 1e-12."""
+        """fig2's sweep (criterion 1), criterion 2's first autoscaled sweep, whose full
+        0.5-wide steps are where warm blocks take three steps, and two presets whose
+        Landau clusters hold a kept state degenerate with one in the boundary strip,
+        with and without the warm start: each solve after the first gets the block at
+        z_prev (some of them across a change of the window's count), and dropping it
+        leaves the branch count, every zeta sample, the solves and the bisections as
+        they are, with mu within 1e-12.  Clusters are aligned before the filter, so
+        the solver's basis does not reach the boundary masses or the overlaps either."""
         if geometry == "fig2":
             grid, ps, n_branches = Grid1D(L=20.0, N=800), preset_profiles("dual_wall_v01"), 13
             cfg = SweepConfig(-8.0, 8.0, 81, (-4.0, 4.0), refine_tol=0.05)
             f = SpuriousFilter(margin=2.5, threshold=0.3)
-        else:
+        elif geometry == "autoscaled":
             minus, plus, alpha, _ = draw_interface_scenario(np.random.default_rng(11))
             grid, cfg, f = autoscale(minus, plus, (alpha - 1.5, alpha + 1.5))
             ps, n_branches = walls(minus, plus), 4
+        else:
+            run = config_from_dict(preset_config(geometry))
+            grid, ps, cfg, f = run.grid, run.profiles, run.sweep, run.filter
+            n_branches = {"mass_wall": 9, "bulk_uniform": 7}[geometry]
         warm_stats, cold_stats = {}, {}
         warm = sweep_branches(grid, ps, cfg, f, stats=warm_stats)
         monkeypatch.setattr("diracflow.branches.eig_window", lambda A, window, guess, step: eig_window(A, window))
@@ -193,6 +211,8 @@ class TestSweep:
         for b, c in zip(warm, cold):
             assert b.zetas == c.zetas
             assert np.max(np.abs(np.array(b.mus) - np.array(c.mus))) <= 1e-12
+            assert np.max(np.abs(np.array(b.boundary_masses) - np.array(c.boundary_masses))) <= 1e-9
+            assert np.max(np.abs(np.array(b.overlaps) - np.array(c.overlaps))) <= 1e-7
 
 
 class TestMatching:
@@ -201,11 +221,13 @@ class TestMatching:
         # squares <= 1, so above 1/sqrt(2) an overlap is alone in both
         assert _OVERLAP_THRESHOLD > 2 ** -0.5
 
-    @pytest.mark.parametrize("name", ["field_wall_massless", "dual_wall_v0"])
+    @pytest.mark.parametrize("name", ["field_wall_massless", "dual_wall_v0", "bulk_uniform", "mass_wall"])
     def test_cluster_rotation_makes_matching_basis_independent(self, monkeypatch, name):
         """Inside clusters degenerate to rounding the bisection tolerance changes the
         solver's basis; rotated onto the incoming tracks, the sweep takes the same
-        solves and reaches the same smallest overlap at every tolerance."""
+        solves and reaches the same smallest overlap at every tolerance.  The
+        clusters of bulk_uniform and mass_wall pair a kept state with one the filter
+        drops, so they are rotated only because the whole block is aligned."""
         cfg = config_from_dict(preset_config(name))
         seen = set()
         for tol in (0.0, 1e-8, 1e-7, fiber._BISECT_TOL):
@@ -222,25 +244,30 @@ class TestMatching:
         inside a cluster's span (plus a little of another state) takes one rotated
         member, aligned with its projection, and the other member is left
         orthogonal to it.  Turning the cluster's basis first changes nothing.  The
-        rotation goes into a copy: the input block is a cached sample that a
-        bisected step aligns again, and it stays bit for bit as it was."""
-        grid, f, kept, track = _twin_cluster(turn)
-        names = ("mu", "t", "residual", "slope", "mass")
-        before = [getattr(kept, name).copy() for name in names]
-        out, rotated = _align_clusters(track[None, :], kept, grid, f)
+        rotation goes into a copy: the input block is a cached solve that a
+        bisected step aligns again, and it stays bit for bit as it was.  The filter
+        then judges each rotated member by its own boundary mass."""
+        grid, f, block, track = _twin_cluster(turn)
+        names = ("mu", "t", "residual", "slope")
+        before = [getattr(block, name).copy() for name in names]
+        out, rotated = _align_clusters(track[None, :], block)
         assert rotated == 1
         for name, was in zip(names, before):
-            assert np.array_equal(getattr(kept, name), was)
+            assert np.array_equal(getattr(block, name), was)
             assert np.array_equal(getattr(out, name)[2:], was[2:])
         a, b = out[0], out[1]
-        reach = np.hypot(track @ kept.t[0], track @ kept.t[1])
+        reach = np.hypot(track @ block.t[0], track @ block.t[1])
         assert abs(a.t @ track - reach) <= 1e-12 and abs(b.t @ track) <= 1e-12
         assert abs(a.t @ b.t) <= 1e-12 and abs(a.t @ a.t - 1.0) <= 1e-12
         for p in out[:2]:
-            assert abs(p.mu - kept.mu[0]) <= 1e-10
-            assert p.slope == slopes_of(p.t) and p.mass == boundary_mass(p.t, grid, f.margin)
-        expected = (0.6 * kept.t[0] + 0.7 * kept.t[1]) / np.hypot(0.6, 0.7)
+            assert abs(p.mu - block.mu[0]) <= 1e-10 and p.slope == slopes_of(p.t)
+        expected = (0.6 * block.t[0] + 0.7 * block.t[1]) / np.hypot(0.6, 0.7)
         assert np.max(np.abs(a.t - expected)) <= 1e-12
+        kept = filter_spurious(out, grid, f)
+        for p in out[:2]:
+            mass = boundary_mass(p.t, grid, f.margin)
+            rows = np.flatnonzero((kept.t == p.t).all(axis=1))
+            assert rows.size == (mass <= f.threshold) and np.all(kept.mass[rows] == mass)
 
     def test_cli_import_leaves_out_scipy_optimize(self):
         """Importing the CLI loads neither `scipy.optimize` nor `multiprocessing`."""
@@ -255,7 +282,7 @@ class TestMatching:
 
 
 def _twin_cluster(turn):
-    """Two exactly degenerate Jacobi blocks, filtered, with the first cluster's basis
+    """Two exactly degenerate Jacobi blocks in one solve, with the first cluster's basis
     turned by `turn`; and a track mostly inside that cluster's span."""
     rng = np.random.default_rng(7)
     d, e = rng.uniform(-0.5, 0.5, 16), rng.uniform(0.8, 1.2, 15)
@@ -266,9 +293,8 @@ def _twin_cluster(turn):
     c, s = np.cos(turn), np.sin(turn)
     t = pairs.t.copy()
     t[:2] = [c * t[0] - s * t[1], s * t[0] + c * t[1]]
-    kept = dataclasses.replace(pairs, t=t, mass=boundary_mass(t, grid, f.margin))
     track = 0.6 * t[0] + 0.7 * t[1] + 0.2 * t[6]
-    return grid, f, kept, track / np.linalg.norm(track)
+    return grid, f, dataclasses.replace(pairs, t=t), track / np.linalg.norm(track)
 
 
 class TestClassify:

@@ -187,9 +187,9 @@ class TestCliBranches:
 
     @pytest.mark.parametrize("preset", ["mass_wall", "field_wall_massless"])
     def test_manifest_records_state_totals_residual_and_rotations(self, tmp_path, preset):
-        """mass_wall's boundary strip drops states and its spectrum has no degenerate
-        cluster; field_wall_massless's mirrored Landau copies form clusters and none
-        of its states reach the strip."""
+        """mass_wall's boundary strip drops states, and near zeta = 8 some of them are
+        degenerate with kept ones, so its clusters are rotated too; field_wall_massless's
+        mirrored Landau copies form clusters and none of its states reach the strip."""
         out = tmp_path / "o"
         assert main(["branches", "--preset", preset, "--out", str(out)]) == 0
         sweep = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep"]
@@ -197,7 +197,7 @@ class TestCliBranches:
         # every solved sample is committed, and each state it retains is one row
         assert sweep["retained"] == len(rows) > 0
         assert (sweep["filtered"] > 0) == (preset == "mass_wall")
-        assert (sweep["cluster_rotations"] > 0) == (preset == "field_wall_massless")
+        assert sweep["cluster_rotations"] > 0
         lo, hi = config_from_dict(preset_config(preset)).sweep.window
         assert 0.0 < sweep["max_residual"] <= 1e-8 * (1.0 + max(abs(lo), abs(hi)))
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from diracflow.branches import Branch, SweepConfig, _solve_retained, sweep_branches
+from diracflow.branches import Branch, SweepConfig, sweep_branches
 from diracflow.bulk import HalfSpaceParams, predicted_sf
 from diracflow.errors import WindowError
-from diracflow.fiber import FiberFamily, Grid1D, SpuriousFilter
+from diracflow.fiber import FiberFamily, Grid1D, SpuriousFilter, eig_window, filter_spurious
 from diracflow.flow import (
     FlowReport,
     _locate_crossings,
@@ -215,7 +215,7 @@ class TestEndToEnd:
                 k = int(np.searchsorted(z, c.zeta))
 
                 def offset(zeta):
-                    mus = _solve_retained(fiber, zeta, (alpha - 0.4, alpha + 0.4), f).kept.mu
+                    mus = filter_spurious(eig_window(fiber.at(zeta), (alpha - 0.4, alpha + 0.4)), grid, f).mu
                     return min(mus, key=lambda mu: abs(mu - alpha)) - alpha
 
                 root = brentq(offset, z[k - 1], z[k], xtol=1e-13)
