@@ -36,7 +36,7 @@ class WindowError(DiracflowError):
 
 
 class BudgetError(DiracflowError):
-    """The 2D oracle's matrix dimension exceeds its budget."""
+    """A grid exceeds its budget: the 2D oracle's matrix dimension or the fiber's N."""
 
     exit_code = 5
 

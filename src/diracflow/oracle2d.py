@@ -54,16 +54,22 @@ staggered scheme's zone-edge resonance, reachable at this deliberately
 coarse grid) are excluded from the trace by fiber.zone_edge_fraction;
 they are pure discretization artifacts, the 2D analog of the
 boundary-localized states the fiber filter removes.
+
+scipy.sparse and scipy.sparse.linalg are imported inside the functions that
+use them, so the oracle loads them on its first call and a fiber run never
+does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .errors import BudgetError, SolverError, WindowError
 from .fiber import FiberFamily, Grid1D, check_residuals, count_eigenvalues, slopes_of, zone_edge_fraction
@@ -166,6 +172,8 @@ def assemble_2d(
 ) -> sp.csr_array:
     """Sparse (CSR) float64 symmetric 2D Hamiltonian; layout is (x-site, Jacobi component, y-momentum).
     ValueError when coupling * W differs from its reflection y -> Ly - y by over 1e-12 max|coupling * W|."""
+    import scipy.sparse as sp
+
     if g.dim > _BUDGET:
         raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
     fam = FiberFamily.of(g.grid_x, ps)
@@ -220,6 +228,8 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
     one batched eigh per block; an eigenvalue of S_k smaller in magnitude
     than pivmin = 1e-12 ||H|| counts as -pivmin, as in ?stebz's Sturm count.
     """
+    import scipy.sparse as sp
+
     if not H.has_canonical_format:  # one entry per (row, column): duplicates are summed
         H = sp.csr_array(H.tocoo())
     Ny, nk = g.Ny, g.dim // g.Ny
@@ -259,6 +269,8 @@ def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     certified when exactly n values come back, all inside (lo, hi], and each
     pair satisfies ||H v - lambda v|| <= 1e-8 (1 + |lambda|).  Else SolverError.
     """
+    import scipy.sparse.linalg as spla
+
     lo, hi = window
     dim = H.shape[0]
     n = _window_count(H, g, window)
@@ -300,6 +312,8 @@ def trace_conductivity(
     the grid's dimension, and SolverError when an eigenpair misses its
     residual contract.
     """
+    import scipy.sparse as sp
+
     _check_seam(P, g)
     N, Ny = g.grid_x.N, g.Ny
     if Hmat.shape != (g.dim, g.dim) or np.iscomplexobj(Hmat):

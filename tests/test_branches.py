@@ -1,6 +1,7 @@
 """Branch tracking, window validation, autoscale."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -270,15 +271,47 @@ class TestMatching:
             assert rows.size == (mass <= f.threshold) and np.all(kept.mass[rows] == mass)
 
     def test_cli_import_leaves_out_scipy_optimize(self):
-        """Importing the CLI loads neither `scipy.optimize` nor `multiprocessing`."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, diracflow.cli; print([m for m in ('scipy.optimize', 'multiprocessing') if m in sys.modules])"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        """Importing the CLI loads neither `scipy.optimize`, `multiprocessing` nor the sparse stack."""
+        assert _fresh_python(f"import diracflow.cli; print({_UNUSED_BY_FIBER_RUNS})") == ["[]"]
+
+    def test_flow_run_leaves_out_the_sparse_stack_until_the_oracle_runs(self, tmp_path):
+        """A whole `flow` run loads none of those modules either; the oracle's first call
+        loads scipy.sparse and scipy.sparse.linalg, and its trace is criterion 7's."""
+        raw = preset_config("dual_wall_v01")
+        raw.update(grid={"L": 20.0, "N": 200}, sweep={"samples": 17})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = f"""
+import contextlib, io
+from diracflow import cli
+from diracflow.fiber import Grid1D
+from diracflow.oracle2d import Grid2D, assemble_2d, default_projection, trace_conductivity
+from diracflow.profiles import DensityProfile
+from diracflow.presets import preset_profiles
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["flow", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "o")!r}]) == 0
+print({_UNUSED_BY_FIBER_RUNS})
+g = Grid2D(Grid1D(12.0, 48), 12.0, 16)
+val = trace_conductivity(assemble_2d(g, preset_profiles("dual_wall_v01")), g, default_projection(g),
+                         DensityProfile.from_window(-1.0, 1.0))
+print(round(val), [m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules])
+"""
+        assert _fresh_python(code) == ["[]", "1 ['scipy.sparse', 'scipy.sparse.linalg']"]
+
+
+# modules a fiber run never calls, as code that lists those loaded
+_UNUSED_BY_FIBER_RUNS = "[m for m in ('scipy.optimize', 'multiprocessing', 'scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules]"
+
+
+def _fresh_python(code):
+    """stdout lines of `code` run after `import sys` in a new interpreter that imports diracflow from src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def _twin_cluster(turn):

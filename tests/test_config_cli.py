@@ -220,6 +220,22 @@ class TestCliBranches:
         assert man["diagnostics"]["sweep"]["bisections"]["stranded"] >= 1
         assert not (out / "branches.csv").exists()
 
+    def test_fiber_grid_over_budget_exits_5_with_a_manifest(self, tmp_path, capsys):
+        """N one past the largest grid autoscale picks: refused before any fiber is built."""
+        raw = tiny_config(grid={"L": 10.0, "N": 4001})
+        raw["sweep"].update(samples=3, window=[-1.0, 1.0])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["branches", "--config", str(p), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "budget" in err and "Traceback" not in err
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["verdicts"] == {"sweep": "failed"}
+        assert man["diagnostics"]["error"]["class"] == "BudgetError"
+        assert man["diagnostics"]["sweep"] == {}
+        assert not (out / "branches.csv").exists()
+
 
 class TestCliFlow:
     def test_flow_reconciles(self, tmp_path, capsys):

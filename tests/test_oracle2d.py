@@ -411,7 +411,7 @@ class TestWindowedSolve:
             seen.append((H.dtype, v0.dtype))
             return real(H, k, v0=v0, **kwargs)
 
-        monkeypatch.setattr(oracle2d.spla, "eigsh", recorded)
+        monkeypatch.setattr(spla, "eigsh", recorded)
         w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
         for Ny in (16, 17, 24, 32):
             g = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=Ny)
@@ -429,7 +429,7 @@ class TestWindowedSolve:
             calls.append(k)
             return real(H, k, **kwargs)
 
-        monkeypatch.setattr(oracle2d.spla, "eigsh", recorded)
+        monkeypatch.setattr(spla, "eigsh", recorded)
         return calls
 
     def test_one_solve_at_k_equal_n_past_32(self, solves):
@@ -442,7 +442,7 @@ class TestWindowedSolve:
         assert solves == [res.n_window] and 4 * res.n_window > SMALL.dim
 
     def test_empty_window_runs_no_solve(self, monkeypatch):
-        monkeypatch.setattr(oracle2d.spla, "eigsh", _forbidden)
+        monkeypatch.setattr(spla, "eigsh", _forbidden)
         res = self._check(GRID_768, preset_profiles("bulk_uniform"), (-0.5, 0.5))
         assert res.two_pi_sigma == 0.0 and res.n_window == 0
 
@@ -457,7 +457,7 @@ class TestWindowedSolve:
             keep = np.arange(k) != np.argmin(np.abs(lam - sigma))
             return lam[keep], vec[:, keep]
 
-        monkeypatch.setattr(oracle2d.spla, "eigsh", drop_nearest)
+        monkeypatch.setattr(spla, "eigsh", drop_nearest)
         H = assemble_2d(GRID_768, preset_profiles("mass_wall"))
         dens = DensityProfile.from_window(-0.5, 0.5)
         with pytest.raises(SolverError, match="window"):
@@ -466,7 +466,7 @@ class TestWindowedSolve:
 
     def test_window_holding_the_whole_spectrum_raises(self, monkeypatch):
         """n = dim, past what eigsh can return on a sparse matrix: WindowError before any solve."""
-        monkeypatch.setattr(oracle2d.spla, "eigsh", _forbidden)
+        monkeypatch.setattr(spla, "eigsh", _forbidden)
         H = assemble_2d(SMALL, FIG2)
         window = (-40.0, 40.0)
         assert _dense_count(H, window) == SMALL.dim
@@ -486,7 +486,7 @@ class TestWindowedSolve:
         def stalled(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-        monkeypatch.setattr(oracle2d.spla, "eigsh", stalled)
+        monkeypatch.setattr(spla, "eigsh", stalled)
         H = assemble_2d(GRID_768, FIG2)
         with pytest.raises(SolverError, match="Lanczos"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
@@ -498,7 +498,7 @@ class TestWindowedSolve:
             lam, vec = real(*args, **kwargs)
             return lam + 1e-3, vec
 
-        monkeypatch.setattr(oracle2d.spla, "eigsh", perturbed)
+        monkeypatch.setattr(spla, "eigsh", perturbed)
         H = assemble_2d(GRID_768, FIG2)
         with pytest.raises(SolverError, match="residual"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
