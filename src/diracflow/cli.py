@@ -10,8 +10,8 @@ Verbs:
 Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
 3 tracking failure, 4 invalid window (including a density window that holds a
 bulk Landau level), 5 2D oracle dimension budget exceeded,
-6 invalid config or command line, 7 failed result (a flow that does not
-reconcile with the prediction, or an unstable oracle verdict).
+6 invalid config or command line, 7 failed result (a flow or an oracle trace
+that does not reconcile with the prediction, or an unstable oracle verdict).
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ def cmd_flow(cfg: RunConfig, out: Path) -> int:
 def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     if cfg.grid2d is None:
         raise ConfigError("oracle requires a grid2d section in the config")
-    check_density_window(*half_spaces(cfg.profiles), cfg.density.window)
+    minus, plus = half_spaces(cfg.profiles)
+    check_density_window(minus, plus, cfg.density.window)
     out.mkdir(parents=True, exist_ok=True)
     man = RunManifest(cfg.resolved())
     g = cfg.grid2d
@@ -164,18 +165,25 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     rows = []
     t0 = time.perf_counter()
     H = assemble_2d(g, cfg.profiles)
+    t1 = time.perf_counter()
     res = trace_conductivity(H, g, P, dens, full_result=True)
-    man.timings["trace_seconds"] = round(time.perf_counter() - t0, 3)
+    man.timings["assemble_seconds"] = round(t1 - t0, 6)
+    man.timings["trace_seconds"] = round(time.perf_counter() - t1, 6)
     rows.append((cfg.scenario, 0.0, res.two_pi_sigma))
+    # as in flow: one prediction, at the density window's centre; the 2D grid's
+    # zeta sampling leaves 2 pi sigma off the integer by up to 4e-2 on the presets
+    sf = predicted_sf(minus, plus, 0.5 * sum(dens.window)).sf
     man.diagnostics["oracle"] = {
         "two_pi_sigma": res.two_pi_sigma,
+        "predicted_sf": sf,
+        "deviation": res.two_pi_sigma - sf,
         "states_cut": res.n_states_cut,
         "states_in_window": res.n_window,
         "max_residual": res.max_residual,
     }
-    print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}")
+    verdicts_ok = round(res.two_pi_sigma) == sf
+    print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}, predicted {sf}, reconciled {verdicts_ok}")
 
-    verdicts_ok = True
     if cfg.perturbation is not None:
         couplings = [0.0, 0.5, 1.0]
         st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens, res.two_pi_sigma)

@@ -362,7 +362,9 @@ class TestCliOracle:
         """With a perturbation set, the stability run's coupling-0 row reuses the
         first trace: three traces for couplings 0, 0.5 and 1, and oracle.csv holds
         the values that tracing every coupling anew gives."""
-        raw = tiny_config(grid2d={"N": 24, "Ny": 16}, perturbation={"kind": "decay_xy", "amplitude": 0.3})
+        raw = tiny_config(
+            grid2d={"N": 24, "L": 6.0, "Ny": 16, "Ly": 12.0}, perturbation={"kind": "decay_xy", "amplitude": 0.3}
+        )
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         traces = []
@@ -397,11 +399,43 @@ class TestCliOracle:
         out = tmp_path / "o"
         assert main(["oracle", "--config", str(p), "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert "trace_seconds" in man["timings"] and "dense_trace_seconds" not in man["timings"]
+        assert set(man["timings"]) == {"assemble_seconds", "trace_seconds"}
+        assert all(t > 0.0 for t in man["timings"].values())
         diag = man["diagnostics"]["oracle"]
-        assert set(diag) == {"two_pi_sigma", "states_cut", "states_in_window", "max_residual"}
+        assert set(diag) == {
+            "two_pi_sigma", "predicted_sf", "deviation", "states_cut", "states_in_window", "max_residual"
+        }
         assert diag["states_in_window"] > 0
         assert diag["max_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_every_preset_reconciles(self, tmp_path, name):
+        """round(2 pi sigma) is the prediction at the density window's centre on every
+        preset's own grid2d; the manifest keeps the prediction and the deviation."""
+        out = tmp_path / "o"
+        assert main(["oracle", "--preset", name, "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        diag = man["diagnostics"]["oracle"]
+        assert diag["deviation"] == diag["two_pi_sigma"] - diag["predicted_sf"]
+        assert abs(diag["deviation"]) < 0.5 and man["verdicts"] == {"oracle": "ok"}
+
+    def test_trace_off_by_one_exits_7(self, tmp_path, monkeypatch):
+        """A trace one above mass_wall's 1.0045 rounds to 2, not the predicted 1: the
+        run still writes oracle.csv and its manifest, with verdict failed, and exits 7."""
+        trace = oracle2d.trace_conductivity
+
+        def off_by_one(*args, **kwargs):
+            res = trace(*args, **kwargs)
+            return dataclasses.replace(res, two_pi_sigma=res.two_pi_sigma + 1.0)
+
+        monkeypatch.setattr(cli, "trace_conductivity", off_by_one)
+        out = tmp_path / "o"
+        assert main(["oracle", "--preset", "mass_wall", "--out", str(out)]) == 7
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["verdicts"] == {"oracle": "failed"}
+        diag = man["diagnostics"]["oracle"]
+        assert diag["predicted_sf"] == 1 and abs(diag["deviation"] - 1.0045) < 1e-3
+        assert len((out / "oracle.csv").read_text().splitlines()) == 2
 
 
 def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):
@@ -420,7 +454,8 @@ def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):
 
 def test_stress_script_runs_one_case(monkeypatch, capsys):
     """The stress table cut to one preset, kind, coupling and window: one row between
-    the header and the total, whose n, 2*pi*sigma and cut are the trace's own."""
+    the header and the total, whose n, 2*pi*sigma and cut are the trace's own, and
+    whose assembly and trace seconds are the total's."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_stress.py"
     spec = importlib.util.spec_from_file_location("run_oracle_stress", script)
     stress = importlib.util.module_from_spec(spec)
@@ -432,8 +467,9 @@ def test_stress_script_runs_one_case(monkeypatch, capsys):
     monkeypatch.setattr(stress, "WINDOWS", ((-0.5, 0.5),))
     assert stress.main() == 0
     header, row, total = capsys.readouterr().out.splitlines()
-    assert header.split()[1:4] == ["n", "2pi*sigma", "cut"] and total.startswith("total")
-    case, n, two_pi_sigma, cut, seconds = row.rsplit(maxsplit=4)
+    assert header.split()[1:] == ["n", "2pi*sigma", "cut", "assemble", "s", "trace", "s"]
+    case, n, two_pi_sigma, cut, assemble_s, trace_s = row.rsplit(maxsplit=5)
+    assert total.split() == ["total", assemble_s, trace_s]
     assert case == "dual_wall_v01+decay_xy@0.5 (-0.5, 0.5)"
     cfg = config_from_dict(preset_config("dual_wall_v01"))
     H = oracle2d.assemble_2d(cfg.grid2d, cfg.profiles, oracle2d.PerturbationSpec("decay_xy", 1.0), coupling=0.5)
@@ -441,7 +477,7 @@ def test_stress_script_runs_one_case(monkeypatch, capsys):
         H, cfg.grid2d, oracle2d.default_projection(cfg.grid2d), DensityProfile.from_window(-0.5, 0.5), full_result=True
     )
     assert (int(n), two_pi_sigma, int(cut)) == (res.n_window, repr(res.two_pi_sigma), res.n_states_cut)
-    assert int(n) > 0 and float(seconds) > 0.0
+    assert int(n) > 0 and float(assemble_s) > 0.0 and float(trace_s) > 0.0
 
 
 @pytest.mark.parametrize(

@@ -491,6 +491,17 @@ class TestWindowedSolve:
         with pytest.raises(SolverError, match="Lanczos"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
 
+    def test_singular_factor_raises_solver_error(self, monkeypatch):
+        """The shift's LU factor is part of the solve: SuperLU's RuntimeError is a SolverError."""
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        H = assemble_2d(GRID_768, FIG2)
+        with pytest.raises(SolverError, match="exactly singular"):
+            trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
+
     def test_residual_contract_enforced(self, monkeypatch):
         real = spla.eigsh
 
