@@ -162,6 +162,8 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     P = default_projection(g)
     dens = cfg.density
 
+    import scipy.sparse  # noqa: F401  loaded before the clock, so assemble_seconds leaves the import out
+
     rows = []
     t0 = time.perf_counter()
     H = assemble_2d(g, cfg.profiles)

@@ -33,29 +33,30 @@ is the fiber's Hellmann-Feynman slope weighted by P'(y):
 
 with t_k the eigenvector mapped back to the y-sites by one inverse FFT.
 
-Before any solve, the eigenvalues in the window (lo, hi] are counted
-exactly (_window_count).  In (Jacobi index k, momentum) order H is block
-tridiagonal with Ny x Ny blocks, so by Haynsworth's inertia additivity
+Before any solve, H's momentum structure is read once (_momentum_stack).
+When no entry joins two momenta (W independent of y), H is the block sum of
+the fibers: in momentum-major order it is one stacked tridiagonal, Ny of them
+joined by zero couplings.  The eigenvalues in the window (lo, hi] are then
+counted exactly by one ?stebz Sturm count of the stack, which splits at those
+zeros (_window_count).  Otherwise, in (Jacobi index k, momentum) order H is
+block tridiagonal with Ny x Ny blocks, so by Haynsworth's inertia additivity
 (Linear Algebra Appl. 1, 1968) the number of eigenvalues <= lam is the
 number of negative eigenvalues of all the Schur complements of the block
-LDL^T recursion, the block form of the fiber's ?stebz Sturm count.  When W does
-not depend on y the blocks are diagonal and the count is Ny ?stebz calls,
-one per momentum.  With that count n, a shift-invert solve about the
-window centre c (ARPACK's shift-invert mode; Lehoucq, Sorensen and Yang,
-ARPACK Users' Guide, 1998) asks for the n eigenvalues nearest c, which
-are exactly those inside the window; n = 0 means no solve.  H is real
-symmetric, so the solve is ARPACK's symmetric Lanczos (dsaupd) on one real
-SuperLU factor of H - c, made once and handed to ARPACK as its inverse
-operator; it is the only solve for 0 < n < dim (n = dim is a
+LDL^T recursion, the block form of that Sturm count.  With the count n, a
+shift-invert solve about the window centre c (ARPACK's shift-invert mode;
+Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998) asks for the n
+eigenvalues nearest c, which are exactly those inside the window; n = 0
+means no solve.  H is real symmetric, so the solve is ARPACK's symmetric
+Lanczos (dsaupd) on one real factor of H - c, made once and handed to ARPACK
+as its inverse operator; it is the only solve for 0 < n < dim (n = dim is a
 WindowError; a window in a bulk gap, bulk.check_density_window, holds at
-most 96 of 3072 on the presets' grid2d).  The factor keeps the natural
-order: in (Jacobi index, momentum) order H - c is banded with
-half-bandwidth Ny, and W, on-site, fills only its diagonal Ny x Ny blocks,
-so LU with partial pivoting fills only inside the band.  A y-invariant H
-takes as little fill as a fill-reducing order would give it (13683
-entries of L + U at dimension 3072, COLAMD 13684).  The solve is
-certified when exactly n values come back, all inside the window, and every pair passes
-||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+most 96 of 3072 on the presets' grid2d).  The factor of a y-invariant H - c
+is one ?gttrf of the stack, and each Lanczos step one ?gttrs solve, permuted
+to and from assemble_2d's layout; a y-dependent H - c takes one SuperLU
+factor in the natural order (_shift_inverse).  A zero pivot of either factor
+(an exactly singular H - c) is a SolverError.  The solve is
+certified when exactly n values come back, all inside the window, and every
+pair passes ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -75,6 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -223,19 +225,39 @@ def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
         )
 
 
-def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> int:
+def _momentum_stack(H: sp.csr_array, g: Grid2D):
+    """H's momentum-major stacked tridiagonal (d, e), or None when an entry of H joins two momenta.
+
+    When every entry (k Ny + n, k' Ny + n') has n' = n and |k' - k| <= 1 (W
+    independent of y), momentum n is the tridiagonal H[n::Ny, n::Ny], and row
+    k Ny + n of H is row n nk + k of the stack: d has length dim, and e, of
+    length dim - 1, is zero between momenta.  Duplicate entries are summed.
+    """
+    step = H.indices - np.repeat(np.arange(g.dim), np.diff(H.indptr))
+    if not np.all((step == 0) | (np.abs(step) == g.Ny)):
+        return None
+    nk = g.dim // g.Ny
+    e = np.zeros((nk, g.Ny))
+    e[:-1] = H.diagonal(g.Ny).reshape(nk - 1, g.Ny)
+    return H.diagonal().reshape(nk, g.Ny).T.ravel(), e.T.ravel()[:-1]
+
+
+def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float], stack=None) -> int:
     """The exact number of H's eigenvalues in (lo, hi], from inertia.
 
-    In (Jacobi index k, momentum) order H is block tridiagonal with Ny x Ny
-    blocks A_k = H[k, k] and B_k = H[k, k + 1]; an entry outside that band
-    raises ValueError.  When no entry joins two momenta (W independent of
-    y), momentum n is the tridiagonal H[n::Ny, n::Ny], counted by
-    fiber.count_eigenvalues.  Otherwise the number of eigenvalues <= lam is
-    sum_k nu_-(S_k) (Haynsworth's inertia additivity), with S_0 = A_0 - lam
-    and S_k+1 = A_k+1 - lam - B_k^T S_k^-1 B_k, run at both window ends in
-    one batched eigh per block; an eigenvalue of S_k smaller in magnitude
-    than pivmin = 1e-12 ||H|| counts as -pivmin, as in ?stebz's Sturm count.
+    Given H's momentum-major `stack` (_momentum_stack), one Sturm count of the
+    stack, fiber.count_eigenvalues: ?stebz splits it at its zero couplings
+    into the Ny momenta.  Otherwise, in (Jacobi index k, momentum) order H is
+    block tridiagonal with Ny x Ny blocks A_k = H[k, k] and B_k = H[k, k + 1];
+    an entry outside that band raises ValueError.  The number of eigenvalues
+    <= lam is sum_k nu_-(S_k) (Haynsworth's inertia additivity), with
+    S_0 = A_0 - lam and S_k+1 = A_k+1 - lam - B_k^T S_k^-1 B_k, run at both
+    window ends in one batched eigh per block; an eigenvalue of S_k smaller in
+    magnitude than pivmin = 1e-12 ||H|| counts as -pivmin, as in ?stebz's
+    Sturm count.
     """
+    if stack is not None:
+        return count_eigenvalues(*stack, *window)
     import scipy.sparse as sp
 
     if not H.has_canonical_format:  # one entry per (row, column): duplicates are summed
@@ -247,10 +269,6 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
     if np.any(np.abs(off) > 1):
         raise ValueError("H has an entry outside its Jacobi-index block band")
     up = off >= 0  # the diagonal and upper blocks, enough for a symmetric H
-    if np.array_equal(n, nc):
-        band = np.zeros((2, nk, Ny))  # each mode's diagonal and superdiagonal
-        band[off[up], k[up], n[up]] = H.data[up]
-        return sum(count_eigenvalues(d, e[:-1], *window) for d, e in zip(band[0].T, band[1].T))
     blocks = np.zeros((2, nk, Ny, Ny))  # A_k, then B_k
     blocks[off[up], k[up], n[up], nc[up]] = H.data[up]
     pivmin = 1e-12 * np.abs(H).sum(axis=1).max()
@@ -267,22 +285,54 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]) -> in
     return int(below[1] - below[0])
 
 
-def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
-    """Certified eigenpairs of the window: (lam, vec, certificate fields of TraceResult).
+def _shift_inverse(H: sp.csr_array, g: Grid2D, stack, c: float):
+    """x -> (H - c)^-1 x in assemble_2d's layout, from one factor of H - c.
 
-    With the exact count n from _window_count, a shift-invert Lanczos (eigsh)
-    about the window centre asks for the n nearest eigenvalues (no solve if
-    n = 0; WindowError before any solve if n = dim).  The window is symmetric
-    about its centre, so its n eigenvalues are the n nearest: the solve is
-    certified when exactly n values come back, all inside (lo, hi], and each
-    pair satisfies ||H v - lambda v|| <= 1e-8 (1 + |lambda|).  Else SolverError.
+    Given H's momentum-major `stack`, one ?gttrf of the stack at c, and each
+    solve one ?gttrs with x permuted to momentum-major order and back.
+    Otherwise SuperLU in the natural order, where H - c has half-bandwidth
+    Ny (W, on-site, fills only the diagonal Ny x Ny blocks), so LU with
+    partial pivoting fills only inside the band.  On the stress table's
+    shifts (scripts/run_oracle_stress.py) COLAMD fills mult_xy less but
+    factors decay_y and decay_xy 2-3 times slower, and the table's trace
+    totals do not tell the two orders apart.  A zero pivot of either factor
+    is a RuntimeError, SuperLU's own.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
+    if stack is None:
+        return spla.splu(sp.csc_array(H - c * sp.eye_array(g.dim)), permc_spec="NATURAL").solve
+    d, e = stack
+    *lu, info = lapack.dgttrf(e, d - c, e)
+    if info:
+        raise RuntimeError(f"Factor is exactly singular: zero pivot at row {info} of the stacked H - c")
+
+    def solve(x):
+        x, _ = lapack.dgttrs(*lu, x.reshape(-1, g.Ny).T.reshape(-1, 1), overwrite_b=True)
+        return x.reshape(g.Ny, -1).T.ravel()
+
+    return solve
+
+
+def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
+    """Certified eigenpairs of the window: (lam, vec, certificate fields of TraceResult).
+
+    H's momentum structure, read once (_momentum_stack), picks the count
+    and the factor.  With the exact count n from _window_count, a
+    shift-invert Lanczos (eigsh) about the window centre asks for the n
+    nearest eigenvalues (no solve if n = 0; WindowError before any solve if
+    n = dim).  The window is symmetric about its centre, so its n
+    eigenvalues are the n nearest: the solve is certified when exactly n
+    values come back, all inside (lo, hi], and each pair satisfies
+    ||H v - lambda v|| <= 1e-8 (1 + |lambda|).  Else SolverError.
+    """
+    import scipy.sparse.linalg as spla
+
     lo, hi = window
     dim = H.shape[0]
-    n = _window_count(H, g, window)
+    stack = _momentum_stack(H, g)
+    n = _window_count(H, g, window, stack)
     if n >= dim:
         raise WindowError(f"density window ({lo:g}, {hi:g}] holds all {dim} eigenvalues of H")
     if n == 0:
@@ -291,10 +341,7 @@ def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
         v0 = np.random.default_rng(0).standard_normal(dim)  # generic, fixed so that reruns are bit-identical
         c = 0.5 * (lo + hi)
         try:
-            # H - c has half-bandwidth Ny in this layout (W fills only the diagonal Ny x Ny
-            # blocks), so LU with partial pivoting in natural order fills only inside the band
-            lu = spla.splu(sp.csc_array(H - c * sp.eye_array(dim)), permc_spec="NATURAL")
-            OPinv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+            OPinv = spla.LinearOperator(H.shape, matvec=_shift_inverse(H, g, stack, c), dtype=H.dtype)
             lam, vec = spla.eigsh(H, n, sigma=c, which="LM", v0=v0, OPinv=OPinv)
         except (spla.ArpackError, RuntimeError) as exc:
             raise SolverError(f"shift-invert Lanczos failed with k = {n} about {c:.6g}: {exc}") from exc

@@ -357,6 +357,28 @@ class TestCliOracle:
         diag = man["diagnostics"]["oracle"]
         assert not {"literal_commutator", "analytic_vs_literal", "seam_contribution"} & set(diag)
 
+    def test_assemble_seconds_leaves_out_the_sparse_import(self, tmp_path):
+        """In a fresh interpreter the oracle verb has loaded scipy.sparse before it calls
+        assemble_2d, so `assemble_seconds` times the assembly and not the import."""
+        code = f"""
+import contextlib, io, sys
+from diracflow import cli
+real, loaded = cli.assemble_2d, []
+def recorded(*args, **kwargs):
+    loaded.append("scipy.sparse" in sys.modules)
+    return real(*args, **kwargs)
+cli.assemble_2d = recorded
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["oracle", "--preset", "mass_wall", "--out", {str(tmp_path / "o")!r}]) == 0
+print(loaded)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[True]"]
 
     def test_perturbed_run_traces_the_unperturbed_h_once(self, tmp_path, monkeypatch):
         """With a perturbation set, the stability run's coupling-0 row reuses the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from diracflow import oracle2d
 from diracflow.config import config_from_dict
@@ -274,11 +275,11 @@ class TestWindowBound:
 
     @pytest.fixture
     def mode_counts(self, monkeypatch):
-        """The windows that fiber.count_eigenvalues counts, one per y-momentum tridiagonal."""
+        """(len(d), lo, hi) of every fiber.count_eigenvalues call."""
         real, calls = oracle2d.count_eigenvalues, []
 
         def recorded(d, e, lo, hi):
-            calls.append((lo, hi))
+            calls.append((len(d), lo, hi))
             return real(d, e, lo, hi)
 
         monkeypatch.setattr(oracle2d, "count_eigenvalues", recorded)
@@ -286,16 +287,19 @@ class TestWindowBound:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_exact_on_y_invariant_presets(self, name, mode_counts):
+        """A y-invariant H is counted on its momentum-major stack: one ?stebz count over all dim rows."""
         window = config_from_dict(preset_config(name)).density.window
         H = assemble_2d(GRID_768, preset_profiles(name))
-        assert oracle2d._window_count(H, GRID_768, window) == _dense_count(H, window)
-        assert mode_counts == [tuple(window)] * GRID_768.Ny
+        stack = oracle2d._momentum_stack(H, GRID_768)
+        assert oracle2d._window_count(H, GRID_768, window, stack) == _dense_count(H, window)
+        assert mode_counts == [(GRID_768.dim, *window)]
 
     def test_exact_with_mult_x(self, mode_counts):
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
         H = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
-        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0)) == _dense_count(H, (-1.0, 1.0))
-        assert len(mode_counts) == GRID_768.Ny
+        stack = oracle2d._momentum_stack(H, GRID_768)
+        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0), stack) == _dense_count(H, (-1.0, 1.0))
+        assert mode_counts == [(GRID_768.dim, -1.0, 1.0)]
 
     @pytest.mark.parametrize(
         "w, coupling",
@@ -432,6 +436,26 @@ class TestWindowedSolve:
         monkeypatch.setattr(spla, "eigsh", recorded)
         return calls
 
+    @pytest.mark.parametrize(
+        "kind, forbidden",
+        [
+            (None, (spla, "splu")),
+            ("mult_x", (spla, "splu")),
+            ("mult_xy", (lapack, "dgttrf")),
+            ("decay_y", (lapack, "dgttrf")),
+            ("decay_xy", (lapack, "dgttrf")),
+        ],
+        ids=["unperturbed", "mult_x", "mult_xy", "decay_y", "decay_xy"],
+    )
+    def test_factor_follows_the_momentum_structure(self, kind, forbidden, solves, monkeypatch):
+        """A y-invariant H - c is factored as the stacked tridiagonal and runs no SuperLU;
+        a W that joins momenta takes SuperLU and runs no ?gttrf.  Either way one
+        Lanczos solve asks for k = n, and the trace matches the dense reference."""
+        monkeypatch.setattr(*forbidden, _forbidden)
+        w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
+        res = self._check(GRID_768, FIG2, (-1.0, 1.0), w, coupling=0.7)
+        assert solves == [res.n_window] and res.n_window > 0
+
     def test_one_solve_at_k_equal_n_past_32(self, solves):
         res = self._check(GRID_1536, FIG2, (-2.5, 2.5))
         assert solves == [res.n_window] and res.n_window > 32
@@ -491,15 +515,28 @@ class TestWindowedSolve:
         with pytest.raises(SolverError, match="Lanczos"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
 
-    def test_singular_factor_raises_solver_error(self, monkeypatch):
-        """The shift's LU factor is part of the solve: SuperLU's RuntimeError is a SolverError."""
+    def test_singular_superlu_factor_raises_solver_error(self, monkeypatch):
+        """A y-dependent shift's SuperLU factor is part of the solve: its RuntimeError is a SolverError."""
 
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(spla, "splu", singular)
-        H = assemble_2d(GRID_768, FIG2)
+        H = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind="mult_xy", amplitude=0.5), coupling=0.7)
         with pytest.raises(SolverError, match="exactly singular"):
+            trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
+
+    def test_zero_pivot_in_stacked_factor_raises_solver_error(self, monkeypatch):
+        """A y-invariant shift's ?gttrf factor is part of the solve: info > 0 (a zero pivot) is a SolverError."""
+        real = lapack.dgttrf
+
+        def singular(*args, **kwargs):
+            *lu, _ = real(*args, **kwargs)
+            return (*lu, 7)
+
+        monkeypatch.setattr(lapack, "dgttrf", singular)
+        H = assemble_2d(GRID_768, FIG2)
+        with pytest.raises(SolverError, match="exactly singular: zero pivot at row 7"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
 
     def test_residual_contract_enforced(self, monkeypatch):
