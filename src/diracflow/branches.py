@@ -40,7 +40,9 @@ the motion |delta mu| itself by refine_tol.  The Lipschitz bound keeps
 the prediction error below 2 * step, so bisection always terminates; a
 step still unmatched at the 1e-4 floor is a TrackingError.
 
-Every solve after the first is handed a warm start (`eig_window`'s
+The first sample is one more step, from no tracks: every retained state
+enters as a new track, and the step commits at z = z_prev.  Every solve
+after the first is handed a warm start (`eig_window`'s
 `guess`): the block of the committed sample z_prev as the solver gave
 it, with step = z - z_prev.  A bisection midpoint starts from z_prev as
 well: it lies as near to z_prev as to the far sample, and
@@ -191,7 +193,7 @@ def sweep_branches(
     if grid.N > _POINTS_BUDGET:
         raise BudgetError(f"fiber grid N = {grid.N} exceeds the budget {_POINTS_BUDGET}")
     lo, hi = cfg.window
-    targets = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
+    queue = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
     fiber = FiberFamily.of(grid, ps)
     cache: dict[float, Eigenpairs] = {}
     if stats is None:
@@ -239,16 +241,10 @@ def sweep_branches(
         return b
 
     done: list[Branch] = []
+    active: list[Branch] = []
+    prev = np.zeros((0, 2 * grid.N))  # the first sample is a step from no tracks: every state enters
     lowest: list[tuple[float, float]] = []  # each committed zeta's smallest matched overlap
-    z_prev = targets[0]
-    block = solve(z_prev)
-    kept = filter_spurious(block, grid, f)
-    stats["retained"] += len(kept)
-    stats["filtered"] += len(block) - len(kept)
-    active = [append(Branch(), z_prev, kept, j, 1.0) for j in range(len(kept))]
-    prev = kept.t
-
-    queue = targets[1:]
+    z_prev = queue[0]
     while queue:
         z = queue[0]
         block, rotated = _align_clusters(prev, solve(z))
@@ -283,7 +279,8 @@ def sweep_branches(
 
         # commit the step
         queue.pop(0)
-        cache.pop(z_prev, None)
+        if z != z_prev:  # the first commit keeps its block: it seeds the next solve
+            del cache[z_prev]
         stats["cluster_rotations"] += rotated
         stats["retained"] += len(kept)
         stats["filtered"] += len(block) - len(kept)
@@ -297,7 +294,7 @@ def sweep_branches(
         done += [active[i] for i in unmatched]
         active = [active[i] for i, _, _ in matched]
         rows = [j for _, j, _ in matched]
-        # a branch entering mid-sweep through the window edge
+        # a branch entering through the window edge, or at the first sample
         entering = [j for j in range(len(kept)) if j not in rows]
         active += [append(Branch(), z, kept, j, 1.0) for j in entering]
         prev = kept.t[rows + entering]

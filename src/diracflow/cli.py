@@ -53,8 +53,8 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
 
 def run_sweep(cfg: RunConfig, out: Path) -> tuple[list[Branch], RunManifest]:
     """Sweep, timed, with its telemetry (`sweep_branches`' stats), into a new
-    manifest.  A DiracflowError is written to `out/manifest.json` (verdict
-    failed, partial telemetry) and re-raised."""
+    manifest.  A DiracflowError is recorded (`_record_failure`, partial
+    telemetry) and re-raised."""
     out.mkdir(parents=True, exist_ok=True)
     man = RunManifest(cfg.resolved())
     man.diagnostics["sweep"] = stats = {}
@@ -63,12 +63,18 @@ def run_sweep(cfg: RunConfig, out: Path) -> tuple[list[Branch], RunManifest]:
         branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, stats=stats)
     except DiracflowError as exc:
         man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
-        man.verdicts["sweep"] = "failed"
-        man.diagnostics["error"] = {"class": type(exc).__name__, "message": str(exc), "zeta": getattr(exc, "zeta", None)}
-        man.write(out / "manifest.json")
+        _record_failure(man, "sweep", exc, out)
         raise
     man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
     return branches, man
+
+
+def _record_failure(man: RunManifest, stage: str, exc: DiracflowError, out: Path) -> None:
+    """Write `man` to `out/manifest.json` with the verdict `stage: failed` and the
+    error's class, message and zeta under `diagnostics.error`."""
+    man.verdicts[stage] = "failed"
+    man.diagnostics["error"] = {"class": type(exc).__name__, "message": str(exc), "zeta": getattr(exc, "zeta", None)}
+    man.write(out / "manifest.json")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -129,22 +135,26 @@ def cmd_flow(cfg: RunConfig, out: Path) -> int:
     check_density_window(minus, plus, cfg.density.window)
     branches, man = run_sweep(cfg, out)
 
-    # sigma does not depend on alpha: one value, predicted at the density window's centre
-    sigma = conductivity(branches, cfg.density)
-    sigma_pred = predicted_sf(minus, plus, 0.5 * sum(cfg.density.window))
     all_ok = True
     rows = []
-    print(f"{'alpha':>8} {'sf_num':>7} {'sf_pred':>8} {'2pi*sigma':>12} {'ok':>4}")
-    for alpha in cfg.alphas:
-        pred = predicted_sf(minus, plus, alpha)
-        report = spectral_flow(branches, alpha, prediction=pred)
-        ok = reconcile(report, pred, sigma, sigma_pred)
-        all_ok &= ok
-        print(f"{_fmt(alpha):>8} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
-        rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
-        man.diagnostics[f"alpha_{_fmt(alpha)}"] = {
-            "crossings": [[c.branch_id, c.zeta, c.direction] for c in report.crossings],
-        }
+    try:
+        # sigma does not depend on alpha: one value, predicted at the density window's centre
+        sigma = conductivity(branches, cfg.density)
+        sigma_pred = predicted_sf(minus, plus, 0.5 * sum(cfg.density.window))
+        print(f"{'alpha':>8} {'sf_num':>7} {'sf_pred':>8} {'2pi*sigma':>12} {'ok':>4}")
+        for alpha in cfg.alphas:
+            pred = predicted_sf(minus, plus, alpha)
+            report = spectral_flow(branches, alpha, prediction=pred)
+            ok = reconcile(report, pred, sigma, sigma_pred)
+            all_ok &= ok
+            print(f"{_fmt(alpha):>8} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
+            rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
+            man.diagnostics[f"alpha_{_fmt(alpha)}"] = {
+                "crossings": [[c.branch_id, c.zeta, c.direction] for c in report.crossings],
+            }
+    except DiracflowError as exc:
+        _record_failure(man, "flow", exc, out)
+        raise
     _write_csv(out / "flow.csv", ["alpha", "sf_numeric", "sf_predicted", "two_pi_sigma", "reconciled"], rows)
     man.verdicts["flow"] = "ok" if all_ok else "mismatch"
     man.write(out / "manifest.json")

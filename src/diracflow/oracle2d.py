@@ -33,16 +33,18 @@ is the fiber's Hellmann-Feynman slope weighted by P'(y):
 
 with t_k the eigenvector mapped back to the y-sites by one inverse FFT.
 
-Before any solve, H's momentum structure is read once (_momentum_stack).
-When no entry joins two momenta (W independent of y), H is the block sum of
-the fibers: in momentum-major order it is one stacked tridiagonal, Ny of them
-joined by zero couplings.  The eigenvalues in the window (lo, hi] are then
-counted exactly by one ?stebz Sturm count of the stack, which splits at those
-zeros (_window_count).  Otherwise, in (Jacobi index k, momentum) order H is
-block tridiagonal with Ny x Ny blocks, so by Haynsworth's inertia additivity
-(Linear Algebra Appl. 1, 1968) the number of eigenvalues <= lam is the
-number of negative eigenvalues of all the Schur complements of the block
-LDL^T recursion, the block form of that Sturm count.  With the count n, a
+Before any solve, one array of H's row indices (_window_count) finds H's
+momentum structure and, for a y-dependent H, feeds the count.  When no
+entry joins two momenta (W independent of y), H is the block sum of the
+fibers: in momentum-major order it is one stacked tridiagonal, Ny of them
+joined by zero couplings.  The eigenvalues in the
+window (lo, hi] are then counted exactly by one ?stebz Sturm count of the
+stack, which splits at those zeros.  Otherwise, in (Jacobi index k,
+momentum) order H is block tridiagonal with Ny x Ny blocks, so by
+Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) the number
+of eigenvalues <= lam is the number of negative eigenvalues of all the
+Schur complements of the block LDL^T recursion, the block form of that
+Sturm count.  With the count n, a
 shift-invert solve about the window centre c (ARPACK's shift-invert mode;
 Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998) asks for the n
 eigenvalues nearest c, which are exactly those inside the window; n = 0
@@ -83,7 +85,7 @@ if TYPE_CHECKING:
 
 from .errors import BudgetError, SolverError, WindowError
 from .fiber import FiberFamily, Grid1D, check_residuals, count_eigenvalues, slopes_of, zone_edge_fraction
-from .profiles import DensityProfile, ProfileSet, SwitchProfile, derivative
+from .profiles import DensityProfile, ProfileSet, SwitchProfile, _g, derivative
 from .profiles import evaluate, magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches them
 
 __all__ = [
@@ -166,12 +168,8 @@ class PerturbationSpec:
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
-    """Standard C-infinity bump: exp(1 - 1/(1 - t^2)) on |t| < 1, 0 outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-    return out
+    """Standard C-infinity bump: exp(1 - 1/(1 - t^2)) = e g(1 - t^2) on |t| < 1, 0 outside."""
+    return np.e * _g(1.0 - np.square(t))
 
 
 def assemble_2d(
@@ -225,45 +223,39 @@ def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
         )
 
 
-def _momentum_stack(H: sp.csr_array, g: Grid2D):
-    """H's momentum-major stacked tridiagonal (d, e), or None when an entry of H joins two momenta.
+def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
+    """The exact number n of H's eigenvalues in (lo, hi], from inertia, and H's
+    momentum-major stack (d, e), or None when an entry of H joins two momenta.
 
-    When every entry (k Ny + n, k' Ny + n') has n' = n and |k' - k| <= 1 (W
-    independent of y), momentum n is the tridiagonal H[n::Ny, n::Ny], and row
-    k Ny + n of H is row n nk + k of the stack: d has length dim, and e, of
-    length dim - 1, is zero between momenta.  Duplicate entries are summed.
-    """
-    step = H.indices - np.repeat(np.arange(g.dim), np.diff(H.indptr))
-    if not np.all((step == 0) | (np.abs(step) == g.Ny)):
-        return None
-    nk = g.dim // g.Ny
-    e = np.zeros((nk, g.Ny))
-    e[:-1] = H.diagonal(g.Ny).reshape(nk - 1, g.Ny)
-    return H.diagonal().reshape(nk, g.Ny).T.ravel(), e.T.ravel()[:-1]
-
-
-def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float], stack=None) -> int:
-    """The exact number of H's eigenvalues in (lo, hi], from inertia.
-
-    Given H's momentum-major `stack` (_momentum_stack), one Sturm count of the
-    stack, fiber.count_eigenvalues: ?stebz splits it at its zero couplings
-    into the Ny momenta.  Otherwise, in (Jacobi index k, momentum) order H is
-    block tridiagonal with Ny x Ny blocks A_k = H[k, k] and B_k = H[k, k + 1];
-    an entry outside that band raises ValueError.  The number of eigenvalues
+    Duplicate entries are summed, and one array of the entries' row indices
+    serves both paths.  When every entry (k Ny + n, k' Ny + n') has n' = n and
+    |k' - k| <= 1 (W independent of y), momentum n is the tridiagonal
+    H[n::Ny, n::Ny], and row k Ny + n of H is row n nk + k of the stack, read
+    from H's diagonals 0 and Ny: d has length dim, and e, of length dim - 1,
+    is zero between momenta.  n is then one Sturm count of the stack,
+    fiber.count_eigenvalues: ?stebz splits it at its zero couplings into the Ny
+    momenta.  Otherwise, in (Jacobi index k, momentum) order, H is block
+    tridiagonal with Ny x Ny blocks A_k = H[k, k] and B_k = H[k, k + 1] (an
+    entry outside that band raises ValueError), and the number of eigenvalues
     <= lam is sum_k nu_-(S_k) (Haynsworth's inertia additivity), with
     S_0 = A_0 - lam and S_k+1 = A_k+1 - lam - B_k^T S_k^-1 B_k, run at both
     window ends in one batched eigh per block; an eigenvalue of S_k smaller in
     magnitude than pivmin = 1e-12 ||H|| counts as -pivmin, as in ?stebz's
     Sturm count.
     """
-    if stack is not None:
-        return count_eigenvalues(*stack, *window)
     import scipy.sparse as sp
 
     if not H.has_canonical_format:  # one entry per (row, column): duplicates are summed
         H = sp.csr_array(H.tocoo())
     Ny, nk = g.Ny, g.dim // g.Ny
-    k, n = np.divmod(np.repeat(np.arange(g.dim), np.diff(H.indptr)), Ny)
+    row = np.repeat(np.arange(g.dim), np.diff(H.indptr))
+    step = H.indices - row
+    if np.all((step == 0) | (np.abs(step) == Ny)):  # every entry keeps its momentum
+        e = np.zeros((nk, Ny))
+        e[:-1] = H.diagonal(Ny).reshape(nk - 1, Ny)
+        d, e = H.diagonal().reshape(nk, Ny).T.ravel(), e.T.ravel()[:-1]
+        return count_eigenvalues(d, e, *window), (d, e)
+    k, n = np.divmod(row, Ny)
     kc, nc = np.divmod(H.indices, Ny)
     off = kc - k
     if np.any(np.abs(off) > 1):
@@ -282,16 +274,16 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float], stack
         if i + 1 < nk:
             X = V.swapaxes(-1, -2) @ blocks[1, i]  # S_i^-1 = V diag(1/w) V^T
             S = blocks[0, i + 1] - shift - X.swapaxes(-1, -2) @ (X / w[..., None])
-    return int(below[1] - below[0])
+    return int(below[1] - below[0]), None
 
 
 def _shift_inverse(H: sp.csr_array, g: Grid2D, stack, c: float):
     """x -> (H - c)^-1 x in assemble_2d's layout, from one factor of H - c.
 
-    Given H's momentum-major `stack`, one ?gttrf of the stack at c, and each
-    solve one ?gttrs with x permuted to momentum-major order and back.
-    Otherwise SuperLU in the natural order, where H - c has half-bandwidth
-    Ny (W, on-site, fills only the diagonal Ny x Ny blocks), so LU with
+    Given H's momentum-major `stack` (_window_count), one ?gttrf of the stack
+    at c, and each solve one ?gttrs with x permuted to momentum-major order
+    and back.  Otherwise SuperLU in the natural order, where H - c has
+    half-bandwidth Ny (W, on-site, fills only the diagonal Ny x Ny blocks), so LU with
     partial pivoting fills only inside the band.  On the stress table's
     shifts (scripts/run_oracle_stress.py) COLAMD fills mult_xy less but
     factors decay_y and decay_xy 2-3 times slower, and the table's trace
@@ -318,8 +310,8 @@ def _shift_inverse(H: sp.csr_array, g: Grid2D, stack, c: float):
 def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     """Certified eigenpairs of the window: (lam, vec, certificate fields of TraceResult).
 
-    H's momentum structure, read once (_momentum_stack), picks the count
-    and the factor.  With the exact count n from _window_count, a
+    One read of H's entries (_window_count) gives the exact count n and the
+    momentum stack that picks the factor (_shift_inverse).  A
     shift-invert Lanczos (eigsh) about the window centre asks for the n
     nearest eigenvalues (no solve if n = 0; WindowError before any solve if
     n = dim).  The window is symmetric about its centre, so its n
@@ -331,8 +323,7 @@ def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
 
     lo, hi = window
     dim = H.shape[0]
-    stack = _momentum_stack(H, g)
-    n = _window_count(H, g, window, stack)
+    n, stack = _window_count(H, g, window)
     if n >= dim:
         raise WindowError(f"density window ({lo:g}, {hi:g}] holds all {dim} eigenvalues of H")
     if n == 0:

@@ -177,6 +177,36 @@ class TestSweep:
         near = sorted(z for b in branches for z, ov in zip(b.zetas[1:], b.overlaps[1:]) if ov <= low + _OVERLAP_TIE)
         assert len(near) > 1 and stats["min_overlap_zeta"] == near[0] == pytest.approx(-7.8, abs=1e-12)
 
+    def test_each_solve_is_seeded_by_the_committed_block(self, monkeypatch):
+        """mass_wall's sweep bisects: the first solve runs cold (guess None), and every
+        later one, a bisection midpoint too, gets the very block returned for the
+        committed sample z_prev, the largest solved zeta below its own, with step
+        z - z_prev.  Committed samples come in increasing zeta, so no solved zeta
+        below z is still waiting when z is solved."""
+        run = config_from_dict(preset_config("mass_wall"))
+        real_at, zetas, calls = FiberFamily.at, [], []
+
+        def at(self, zeta):
+            zetas.append(zeta)
+            return real_at(self, zeta)
+
+        def recorded(A, window, guess=None, step=0.0):
+            pairs = eig_window(A, window, guess, step)
+            calls.append((zetas[-1], guess, step, pairs))
+            return pairs
+
+        monkeypatch.setattr(FiberFamily, "at", at)
+        monkeypatch.setattr("diracflow.branches.eig_window", recorded)
+        stats = {}
+        sweep_branches(run.grid, run.profiles, run.sweep, run.filter, stats=stats)
+        assert sum(stats["bisections"].values()) > 0 and len(calls) == stats["solves"]
+        (z0, guess0, _, _), *later = calls
+        assert z0 == run.sweep.zeta_min and guess0 is None
+        for i, (z, guess, step, _) in enumerate(later, 1):
+            z_prev, _, _, block = max((c for c in calls[:i] if c[0] < z), key=lambda c: c[0])
+            assert guess is block
+            assert step == z - z_prev
+
     @pytest.mark.parametrize("geometry", ["fig2", "autoscaled", "mass_wall", "bulk_uniform"])
     def test_warm_start_leaves_the_sweep_as_it_is(self, monkeypatch, geometry):
         """fig2's sweep (criterion 1), criterion 2's first autoscaled sweep, whose full

@@ -299,13 +299,22 @@ class TestCliFlow:
         assert "bulk level" in capsys.readouterr().err
 
     def test_invalid_window_exits_4(self, tmp_path, capsys):
+        """A flow that fails after its sweep still writes the manifest: the verdict
+        `flow: failed`, the error, and the sweep's telemetry and time."""
         # alpha next to the bulk level 1.9: endpoint branches hug it
         raw = tiny_config(alphas=[1.93])
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         rc = main(["flow", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 4
-        assert "window" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "window" in err.lower()
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["verdicts"] == {"flow": "failed"}
+        error = man["diagnostics"]["error"]
+        assert error["class"] == "WindowError" and err == f"error: {error['message']}\n"
+        assert man["diagnostics"]["sweep"]["solves"] > 0 and "sweep_seconds" in man["timings"]
+        assert not (tmp_path / "o" / "flow.csv").exists()
 
 
 def _forbidden(*args, **kwargs):

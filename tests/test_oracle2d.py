@@ -290,16 +290,16 @@ class TestWindowBound:
         """A y-invariant H is counted on its momentum-major stack: one ?stebz count over all dim rows."""
         window = config_from_dict(preset_config(name)).density.window
         H = assemble_2d(GRID_768, preset_profiles(name))
-        stack = oracle2d._momentum_stack(H, GRID_768)
-        assert oracle2d._window_count(H, GRID_768, window, stack) == _dense_count(H, window)
-        assert mode_counts == [(GRID_768.dim, *window)]
+        n, stack = oracle2d._window_count(H, GRID_768, window)
+        assert n == _dense_count(H, window)
+        assert stack is not None and mode_counts == [(GRID_768.dim, *window)]
 
     def test_exact_with_mult_x(self, mode_counts):
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
         H = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
-        stack = oracle2d._momentum_stack(H, GRID_768)
-        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0), stack) == _dense_count(H, (-1.0, 1.0))
-        assert mode_counts == [(GRID_768.dim, -1.0, 1.0)]
+        n, stack = oracle2d._window_count(H, GRID_768, (-1.0, 1.0))
+        assert n == _dense_count(H, (-1.0, 1.0))
+        assert stack is not None and mode_counts == [(GRID_768.dim, -1.0, 1.0)]
 
     @pytest.mark.parametrize(
         "w, coupling",
@@ -316,7 +316,7 @@ class TestWindowBound:
         monkeypatch.setattr(oracle2d, "count_eigenvalues", _forbidden)
         H = assemble_2d(GRID_768, FIG2, w, coupling)
         for window in ((-1.0, 1.0), (-0.5, 0.5), (-2.5, 2.5), (0.3, 4.0)):
-            assert oracle2d._window_count(H, GRID_768, window) == _dense_count(H, window)
+            assert oracle2d._window_count(H, GRID_768, window) == (_dense_count(H, window), None)
 
     def test_y_dependent_count_runs_no_numpy_eigh(self, monkeypatch):
         """The block recursion's batched eigh is scipy's, on the BLAS pool that SuperLU
@@ -325,7 +325,7 @@ class TestWindowBound:
         H = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind="mult_xy", amplitude=0.5), coupling=0.7)
         dense = _dense_count(H, (-1.0, 1.0))
         monkeypatch.setattr(np.linalg, "eigh", _forbidden)
-        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0)) == dense > 0
+        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0)) == (dense, None) and dense > 0
 
     def test_small_pivot_counts_as_negative(self):
         """bulk_uniform + decay_y at coupling 1.5 on the preset grid2d (dimension
@@ -335,7 +335,7 @@ class TestWindowBound:
         cfg = config_from_dict(preset_config("bulk_uniform"))
         g, w = cfg.grid2d, PerturbationSpec(kind="decay_y", amplitude=1.0)
         H = assemble_2d(g, cfg.profiles, w, coupling=1.5)
-        assert oracle2d._window_count(H, g, (-0.5, 0.5)) == _dense_count(H, (-0.5, 0.5))
+        assert oracle2d._window_count(H, g, (-0.5, 0.5))[0] == _dense_count(H, (-0.5, 0.5))
 
     def test_exact_under_random_perturbations_in_the_band(self):
         """Random real symmetric perturbations of sizes 1e-6 to 1 anywhere inside
@@ -350,7 +350,7 @@ class TestWindowBound:
             v = 10.0 ** rng.uniform(-6.0, 0.0) * rng.random(n) * np.cos(2.0 * np.pi * rng.random(n))
             W = sp.csr_array((v, (i, j)), shape=(g.dim, g.dim))
             H = sp.csr_array(H0 + W + W.T)
-            assert oracle2d._window_count(H, g, (-1.0, 1.0)) == _dense_count(H, (-1.0, 1.0))
+            assert oracle2d._window_count(H, g, (-1.0, 1.0))[0] == _dense_count(H, (-1.0, 1.0))
 
     def test_entry_outside_the_block_band_raises(self):
         H0, g = assemble_2d(GRID_512, FIG2), GRID_512
@@ -360,12 +360,14 @@ class TestWindowBound:
             oracle2d._window_count(sp.csr_array(H0 + W), g, (-1.0, 1.0))
 
     def test_duplicate_entries_are_summed(self):
-        w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
-        H = assemble_2d(GRID_512, FIG2, w, coupling=0.7)
-        halves = sp.csr_array((np.repeat(H.data / 2, 2), np.repeat(H.indices, 2), 2 * H.indptr), shape=H.shape)
-        assert not halves.has_canonical_format
-        n1, n2 = (oracle2d._window_count(A, GRID_512, (-1.0, 1.0)) for A in (H, halves))
-        assert n1 == n2 == _dense_count(H, (-1.0, 1.0))
+        """Summed on either path: the block recursion (mult_xy) and the momentum stack (mult_x)."""
+        for kind in ("mult_xy", "mult_x"):
+            H = assemble_2d(GRID_512, FIG2, PerturbationSpec(kind=kind, amplitude=0.5), coupling=0.7)
+            halves = sp.csr_array((np.repeat(H.data / 2, 2), np.repeat(H.indices, 2), 2 * H.indptr), shape=H.shape)
+            assert not halves.has_canonical_format
+            (n1, stack1), (n2, stack2) = (oracle2d._window_count(A, GRID_512, (-1.0, 1.0)) for A in (H, halves))
+            assert n1 == n2 == _dense_count(H, (-1.0, 1.0))
+            assert (stack1 is None) == (stack2 is None) == (kind == "mult_xy")
 
 
 class TestWindowedSolve:
