@@ -88,22 +88,26 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def cmd_bulk(cfg: RunConfig, out: Path) -> int:
     minus, plus = half_spaces(cfg.profiles)
     out.mkdir(parents=True, exist_ok=True)
+    man = RunManifest(cfg.resolved())
     rows = []
     print(f"scenario: {cfg.scenario}")
-    for side, hp in (("minus", minus), ("plus", plus)):
-        spec = landau_levels(hp, k_max=4)
-        print(f"  {side}: B={hp.B:g} m={hp.m:g} V={hp.V:g}  levels={[round(v, 4) for v in spec.levels]}")
-    for alpha in cfg.alphas:
-        pred = predicted_sf(minus, plus, alpha)
-        print(
-            f"  alpha={alpha:g}: N-={pred.N_minus} N+={pred.N_plus} "
-            f"I-={pred.I_minus} I+={pred.I_plus} SF_pred = {pred.sf}"
-        )
-        rows.append(
-            (float(alpha), pred.N_minus, pred.N_plus, str(pred.I_minus), str(pred.I_plus), pred.sf)
-        )
+    try:
+        for side, hp in (("minus", minus), ("plus", plus)):
+            spec = landau_levels(hp, k_max=4)
+            print(f"  {side}: B={hp.B:g} m={hp.m:g} V={hp.V:g}  levels={[round(v, 4) for v in spec.levels]}")
+        for alpha in cfg.alphas:
+            pred = predicted_sf(minus, plus, alpha)
+            print(
+                f"  alpha={alpha:g}: N-={pred.N_minus} N+={pred.N_plus} "
+                f"I-={pred.I_minus} I+={pred.I_plus} SF_pred = {pred.sf}"
+            )
+            rows.append(
+                (float(alpha), pred.N_minus, pred.N_plus, str(pred.I_minus), str(pred.I_plus), pred.sf)
+            )
+    except DiracflowError as exc:
+        _record_failure(man, "bulk", exc, out)
+        raise
     _write_csv(out / "bulk.csv", ["alpha", "N_minus", "N_plus", "I_minus", "I_plus", "sf_pred"], rows)
-    man = RunManifest(cfg.resolved())
     man.verdicts["bulk"] = "ok"
     man.write(out / "manifest.json")
     return 0
@@ -175,35 +179,39 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     import scipy.sparse  # noqa: F401  loaded before the clock, so assemble_seconds leaves the import out
 
     rows = []
-    t0 = time.perf_counter()
-    H = assemble_2d(g, cfg.profiles)
-    t1 = time.perf_counter()
-    res = trace_conductivity(H, g, P, dens, full_result=True)
-    man.timings["assemble_seconds"] = round(t1 - t0, 6)
-    man.timings["trace_seconds"] = round(time.perf_counter() - t1, 6)
-    rows.append((cfg.scenario, 0.0, res.two_pi_sigma))
-    # as in flow: one prediction, at the density window's centre; the 2D grid's
-    # zeta sampling leaves 2 pi sigma off the integer by up to 4e-2 on the presets
-    sf = predicted_sf(minus, plus, 0.5 * sum(dens.window)).sf
-    man.diagnostics["oracle"] = {
-        "two_pi_sigma": res.two_pi_sigma,
-        "predicted_sf": sf,
-        "deviation": res.two_pi_sigma - sf,
-        "states_cut": res.n_states_cut,
-        "states_in_window": res.n_window,
-        "max_residual": res.max_residual,
-    }
-    verdicts_ok = round(res.two_pi_sigma) == sf
-    print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}, predicted {sf}, reconciled {verdicts_ok}")
+    try:
+        t0 = time.perf_counter()
+        H = assemble_2d(g, cfg.profiles)
+        t1 = time.perf_counter()
+        res = trace_conductivity(H, g, P, dens, full_result=True)
+        man.timings["assemble_seconds"] = round(t1 - t0, 6)
+        man.timings["trace_seconds"] = round(time.perf_counter() - t1, 6)
+        rows.append((cfg.scenario, 0.0, res.two_pi_sigma))
+        # as in flow: one prediction, at the density window's centre; the 2D grid's
+        # zeta sampling leaves 2 pi sigma off the integer by up to 4e-2 on the presets
+        sf = predicted_sf(minus, plus, 0.5 * sum(dens.window)).sf
+        man.diagnostics["oracle"] = {
+            "two_pi_sigma": res.two_pi_sigma,
+            "predicted_sf": sf,
+            "deviation": res.two_pi_sigma - sf,
+            "states_cut": res.n_states_cut,
+            "states_in_window": res.n_window,
+            "max_residual": res.max_residual,
+        }
+        verdicts_ok = round(res.two_pi_sigma) == sf
+        print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}, predicted {sf}, reconciled {verdicts_ok}")
 
-    if cfg.perturbation is not None:
-        couplings = [0.0, 0.5, 1.0]
-        st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens, res.two_pi_sigma)
-        for c, s in st.rows:
-            rows.append((f"{cfg.scenario}+{cfg.perturbation.kind}", c, s))
-        man.verdicts["stability"] = st.verdict
-        verdicts_ok &= st.verdict == "stable"
-        print(f"stability ({cfg.perturbation.kind}): {st.verdict}")
+        if cfg.perturbation is not None:
+            couplings = [0.0, 0.5, 1.0]
+            st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens, res.two_pi_sigma)
+            for c, s in st.rows:
+                rows.append((f"{cfg.scenario}+{cfg.perturbation.kind}", c, s))
+            man.verdicts["stability"] = st.verdict
+            verdicts_ok &= st.verdict == "stable"
+            print(f"stability ({cfg.perturbation.kind}): {st.verdict}")
+    except DiracflowError as exc:  # a stability trace's failure keeps the base trace's diagnostics
+        _record_failure(man, "oracle", exc, out)
+        raise
 
     _write_csv(out / "oracle.csv", ["scenario", "coupling", "two_pi_sigma"], rows)
     man.verdicts["oracle"] = "ok" if verdicts_ok else "failed"

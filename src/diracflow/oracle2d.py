@@ -19,7 +19,8 @@ W(x, y) acts on the momenta by convolution: each component of site i carries the
 circulant block W_hat[n, n'] = w_hat_i(n - n' mod Ny), w_hat =
 Re fft(W, axis=1) / Ny, W's cosine transform: W must be even about Ly/2,
 so its y-DFT is real in exact arithmetic and the real part drops only
-FFT rounding.  Symmetrized, H is a bit-exactly symmetric float64 CSR matrix:
+FFT rounding.  It is taken of W - W(x, 0), with W(x, 0) added at n = 0, so
+that a W(x) joins no momenta at any Ny.  Symmetrized, H is a bit-exactly symmetric float64 CSR matrix:
 9152 entries at dimension 3072 without W, plus Ny per row on the sites
 where W(x, .) is nonzero.
 
@@ -31,34 +32,36 @@ is the fiber's Hellmann-Feynman slope weighted by P'(y):
     2 pi sigma_I = 2 pi sum_k phi'(lambda_k) <t_k, P'(y) dJ/dzeta t_k>
                  = 2 pi sum_k phi'(lambda_k) (-2) sum_{i,y} P'(y) Re(conj(t_k,2i,y) t_k,2i+1,y),
 
-with t_k the eigenvector mapped back to the y-sites by one inverse FFT.
+with t_k the eigenvector on the y-sites (a Lanczos vector is mapped there by
+one inverse FFT).
 
 Before any solve, one array of H's row indices (_window_count) finds H's
-momentum structure and, for a y-dependent H, feeds the count.  When no
-entry joins two momenta (W independent of y), H is the block sum of the
-fibers: in momentum-major order it is one stacked tridiagonal, Ny of them
-joined by zero couplings.  The eigenvalues in the
-window (lo, hi] are then counted exactly by one ?stebz Sturm count of the
-stack, which splits at those zeros.  Otherwise, in (Jacobi index k,
-momentum) order H is block tridiagonal with Ny x Ny blocks, so by
-Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) the number
-of eigenvalues <= lam is the number of negative eigenvalues of all the
-Schur complements of the block LDL^T recursion, the block form of that
-Sturm count.  With the count n, a
-shift-invert solve about the window centre c (ARPACK's shift-invert mode;
-Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998) asks for the n
-eigenvalues nearest c, which are exactly those inside the window; n = 0
-means no solve.  H is real symmetric, so the solve is ARPACK's symmetric
-Lanczos (dsaupd) on one real factor of H - c, made once and handed to ARPACK
-as its inverse operator; it is the only solve for 0 < n < dim (n = dim is a
-WindowError; a window in a bulk gap, bulk.check_density_window, holds at
-most 96 of 3072 on the presets' grid2d).  The factor of a y-invariant H - c
-is one ?gttrf of the stack, and each Lanczos step one ?gttrs solve, permuted
-to and from assemble_2d's layout; a y-dependent H - c takes one SuperLU
-factor in the natural order (_shift_inverse).  A zero pivot of either factor
-(an exactly singular H - c) is a SolverError.  The solve is
-certified when exactly n values come back, all inside the window, and every
-pair passes ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+momentum structure and counts the eigenvalues in the window (lo, hi]
+exactly.  When no entry joins two momenta (W independent of y), H is the
+block sum of the fibers: in momentum-major order it is one stacked
+tridiagonal, the Ny fibers J(zeta_n) (plus W(x) on d) joined by zero
+couplings, counted by one ?stebz Sturm count that splits at those zeros.
+Otherwise, in (Jacobi index k, momentum) order H is block tridiagonal with
+Ny x Ny blocks, so by Haynsworth's inertia additivity (Linear Algebra Appl.
+1, 1968) the number of eigenvalues <= lam is the number of negative
+eigenvalues of all the Schur complements of the block LDL^T recursion, the
+block form of that Sturm count.  A count n = dim is a WindowError before
+any solve (a window in a bulk gap, bulk.check_density_window, holds at most
+96 of 3072 on the presets' grid2d).
+
+A y-invariant H is the fiber sum, the partial Fourier decomposition
+H = sum_n J(zeta_n): each momentum block of the stack is solved cold by the
+fiber's own certified solver, fiber.eig_window.  Its states are
+e^{i zeta_n y} (x) t, so a state's trace share is mean_j P'(y_j) times its
+block's slope, its zone-edge score is that of t, and its residual in H is
+t's in J(zeta_n).  A y-dependent H takes
+one shift-invert Lanczos solve about the window centre c (ARPACK's
+symmetric Lanczos dsaupd in shift-invert mode; Lehoucq, Sorensen and Yang,
+ARPACK Users' Guide, 1998) for the n eigenvalues nearest c, exactly those
+inside the window, on one SuperLU factor of H - c made once (_lanczos);
+n = 0 means no solve.  Either way the solve is certified when exactly n
+values come back, all inside the window, and every pair passes
+||H v - lambda v|| <= 1e-8 (1 + |lambda|).
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -66,9 +69,9 @@ coarse grid) are excluded from the trace by fiber.zone_edge_fraction;
 they are pure discretization artifacts, the 2D analog of the
 boundary-localized states the fiber filter removes.
 
-scipy.sparse and scipy.sparse.linalg are imported inside the functions that
-use them, so the oracle loads them on its first call and a fiber run never
-does.
+scipy.sparse is imported inside the functions that use it, so the oracle
+loads it on its first call and a fiber run never does; scipy.sparse.linalg
+loads only with a y-dependent H's solve.
 """
 
 from __future__ import annotations
@@ -78,13 +81,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .errors import BudgetError, SolverError, WindowError
-from .fiber import FiberFamily, Grid1D, check_residuals, count_eigenvalues, slopes_of, zone_edge_fraction
+from .fiber import FiberFamily, FiberMatrix, Grid1D, check_residuals, count_eigenvalues, eig_window
+from .fiber import slopes_of, zone_edge_fraction
 from .profiles import DensityProfile, ProfileSet, SwitchProfile, _g, derivative
 from .profiles import evaluate, magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches them
 
@@ -193,8 +196,10 @@ def assemble_2d(
         W = coupling * w.sample(g.grid_x.x, g.y, g.Ly)
         if np.max(np.abs(W - W[:, -np.arange(g.Ny)])) > 1e-12 * np.max(np.abs(W)):
             raise ValueError("W must be even about Ly/2: W(x, Ly - y) = W(x, y)")
-        # W(x, y) convolves the momenta: each site component's block [n, n'] is w_hat(n - n' mod Ny)
-        w_hat = np.fft.fft(W, axis=1).real / g.Ny
+        # W(x, y) convolves the momenta: each site component's block [n, n'] is w_hat(n - n' mod Ny);
+        # W(x, 0) goes to n = 0 exactly: the FFT of a constant row leaves rounding off n = 0 at some Ny (17)
+        w_hat = np.fft.fft(W - W[:, :1], axis=1).real / g.Ny
+        w_hat[:, 0] += W[:, 0]
         C = sp.block_diag(sla.circulant(np.repeat(w_hat, 2, axis=0)))
         H = H + 0.5 * (C + C.T)
     return sp.csr_array(H)
@@ -212,7 +217,7 @@ class TraceResult:
     two_pi_sigma: float
     n_states_cut: int
     n_window: int  # eigenvalues in the density window (lo, hi], exact (_window_count)
-    max_residual: float  # largest ||H v - lambda v|| over the returned pairs
+    max_residual: float  # largest ||H v - lambda v|| over the solved pairs (the fiber blocks' for a y-invariant H)
 
 
 def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
@@ -229,12 +234,12 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
 
     Duplicate entries are summed, and one array of the entries' row indices
     serves both paths.  When every entry (k Ny + n, k' Ny + n') has n' = n and
-    |k' - k| <= 1 (W independent of y), momentum n is the tridiagonal
-    H[n::Ny, n::Ny], and row k Ny + n of H is row n nk + k of the stack, read
-    from H's diagonals 0 and Ny: d has length dim, and e, of length dim - 1,
-    is zero between momenta.  n is then one Sturm count of the stack,
-    fiber.count_eigenvalues: ?stebz splits it at its zero couplings into the Ny
-    momenta.  Otherwise, in (Jacobi index k, momentum) order, H is block
+    |k' - k| <= 1 (W independent of y), momentum n is the fiber J(zeta_n)
+    H[n::Ny, n::Ny] (plus W(x) on d), and row k Ny + n of H is row n nk + k of
+    the stack, read from H's diagonals 0 and Ny: d has length dim, and e, of
+    length dim - 1, is zero between momenta.  n is then one Sturm count of the
+    stack, fiber.count_eigenvalues: ?stebz splits it at its zero couplings into
+    the Ny momenta.  Otherwise, in (Jacobi index k, momentum) order, H is block
     tridiagonal with Ny x Ny blocks A_k = H[k, k] and B_k = H[k, k + 1] (an
     entry outside that band raises ValueError), and the number of eigenvalues
     <= lam is sum_k nu_-(S_k) (Haynsworth's inertia additivity), with
@@ -277,74 +282,61 @@ def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
     return int(below[1] - below[0]), None
 
 
-def _shift_inverse(H: sp.csr_array, g: Grid2D, stack, c: float):
-    """x -> (H - c)^-1 x in assemble_2d's layout, from one factor of H - c.
+def _lanczos(H: sp.csr_array, window: tuple[float, float], n: int):
+    """The n eigenpairs (lam, vec) of H nearest the window centre c: shift-invert
+    Lanczos (eigsh) on one SuperLU factor of H - c, for a y-dependent H.
 
-    Given H's momentum-major `stack` (_window_count), one ?gttrf of the stack
-    at c, and each solve one ?gttrs with x permuted to momentum-major order
-    and back.  Otherwise SuperLU in the natural order, where H - c has
-    half-bandwidth Ny (W, on-site, fills only the diagonal Ny x Ny blocks), so LU with
-    partial pivoting fills only inside the band.  On the stress table's
-    shifts (scripts/run_oracle_stress.py) COLAMD fills mult_xy less but
-    factors decay_y and decay_xy 2-3 times slower, and the table's trace
-    totals do not tell the two orders apart.  A zero pivot of either factor
-    is a RuntimeError, SuperLU's own.
+    The factor is in the natural order, where H - c has half-bandwidth Ny (W,
+    on-site, fills only the diagonal Ny x Ny blocks), so LU with partial
+    pivoting fills only inside the band.  On the stress table's shifts
+    (scripts/run_oracle_stress.py) COLAMD fills mult_xy less but factors
+    decay_y and decay_xy 2-3 times slower, and the table's trace totals do not
+    tell the two orders apart.  A zero pivot (SuperLU's RuntimeError) or an
+    ARPACK error is a SolverError.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if stack is None:
-        return spla.splu(sp.csc_array(H - c * sp.eye_array(g.dim)), permc_spec="NATURAL").solve
-    d, e = stack
-    *lu, info = lapack.dgttrf(e, d - c, e)
-    if info:
-        raise RuntimeError(f"Factor is exactly singular: zero pivot at row {info} of the stacked H - c")
-
-    def solve(x):
-        x, _ = lapack.dgttrs(*lu, x.reshape(-1, g.Ny).T.reshape(-1, 1), overwrite_b=True)
-        return x.reshape(g.Ny, -1).T.ravel()
-
-    return solve
+    c, dim = 0.5 * sum(window), H.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(dim)  # generic, fixed so that reruns are bit-identical
+    try:
+        lu = spla.splu(sp.csc_array(H - c * sp.eye_array(dim)), permc_spec="NATURAL")
+        OPinv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+        return spla.eigsh(H, n, sigma=c, which="LM", v0=v0, OPinv=OPinv)
+    except (spla.ArpackError, RuntimeError) as exc:
+        raise SolverError(f"shift-invert Lanczos failed with k = {n} about {c:.6g}: {exc}") from exc
 
 
-def _window_eigenpairs(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
-    """Certified eigenpairs of the window: (lam, vec, certificate fields of TraceResult).
-
-    One read of H's entries (_window_count) gives the exact count n and the
-    momentum stack that picks the factor (_shift_inverse).  A
-    shift-invert Lanczos (eigsh) about the window centre asks for the n
-    nearest eigenvalues (no solve if n = 0; WindowError before any solve if
-    n = dim).  The window is symmetric about its centre, so its n
-    eigenvalues are the n nearest: the solve is certified when exactly n
-    values come back, all inside (lo, hi], and each pair satisfies
-    ||H v - lambda v|| <= 1e-8 (1 + |lambda|).  Else SolverError.
-    """
-    import scipy.sparse.linalg as spla
-
+def _window_states(H: sp.csr_array, g: Grid2D, window: tuple[float, float], dP: np.ndarray):
+    """The certified states of the window (module docstring), as arrays (lam, residual,
+    zone-edge score, trace share <v, P'(y) sigma_2 v> with dP = P'(y)), as many as
+    _window_count counts: the fiber sum for a y-invariant H, else _lanczos."""
     lo, hi = window
-    dim = H.shape[0]
+    N, Ny = g.grid_x.N, g.Ny
     n, stack = _window_count(H, g, window)
-    if n >= dim:
-        raise WindowError(f"density window ({lo:g}, {hi:g}] holds all {dim} eigenvalues of H")
-    if n == 0:
-        lam, vec = np.zeros(0), np.zeros((dim, 0))
+    if n >= g.dim:
+        raise WindowError(f"density window ({lo:g}, {hi:g}] holds all {g.dim} eigenvalues of H")
+    if stack is not None:
+        d, e = stack
+        e = np.append(e, 0.0).reshape(Ny, -1)[:, :-1]
+        pairs = [eig_window(FiberMatrix(g.grid_x, *block), window) for block in zip(d.reshape(Ny, -1), e)]
+        lam, res, t, slope = (np.concatenate([getattr(p, f) for p in pairs]) for f in ("mu", "residual", "t", "slope"))
+        edge, shares = zone_edge_fraction(t, width=2), np.mean(dP) * slope
     else:
-        v0 = np.random.default_rng(0).standard_normal(dim)  # generic, fixed so that reruns are bit-identical
-        c = 0.5 * (lo + hi)
-        try:
-            OPinv = spla.LinearOperator(H.shape, matvec=_shift_inverse(H, g, stack, c), dtype=H.dtype)
-            lam, vec = spla.eigsh(H, n, sigma=c, which="LM", v0=v0, OPinv=OPinv)
-        except (spla.ArpackError, RuntimeError) as exc:
-            raise SolverError(f"shift-invert Lanczos failed with k = {n} about {c:.6g}: {exc}") from exc
+        lam, vec = _lanczos(H, window, n) if n else (np.zeros(0), np.zeros((g.dim, 0)))
+        res = np.linalg.norm(H @ vec - vec * lam, axis=0)
+        # as (state, x-site, Jacobi component, y-site)
+        t = np.fft.ifft(vec.T.reshape(-1, N, 2, Ny), axis=-1, norm="ortho")
+        edge = zone_edge_fraction(t.reshape(len(lam), g.dim), width=2 * Ny)
+        # the fiber slope of each y-site vector (state, y-site, Jacobi index), real
+        # and imaginary parts separately, weighted by P'(y)
+        t = t.transpose(0, 3, 1, 2).reshape(-1, Ny, 2 * N)
+        shares = (slopes_of(t.real) + slopes_of(t.imag)) @ dP
     inside = int(np.count_nonzero((lam > lo) & (lam <= hi)))
     if len(lam) != n or inside != n:
         raise SolverError(f"eigensolve returned {len(lam)} values, {inside} inside the window that holds {n}")
-
-    order = np.argsort(lam)
-    lam, vec = lam[order], vec[:, order]
-    res = np.linalg.norm(H @ vec - vec * lam, axis=0)
     check_residuals(lam, res)
-    return lam, vec, dict(n_window=n, max_residual=float(np.max(res, initial=0.0)))
+    return lam, res, edge, shares
 
 
 def trace_conductivity(
@@ -360,32 +352,24 @@ def trace_conductivity(
     i[H, P] = P'(y) sigma_2 (module docstring).  Raises WindowError when
     P's transition is too close to the periodic seam or the density window
     holds all of H's eigenvalues, ValueError when Hmat is complex or not of
-    the grid's dimension, and SolverError when an eigenpair misses its
-    residual contract.
+    the grid's dimension, and SolverError when the solve misses its
+    certificate.
     """
     import scipy.sparse as sp
 
     _check_seam(P, g)
-    N, Ny = g.grid_x.N, g.Ny
     if Hmat.shape != (g.dim, g.dim) or np.iscomplexobj(Hmat):
         raise ValueError("matrix must be real (assemble_2d's layout) and match the grid")
 
-    lam, vec, cert = _window_eigenpairs(sp.csr_array(Hmat), g, dens.window)
+    lam, res, edge, shares = _window_states(sp.csr_array(Hmat), g, dens.window, derivative(P, g.y))
     weights = derivative(dens.phi, lam)
     live = np.abs(weights) > 1e-14
-    # live states back on the y-sites, as (state, x-site, Jacobi component, y-site)
-    t = np.fft.ifft(vec[:, live].T.reshape(-1, N, 2, Ny), axis=-1, norm="ortho")
-    keep = zone_edge_fraction(t.reshape(-1, g.dim), width=2 * Ny) <= _ZONE_EDGE_CUT
-    t, w = t[keep], weights[live][keep]
-    # <t, P'(y) dJ/dzeta t>: the fiber slope of each y-site vector (state, y-site, Jacobi
-    # index), real and imaginary parts separately, weighted by P'(y)
-    t = t.transpose(0, 3, 1, 2).reshape(-1, Ny, 2 * N)
-    slopes = (slopes_of(t.real) + slopes_of(t.imag)) @ derivative(P, g.y)
-
+    keep = live & (edge <= _ZONE_EDGE_CUT)
     result = TraceResult(
-        two_pi_sigma=2.0 * np.pi * float(w @ slopes),
-        n_states_cut=int(np.count_nonzero(~keep)),
-        **cert,
+        two_pi_sigma=2.0 * np.pi * float(weights[keep] @ shares[keep]),
+        n_states_cut=int(np.count_nonzero(live & ~keep)),
+        n_window=len(lam),
+        max_residual=float(np.max(res, initial=0.0)),
     )
     return result if full_result else result.two_pi_sigma
 

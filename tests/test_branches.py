@@ -305,8 +305,9 @@ class TestMatching:
         assert _fresh_python(f"import diracflow.cli; print({_UNUSED_BY_FIBER_RUNS})") == ["[]"]
 
     def test_flow_run_leaves_out_the_sparse_stack_until_the_oracle_runs(self, tmp_path):
-        """A whole `flow` run loads none of those modules either; the oracle's first call
-        loads scipy.sparse and scipy.sparse.linalg, and its trace is criterion 7's."""
+        """A whole `flow` run loads none of those modules either.  The oracle's first call,
+        a y-invariant trace (criterion 7's), loads scipy.sparse alone; a y-dependent
+        trace, the only one that runs SuperLU and eigsh, loads scipy.sparse.linalg."""
         raw = preset_config("dual_wall_v01")
         raw.update(grid={"L": 20.0, "N": 200}, sweep={"samples": 17})
         cfg = tmp_path / "cfg.json"
@@ -315,22 +316,25 @@ class TestMatching:
 import contextlib, io
 from diracflow import cli
 from diracflow.fiber import Grid1D
-from diracflow.oracle2d import Grid2D, assemble_2d, default_projection, trace_conductivity
+from diracflow.oracle2d import Grid2D, PerturbationSpec, assemble_2d, default_projection, trace_conductivity
 from diracflow.profiles import DensityProfile
 from diracflow.presets import preset_profiles
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["flow", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "o")!r}]) == 0
 print({_UNUSED_BY_FIBER_RUNS})
-g = Grid2D(Grid1D(12.0, 48), 12.0, 16)
-val = trace_conductivity(assemble_2d(g, preset_profiles("dual_wall_v01")), g, default_projection(g),
-                         DensityProfile.from_window(-1.0, 1.0))
-print(round(val), [m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules])
+g, dens = Grid2D(Grid1D(12.0, 48), 12.0, 16), DensityProfile.from_window(-1.0, 1.0)
+ps = preset_profiles("dual_wall_v01")
+val = trace_conductivity(assemble_2d(g, ps), g, default_projection(g), dens)
+print(round(val), {_SPARSE})
+val = trace_conductivity(assemble_2d(g, ps, PerturbationSpec("mult_xy", 0.5), 0.5), g, default_projection(g), dens)
+print(round(val), {_SPARSE})
 """
-        assert _fresh_python(code) == ["[]", "1 ['scipy.sparse', 'scipy.sparse.linalg']"]
+        assert _fresh_python(code) == ["[]", "1 ['scipy.sparse']", "1 ['scipy.sparse', 'scipy.sparse.linalg']"]
 
 
-# modules a fiber run never calls, as code that lists those loaded
+# modules a fiber run never calls, and scipy's sparse stack, as code that lists those loaded
 _UNUSED_BY_FIBER_RUNS = "[m for m in ('scipy.optimize', 'multiprocessing', 'scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules]"
+_SPARSE = "[m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules]"
 
 
 def _fresh_python(code):

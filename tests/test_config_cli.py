@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from diracflow import cli, fiber, oracle2d
 from diracflow.cli import main
 from diracflow.config import RunConfig, config_from_dict, load_config
-from diracflow.errors import DiracflowError
+from diracflow.errors import DiracflowError, SolverError
 from diracflow.presets import PRESETS, preset_config
 from diracflow.profiles import DensityProfile
 
@@ -119,12 +119,19 @@ class TestCliBulk:
         assert "SF_pred = 0" in capsys.readouterr().out
 
     def test_alpha_on_level_exits_2(self, tmp_path, capsys):
+        """The failed run still writes its manifest: verdict failed and the error, and no bulk.csv."""
         raw = tiny_config(alphas=[2.1])  # the zeroth level of the plus side
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         rc = main(["bulk-spectrum", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "alpha" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "alpha" in err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["verdicts"] == {"bulk": "failed"}
+        error = man["diagnostics"]["error"]
+        assert error["class"] == "BulkLevelError" and f"error: {error['message']}" in err
+        assert not (tmp_path / "o" / "bulk.csv").exists()
 
 
 class TestCliBranches:
@@ -329,7 +336,13 @@ class TestCliOracle:
         p.write_text(json.dumps(raw))
         rc = main(["oracle", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 5
-        assert "budget" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "budget" in err.lower()
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["verdicts"] == {"oracle": "failed"} and "oracle" not in man["diagnostics"]
+        error = man["diagnostics"]["error"]
+        assert error["class"] == "BudgetError" and f"error: {error['message']}" in err
+        assert not (tmp_path / "o" / "oracle.csv").exists()
 
     @pytest.mark.parametrize("window", [[-2.5, 2.5], [1.5, 2.5]])
     def test_window_on_a_bulk_level_exits_4_before_assembly(self, tmp_path, capsys, monkeypatch, window):
@@ -420,6 +433,28 @@ print(loaded)
         rows = [line.split(",") for line in (out / "oracle.csv").read_text().splitlines()[1:]]
         assert [r[2] for r in rows] == [cli._fmt(v) for v in values]
         assert [r[1] for r in rows] == ["0", "0", "0.5", "1"]
+
+    def test_failed_stability_trace_keeps_the_base_trace(self, tmp_path, monkeypatch, capsys):
+        """A stability trace that raises after the base trace: exit 1, and the manifest
+        keeps the base trace's diagnostics and timings under the verdict failed."""
+
+        def failing(*args, **kwargs):
+            raise SolverError("eigensolve returned 3 values, 3 inside the window that holds 4")
+
+        monkeypatch.setattr(oracle2d, "trace_conductivity", failing)  # the stability run's lookup
+        raw = tiny_config(
+            grid2d={"N": 24, "L": 6.0, "Ny": 16, "Ly": 12.0}, perturbation={"kind": "mult_xy", "amplitude": 0.3}
+        )
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", str(p), "--out", str(out)]) == 1
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["verdicts"] == {"oracle": "failed"}
+        assert man["diagnostics"]["error"]["class"] == "SolverError"
+        assert man["diagnostics"]["oracle"]["states_in_window"] > 0
+        assert set(man["timings"]) == {"assemble_seconds", "trace_seconds"}
+        assert "holds 4" in capsys.readouterr().err and not (out / "oracle.csv").exists()
 
     def test_manifest_records_the_certificate(self, tmp_path):
         raw = tiny_config()

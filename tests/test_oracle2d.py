@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from diracflow import oracle2d
 from diracflow.config import config_from_dict
@@ -371,7 +370,7 @@ class TestWindowBound:
 
 
 class TestWindowedSolve:
-    """The certified shift-invert solve against the dense definitional oracle."""
+    """The certified solves, the fiber sum and shift-invert Lanczos, against the dense definitional oracle."""
 
     def _check(self, g, ps, window, w=None, coupling=0.0):
         dens = DensityProfile.from_window(*window)
@@ -390,12 +389,15 @@ class TestWindowedSolve:
             ("dual_wall_v01", GRID_1536, (-1.0, 1.0)),
             ("mass_wall", GRID_768, (-0.5, 0.5)),
             ("field_wall_massless", GRID_768, (0.5, 1.5)),
-        ],
-        ids=["dual_wall_v01", "mass_wall", "field_wall_massless"],
+        ]
+        + [(name, GRID_768, config_from_dict(preset_config(name)).density.window) for name in sorted(PRESETS)],
+        ids=["dual_wall_v01", "mass_wall", "field_wall_massless"] + [f"{name}-768" for name in sorted(PRESETS)],
     )
     def test_matches_dense_on_presets(self, name, g, window):
+        """Every preset on GRID_768 at its own density window, too; the two gapped
+        presets hold no state there."""
         res = self._check(g, preset_profiles(name), window)
-        assert res.n_window > 0 and res.n_states_cut > 0
+        assert (res.n_window > 0 and res.n_states_cut > 0) == (name not in ("bulk_uniform", "field_wall_massive"))
 
     def test_matches_dense_perturbed(self):
         for g, kind in ((GRID_768, "mult_xy"), (GRID_768, "mult_x"), (GRID_768_NY24, "mult_xy")):
@@ -409,8 +411,9 @@ class TestWindowedSolve:
         ids=["unperturbed", "mult_x", "mult_xy", "decay_y", "decay_xy"],
     )
     def test_h_and_solve_are_real(self, kind, monkeypatch):
-        """assemble_2d returns a float64 H for every kind and Ny, and eigsh gets a
-        float64 matrix and start vector (ARPACK's symmetric Lanczos)."""
+        """assemble_2d returns a float64 H for every kind and Ny.  A y-dependent H's
+        eigsh gets a float64 matrix and start vector (ARPACK's symmetric Lanczos);
+        a y-invariant H runs no eigsh."""
         real, seen = spla.eigsh, []
 
         def recorded(H, k, v0, **kwargs):
@@ -424,7 +427,7 @@ class TestWindowedSolve:
             H = assemble_2d(g, FIG2, w, coupling=0.7)
             assert H.dtype == np.float64
             trace_conductivity(H, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
-        assert seen == [(np.float64, np.float64)] * 4
+        assert seen == ([] if kind in (None, "mult_x") else [(np.float64, np.float64)] * 4)
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -438,39 +441,54 @@ class TestWindowedSolve:
         monkeypatch.setattr(spla, "eigsh", recorded)
         return calls
 
-    @pytest.mark.parametrize(
-        "kind, forbidden",
-        [
-            (None, (spla, "splu")),
-            ("mult_x", (spla, "splu")),
-            ("mult_xy", (lapack, "dgttrf")),
-            ("decay_y", (lapack, "dgttrf")),
-            ("decay_xy", (lapack, "dgttrf")),
-        ],
-        ids=["unperturbed", "mult_x", "mult_xy", "decay_y", "decay_xy"],
-    )
-    def test_factor_follows_the_momentum_structure(self, kind, forbidden, solves, monkeypatch):
-        """A y-invariant H - c is factored as the stacked tridiagonal and runs no SuperLU;
-        a W that joins momenta takes SuperLU and runs no ?gttrf.  Either way one
-        Lanczos solve asks for k = n, and the trace matches the dense reference."""
-        monkeypatch.setattr(*forbidden, _forbidden)
-        w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
-        res = self._check(GRID_768, FIG2, (-1.0, 1.0), w, coupling=0.7)
+    @pytest.mark.parametrize("kind", ["mult_xy", "decay_y", "decay_xy"])
+    def test_factor_follows_the_momentum_structure(self, kind, solves, monkeypatch):
+        """A W that joins momenta takes one Lanczos solve for k = n and no fiber
+        solve, and the trace matches the dense reference."""
+        monkeypatch.setattr(oracle2d, "eig_window", _forbidden)
+        res = self._check(GRID_768, FIG2, (-1.0, 1.0), PerturbationSpec(kind=kind, amplitude=0.5), coupling=0.7)
         assert solves == [res.n_window] and res.n_window > 0
 
+    def test_y_invariant_trace_is_the_fiber_sum(self, solves, monkeypatch):
+        """Without W and with W(x), the trace makes exactly Ny eig_window calls, one per
+        momentum on the fiber J(zeta_n) (plus W(x) on d), and no eigsh, SuperLU or
+        ?gttrf call, and the trace matches the dense reference."""
+        monkeypatch.setattr(spla, "splu", _forbidden)
+        monkeypatch.setattr("scipy.linalg.lapack.dgttrf", _forbidden)
+        real, blocks = oracle2d.eig_window, []
+
+        def recorded(A, window):
+            blocks.append(A)
+            return real(A, window)
+
+        monkeypatch.setattr(oracle2d, "eig_window", recorded)
+        g = GRID_768
+        fam = FiberFamily.of(g.grid_x, FIG2)
+        zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
+        for w in (None, PerturbationSpec(kind="mult_x", amplitude=0.5)):
+            blocks.clear()
+            res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
+            assert res.n_window > 0 and len(blocks) == g.Ny
+            for A, z in zip(blocks, zeta):
+                assert A.grid == g.grid_x and np.array_equal(A.e, fam.at(z).e)
+                assert (w is not None) or np.array_equal(A.d, fam.d)
+        assert solves == []
+
     def test_one_solve_at_k_equal_n_past_32(self, solves):
-        res = self._check(GRID_1536, FIG2, (-2.5, 2.5))
+        res = self._check(GRID_1536, FIG2, (-2.5, 2.5), PerturbationSpec(kind="mult_xy", amplitude=0.5), coupling=0.7)
         assert solves == [res.n_window] and res.n_window > 32
 
     def test_lanczos_holds_a_quarter_of_the_spectrum(self, solves):
         """n = 161 on dimension 640, past dim / 4: one Lanczos solve takes it too."""
-        res = self._check(SMALL, FIG2, (-5.3, 5.3))
+        res = self._check(SMALL, FIG2, (-5.3, 5.3), PerturbationSpec(kind="mult_xy", amplitude=0.5), coupling=0.7)
         assert solves == [res.n_window] and 4 * res.n_window > SMALL.dim
 
     def test_empty_window_runs_no_solve(self, monkeypatch):
+        """Without W and with a y-dependent W, which takes the Lanczos path's empty block."""
         monkeypatch.setattr(spla, "eigsh", _forbidden)
-        res = self._check(GRID_768, preset_profiles("bulk_uniform"), (-0.5, 0.5))
-        assert res.two_pi_sigma == 0.0 and res.n_window == 0
+        for w in (None, PerturbationSpec(kind="decay_y", amplitude=0.5)):
+            res = self._check(GRID_768, preset_profiles("bulk_uniform"), (-0.5, 0.5), w, coupling=0.5)
+            assert res.two_pi_sigma == 0.0 and res.n_window == 0
 
     def test_count_certificate_can_fail(self, monkeypatch):
         """A solve that drops the in-window pair nearest c returns n - 1 values
@@ -484,7 +502,7 @@ class TestWindowedSolve:
             return lam[keep], vec[:, keep]
 
         monkeypatch.setattr(spla, "eigsh", drop_nearest)
-        H = assemble_2d(GRID_768, preset_profiles("mass_wall"))
+        H = assemble_2d(GRID_768, preset_profiles("mass_wall"), PerturbationSpec(kind="mult_xy", amplitude=0.5), 0.7)
         dens = DensityProfile.from_window(-0.5, 0.5)
         with pytest.raises(SolverError, match="window"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), dens)
@@ -493,6 +511,7 @@ class TestWindowedSolve:
     def test_window_holding_the_whole_spectrum_raises(self, monkeypatch):
         """n = dim, past what eigsh can return on a sparse matrix: WindowError before any solve."""
         monkeypatch.setattr(spla, "eigsh", _forbidden)
+        monkeypatch.setattr(oracle2d, "eig_window", _forbidden)
         H = assemble_2d(SMALL, FIG2)
         window = (-40.0, 40.0)
         assert _dense_count(H, window) == SMALL.dim
@@ -513,7 +532,7 @@ class TestWindowedSolve:
             raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
         monkeypatch.setattr(spla, "eigsh", stalled)
-        H = assemble_2d(GRID_768, FIG2)
+        H = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind="decay_y", amplitude=0.5), coupling=0.7)
         with pytest.raises(SolverError, match="Lanczos"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
 
@@ -528,18 +547,24 @@ class TestWindowedSolve:
         with pytest.raises(SolverError, match="exactly singular"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
 
-    def test_zero_pivot_in_stacked_factor_raises_solver_error(self, monkeypatch):
-        """A y-invariant shift's ?gttrf factor is part of the solve: info > 0 (a zero pivot) is a SolverError."""
-        real = lapack.dgttrf
+    def test_momentum_block_that_drops_a_row_raises_solver_error(self, monkeypatch):
+        """A fiber solve that drops the last row of one momentum's block returns n - 1
+        states for a window that holds n: the count check raises SolverError."""
+        real, calls = oracle2d.eig_window, []
 
-        def singular(*args, **kwargs):
-            *lu, _ = real(*args, **kwargs)
-            return (*lu, 7)
+        def drop_one(A, window):
+            pairs = real(A, window)
+            calls.append(len(pairs))
+            first = len(pairs) and sum(calls) == len(pairs)  # every earlier block was empty
+            return pairs[:-1] if first else pairs
 
-        monkeypatch.setattr(lapack, "dgttrf", singular)
+        monkeypatch.setattr(oracle2d, "eig_window", drop_one)
         H = assemble_2d(GRID_768, FIG2)
-        with pytest.raises(SolverError, match="exactly singular: zero pivot at row 7"):
-            trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
+        dens = DensityProfile.from_window(-1.0, 1.0)
+        n = _dense_count(H, dens.window)
+        with pytest.raises(SolverError, match=f"returned {n - 1} values, {n - 1} inside the window that holds {n}"):
+            trace_conductivity(H, GRID_768, default_projection(GRID_768), dens)
+        assert len(calls) == GRID_768.Ny and sum(calls) == n > 0
 
     def test_residual_contract_enforced(self, monkeypatch):
         real = spla.eigsh
@@ -549,6 +574,6 @@ class TestWindowedSolve:
             return lam + 1e-3, vec
 
         monkeypatch.setattr(spla, "eigsh", perturbed)
-        H = assemble_2d(GRID_768, FIG2)
+        H = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind="decay_y", amplitude=0.5), coupling=0.7)
         with pytest.raises(SolverError, match="residual"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), DensityProfile.from_window(-1.0, 1.0))
