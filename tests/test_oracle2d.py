@@ -441,18 +441,24 @@ class TestWindowedSolve:
         monkeypatch.setattr(spla, "eigsh", recorded)
         return calls
 
-    @pytest.mark.parametrize("kind", ["mult_xy", "decay_y", "decay_xy"])
+    @pytest.mark.parametrize(
+        "kind",
+        [None, "mult_x", "mult_xy", "decay_y", "decay_xy"],
+        ids=["unperturbed", "mult_x", "mult_xy", "decay_y", "decay_xy"],
+    )
     def test_factor_follows_the_momentum_structure(self, kind, solves, monkeypatch):
-        """A W that joins momenta takes one Lanczos solve for k = n and no fiber
-        solve, and the trace matches the dense reference."""
-        monkeypatch.setattr(oracle2d, "eig_window", _forbidden)
-        res = self._check(GRID_768, FIG2, (-1.0, 1.0), PerturbationSpec(kind=kind, amplitude=0.5), coupling=0.7)
-        assert solves == [res.n_window] and res.n_window > 0
-
-    def test_y_invariant_trace_is_the_fiber_sum(self, solves, monkeypatch):
-        """Without W and with W(x), the trace makes exactly Ny eig_window calls, one per
-        momentum on the fiber J(zeta_n) (plus W(x) on d), and no eigsh, SuperLU or
-        ?gttrf call, and the trace matches the dense reference."""
+        """A y-invariant H (no W, or W(x)) is the fiber sum: exactly Ny eig_window
+        calls, one per momentum on the fiber J(zeta_n) (plus W(x) on d), and no
+        eigsh, SuperLU or ?gttrf call.  A W that joins momenta takes one Lanczos
+        solve for k = n and no fiber solve.  Either way the trace matches the
+        dense reference."""
+        g = GRID_768
+        w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
+        if kind not in (None, "mult_x"):
+            monkeypatch.setattr(oracle2d, "eig_window", _forbidden)
+            res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
+            assert solves == [res.n_window] and res.n_window > 0
+            return
         monkeypatch.setattr(spla, "splu", _forbidden)
         monkeypatch.setattr("scipy.linalg.lapack.dgttrf", _forbidden)
         real, blocks = oracle2d.eig_window, []
@@ -462,16 +468,13 @@ class TestWindowedSolve:
             return real(A, window)
 
         monkeypatch.setattr(oracle2d, "eig_window", recorded)
-        g = GRID_768
         fam = FiberFamily.of(g.grid_x, FIG2)
         zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
-        for w in (None, PerturbationSpec(kind="mult_x", amplitude=0.5)):
-            blocks.clear()
-            res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
-            assert res.n_window > 0 and len(blocks) == g.Ny
-            for A, z in zip(blocks, zeta):
-                assert A.grid == g.grid_x and np.array_equal(A.e, fam.at(z).e)
-                assert (w is not None) or np.array_equal(A.d, fam.d)
+        res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
+        assert res.n_window > 0 and len(blocks) == g.Ny
+        for A, z in zip(blocks, zeta):
+            assert A.grid == g.grid_x and np.array_equal(A.e, fam.at(z).e)
+            assert (w is not None) or np.array_equal(A.d, fam.d)
         assert solves == []
 
     def test_one_solve_at_k_equal_n_past_32(self, solves):
