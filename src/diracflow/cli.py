@@ -12,6 +12,9 @@ Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
 bulk Landau level), 5 2D oracle dimension budget exceeded,
 6 invalid config or command line, 7 failed result (a flow or an oracle trace
 that does not reconcile with the prediction, or an unstable oracle verdict).
+
+A run that gets past config parsing writes `manifest.json` into --out (`_run`),
+also when it fails: the failure is the verdict `<verb>: failed` and the error.
 """
 
 from __future__ import annotations
@@ -51,30 +54,15 @@ def half_spaces(ps: ProfileSet) -> tuple[HalfSpaceParams, HalfSpaceParams]:
     return minus, plus
 
 
-def run_sweep(cfg: RunConfig, out: Path) -> tuple[list[Branch], RunManifest]:
-    """Sweep, timed, with its telemetry (`sweep_branches`' stats), into a new
-    manifest.  A DiracflowError is recorded (`_record_failure`, partial
-    telemetry) and re-raised."""
-    out.mkdir(parents=True, exist_ok=True)
-    man = RunManifest(cfg.resolved())
+def run_sweep(cfg: RunConfig, man: RunManifest) -> list[Branch]:
+    """Sweep, with its time and telemetry (`sweep_branches`' stats) in `man`, also
+    when the sweep raises."""
     man.diagnostics["sweep"] = stats = {}
     t0 = time.perf_counter()
     try:
-        branches = sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, stats=stats)
-    except DiracflowError as exc:
+        return sweep_branches(cfg.grid, cfg.profiles, cfg.sweep, cfg.filter, stats=stats)
+    finally:
         man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
-        _record_failure(man, "sweep", exc, out)
-        raise
-    man.timings["sweep_seconds"] = round(time.perf_counter() - t0, 3)
-    return branches, man
-
-
-def _record_failure(man: RunManifest, stage: str, exc: DiracflowError, out: Path) -> None:
-    """Write `man` to `out/manifest.json` with the verdict `stage: failed` and the
-    error's class, message and zeta under `diagnostics.error`."""
-    man.verdicts[stage] = "failed"
-    man.diagnostics["error"] = {"class": type(exc).__name__, "message": str(exc), "zeta": getattr(exc, "zeta", None)}
-    man.write(out / "manifest.json")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -85,36 +73,27 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             wr.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def cmd_bulk(cfg: RunConfig, out: Path) -> int:
+def cmd_bulk(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     minus, plus = half_spaces(cfg.profiles)
-    out.mkdir(parents=True, exist_ok=True)
-    man = RunManifest(cfg.resolved())
     rows = []
     print(f"scenario: {cfg.scenario}")
-    try:
-        for side, hp in (("minus", minus), ("plus", plus)):
-            spec = landau_levels(hp, k_max=4)
-            print(f"  {side}: B={hp.B:g} m={hp.m:g} V={hp.V:g}  levels={[round(v, 4) for v in spec.levels]}")
-        for alpha in cfg.alphas:
-            pred = predicted_sf(minus, plus, alpha)
-            print(
-                f"  alpha={alpha:g}: N-={pred.N_minus} N+={pred.N_plus} "
-                f"I-={pred.I_minus} I+={pred.I_plus} SF_pred = {pred.sf}"
-            )
-            rows.append(
-                (float(alpha), pred.N_minus, pred.N_plus, str(pred.I_minus), str(pred.I_plus), pred.sf)
-            )
-    except DiracflowError as exc:
-        _record_failure(man, "bulk", exc, out)
-        raise
+    for side, hp in (("minus", minus), ("plus", plus)):
+        spec = landau_levels(hp, k_max=4)
+        print(f"  {side}: B={hp.B:g} m={hp.m:g} V={hp.V:g}  levels={[round(v, 4) for v in spec.levels]}")
+    for alpha in cfg.alphas:
+        pred = predicted_sf(minus, plus, alpha)
+        print(
+            f"  alpha={alpha:g}: N-={pred.N_minus} N+={pred.N_plus} "
+            f"I-={pred.I_minus} I+={pred.I_plus} SF_pred = {pred.sf}"
+        )
+        rows.append((float(alpha), pred.N_minus, pred.N_plus, str(pred.I_minus), str(pred.I_plus), pred.sf))
     _write_csv(out / "bulk.csv", ["alpha", "N_minus", "N_plus", "I_minus", "I_plus", "sf_pred"], rows)
     man.verdicts["bulk"] = "ok"
-    man.write(out / "manifest.json")
     return 0
 
 
-def cmd_branches(cfg: RunConfig, out: Path) -> int:
-    branches, man = run_sweep(cfg, out)
+def cmd_branches(cfg: RunConfig, out: Path, man: RunManifest) -> int:
+    branches = run_sweep(cfg, man)
     _write_csv(
         out / "branches.csv",
         ["branch_id", "zeta", "mu", "slope", "overlap", "boundary_mass"],
@@ -129,99 +108,112 @@ def cmd_branches(cfg: RunConfig, out: Path) -> int:
     (out / f"{cfg.scenario}.svg").write_text(svg)
     man.diagnostics["n_branches"] = len(branches)
     man.verdicts["branches"] = "ok"
-    man.write(out / "manifest.json")
     print(f"{cfg.scenario}: {len(branches)} branches -> {out / 'branches.csv'}")
     return 0
 
 
-def cmd_flow(cfg: RunConfig, out: Path) -> int:
+def cmd_flow(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     minus, plus = half_spaces(cfg.profiles)
     check_density_window(minus, plus, cfg.density.window)
-    branches, man = run_sweep(cfg, out)
+    branches = run_sweep(cfg, man)
 
     all_ok = True
     rows = []
-    try:
-        # sigma does not depend on alpha: one value, predicted at the density window's centre
-        sigma = conductivity(branches, cfg.density)
-        sigma_pred = predicted_sf(minus, plus, 0.5 * sum(cfg.density.window))
-        print(f"{'alpha':>8} {'sf_num':>7} {'sf_pred':>8} {'2pi*sigma':>12} {'ok':>4}")
-        for alpha in cfg.alphas:
-            pred = predicted_sf(minus, plus, alpha)
-            report = spectral_flow(branches, alpha, prediction=pred)
-            ok = reconcile(report, pred, sigma, sigma_pred)
-            all_ok &= ok
-            print(f"{_fmt(alpha):>8} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
-            rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
-            man.diagnostics[f"alpha_{_fmt(alpha)}"] = {
-                "crossings": [[c.branch_id, c.zeta, c.direction] for c in report.crossings],
-            }
-    except DiracflowError as exc:
-        _record_failure(man, "flow", exc, out)
-        raise
+    # sigma does not depend on alpha: one value, predicted at the density window's centre
+    sigma = conductivity(branches, cfg.density)
+    sigma_pred = predicted_sf(minus, plus, 0.5 * sum(cfg.density.window))
+    print(f"{'alpha':>8} {'sf_num':>7} {'sf_pred':>8} {'2pi*sigma':>12} {'ok':>4}")
+    for alpha in cfg.alphas:
+        pred = predicted_sf(minus, plus, alpha)
+        report = spectral_flow(branches, alpha, prediction=pred)
+        ok = reconcile(report, pred, sigma, sigma_pred)
+        all_ok &= ok
+        print(f"{_fmt(alpha):>8} {report.sf_numeric:7d} {pred.sf:8d} {sigma:12.6f} {str(ok):>4}")
+        rows.append((float(alpha), report.sf_numeric, pred.sf, float(sigma), int(ok)))
+        man.diagnostics[f"alpha_{_fmt(alpha)}"] = {
+            "crossings": [[c.branch_id, c.zeta, c.direction] for c in report.crossings],
+        }
     _write_csv(out / "flow.csv", ["alpha", "sf_numeric", "sf_predicted", "two_pi_sigma", "reconciled"], rows)
     man.verdicts["flow"] = "ok" if all_ok else "mismatch"
-    man.write(out / "manifest.json")
     return 0 if all_ok else _FAILED_RESULT
 
 
-def cmd_oracle(cfg: RunConfig, out: Path) -> int:
+def cmd_oracle(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     if cfg.grid2d is None:
         raise ConfigError("oracle requires a grid2d section in the config")
     minus, plus = half_spaces(cfg.profiles)
     check_density_window(minus, plus, cfg.density.window)
-    out.mkdir(parents=True, exist_ok=True)
-    man = RunManifest(cfg.resolved())
     g = cfg.grid2d
     P = default_projection(g)
     dens = cfg.density
 
     import scipy.sparse  # noqa: F401  loaded before the clock, so assemble_seconds leaves the import out
 
-    rows = []
-    try:
-        t0 = time.perf_counter()
-        H = assemble_2d(g, cfg.profiles)
-        t1 = time.perf_counter()
-        res = trace_conductivity(H, g, P, dens, full_result=True)
-        man.timings["assemble_seconds"] = round(t1 - t0, 6)
-        man.timings["trace_seconds"] = round(time.perf_counter() - t1, 6)
-        rows.append((cfg.scenario, 0.0, res.two_pi_sigma))
-        # as in flow: one prediction, at the density window's centre; the 2D grid's
-        # zeta sampling leaves 2 pi sigma off the integer by up to 4e-2 on the presets
-        sf = predicted_sf(minus, plus, 0.5 * sum(dens.window)).sf
-        man.diagnostics["oracle"] = {
-            "two_pi_sigma": res.two_pi_sigma,
-            "predicted_sf": sf,
-            "deviation": res.two_pi_sigma - sf,
-            "states_cut": res.n_states_cut,
-            "states_in_window": res.n_window,
-            "max_residual": res.max_residual,
-        }
-        verdicts_ok = round(res.two_pi_sigma) == sf
-        print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}, predicted {sf}, reconciled {verdicts_ok}")
+    t0 = time.perf_counter()
+    H = assemble_2d(g, cfg.profiles)
+    t1 = time.perf_counter()
+    res = trace_conductivity(H, g, P, dens, full_result=True)
+    man.timings["assemble_seconds"] = round(t1 - t0, 6)
+    man.timings["trace_seconds"] = round(time.perf_counter() - t1, 6)
+    rows = [(cfg.scenario, 0.0, res.two_pi_sigma)]
+    # as in flow: one prediction, at the density window's centre; the 2D grid's
+    # zeta sampling leaves 2 pi sigma off the integer by up to 4e-2 on the presets
+    sf = predicted_sf(minus, plus, 0.5 * sum(dens.window)).sf
+    man.diagnostics["oracle"] = {
+        "two_pi_sigma": res.two_pi_sigma,
+        "predicted_sf": sf,
+        "deviation": res.two_pi_sigma - sf,
+        "states_cut": res.n_states_cut,
+        "states_in_window": res.n_window,
+        "max_residual": res.max_residual,
+    }
+    verdicts_ok = round(res.two_pi_sigma) == sf
+    print(f"{cfg.scenario}: 2pi*sigma = {res.two_pi_sigma:.6f}, predicted {sf}, reconciled {verdicts_ok}")
 
-        if cfg.perturbation is not None:
-            couplings = [0.0, 0.5, 1.0]
-            st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens, res.two_pi_sigma)
-            for c, s in st.rows:
-                rows.append((f"{cfg.scenario}+{cfg.perturbation.kind}", c, s))
-            man.verdicts["stability"] = st.verdict
-            verdicts_ok &= st.verdict == "stable"
-            print(f"stability ({cfg.perturbation.kind}): {st.verdict}")
-    except DiracflowError as exc:  # a stability trace's failure keeps the base trace's diagnostics
-        _record_failure(man, "oracle", exc, out)
-        raise
+    if cfg.perturbation is not None:  # a stability trace that raises keeps the base trace's diagnostics
+        couplings = [0.0, 0.5, 1.0]
+        st = stability_experiment(cfg.profiles, cfg.perturbation, couplings, g, P, dens, res.two_pi_sigma)
+        for c, s in st.rows:
+            rows.append((f"{cfg.scenario}+{cfg.perturbation.kind}", c, s))
+        man.verdicts["stability"] = st.verdict
+        verdicts_ok &= st.verdict == "stable"
+        print(f"stability ({cfg.perturbation.kind}): {st.verdict}")
 
     _write_csv(out / "oracle.csv", ["scenario", "coupling", "two_pi_sigma"], rows)
     man.verdicts["oracle"] = "ok" if verdicts_ok else "failed"
-    man.write(out / "manifest.json")
     return 0 if verdicts_ok else _FAILED_RESULT
+
+
+# each verb's command and the key of its verdict in the manifest
+_VERBS = {
+    "bulk-spectrum": (cmd_bulk, "bulk"),
+    "branches": (cmd_branches, "branches"),
+    "flow": (cmd_flow, "flow"),
+    "oracle": (cmd_oracle, "oracle"),
+}
+
+
+def _run(verb: str, cfg: RunConfig, out: Path) -> int:
+    """Run `verb` into `out`: make the directory and the run's one manifest, call the
+    verb, and write `manifest.json` whether it returns or raises.  A DiracflowError
+    is recorded as the verdict `<key>: failed` with the error's class, message and
+    zeta under `diagnostics.error`, and re-raised for `main` to report."""
+    cmd, key = _VERBS[verb]
+    out.mkdir(parents=True, exist_ok=True)
+    man = RunManifest(cfg.resolved())
+    try:
+        return cmd(cfg, out, man)
+    except DiracflowError as exc:
+        man.verdicts[key] = "failed"
+        man.diagnostics["error"] = {"class": type(exc).__name__, "message": str(exc), "zeta": getattr(exc, "zeta", None)}
+        raise
+    finally:
+        man.write(out / "manifest.json")
 
 
 def cmd_all_figures(out_dir: Path) -> int:
     for name in PRESETS:
-        cmd_branches(config_from_dict(preset_config(name)), out_dir / name)
+        _run("branches", config_from_dict(preset_config(name)), out_dir / name)
     return 0
 
 
@@ -232,7 +224,7 @@ class _Parser(argparse.ArgumentParser):
 
 def main(argv: list[str] | None = None) -> int:
     ap = _Parser(prog="diracflow", description=__doc__)
-    ap.add_argument("verb", choices=["bulk-spectrum", "branches", "flow", "oracle", "all-figures"])
+    ap.add_argument("verb", choices=[*_VERBS, "all-figures"])
     source = ap.add_mutually_exclusive_group()
     source.add_argument("--config", type=Path, help="JSON config file")
     source.add_argument("--preset", choices=sorted(PRESETS), help="named preset scenario")
@@ -249,13 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = config_from_dict(preset_config(ns.preset))
         else:
             raise ConfigError("need --config or --preset")
-        dispatch = {
-            "bulk-spectrum": lambda: cmd_bulk(cfg, ns.out),
-            "branches": lambda: cmd_branches(cfg, ns.out),
-            "flow": lambda: cmd_flow(cfg, ns.out),
-            "oracle": lambda: cmd_oracle(cfg, ns.out),
-        }
-        return dispatch[ns.verb]()
+        return _run(ns.verb, cfg, ns.out)
     except DiracflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -85,7 +85,7 @@ import scipy.linalg as sla
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-from .errors import BudgetError, SolverError, WindowError
+from .errors import BudgetError, DiracflowError, SolverError, WindowError
 from .fiber import FiberFamily, FiberMatrix, Grid1D, check_residuals, count_eigenvalues, eig_window
 from .fiber import slopes_of, zone_edge_fraction
 from .profiles import DensityProfile, ProfileSet, SwitchProfile, _g, derivative
@@ -392,13 +392,17 @@ def stability_experiment(
 ) -> StabilityResult:
     """Conductivity at each coupling; stable iff all round to the unperturbed integer.
     `unperturbed`, when given, is the already traced 2 pi sigma of `base`: a zero
-    coupling takes it instead of tracing the same H again."""
+    coupling takes it instead of tracing the same H again.  A coupling's
+    DiracflowError is raised again with `coupling <c>: ` before its message."""
     rows = []
     for c in couplings:
         if c == 0.0 and unperturbed is not None:
             s = unperturbed
         else:
-            s = float(trace_conductivity(assemble_2d(g, base, w, coupling=c), g, P, dens))
+            try:
+                s = float(trace_conductivity(assemble_2d(g, base, w, coupling=c), g, P, dens))
+            except DiracflowError as exc:  # the same class, so the same exit code
+                raise type(exc)(f"coupling {c:g}: {exc}") from exc
         rows.append((float(c), s))
     baseline = round(rows[0][1])
     stable = all(round(s) == baseline for _, s in rows)

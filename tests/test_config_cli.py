@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from diracflow import cli, fiber, oracle2d
 from diracflow.cli import main
 from diracflow.config import RunConfig, config_from_dict, load_config
-from diracflow.errors import DiracflowError, SolverError
+from diracflow.errors import DiracflowError, SolverError, TrackingError
 from diracflow.presets import PRESETS, preset_config
 from diracflow.profiles import DensityProfile
 
@@ -220,7 +220,7 @@ class TestCliBranches:
         )
         assert "Traceback" not in err
         man = json.loads((out / "manifest.json").read_text())
-        assert man["verdicts"] == {"sweep": "failed"}
+        assert man["verdicts"] == {"branches": "failed"}
         error = man["diagnostics"]["error"]
         assert error["class"] == "TrackingError" and error["message"] in err
         assert error["zeta"] == pytest.approx(-7.9999, abs=1e-4)
@@ -238,7 +238,7 @@ class TestCliBranches:
         err = capsys.readouterr().err
         assert "budget" in err and "Traceback" not in err
         man = json.loads((out / "manifest.json").read_text())
-        assert man["verdicts"] == {"sweep": "failed"}
+        assert man["verdicts"] == {"branches": "failed"}
         assert man["diagnostics"]["error"]["class"] == "BudgetError"
         assert man["diagnostics"]["sweep"] == {}
         assert not (out / "branches.csv").exists()
@@ -304,6 +304,7 @@ class TestCliFlow:
         p.write_text(json.dumps(raw))
         assert main(["flow", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
         assert "bulk level" in capsys.readouterr().err
+        _assert_failure_record(tmp_path / "o", "flow", "WindowError")
 
     def test_invalid_window_exits_4(self, tmp_path, capsys):
         """A flow that fails after its sweep still writes the manifest: the verdict
@@ -326,6 +327,15 @@ class TestCliFlow:
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("not expected to run")
+
+
+def _assert_failure_record(out, key, error_class):
+    """`out` holds the manifest of a run that failed, with no CSV."""
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["verdicts"] == {key: "failed"}
+    assert man["diagnostics"]["error"]["class"] == error_class
+    assert not list(out.glob("*.csv"))
+    return man
 
 
 class TestCliOracle:
@@ -355,6 +365,7 @@ class TestCliOracle:
         p.write_text(json.dumps(raw))
         assert main(["oracle", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
         assert "bulk level 1.9" in capsys.readouterr().err
+        _assert_failure_record(tmp_path / "o", "oracle", "WindowError")
 
     def test_missing_grid2d_exits_6(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -362,6 +373,8 @@ class TestCliOracle:
         rc = main(["oracle", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 6
         assert capsys.readouterr().err == "error: oracle requires a grid2d section in the config\n"
+        man = _assert_failure_record(tmp_path / "o", "oracle", "ConfigError")
+        assert man["diagnostics"]["error"]["message"] == "oracle requires a grid2d section in the config"
 
     def test_small_oracle_runs(self, tmp_path, capsys):
         raw = tiny_config()
@@ -436,7 +449,8 @@ print(loaded)
 
     def test_failed_stability_trace_keeps_the_base_trace(self, tmp_path, monkeypatch, capsys):
         """A stability trace that raises after the base trace: exit 1, and the manifest
-        keeps the base trace's diagnostics and timings under the verdict failed."""
+        keeps the base trace's diagnostics and timings under the verdict failed, and
+        names the coupling that failed."""
 
         def failing(*args, **kwargs):
             raise SolverError("eigensolve returned 3 values, 3 inside the window that holds 4")
@@ -451,7 +465,9 @@ print(loaded)
         assert main(["oracle", "--config", str(p), "--out", str(out)]) == 1
         man = json.loads((out / "manifest.json").read_text())
         assert man["verdicts"] == {"oracle": "failed"}
-        assert man["diagnostics"]["error"]["class"] == "SolverError"
+        error = man["diagnostics"]["error"]
+        assert error["class"] == "SolverError"
+        assert error["message"] == "coupling 0.5: eigensolve returned 3 values, 3 inside the window that holds 4"
         assert man["diagnostics"]["oracle"]["states_in_window"] > 0
         assert set(man["timings"]) == {"assemble_seconds", "trace_seconds"}
         assert "holds 4" in capsys.readouterr().err and not (out / "oracle.csv").exists()
@@ -502,6 +518,36 @@ print(loaded)
         diag = man["diagnostics"]["oracle"]
         assert diag["predicted_sf"] == 1 and abs(diag["deviation"] - 1.0045) < 1e-3
         assert len((out / "oracle.csv").read_text().splitlines()) == 2
+
+
+def test_all_figures_stops_at_the_first_failed_preset(tmp_path, monkeypatch, capsys):
+    """Each preset runs through the one run lifecycle: the first writes its figure
+    and an ok manifest, the second's tracking failure exits 3 with its record, and
+    no later preset runs."""
+    calls = []
+
+    def sweep(*args, stats):
+        calls.append(args)
+        if len(calls) == 2:
+            stats["solves"] = 1
+            raise TrackingError("tracking ambiguity at zeta = 0.5", zeta=0.5)
+        return []
+
+    monkeypatch.setattr(cli, "sweep_branches", sweep)
+    assert main(["all-figures", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: tracking ambiguity at zeta = 0.5\n"
+    first, second = list(PRESETS)[:2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([first, second])
+    man = json.loads((tmp_path / first / "manifest.json").read_text())
+    assert man["verdicts"] == {"branches": "ok"} and man["diagnostics"]["n_branches"] == 0
+    assert (tmp_path / first / "branches.csv").exists() and (tmp_path / first / f"{first}.svg").exists()
+    man = _assert_failure_record(tmp_path / second, "branches", "TrackingError")
+    assert man["config"]["scenario"] == second
+    assert man["diagnostics"]["error"] == {
+        "class": "TrackingError", "message": "tracking ambiguity at zeta = 0.5", "zeta": 0.5
+    }
+    assert man["diagnostics"]["sweep"] == {"solves": 1} and "sweep_seconds" in man["timings"]
+    assert not (tmp_path / second / f"{second}.svg").exists()
 
 
 def test_convergence_script_stops_at_the_budget(monkeypatch, capsys):
