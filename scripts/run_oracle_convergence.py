@@ -5,10 +5,10 @@ Computes 2*pi*sigma on a doubling sequence of (Ny, Ly) boxes at fixed
 x-geometry for the standard dual-wall scenario, showing convergence of
 the trace toward the quantized value 1.  Each row's ms covers assembly
 and trace.  One untimed warm-up trace at the first level runs first, so
-that one-time start-up costs (scipy's sparse stack loads on the oracle's
-first call) do not land on the first row.  A level past the oracle's
-dimension budget stops the table with `error: ...` and the error's exit
-code, as the CLI does.
+that one-time start-up costs do not land on the first row (the trace is
+y-invariant and loads no scipy.sparse, so those are first-call costs
+only).  A level past the oracle's dimension budget stops the table with
+`error: ...` and the error's exit code, as the CLI does.
 
 Usage: python scripts/run_oracle_convergence.py [--levels K]
 """

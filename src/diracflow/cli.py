@@ -10,7 +10,7 @@ Verbs:
 Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
 3 tracking failure, 4 invalid window (including a density window that holds a
 bulk Landau level), 5 2D oracle dimension budget exceeded,
-6 invalid config or command line, 7 failed result (a flow or an oracle trace
+6 invalid config, command line or --out, 7 failed result (a flow or an oracle trace
 that does not reconcile with the prediction, or an unstable oracle verdict).
 
 A run that gets past config parsing writes `manifest.json` into --out (`_run`),
@@ -147,8 +147,6 @@ def cmd_oracle(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     P = default_projection(g)
     dens = cfg.density
 
-    import scipy.sparse  # noqa: F401  loaded before the clock, so assemble_seconds leaves the import out
-
     t0 = time.perf_counter()
     H = assemble_2d(g, cfg.profiles)
     t1 = time.perf_counter()
@@ -197,9 +195,13 @@ def _run(verb: str, cfg: RunConfig, out: Path) -> int:
     """Run `verb` into `out`: make the directory and the run's one manifest, call the
     verb, and write `manifest.json` whether it returns or raises.  A DiracflowError
     is recorded as the verdict `<key>: failed` with the error's class, message and
-    zeta under `diagnostics.error`, and re-raised for `main` to report."""
+    zeta under `diagnostics.error`, and re-raised for `main` to report.  An `out`
+    that cannot be made a directory is a ConfigError, with no manifest."""
     cmd, key = _VERBS[verb]
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc}") from exc
     man = RunManifest(cfg.resolved())
     try:
         return cmd(cfg, out, man)

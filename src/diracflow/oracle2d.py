@@ -12,17 +12,20 @@ with dJ/dzeta = tridiag(-s, 0, -s) the Jacobi form of sigma_2, read off
 the fiber pencil e(zeta) = e0 - zeta s (s is 1 on site and 0 between
 sites, so dJ/dzeta is -1 between the two components of each site).  So a
 y-invariant H is exactly the block sum of the fibers J(zeta_n), bit for
-bit, and assemble_2d builds it from its three diagonals: row k Ny + n holds
-J(zeta_n)'s row k, d_k on the diagonal and e_k(zeta_n) = e0_k - zeta_n s_k
-at offsets +-Ny.  The x-stencil is defined only in the fiber module.
+bit.  The x-stencil is defined only in the fiber module.
 W(x, y) acts on the momenta by convolution: each component of site i carries the
 circulant block W_hat[n, n'] = w_hat_i(n - n' mod Ny), w_hat =
 Re fft(W, axis=1) / Ny, W's cosine transform: W must be even about Ly/2,
 so its y-DFT is real in exact arithmetic and the real part drops only
 FFT rounding.  It is taken of W - W(x, 0), with W(x, 0) added at n = 0, so
-that a W(x) joins no momenta at any Ny.  Symmetrized, H is a bit-exactly symmetric float64 CSR matrix:
-9152 entries at dimension 3072 without W, plus Ny per row on the sites
-where W(x, .) is nonzero.
+that a W(x) joins no momenta at any Ny.
+
+assemble_2d keeps that structure: its Operator2D holds the fiber family,
+with a W(x) on d, and w_hat only when W joins momenta (else None).  Only
+the y-dependent solve builds H as a matrix, Operator2D.matrix(): bit-exactly
+symmetric float64 CSR, row k Ny + n holding J(zeta_n)'s row k at offsets 0
+and +-Ny plus W_hat symmetrized as (C + C^T) / 2; 9152 entries at dimension
+3072 without W, plus Ny per row on the sites where W(x, .) is nonzero.
 
 The conductivity is evaluated from the eigenpairs inside the density
 window (E1, E2), the only ones on which phi' is nonzero.  With the
@@ -35,22 +38,16 @@ is the fiber's Hellmann-Feynman slope weighted by P'(y):
 with t_k the eigenvector on the y-sites (a Lanczos vector is mapped there by
 one inverse FFT).
 
-Before any solve, one array of H's row indices (_window_count) finds H's
-momentum structure and counts the eigenvalues in the window (lo, hi]
-exactly.  When no entry joins two momenta (W independent of y), H is the
-block sum of the fibers: in momentum-major order it is one stacked
-tridiagonal, the Ny fibers J(zeta_n) (plus W(x) on d) joined by zero
-couplings, counted by one ?stebz Sturm count that splits at those zeros.
-Otherwise, in (Jacobi index k, momentum) order H is block tridiagonal with
-Ny x Ny blocks, so by Haynsworth's inertia additivity (Linear Algebra Appl.
-1, 1968) the number of eigenvalues <= lam is the number of negative
-eigenvalues of all the Schur complements of the block LDL^T recursion, the
-block form of that Sturm count.  A count n = dim is a WindowError before
-any solve (a window in a bulk gap, bulk.check_density_window, holds at most
-96 of 3072 on the presets' grid2d).
+Before any solve, _window_count counts the eigenvalues in the window
+(lo, hi] exactly from the operator's arrays: one ?stebz Sturm count of the
+stacked fibers for a y-invariant H, else the negative eigenvalues of the
+Schur complements of H's block LDL^T recursion (Haynsworth's inertia
+additivity, Linear Algebra Appl. 1, 1968), the block form of that count.
+A count n = dim is a WindowError before any solve (a window in a bulk gap,
+bulk.check_density_window, holds at most 96 of 3072 on the presets' grid2d).
 
 A y-invariant H is the fiber sum, the partial Fourier decomposition
-H = sum_n J(zeta_n): each momentum block of the stack is solved cold by the
+H = sum_n J(zeta_n): each fiber, Operator2D.fiber.at(zeta_n), is solved cold by the
 fiber's own certified solver, fiber.eig_window.  Its states are
 e^{i zeta_n y} (x) t, so a state's trace share is mean_j P'(y_j) times its
 block's slope, its zone-edge score is that of t, and its residual in H is
@@ -69,30 +66,27 @@ coarse grid) are excluded from the trace by fiber.zone_edge_fraction;
 they are pure discretization artifacts, the 2D analog of the
 boundary-localized states the fiber filter removes.
 
-scipy.sparse is imported inside the functions that use it, so the oracle
-loads it on its first call and a fiber run never does; scipy.sparse.linalg
-loads only with a y-dependent H's solve.
+scipy.sparse is imported only inside Operator2D.matrix() and _lanczos, so
+neither a fiber run nor a y-invariant trace loads it: scipy.sparse and
+scipy.sparse.linalg load with a y-dependent H's solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 from .errors import BudgetError, DiracflowError, SolverError, WindowError
-from .fiber import FiberFamily, FiberMatrix, Grid1D, check_residuals, count_eigenvalues, eig_window
+from .fiber import FiberFamily, Grid1D, check_residuals, count_eigenvalues, eig_window
 from .fiber import slopes_of, zone_edge_fraction
 from .profiles import DensityProfile, ProfileSet, SwitchProfile, _g, derivative
 from .profiles import evaluate, magnetic_potential  # noqa: F401  unused here; the benchmark's tracer patches them
 
 __all__ = [
     "Grid2D",
+    "Operator2D",
     "PerturbationSpec",
     "assemble_2d",
     "trace_conductivity",
@@ -131,6 +125,10 @@ class Grid2D:
     @property
     def y(self) -> np.ndarray:
         return self.hy * np.arange(self.Ny)
+
+    @property
+    def zeta(self) -> np.ndarray:  # the y-momenta zeta_n of the partial Fourier basis
+        return 2.0 * np.pi * np.fft.fftfreq(self.Ny, d=self.hy)
 
 
 @dataclass(frozen=True)
@@ -175,34 +173,55 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return np.e * _g(1.0 - np.square(t))
 
 
+@dataclass(frozen=True, eq=False)
+class Operator2D:
+    """H on `grid` in the partial Fourier basis (module docstring): the fiber
+    family, with a W(x) that joins no momenta already on d, and W's per-site
+    cosine coefficients w_hat (N, Ny), None when no entry of H joins two momenta."""
+
+    grid: Grid2D
+    fiber: FiberFamily
+    w_hat: np.ndarray | None = None
+
+    @property
+    def e(self) -> np.ndarray:  # every momentum's couplings e(zeta_n) = e0 - zeta_n s, as rows (Ny, 2N - 1)
+        return self.fiber.e0 - self.grid.zeta[:, None] * self.fiber.s
+
+    def matrix(self):
+        """H as a float64 symmetric scipy.sparse CSR array in (x-site, Jacobi component, y-momentum) order."""
+        import scipy.sparse as sp
+
+        Ny, e = self.grid.Ny, self.e.T.ravel()  # row k Ny + n couples Jacobi index k to k + 1 by e_k(zeta_n)
+        H = sp.diags_array([e, np.repeat(self.fiber.d, Ny), e], offsets=[-Ny, 0, Ny], format="csr")
+        if self.w_hat is not None:  # each site component's block [n, n'] is w_hat(n - n' mod Ny)
+            C = sp.block_diag(sla.circulant(np.repeat(self.w_hat, 2, axis=0)))
+            H = H + 0.5 * (C + C.T)
+        return sp.csr_array(H)
+
+
 def assemble_2d(
     g: Grid2D,
     ps: ProfileSet,
     w: PerturbationSpec | None = None,
     coupling: float = 0.0,
-) -> sp.csr_array:
-    """Sparse (CSR) float64 symmetric 2D Hamiltonian; layout is (x-site, Jacobi component, y-momentum).
-    ValueError when coupling * W differs from its reflection y -> Ly - y by over 1e-12 max|coupling * W|."""
-    import scipy.sparse as sp
-
+) -> Operator2D:
+    """The 2D Hamiltonian of ps + coupling * W on g, as its fibers and W's cosine
+    coefficients (Operator2D).  BudgetError past _BUDGET; ValueError when
+    coupling * W differs from its reflection y -> Ly - y by over 1e-12 max|coupling * W|."""
     if g.dim > _BUDGET:
         raise BudgetError(f"2D dimension {g.dim} exceeds the oracle budget {_BUDGET}")
     fam = FiberFamily.of(g.grid_x, ps)
-    zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
-    # row k Ny + n holds J(zeta_n)'s entries: e(zeta_n) = e0 - zeta_n s couples Jacobi index k to k + 1
-    e = (fam.e0[:, None] - fam.s[:, None] * zeta).ravel()
-    H = sp.diags_array([e, np.repeat(fam.d, g.Ny), e], offsets=[-g.Ny, 0, g.Ny], format="csr")
-    if w is not None and coupling != 0.0:
-        W = coupling * w.sample(g.grid_x.x, g.y, g.Ly)
-        if np.max(np.abs(W - W[:, -np.arange(g.Ny)])) > 1e-12 * np.max(np.abs(W)):
-            raise ValueError("W must be even about Ly/2: W(x, Ly - y) = W(x, y)")
-        # W(x, y) convolves the momenta: each site component's block [n, n'] is w_hat(n - n' mod Ny);
-        # W(x, 0) goes to n = 0 exactly: the FFT of a constant row leaves rounding off n = 0 at some Ny (17)
-        w_hat = np.fft.fft(W - W[:, :1], axis=1).real / g.Ny
-        w_hat[:, 0] += W[:, 0]
-        C = sp.block_diag(sla.circulant(np.repeat(w_hat, 2, axis=0)))
-        H = H + 0.5 * (C + C.T)
-    return sp.csr_array(H)
+    if w is None or coupling == 0.0:
+        return Operator2D(g, fam)
+    W = coupling * w.sample(g.grid_x.x, g.y, g.Ly)
+    if np.max(np.abs(W - W[:, -np.arange(g.Ny)])) > 1e-12 * np.max(np.abs(W)):
+        raise ValueError("W must be even about Ly/2: W(x, Ly - y) = W(x, y)")
+    # W(x, 0) goes to n = 0 exactly: the FFT of a constant row leaves rounding off n = 0 at some Ny (17)
+    w_hat = np.fft.fft(W - W[:, :1], axis=1).real / g.Ny
+    w_hat[:, 0] += W[:, 0]
+    if np.any(w_hat[:, 1:]):
+        return Operator2D(g, fam, w_hat)
+    return Operator2D(g, replace(fam, d=fam.d + np.repeat(w_hat[:, 0], 2)))
 
 
 def default_projection(g: Grid2D) -> SwitchProfile:
@@ -228,63 +247,44 @@ def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
         )
 
 
-def _window_count(H: sp.csr_array, g: Grid2D, window: tuple[float, float]):
-    """The exact number n of H's eigenvalues in (lo, hi], from inertia, and H's
-    momentum-major stack (d, e), or None when an entry of H joins two momenta.
+def _window_count(op: Operator2D, window: tuple[float, float]) -> int:
+    """The exact number of op's eigenvalues in (lo, hi], from inertia.
 
-    Duplicate entries are summed, and one array of the entries' row indices
-    serves both paths.  When every entry (k Ny + n, k' Ny + n') has n' = n and
-    |k' - k| <= 1 (W independent of y), momentum n is the fiber J(zeta_n)
-    H[n::Ny, n::Ny] (plus W(x) on d), and row k Ny + n of H is row n nk + k of
-    the stack, read from H's diagonals 0 and Ny: d has length dim, and e, of
-    length dim - 1, is zero between momenta.  n is then one Sturm count of the
-    stack, fiber.count_eigenvalues: ?stebz splits it at its zero couplings into
-    the Ny momenta.  Otherwise, in (Jacobi index k, momentum) order, H is block
-    tridiagonal with Ny x Ny blocks A_k = H[k, k] and B_k = H[k, k + 1] (an
-    entry outside that band raises ValueError), and the number of eigenvalues
-    <= lam is sum_k nu_-(S_k) (Haynsworth's inertia additivity), with
-    S_0 = A_0 - lam and S_k+1 = A_k+1 - lam - B_k^T S_k^-1 B_k, run at both
-    window ends in one batched eigh per block; an eigenvalue of S_k smaller in
-    magnitude than pivmin = 1e-12 ||H|| counts as -pivmin, as in ?stebz's
-    Sturm count.
+    A y-invariant op (w_hat None) is one Sturm count, fiber.count_eigenvalues,
+    of its momentum-major stack: d tiled Ny times, each e(zeta_n) followed by a
+    zero coupling, at which ?stebz splits it into the Ny momenta.  Otherwise,
+    in (Jacobi index k, momentum) order, H is block tridiagonal with Ny x Ny
+    blocks A_k = d_k I + (C + C^T) / 2, C the circulant of w_hat at k's site,
+    and B_k = diag(e_k(zeta_n)), and the number of eigenvalues <= lam is
+    sum_k nu_-(S_k) (Haynsworth's inertia additivity), with S_0 = A_0 - lam
+    and S_k+1 = A_k+1 - lam - B_k S_k^-1 B_k, run at both window ends in one
+    batched eigh per block.  An eigenvalue of S_k smaller in magnitude than
+    pivmin = 1e-12 ||H||_inf counts as -pivmin, as in ?stebz's Sturm count.
     """
-    import scipy.sparse as sp
-
-    if not H.has_canonical_format:  # one entry per (row, column): duplicates are summed
-        H = sp.csr_array(H.tocoo())
-    Ny, nk = g.Ny, g.dim // g.Ny
-    row = np.repeat(np.arange(g.dim), np.diff(H.indptr))
-    step = H.indices - row
-    if np.all((step == 0) | (np.abs(step) == Ny)):  # every entry keeps its momentum
-        e = np.zeros((nk, Ny))
-        e[:-1] = H.diagonal(Ny).reshape(nk - 1, Ny)
-        d, e = H.diagonal().reshape(nk, Ny).T.ravel(), e.T.ravel()[:-1]
-        return count_eigenvalues(d, e, *window), (d, e)
-    k, n = np.divmod(row, Ny)
-    kc, nc = np.divmod(H.indices, Ny)
-    off = kc - k
-    if np.any(np.abs(off) > 1):
-        raise ValueError("H has an entry outside its Jacobi-index block band")
-    up = off >= 0  # the diagonal and upper blocks, enough for a symmetric H
-    blocks = np.zeros((2, nk, Ny, Ny))  # A_k, then B_k
-    blocks[off[up], k[up], n[up], nc[up]] = H.data[up]
-    pivmin = 1e-12 * np.abs(H).sum(axis=1).max()
+    Ny, d, e = op.grid.Ny, op.fiber.d, op.e
+    if op.w_hat is None:
+        return count_eigenvalues(np.tile(d, Ny), np.pad(e, ((0, 0), (0, 1))).ravel()[:-1], *window)
+    C = sla.circulant(op.w_hat)
+    A = np.repeat(0.5 * (C + C.swapaxes(-1, -2)), 2, axis=0)
+    A[:, np.arange(Ny), np.arange(Ny)] += d[:, None]
+    B = np.pad(e.T, ((0, 1), (0, 0)))  # row k: the diagonal of B_k, and B_nk-1 = 0
+    pivmin = 1e-12 * (np.abs(A).sum(axis=-1) + np.abs(B) + np.abs(np.roll(B, 1, axis=0))).max()  # 1e-12 ||H||_inf
     shift = np.multiply.outer(window, np.eye(Ny))  # lo I and hi I
-    S = blocks[0, 0] - shift
+    S = A[0] - shift
     below = np.zeros(2, dtype=int)
-    for i in range(nk):
+    for k in range(len(d)):
         w, V = sla.eigh(S)  # scipy's LAPACK, as SuperLU and ARPACK use: one BLAS pool
         w = np.where(np.abs(w) < pivmin, -pivmin, w)
         below += np.count_nonzero(w < 0.0, axis=-1)
-        if i + 1 < nk:
-            X = V.swapaxes(-1, -2) @ blocks[1, i]  # S_i^-1 = V diag(1/w) V^T
-            S = blocks[0, i + 1] - shift - X.swapaxes(-1, -2) @ (X / w[..., None])
-    return int(below[1] - below[0]), None
+        if k + 1 < len(d):
+            X = V.swapaxes(-1, -2) * B[k]  # S_k^-1 = V diag(1/w) V^T
+            S = A[k + 1] - shift - X.swapaxes(-1, -2) @ (X / w[..., None])
+    return int(below[1] - below[0])
 
 
-def _lanczos(H: sp.csr_array, window: tuple[float, float], n: int):
-    """The n eigenpairs (lam, vec) of H nearest the window centre c: shift-invert
-    Lanczos (eigsh) on one SuperLU factor of H - c, for a y-dependent H.
+def _lanczos(op: Operator2D, window: tuple[float, float], n: int):
+    """The n eigenpairs (lam, vec) of H nearest the window centre c and their residuals:
+    shift-invert Lanczos (eigsh) on one SuperLU factor of H - c, for a y-dependent H.
 
     The factor is in the natural order, where H - c has half-bandwidth Ny (W,
     on-site, fills only the diagonal Ny x Ny blocks), so LU with partial
@@ -297,34 +297,33 @@ def _lanczos(H: sp.csr_array, window: tuple[float, float], n: int):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
+    H = op.matrix()
     c, dim = 0.5 * sum(window), H.shape[0]
     v0 = np.random.default_rng(0).standard_normal(dim)  # generic, fixed so that reruns are bit-identical
     try:
         lu = spla.splu(sp.csc_array(H - c * sp.eye_array(dim)), permc_spec="NATURAL")
         OPinv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-        return spla.eigsh(H, n, sigma=c, which="LM", v0=v0, OPinv=OPinv)
+        lam, vec = spla.eigsh(H, n, sigma=c, which="LM", v0=v0, OPinv=OPinv)
     except (spla.ArpackError, RuntimeError) as exc:
         raise SolverError(f"shift-invert Lanczos failed with k = {n} about {c:.6g}: {exc}") from exc
+    return lam, vec, np.linalg.norm(H @ vec - vec * lam, axis=0)
 
 
-def _window_states(H: sp.csr_array, g: Grid2D, window: tuple[float, float], dP: np.ndarray):
+def _window_states(op: Operator2D, window: tuple[float, float], dP: np.ndarray):
     """The certified states of the window (module docstring), as arrays (lam, residual,
     zone-edge score, trace share <v, P'(y) sigma_2 v> with dP = P'(y)), as many as
     _window_count counts: the fiber sum for a y-invariant H, else _lanczos."""
-    lo, hi = window
+    g, (lo, hi) = op.grid, window
     N, Ny = g.grid_x.N, g.Ny
-    n, stack = _window_count(H, g, window)
+    n = _window_count(op, window)
     if n >= g.dim:
         raise WindowError(f"density window ({lo:g}, {hi:g}] holds all {g.dim} eigenvalues of H")
-    if stack is not None:
-        d, e = stack
-        e = np.append(e, 0.0).reshape(Ny, -1)[:, :-1]
-        pairs = [eig_window(FiberMatrix(g.grid_x, *block), window) for block in zip(d.reshape(Ny, -1), e)]
+    if op.w_hat is None:
+        pairs = [eig_window(op.fiber.at(z), window) for z in g.zeta]
         lam, res, t, slope = (np.concatenate([getattr(p, f) for p in pairs]) for f in ("mu", "residual", "t", "slope"))
         edge, shares = zone_edge_fraction(t, width=2), np.mean(dP) * slope
     else:
-        lam, vec = _lanczos(H, window, n) if n else (np.zeros(0), np.zeros((g.dim, 0)))
-        res = np.linalg.norm(H @ vec - vec * lam, axis=0)
+        lam, vec, res = _lanczos(op, window, n) if n else (np.zeros(0), np.zeros((g.dim, 0)), np.zeros(0))
         # as (state, x-site, Jacobi component, y-site)
         t = np.fft.ifft(vec.T.reshape(-1, N, 2, Ny), axis=-1, norm="ortho")
         edge = zone_edge_fraction(t.reshape(len(lam), g.dim), width=2 * Ny)
@@ -340,7 +339,7 @@ def _window_states(H: sp.csr_array, g: Grid2D, window: tuple[float, float], dP: 
 
 
 def trace_conductivity(
-    Hmat: sp.csr_array,
+    op: Operator2D,
     g: Grid2D,
     P: SwitchProfile,
     dens: DensityProfile,
@@ -351,17 +350,15 @@ def trace_conductivity(
     Each state contributes its fiber slope weighted by P'(y), using
     i[H, P] = P'(y) sigma_2 (module docstring).  Raises WindowError when
     P's transition is too close to the periodic seam or the density window
-    holds all of H's eigenvalues, ValueError when Hmat is complex or not of
-    the grid's dimension, and SolverError when the solve misses its
+    holds all of H's eigenvalues, ValueError when op was assembled on
+    another grid than g, and SolverError when the solve misses its
     certificate.
     """
-    import scipy.sparse as sp
-
     _check_seam(P, g)
-    if Hmat.shape != (g.dim, g.dim) or np.iscomplexobj(Hmat):
-        raise ValueError("matrix must be real (assemble_2d's layout) and match the grid")
+    if op.grid != g:
+        raise ValueError("the operator was assembled on another grid")
 
-    lam, res, edge, shares = _window_states(sp.csr_array(Hmat), g, dens.window, derivative(P, g.y))
+    lam, res, edge, shares = _window_states(op, dens.window, derivative(P, g.y))
     weights = derivative(dens.phi, lam)
     live = np.abs(weights) > 1e-14
     keep = live & (edge <= _ZONE_EDGE_CUT)

@@ -305,9 +305,10 @@ class TestMatching:
         assert _fresh_python(f"import diracflow.cli; print({_UNUSED_BY_FIBER_RUNS})") == ["[]"]
 
     def test_flow_run_leaves_out_the_sparse_stack_until_the_oracle_runs(self, tmp_path):
-        """A whole `flow` run loads none of those modules either.  The oracle's first call,
-        a y-invariant trace (criterion 7's), loads scipy.sparse alone; a y-dependent
-        trace, the only one that runs SuperLU and eigsh, loads scipy.sparse.linalg."""
+        """A whole `flow` run loads none of those modules either, and neither does a
+        y-invariant trace (criterion 7's), which works on the fibers; a y-dependent
+        trace, the only one that builds H's CSR matrix and runs SuperLU and eigsh,
+        loads scipy.sparse and scipy.sparse.linalg."""
         raw = preset_config("dual_wall_v01")
         raw.update(grid={"L": 20.0, "N": 200}, sweep={"samples": 17})
         cfg = tmp_path / "cfg.json"
@@ -329,7 +330,7 @@ print(round(val), {_SPARSE})
 val = trace_conductivity(assemble_2d(g, ps, PerturbationSpec("mult_xy", 0.5), 0.5), g, default_projection(g), dens)
 print(round(val), {_SPARSE})
 """
-        assert _fresh_python(code) == ["[]", "1 ['scipy.sparse']", "1 ['scipy.sparse', 'scipy.sparse.linalg']"]
+        assert _fresh_python(code) == ["[]", "1 []", "1 ['scipy.sparse', 'scipy.sparse.linalg']"]
 
 
 # modules a fiber run never calls, and scipy's sparse stack, as code that lists those loaded

@@ -392,20 +392,15 @@ class TestCliOracle:
         diag = man["diagnostics"]["oracle"]
         assert not {"literal_commutator", "analytic_vs_literal", "seam_contribution"} & set(diag)
 
-    def test_assemble_seconds_leaves_out_the_sparse_import(self, tmp_path):
-        """In a fresh interpreter the oracle verb has loaded scipy.sparse before it calls
-        assemble_2d, so `assemble_seconds` times the assembly and not the import."""
+    def test_oracle_run_loads_no_sparse_stack(self, tmp_path):
+        """A fresh `diracflow oracle --preset mass_wall`, a y-invariant trace, loads neither
+        scipy.sparse nor scipy.sparse.linalg: assembly and trace work on the fibers."""
         code = f"""
 import contextlib, io, sys
 from diracflow import cli
-real, loaded = cli.assemble_2d, []
-def recorded(*args, **kwargs):
-    loaded.append("scipy.sparse" in sys.modules)
-    return real(*args, **kwargs)
-cli.assemble_2d = recorded
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["oracle", "--preset", "mass_wall", "--out", {str(tmp_path / "o")!r}]) == 0
-print(loaded)
+print([m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules])
 """
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
@@ -413,7 +408,7 @@ print(loaded)
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[True]"]
+        assert proc.stdout.splitlines() == ["[]"]
 
     def test_perturbed_run_traces_the_unperturbed_h_once(self, tmp_path, monkeypatch):
         """With a perturbation set, the stability run's coupling-0 row reuses the
@@ -637,6 +632,14 @@ class TestDispatch:
         (tmp_path / "cfg.json").write_text(json.dumps(tiny_config()))
         self._usage_error(capsys, argv)
         assert not (tmp_path / "out").exists()
+
+    def test_out_that_cannot_be_a_directory_exits_6(self, tmp_path, capsys):
+        """--out on an existing file, or under one: a ConfigError, not an OSError traceback."""
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "sub"):
+            self._usage_error(capsys, ["bulk-spectrum", "--preset", "mass_wall", "--out", str(out)])
+        assert taken.read_text() == "keep"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

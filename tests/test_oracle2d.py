@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from diracflow import oracle2d
@@ -89,16 +88,16 @@ class TestPerturbationSpec:
 
 class TestAssemble2D:
     def test_hermitian_bit_exact(self):
-        H = assemble_2d(SMALL, FIG2)
+        H = assemble_2d(SMALL, FIG2).matrix()
         assert np.max(np.abs(H - H.conj().T)) == 0.0
         w = PerturbationSpec(kind="mult_xy", amplitude=0.5)
-        Hp = assemble_2d(SMALL, FIG2, w, coupling=0.7)
+        Hp = assemble_2d(SMALL, FIG2, w, coupling=0.7).matrix()
         assert np.max(np.abs(Hp - Hp.conj().T)) == 0.0
 
     def test_zero_coupling_matches_unperturbed(self):
         w = PerturbationSpec(kind="decay_xy", amplitude=0.3)
-        H0 = assemble_2d(SMALL, FIG2)
-        Hc = assemble_2d(SMALL, FIG2, w, coupling=0.0)
+        H0 = assemble_2d(SMALL, FIG2).matrix()
+        Hc = assemble_2d(SMALL, FIG2, w, coupling=0.0).matrix()
         assert (H0 != Hc).nnz == 0
 
     def test_budget_enforced(self):
@@ -117,7 +116,7 @@ class TestAssemble2D:
         with pytest.raises(ValueError, match="even"):
             assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: raw), coupling=1.0)
         W = raw + _reflected(raw)
-        H = assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: W), coupling=1.0)
+        H = assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: W), coupling=1.0).matrix()
         assert H.dtype == np.float64 and np.max(np.abs(H - H.T)) == 0.0
         fam = FiberFamily.of(g.grid_x, FIG2)
         J = np.diag(fam.d) + np.diag(fam.e0, 1) + np.diag(fam.e0, -1)
@@ -131,7 +130,7 @@ class TestAssemble2D:
         """No entry of H joins two momenta, and momentum n's block is the fiber
         Jacobi matrix at the discrete momentum 2*pi*n/Ly bit for bit: both add
         -zeta_n s to the pencil's e0."""
-        H = assemble_2d(g, FIG2)
+        H = assemble_2d(g, FIG2).matrix()
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
             fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
@@ -144,7 +143,7 @@ class TestAssemble2D:
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
         Wx = c * w.sample(g.grid_x.x, g.y, g.Ly)[:, 0]
         assert np.count_nonzero(Wx) > 2
-        H = assemble_2d(g, FIG2, w, coupling=c)
+        H = assemble_2d(g, FIG2, w, coupling=c).matrix()
         for mode in (0, 1, g.Ny // 2, g.Ny - 3):
             zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)[mode]
             fib = assemble_fiber(g.grid_x, FIG2, float(zeta))
@@ -196,12 +195,12 @@ class TestTrace:
         with pytest.raises(WindowError):
             trace_conductivity(H, g, P_bad, DensityProfile.from_window(-1.0, 1.0))
 
-    def test_complex_matrix_raises(self):
-        H = assemble_2d(SMALL, FIG2)
-        with pytest.raises(ValueError, match="real"):
-            trace_conductivity(
-                H.astype(complex), SMALL, default_projection(SMALL), DensityProfile.from_window(-1.0, 1.0)
-            )
+    def test_operator_from_another_grid_raises(self):
+        """Another Ny, or the same dimension on another Ly: ValueError before any count."""
+        op = assemble_2d(SMALL, FIG2)
+        for g in (Grid2D(grid_x=SMALL.grid_x, Ly=12.0, Ny=17), Grid2D(grid_x=SMALL.grid_x, Ly=13.0, Ny=16)):
+            with pytest.raises(ValueError, match="another grid"):
+                trace_conductivity(op, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
 
     def test_full_result_fields(self):
         g = Grid2D(grid_x=Grid1D(L=6.0, N=24), Ly=12.0, Ny=16)
@@ -259,9 +258,9 @@ GRID_512 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=16)
 GRID_768_NY24 = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=24)
 
 
-def _dense_count(H, window):
-    """Eigenvalues of H in (lo, hi], from a full dense eigvalsh."""
-    lam = np.linalg.eigvalsh(H.toarray())
+def _dense_count(op, window):
+    """Eigenvalues of op's H in (lo, hi], from a full dense eigvalsh."""
+    lam = np.linalg.eigvalsh(op.matrix().toarray())
     return int(np.count_nonzero((lam > window[0]) & (lam <= window[1])))
 
 
@@ -288,17 +287,15 @@ class TestWindowBound:
     def test_exact_on_y_invariant_presets(self, name, mode_counts):
         """A y-invariant H is counted on its momentum-major stack: one ?stebz count over all dim rows."""
         window = config_from_dict(preset_config(name)).density.window
-        H = assemble_2d(GRID_768, preset_profiles(name))
-        n, stack = oracle2d._window_count(H, GRID_768, window)
-        assert n == _dense_count(H, window)
-        assert stack is not None and mode_counts == [(GRID_768.dim, *window)]
+        op = assemble_2d(GRID_768, preset_profiles(name))
+        assert oracle2d._window_count(op, window) == _dense_count(op, window)
+        assert op.w_hat is None and mode_counts == [(GRID_768.dim, *window)]
 
     def test_exact_with_mult_x(self, mode_counts):
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
-        H = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
-        n, stack = oracle2d._window_count(H, GRID_768, (-1.0, 1.0))
-        assert n == _dense_count(H, (-1.0, 1.0))
-        assert stack is not None and mode_counts == [(GRID_768.dim, -1.0, 1.0)]
+        op = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
+        assert oracle2d._window_count(op, (-1.0, 1.0)) == _dense_count(op, (-1.0, 1.0))
+        assert op.w_hat is None and mode_counts == [(GRID_768.dim, -1.0, 1.0)]
 
     @pytest.mark.parametrize(
         "w, coupling",
@@ -313,18 +310,27 @@ class TestWindowBound:
         """A W that joins momenta takes the block recursion, never the per-mode
         count, and the count that bounds the solve equals dense eigvalsh's: it is tight."""
         monkeypatch.setattr(oracle2d, "count_eigenvalues", _forbidden)
-        H = assemble_2d(GRID_768, FIG2, w, coupling)
+        op = assemble_2d(GRID_768, FIG2, w, coupling)
+        assert op.w_hat is not None
         for window in ((-1.0, 1.0), (-0.5, 0.5), (-2.5, 2.5), (0.3, 4.0)):
-            assert oracle2d._window_count(H, GRID_768, window) == (_dense_count(H, window), None)
+            assert oracle2d._window_count(op, window) == _dense_count(op, window)
 
     def test_y_dependent_count_runs_no_numpy_eigh(self, monkeypatch):
         """The block recursion's batched eigh is scipy's, on the BLAS pool that SuperLU
         and ARPACK use; numpy's eigh, whose own OpenBLAS pool would contend with that
         one, never runs.  The count still equals dense eigvalsh's."""
-        H = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind="mult_xy", amplitude=0.5), coupling=0.7)
-        dense = _dense_count(H, (-1.0, 1.0))
+        op = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind="mult_xy", amplitude=0.5), coupling=0.7)
+        dense = _dense_count(op, (-1.0, 1.0))
         monkeypatch.setattr(np.linalg, "eigh", _forbidden)
-        assert oracle2d._window_count(H, GRID_768, (-1.0, 1.0)) == (dense, None) and dense > 0
+        assert oracle2d._window_count(op, (-1.0, 1.0)) == dense > 0
+
+    @pytest.mark.parametrize("kind", ["mult_xy", "decay_y", "decay_xy"])
+    def test_y_dependent_count_builds_no_matrix(self, kind, monkeypatch):
+        """The block recursion takes A_k and B_k from the fibers and w_hat, not from H's CSR."""
+        op = assemble_2d(GRID_768, FIG2, PerturbationSpec(kind=kind, amplitude=0.5), coupling=0.7)
+        dense = _dense_count(op, (-1.0, 1.0))
+        monkeypatch.setattr(oracle2d.Operator2D, "matrix", _forbidden)
+        assert op.w_hat is not None and oracle2d._window_count(op, (-1.0, 1.0)) == dense > 0
 
     def test_small_pivot_counts_as_negative(self):
         """bulk_uniform + decay_y at coupling 1.5 on the preset grid2d (dimension
@@ -333,40 +339,30 @@ class TestWindowBound:
         dense eigvalsh finds in it; taken at its computed sign, the count is wrong."""
         cfg = config_from_dict(preset_config("bulk_uniform"))
         g, w = cfg.grid2d, PerturbationSpec(kind="decay_y", amplitude=1.0)
-        H = assemble_2d(g, cfg.profiles, w, coupling=1.5)
-        assert oracle2d._window_count(H, g, (-0.5, 0.5))[0] == _dense_count(H, (-0.5, 0.5))
+        op = assemble_2d(g, cfg.profiles, w, coupling=1.5)
+        assert oracle2d._window_count(op, (-0.5, 0.5)) == _dense_count(op, (-0.5, 0.5))
 
-    def test_exact_under_random_perturbations_in_the_band(self):
-        """Random real symmetric perturbations of sizes 1e-6 to 1 anywhere inside
-        the Jacobi-index block band, joining arbitrary momenta."""
-        H0, g = assemble_2d(GRID_512, FIG2), GRID_512
-        rng = np.random.default_rng(12)
+    def test_exact_under_random_y_even_perturbations(self):
+        """20 seeded random W(x, y), made even about Ly/2, of sizes 1e-6 to 1 on a random
+        share of the sites, passed in as sampled arrays: each joins arbitrary momenta.
+        Besides (-1, 1), each is counted on a window whose upper edge splits the
+        eigenvalue that W moves most from where it was without W, so that the count
+        differs from the unperturbed H's."""
+        g, rng = GRID_512, np.random.default_rng(12)
+        op0 = assemble_2d(g, FIG2)
+        lam0 = np.linalg.eigvalsh(op0.matrix().toarray())
         for _ in range(20):
-            n = int(rng.integers(1, 100))
-            i = rng.integers(0, g.dim, n)
-            k = np.clip(i // g.Ny + rng.integers(-1, 2, n), 0, g.dim // g.Ny - 1)
-            j = k * g.Ny + rng.integers(0, g.Ny, n)
-            v = 10.0 ** rng.uniform(-6.0, 0.0) * rng.random(n) * np.cos(2.0 * np.pi * rng.random(n))
-            W = sp.csr_array((v, (i, j)), shape=(g.dim, g.dim))
-            H = sp.csr_array(H0 + W + W.T)
-            assert oracle2d._window_count(H, g, (-1.0, 1.0))[0] == _dense_count(H, (-1.0, 1.0))
-
-    def test_entry_outside_the_block_band_raises(self):
-        H0, g = assemble_2d(GRID_512, FIG2), GRID_512
-        far = 2 * g.Ny + 3  # two Jacobi indices away from row 0
-        W = sp.csr_array(([0.1, 0.1], ([0, far], [far, 0])), shape=H0.shape)
-        with pytest.raises(ValueError, match="band"):
-            oracle2d._window_count(sp.csr_array(H0 + W), g, (-1.0, 1.0))
-
-    def test_duplicate_entries_are_summed(self):
-        """Summed on either path: the block recursion (mult_xy) and the momentum stack (mult_x)."""
-        for kind in ("mult_xy", "mult_x"):
-            H = assemble_2d(GRID_512, FIG2, PerturbationSpec(kind=kind, amplitude=0.5), coupling=0.7)
-            halves = sp.csr_array((np.repeat(H.data / 2, 2), np.repeat(H.indices, 2), 2 * H.indptr), shape=H.shape)
-            assert not halves.has_canonical_format
-            (n1, stack1), (n2, stack2) = (oracle2d._window_count(A, GRID_512, (-1.0, 1.0)) for A in (H, halves))
-            assert n1 == n2 == _dense_count(H, (-1.0, 1.0))
-            assert (stack1 is None) == (stack2 is None) == (kind == "mult_xy")
+            raw = 10.0 ** rng.uniform(-6.0, 0.0) * rng.standard_normal((g.grid_x.N, g.Ny))
+            raw *= rng.random((g.grid_x.N, 1)) < rng.uniform(0.1, 1.0)
+            W = raw + _reflected(raw)
+            op = assemble_2d(g, FIG2, SimpleNamespace(sample=lambda x, y, Ly: W), coupling=1.0)
+            assert op.w_hat is not None
+            assert oracle2d._window_count(op, (-1.0, 1.0)) == _dense_count(op, (-1.0, 1.0))
+            lam = np.linalg.eigvalsh(op.matrix().toarray())
+            j = np.argmax(np.abs(lam - lam0))
+            split = (0.5 * (lam[j] + lam0[j]) - 1.0, 0.5 * (lam[j] + lam0[j]))
+            n = oracle2d._window_count(op, split)
+            assert n == _dense_count(op, split) and n != _dense_count(op0, split)
 
 
 class TestWindowedSolve:
@@ -411,7 +407,7 @@ class TestWindowedSolve:
         ids=["unperturbed", "mult_x", "mult_xy", "decay_y", "decay_xy"],
     )
     def test_h_and_solve_are_real(self, kind, monkeypatch):
-        """assemble_2d returns a float64 H for every kind and Ny.  A y-dependent H's
+        """assemble_2d's H is float64 for every kind and Ny.  A y-dependent H's
         eigsh gets a float64 matrix and start vector (ARPACK's symmetric Lanczos);
         a y-invariant H runs no eigsh."""
         real, seen = spla.eigsh, []
@@ -424,10 +420,22 @@ class TestWindowedSolve:
         w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
         for Ny in (16, 17, 24, 32):
             g = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=Ny)
-            H = assemble_2d(g, FIG2, w, coupling=0.7)
-            assert H.dtype == np.float64
-            trace_conductivity(H, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
+            op = assemble_2d(g, FIG2, w, coupling=0.7)
+            assert op.matrix().dtype == np.float64
+            trace_conductivity(op, g, default_projection(g), DensityProfile.from_window(-1.0, 1.0))
         assert seen == ([] if kind in (None, "mult_x") else [(np.float64, np.float64)] * 4)
+
+    @pytest.mark.parametrize("kind", [None, "mult_x"], ids=["unperturbed", "mult_x"])
+    def test_y_invariant_trace_builds_no_matrix(self, kind, monkeypatch):
+        """A y-invariant H, at every Ny, is counted and solved on its fibers: no CSR matrix."""
+        monkeypatch.setattr(oracle2d.Operator2D, "matrix", _forbidden)
+        w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
+        for Ny in (16, 17, 24, 32):
+            g = Grid2D(grid_x=Grid1D(L=6.0, N=16), Ly=12.0, Ny=Ny)
+            op = assemble_2d(g, FIG2, w, coupling=0.7)
+            dens = DensityProfile.from_window(-1.0, 1.0)
+            res = trace_conductivity(op, g, default_projection(g), dens, full_result=True)
+            assert op.w_hat is None and res.n_window > 0
 
     @pytest.fixture
     def solves(self, monkeypatch):
