@@ -38,27 +38,28 @@ is the fiber's Hellmann-Feynman slope weighted by P'(y):
 with t_k the eigenvector on the y-sites (a Lanczos vector is mapped there by
 one inverse FFT).
 
-Before any solve, _window_count counts the eigenvalues in the window
-(lo, hi] exactly from the operator's arrays: one ?stebz Sturm count of the
-stacked fibers for a y-invariant H, else the negative eigenvalues of the
-Schur complements of H's block LDL^T recursion (Haynsworth's inertia
-additivity, Linear Algebra Appl. 1, 1968), the block form of that count.
-A count n = dim is a WindowError before any solve (a window in a bulk gap,
-bulk.check_density_window, holds at most 96 of 3072 on the presets' grid2d).
+Before any solve, the eigenvalues in the window (lo, hi] are counted
+exactly from the operator's arrays: for a y-invariant H, one ?stebz Sturm
+count per momentum (fiber.count_eigenvalues on J(zeta_n)), summed; else
+_window_count, the negative eigenvalues of the Schur complements of H's
+block LDL^T recursion (Haynsworth's inertia additivity, Linear Algebra
+Appl. 1, 1968), the block form of that count.  A count n = dim is a
+WindowError (a window in a bulk gap, bulk.check_density_window, holds at
+most 96 of 3072 on the presets' grid2d), and n = 0 means no solve.
 
 A y-invariant H is the fiber sum, the partial Fourier decomposition
-H = sum_n J(zeta_n): each fiber, Operator2D.fiber.at(zeta_n), is solved cold by the
-fiber's own certified solver, fiber.eig_window.  Its states are
-e^{i zeta_n y} (x) t, so a state's trace share is mean_j P'(y_j) times its
-block's slope, its zone-edge score is that of t, and its residual in H is
-t's in J(zeta_n).  A y-dependent H takes
+H = sum_n J(zeta_n): each fiber whose count is nonzero (on criterion 7's
+grids, half of them), Operator2D.fiber.at(zeta_n), is solved cold by the
+fiber's own certified solver, fiber.eig_window, in momentum order.  Its
+states are e^{i zeta_n y} (x) t, so a state's trace share is
+mean_j P'(y_j) times its block's slope, its zone-edge score is that of t,
+and its residual in H is t's in J(zeta_n).  A y-dependent H takes
 one shift-invert Lanczos solve about the window centre c (ARPACK's
 symmetric Lanczos dsaupd in shift-invert mode; Lehoucq, Sorensen and Yang,
 ARPACK Users' Guide, 1998) for the n eigenvalues nearest c, exactly those
-inside the window, on one SuperLU factor of H - c made once (_lanczos);
-n = 0 means no solve.  Either way the solve is certified when exactly n
-values come back, all inside the window, and every pair passes
-||H v - lambda v|| <= 1e-8 (1 + |lambda|).
+inside the window, on one SuperLU factor of H - c made once (_lanczos).
+Either way the solve is certified when exactly n values come back, all
+inside the window, and every pair passes ||H v - lambda v|| <= 1e-8 (1 + |lambda|).
 
 States whose x-profile oscillates at the lattice momentum edge (the
 staggered scheme's zone-edge resonance, reachable at this deliberately
@@ -235,7 +236,7 @@ class TraceResult:
 
     two_pi_sigma: float
     n_states_cut: int
-    n_window: int  # eigenvalues in the density window (lo, hi], exact (_window_count)
+    n_window: int  # eigenvalues in the density window (lo, hi], exact (the window count)
     max_residual: float  # largest ||H v - lambda v|| over the solved pairs (the fiber blocks' for a y-invariant H)
 
 
@@ -248,12 +249,9 @@ def _check_seam(P: SwitchProfile, g: Grid2D) -> None:
 
 
 def _window_count(op: Operator2D, window: tuple[float, float]) -> int:
-    """The exact number of op's eigenvalues in (lo, hi], from inertia.
+    """The exact number of a y-dependent op's eigenvalues in (lo, hi], from inertia.
 
-    A y-invariant op (w_hat None) is one Sturm count, fiber.count_eigenvalues,
-    of its momentum-major stack: d tiled Ny times, each e(zeta_n) followed by a
-    zero coupling, at which ?stebz splits it into the Ny momenta.  Otherwise,
-    in (Jacobi index k, momentum) order, H is block tridiagonal with Ny x Ny
+    In (Jacobi index k, momentum) order, H is block tridiagonal with Ny x Ny
     blocks A_k = d_k I + (C + C^T) / 2, C the circulant of w_hat at k's site,
     and B_k = diag(e_k(zeta_n)), and the number of eigenvalues <= lam is
     sum_k nu_-(S_k) (Haynsworth's inertia additivity), with S_0 = A_0 - lam
@@ -262,8 +260,6 @@ def _window_count(op: Operator2D, window: tuple[float, float]) -> int:
     pivmin = 1e-12 ||H||_inf counts as -pivmin, as in ?stebz's Sturm count.
     """
     Ny, d, e = op.grid.Ny, op.fiber.d, op.e
-    if op.w_hat is None:
-        return count_eigenvalues(np.tile(d, Ny), np.pad(e, ((0, 0), (0, 1))).ravel()[:-1], *window)
     C = sla.circulant(op.w_hat)
     A = np.repeat(0.5 * (C + C.swapaxes(-1, -2)), 2, axis=0)
     A[:, np.arange(Ny), np.arange(Ny)] += d[:, None]
@@ -311,19 +307,26 @@ def _lanczos(op: Operator2D, window: tuple[float, float], n: int):
 
 def _window_states(op: Operator2D, window: tuple[float, float], dP: np.ndarray):
     """The certified states of the window (module docstring), as arrays (lam, residual,
-    zone-edge score, trace share <v, P'(y) sigma_2 v> with dP = P'(y)), as many as
-    _window_count counts: the fiber sum for a y-invariant H, else _lanczos."""
+    zone-edge score, trace share <v, P'(y) sigma_2 v> with dP = P'(y)), as many as the
+    exact count n: for a y-invariant H, the sum of one Sturm count per momentum, and the
+    fiber sum solves the momenta whose count is nonzero; else _window_count's, for _lanczos."""
     g, (lo, hi) = op.grid, window
     N, Ny = g.grid_x.N, g.Ny
-    n = _window_count(op, window)
+    if op.w_hat is None:
+        counts = [count_eigenvalues(op.fiber.d, e, lo, hi) for e in op.e]
+        n = sum(counts)
+    else:
+        n = _window_count(op, window)
     if n >= g.dim:
         raise WindowError(f"density window ({lo:g}, {hi:g}] holds all {g.dim} eigenvalues of H")
+    if n == 0:
+        return np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
     if op.w_hat is None:
-        pairs = [eig_window(op.fiber.at(z), window) for z in g.zeta]
+        pairs = [eig_window(op.fiber.at(z), window) for z, c in zip(g.zeta, counts) if c]
         lam, res, t, slope = (np.concatenate([getattr(p, f) for p in pairs]) for f in ("mu", "residual", "t", "slope"))
         edge, shares = zone_edge_fraction(t, width=2), np.mean(dP) * slope
     else:
-        lam, vec, res = _lanczos(op, window, n) if n else (np.zeros(0), np.zeros((g.dim, 0)), np.zeros(0))
+        lam, vec, res = _lanczos(op, window, n)
         # as (state, x-site, Jacobi component, y-site)
         t = np.fft.ifft(vec.T.reshape(-1, N, 2, Ny), axis=-1, norm="ortho")
         edge = zone_edge_fraction(t.reshape(len(lam), g.dim), width=2 * Ny)

@@ -264,6 +264,13 @@ def _dense_count(op, window):
     return int(np.count_nonzero((lam > window[0]) & (lam <= window[1])))
 
 
+def _held_momenta(op, window):
+    """The momenta zeta_n whose fiber J(zeta_n) has an eigenvalue in (lo, hi], from dense eigvalsh."""
+    lo, hi = window
+    lams = [np.linalg.eigvalsh(_jacobi(op.fiber.d, e)) for e in op.e]
+    return [z for z, lam in zip(op.grid.zeta, lams) if np.any((lam > lo) & (lam <= hi))]
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("not expected to run")
 
@@ -285,17 +292,20 @@ class TestWindowBound:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_exact_on_y_invariant_presets(self, name, mode_counts):
-        """A y-invariant H is counted on its momentum-major stack: one ?stebz count over all dim rows."""
+        """A y-invariant H is counted per momentum: one ?stebz count of each fiber
+        J(zeta_n), 2N rows, and the certified states number exactly their sum."""
         window = config_from_dict(preset_config(name)).density.window
         op = assemble_2d(GRID_768, preset_profiles(name))
-        assert oracle2d._window_count(op, window) == _dense_count(op, window)
-        assert op.w_hat is None and mode_counts == [(GRID_768.dim, *window)]
+        lam = oracle2d._window_states(op, window, np.zeros(GRID_768.Ny))[0]
+        assert len(lam) == _dense_count(op, window)
+        assert op.w_hat is None and mode_counts == [(2 * GRID_768.grid_x.N, *window)] * GRID_768.Ny
 
     def test_exact_with_mult_x(self, mode_counts):
         w = PerturbationSpec(kind="mult_x", amplitude=0.5, support=3.0)
         op = assemble_2d(GRID_768, FIG2, w, coupling=0.7)
-        assert oracle2d._window_count(op, (-1.0, 1.0)) == _dense_count(op, (-1.0, 1.0))
-        assert op.w_hat is None and mode_counts == [(GRID_768.dim, -1.0, 1.0)]
+        lam = oracle2d._window_states(op, (-1.0, 1.0), np.zeros(GRID_768.Ny))[0]
+        assert len(lam) == _dense_count(op, (-1.0, 1.0)) > 0
+        assert op.w_hat is None and mode_counts == [(2 * GRID_768.grid_x.N, -1.0, 1.0)] * GRID_768.Ny
 
     @pytest.mark.parametrize(
         "w, coupling",
@@ -334,13 +344,26 @@ class TestWindowBound:
 
     def test_small_pivot_counts_as_negative(self):
         """bulk_uniform + decay_y at coupling 1.5 on the preset grid2d (dimension
-        3072): at lam = -0.5 a Schur complement S_k has an eigenvalue near 1e-17.
-        Counted as -pivmin, as ?stebz does, the window (-0.5, 0.5) holds what
-        dense eigvalsh finds in it; taken at its computed sign, the count is wrong."""
+        3072): at lam = -0.5 the first Schur complement S_0 has an eigenvalue within
+        rounding of zero (-1.8e-15 with numpy 2.4.6 and scipy 1.17.1 on x86, already
+        negative there, so this case does not pin the pivmin rule on that machine;
+        test_zero_pivot_at_the_window_edge_counts_as_negative does).  The window
+        (-0.5, 0.5) holds what dense eigvalsh finds in it."""
         cfg = config_from_dict(preset_config("bulk_uniform"))
         g, w = cfg.grid2d, PerturbationSpec(kind="decay_y", amplitude=1.0)
         op = assemble_2d(g, cfg.profiles, w, coupling=1.5)
         assert oracle2d._window_count(op, (-0.5, 0.5)) == _dense_count(op, (-0.5, 0.5))
+
+    def test_zero_pivot_at_the_window_edge_counts_as_negative(self):
+        """dual_wall_v01 + mult_xy: W is zero at the first x-site, so with the window's
+        lower edge at d_0 the first Schur complement S_0 = A_0 - lo I is exactly zero.
+        Its eigenvalues count as -pivmin, as ?stebz's zero pivots do, and the count
+        equals dense eigvalsh's; taken as they are, S_0^-1 is infinite."""
+        g = Grid2D(grid_x=Grid1D(L=12.0, N=48), Ly=18.0, Ny=24)
+        op = assemble_2d(g, preset_profiles("dual_wall_v01"), PerturbationSpec(kind="mult_xy", amplitude=0.5), 0.7)
+        window = (op.fiber.d[0], 2.9)
+        assert op.fiber.d[0] == 1.9 and not np.any(op.w_hat[0])
+        assert oracle2d._window_count(op, window) == _dense_count(op, window) == 34
 
     def test_exact_under_random_y_even_perturbations(self):
         """20 seeded random W(x, y), made even about Ly/2, of sizes 1e-6 to 1 on a random
@@ -455,11 +478,11 @@ class TestWindowedSolve:
         ids=["unperturbed", "mult_x", "mult_xy", "decay_y", "decay_xy"],
     )
     def test_factor_follows_the_momentum_structure(self, kind, solves, monkeypatch):
-        """A y-invariant H (no W, or W(x)) is the fiber sum: exactly Ny eig_window
-        calls, one per momentum on the fiber J(zeta_n) (plus W(x) on d), and no
-        eigsh, SuperLU or ?gttrf call.  A W that joins momenta takes one Lanczos
-        solve for k = n and no fiber solve.  Either way the trace matches the
-        dense reference."""
+        """A y-invariant H (no W, or W(x)) is the fiber sum: one eig_window call on
+        the fiber J(zeta_n) (plus W(x) on d) for each momentum that holds a state,
+        in momentum order, none for the others, and no eigsh, SuperLU or ?gttrf
+        call.  A W that joins momenta takes one Lanczos solve for k = n and no
+        fiber solve.  Either way the trace matches the dense reference."""
         g = GRID_768
         w = None if kind is None else PerturbationSpec(kind=kind, amplitude=0.5)
         if kind not in (None, "mult_x"):
@@ -477,10 +500,10 @@ class TestWindowedSolve:
 
         monkeypatch.setattr(oracle2d, "eig_window", recorded)
         fam = FiberFamily.of(g.grid_x, FIG2)
-        zeta = 2.0 * np.pi * np.fft.fftfreq(g.Ny, d=g.hy)
+        held = _held_momenta(assemble_2d(g, FIG2, w, coupling=0.7), (-1.0, 1.0))
         res = self._check(g, FIG2, (-1.0, 1.0), w, coupling=0.7)
-        assert res.n_window > 0 and len(blocks) == g.Ny
-        for A, z in zip(blocks, zeta):
+        assert res.n_window > 0 and 0 < len(held) < g.Ny and len(blocks) == len(held)
+        for A, z in zip(blocks, held):
             assert A.grid == g.grid_x and np.array_equal(A.e, fam.at(z).e)
             assert (w is not None) or np.array_equal(A.d, fam.d)
         assert solves == []
@@ -495,8 +518,10 @@ class TestWindowedSolve:
         assert solves == [res.n_window] and 4 * res.n_window > SMALL.dim
 
     def test_empty_window_runs_no_solve(self, monkeypatch):
-        """Without W and with a y-dependent W, which takes the Lanczos path's empty block."""
+        """Without W, where no momentum holds a state, no fiber is solved; with a
+        y-dependent W, no Lanczos solve runs."""
         monkeypatch.setattr(spla, "eigsh", _forbidden)
+        monkeypatch.setattr(oracle2d, "eig_window", _forbidden)
         for w in (None, PerturbationSpec(kind="decay_y", amplitude=0.5)):
             res = self._check(GRID_768, preset_profiles("bulk_uniform"), (-0.5, 0.5), w, coupling=0.5)
             assert res.two_pi_sigma == 0.0 and res.n_window == 0
@@ -560,7 +585,8 @@ class TestWindowedSolve:
 
     def test_momentum_block_that_drops_a_row_raises_solver_error(self, monkeypatch):
         """A fiber solve that drops the last row of one momentum's block returns n - 1
-        states for a window that holds n: the count check raises SolverError."""
+        states for a window that holds n: the count check raises SolverError.  Only
+        the momenta that hold a state are solved."""
         real, calls = oracle2d.eig_window, []
 
         def drop_one(A, window):
@@ -575,7 +601,7 @@ class TestWindowedSolve:
         n = _dense_count(H, dens.window)
         with pytest.raises(SolverError, match=f"returned {n - 1} values, {n - 1} inside the window that holds {n}"):
             trace_conductivity(H, GRID_768, default_projection(GRID_768), dens)
-        assert len(calls) == GRID_768.Ny and sum(calls) == n > 0
+        assert len(calls) == len(_held_momenta(H, dens.window)) and sum(calls) == n > 0
 
     def test_residual_contract_enforced(self, monkeypatch):
         real = spla.eigsh
