@@ -84,7 +84,7 @@ __all__ = [
     "autoscale",
 ]
 
-_POINTS_BUDGET = 4000  # largest fiber grid: autoscale's cap, and sweep_branches refuses a larger N
+_POINTS_BUDGET = 4000  # largest fiber grid (autoscale's cap) and sweep sampling: sweep_branches refuses more
 _OVERLAP_THRESHOLD = 0.8  # smallest |<psi_prev, psi_new>| that matches two samples
 _BISECT_FLOOR = 1e-4  # smallest zeta step bisection takes
 _CLUSTER_RTOL = 1e-10  # mu within this * (1 + |mu|) of a neighbour: degenerate to rounding
@@ -188,10 +188,11 @@ def sweep_branches(
     window, served by its count); and, summed over the committed samples
     (every solved sample is committed once), their `cluster_rotations` and
     the states the filter `retained` and `filtered` out after them.
-    BudgetError, before anything is allocated, when grid.N exceeds _POINTS_BUDGET.
+    BudgetError, before anything is allocated, when grid.N or cfg.samples exceeds _POINTS_BUDGET.
     """
-    if grid.N > _POINTS_BUDGET:
-        raise BudgetError(f"fiber grid N = {grid.N} exceeds the budget {_POINTS_BUDGET}")
+    for what, n in (("fiber grid N", grid.N), ("sweep samples", cfg.samples)):
+        if n > _POINTS_BUDGET:
+            raise BudgetError(f"{what} = {n} exceeds the budget {_POINTS_BUDGET}")
     lo, hi = cfg.window
     queue = list(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.samples))
     fiber = FiberFamily.of(grid, ps)

@@ -9,9 +9,10 @@ Verbs:
 
 Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
 3 tracking failure, 4 invalid window (including a density window that holds a
-bulk Landau level), 5 2D oracle dimension budget exceeded,
+bulk Landau level), 5 a budget exceeded (2D dimension, fiber N or sweep samples),
 6 invalid config, command line or --out, 7 failed result (a flow or an oracle trace
-that does not reconcile with the prediction, or an unstable oracle verdict).
+that does not reconcile with the prediction, or an unstable oracle verdict), whose
+verdict is `mismatch`.
 
 A run that gets past config parsing writes `manifest.json` into --out (`_run`),
 also when it fails: the failure is the verdict `<verb>: failed` and the error.
@@ -178,7 +179,7 @@ def cmd_oracle(cfg: RunConfig, out: Path, man: RunManifest) -> int:
         print(f"stability ({cfg.perturbation.kind}): {st.verdict}")
 
     _write_csv(out / "oracle.csv", ["scenario", "coupling", "two_pi_sigma"], rows)
-    man.verdicts["oracle"] = "ok" if verdicts_ok else "failed"
+    man.verdicts["oracle"] = "ok" if verdicts_ok else "mismatch"
     return 0 if verdicts_ok else _FAILED_RESULT
 
 

@@ -1,14 +1,15 @@
 """Run configuration: strict JSON schema, defaults, and the run manifest.
 
-Each section that maps one-to-one onto a library dataclass takes its keys,
-required fields and defaults from that dataclass; this module supplies
-only the defaults a dataclass leaves open.  Unknown keys are rejected at
-every nesting level so a typo in a config file fails loudly instead of
-silently running defaults; any malformed or invalid value raises
-ConfigError (exit code 6).  `RunConfig.resolved()` materializes every
-default into the manifest and is the exact inverse of the parser, making
-runs replayable from the manifest alone.  The output directory is a
-command-line flag, not a config key: it does not change the results.
+Each section takes its keys, required fields and defaults from its library
+dataclass; this module supplies only the defaults a dataclass leaves open.
+Unknown keys are rejected at every nesting level so a typo in a config file
+fails loudly instead of silently running defaults; any malformed or invalid
+value raises ConfigError (exit code 6).  `RunConfig.resolved()` and
+`RunManifest.write` write their dataclasses out whole, so any field of the
+config dataclasses reaches `manifest.json` with no edit here; resolved() is
+the exact inverse of the parser, and a run replays from its manifest alone.
+The output directory is a command-line flag, not a config key: it does not
+change the results.
 """
 
 from __future__ import annotations
@@ -103,20 +104,11 @@ class RunConfig:
     perturbation: PerturbationSpec | None
 
     def resolved(self) -> dict:
-        """Every value made explicit; config_from_dict(cfg.resolved()) == cfg."""
-        out: dict[str, Any] = {
-            "scenario": self.scenario,
-            "profiles": _plain(self.profiles),
-            "grid": _plain(self.grid),
-            "sweep": _plain(self.sweep),
-            "filter": _plain(self.filter),
-            "alphas": list(self.alphas),
-            "density": {"window": list(self.density.window)},
-        }
-        if self.grid2d is not None:
-            out["grid2d"] = {**_plain(self.grid2d.grid_x), "Ny": self.grid2d.Ny, "Ly": self.grid2d.Ly}
-        if self.perturbation is not None:
-            out["perturbation"] = _plain(self.perturbation)
+        """Every value made explicit; config_from_dict(cfg.resolved()) == cfg.  The
+        config keeps grid2d's x-grid keys beside Ny and Ly, and leaves out a None section."""
+        out = {k: v for k, v in _plain(self).items() if v is not None}
+        if "grid2d" in out:
+            out["grid2d"] |= out["grid2d"].pop("grid_x")
         return out
 
 
@@ -136,19 +128,13 @@ def _parse(raw: dict) -> RunConfig:
     sweep = _section(
         SweepConfig, d.get("sweep", {}), "sweep", zeta_min=-8.0, zeta_max=8.0, samples=81, window=(-4.0, 4.0)
     )
-
-    dn = _object(d.get("density", {}), "density", ("window",))
-    dens = DensityProfile.from_window(*_pair(dn.get("window", (-0.5, 0.5)), "density.window"))
+    dens = _section(DensityProfile, d.get("density", {}), "density", window=(-0.5, 0.5))
 
     g2 = None
     if d.get("grid2d") is not None:
         g = _object(d["grid2d"], "grid2d", ("Ny", "Ly", *(f.name for f in fields(Grid1D))))
-        g_x = {k: v for k, v in g.items() if k not in ("Ny", "Ly")}
-        g2 = Grid2D(
-            grid_x=_section(Grid1D, g_x, "grid2d", L=12.0, N=48),
-            Ly=_scalar(float, g.get("Ly", 24.0), "grid2d.Ly"),
-            Ny=_scalar(int, g.get("Ny", 32), "grid2d.Ny"),
-        )
+        x = _section(Grid1D, {k: v for k, v in g.items() if k not in ("Ny", "Ly")}, "grid2d", L=12.0, N=48)
+        g2 = _section(Grid2D, {k: v for k, v in g.items() if k in ("Ny", "Ly")}, "grid2d", grid_x=x, Ly=24.0, Ny=32)
 
     alphas = d.get("alphas", [0.0])
     if not isinstance(alphas, (list, tuple)) or not alphas:
@@ -196,11 +182,4 @@ class RunManifest:
     diagnostics: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
-        payload = {
-            "version": self.version,
-            "config": self.config,
-            "verdicts": self.verdicts,
-            "diagnostics": self.diagnostics,
-            "timings": self.timings,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

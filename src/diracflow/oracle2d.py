@@ -18,14 +18,15 @@ circulant block W_hat[n, n'] = w_hat_i(n - n' mod Ny), w_hat =
 Re fft(W, axis=1) / Ny, W's cosine transform: W must be even about Ly/2,
 so its y-DFT is real in exact arithmetic and the real part drops only
 FFT rounding.  It is taken of W - W(x, 0), with W(x, 0) added at n = 0, so
-that a W(x) joins no momenta at any Ny.
+that a W(x) joins no momenta at any Ny, and made exactly even in n by
+averaging w_hat(n) and w_hat(-n), so that each W_hat block is symmetric.
 
 assemble_2d keeps that structure: its Operator2D holds the fiber family,
 with a W(x) on d, and w_hat only when W joins momenta (else None).  Only
 the y-dependent solve builds H as a matrix, Operator2D.matrix(): bit-exactly
 symmetric float64 CSR, row k Ny + n holding J(zeta_n)'s row k at offsets 0
-and +-Ny plus W_hat symmetrized as (C + C^T) / 2; 9152 entries at dimension
-3072 without W, plus Ny per row on the sites where W(x, .) is nonzero.
+and +-Ny plus W_hat; 9152 entries at dimension 3072 without W, plus Ny per
+row on the sites where W(x, .) is nonzero.
 
 The conductivity is evaluated from the eigenpairs inside the density
 window (E1, E2), the only ones on which phi' is nonzero.  With the
@@ -178,7 +179,7 @@ def _bump(t: np.ndarray) -> np.ndarray:
 class Operator2D:
     """H on `grid` in the partial Fourier basis (module docstring): the fiber
     family, with a W(x) that joins no momenta already on d, and W's per-site
-    cosine coefficients w_hat (N, Ny), None when no entry of H joins two momenta."""
+    cosine coefficients w_hat (N, Ny), exactly even in n, None when no entry of H joins two momenta."""
 
     grid: Grid2D
     fiber: FiberFamily
@@ -195,8 +196,7 @@ class Operator2D:
         Ny, e = self.grid.Ny, self.e.T.ravel()  # row k Ny + n couples Jacobi index k to k + 1 by e_k(zeta_n)
         H = sp.diags_array([e, np.repeat(self.fiber.d, Ny), e], offsets=[-Ny, 0, Ny], format="csr")
         if self.w_hat is not None:  # each site component's block [n, n'] is w_hat(n - n' mod Ny)
-            C = sp.block_diag(sla.circulant(np.repeat(self.w_hat, 2, axis=0)))
-            H = H + 0.5 * (C + C.T)
+            H = H + sp.block_diag(sla.circulant(np.repeat(self.w_hat, 2, axis=0)))
         return sp.csr_array(H)
 
 
@@ -220,8 +220,8 @@ def assemble_2d(
     # W(x, 0) goes to n = 0 exactly: the FFT of a constant row leaves rounding off n = 0 at some Ny (17)
     w_hat = np.fft.fft(W - W[:, :1], axis=1).real / g.Ny
     w_hat[:, 0] += W[:, 0]
-    if np.any(w_hat[:, 1:]):
-        return Operator2D(g, fam, w_hat)
+    if np.any(w_hat[:, 1:]):  # made exactly even, w_hat(-n) = w_hat(n): its circulant is symmetric
+        return Operator2D(g, fam, 0.5 * (w_hat + w_hat[:, -np.arange(g.Ny)]))
     return Operator2D(g, replace(fam, d=fam.d + np.repeat(w_hat[:, 0], 2)))
 
 
@@ -252,7 +252,7 @@ def _window_count(op: Operator2D, window: tuple[float, float]) -> int:
     """The exact number of a y-dependent op's eigenvalues in (lo, hi], from inertia.
 
     In (Jacobi index k, momentum) order, H is block tridiagonal with Ny x Ny
-    blocks A_k = d_k I + (C + C^T) / 2, C the circulant of w_hat at k's site,
+    blocks A_k = d_k I + C, C the (symmetric) circulant of w_hat at k's site,
     and B_k = diag(e_k(zeta_n)), and the number of eigenvalues <= lam is
     sum_k nu_-(S_k) (Haynsworth's inertia additivity), with S_0 = A_0 - lam
     and S_k+1 = A_k+1 - lam - B_k S_k^-1 B_k, run at both window ends in one
@@ -260,8 +260,7 @@ def _window_count(op: Operator2D, window: tuple[float, float]) -> int:
     pivmin = 1e-12 ||H||_inf counts as -pivmin, as in ?stebz's Sturm count.
     """
     Ny, d, e = op.grid.Ny, op.fiber.d, op.e
-    C = sla.circulant(op.w_hat)
-    A = np.repeat(0.5 * (C + C.swapaxes(-1, -2)), 2, axis=0)
+    A = np.repeat(sla.circulant(op.w_hat), 2, axis=0)
     A[:, np.arange(Ny), np.arange(Ny)] += d[:, None]
     B = np.pad(e.T, ((0, 1), (0, 0)))  # row k: the diagonal of B_k, and B_nk-1 = 0
     pivmin = 1e-12 * (np.abs(A).sum(axis=-1) + np.abs(B) + np.abs(np.roll(B, 1, axis=0))).max()  # 1e-12 ||H||_inf

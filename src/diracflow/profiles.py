@@ -107,18 +107,18 @@ def magnetic_potential(ps: ProfileSet, x):
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """The density switch phi in S(0, 1; E1, E2); phi' is the window weight."""
+    """The density switch phi in S(0, 1; E1, E2), the bump across its window; phi' is the window weight."""
 
-    phi: SwitchProfile
+    window: tuple[float, float]
 
     def __post_init__(self):
-        if self.phi.lower != 0.0 or self.phi.upper != 1.0:
-            raise ValueError("density profile must rise from 0 to 1")
+        if not self.window[0] < self.window[1]:
+            raise ValueError(f"invalid transition interval {self.window}")
 
     @property
-    def window(self) -> tuple[float, float]:
-        return (self.phi.t_lo, self.phi.t_hi)
+    def phi(self) -> SwitchProfile:
+        return SwitchProfile(0.0, 1.0, *self.window)
 
     @classmethod
     def from_window(cls, e1: float, e2: float) -> "DensityProfile":
-        return cls(SwitchProfile(0.0, 1.0, e1, e2))
+        return cls((e1, e2))

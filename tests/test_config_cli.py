@@ -50,7 +50,10 @@ class TestConfig:
         assert r["grid"] == {"L": 10.0, "N": 240}
         assert r["sweep"] == {"zeta_min": -4.0, "zeta_max": 4.0, "samples": 17,
                               "window": [-3.0, 3.0], "refine_tol": 0.15}
-        assert r["density"]["window"] == [-0.5, 0.5]
+        assert r["density"] == {"window": [-0.5, 0.5]}
+        assert "grid2d" not in r and "perturbation" not in r
+        full = tiny_config(grid2d={"N": 24, "Ly": 12.0}, perturbation={"kind": "mult_xy", "amplitude": 0.3})
+        assert config_from_dict(full).resolved()["grid2d"] == {"L": 12.0, "N": 24, "Ly": 12.0, "Ny": 32}
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(DiracflowError, match="unknown"):
@@ -241,6 +244,23 @@ class TestCliBranches:
         assert man["verdicts"] == {"branches": "failed"}
         assert man["diagnostics"]["error"]["class"] == "BudgetError"
         assert man["diagnostics"]["sweep"] == {}
+        assert not (out / "branches.csv").exists()
+
+    def test_sweep_samples_over_budget_exits_5_with_a_manifest(self, tmp_path, capsys):
+        """More samples than the points budget: refused before the zeta grid is allocated,
+        where numpy's allocation error would end the run in a traceback."""
+        raw = tiny_config()
+        raw["sweep"]["samples"] = 1e15
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["branches", "--config", str(p), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == "error: sweep samples = 1000000000000000 exceeds the budget 4000\n"
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["verdicts"] == {"branches": "failed"}
+        assert man["diagnostics"]["error"]["class"] == "BudgetError"
+        assert man["config"]["sweep"]["samples"] == 10**15
         assert not (out / "branches.csv").exists()
 
 
@@ -498,7 +518,7 @@ print([m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules])
 
     def test_trace_off_by_one_exits_7(self, tmp_path, monkeypatch):
         """A trace one above mass_wall's 1.0045 rounds to 2, not the predicted 1: the
-        run still writes oracle.csv and its manifest, with verdict failed, and exits 7."""
+        run still writes oracle.csv and its manifest, with verdict mismatch, and exits 7."""
         trace = oracle2d.trace_conductivity
 
         def off_by_one(*args, **kwargs):
@@ -509,10 +529,30 @@ print([m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules])
         out = tmp_path / "o"
         assert main(["oracle", "--preset", "mass_wall", "--out", str(out)]) == 7
         man = json.loads((out / "manifest.json").read_text())
-        assert man["verdicts"] == {"oracle": "failed"}
+        assert man["verdicts"] == {"oracle": "mismatch"}
         diag = man["diagnostics"]["oracle"]
         assert diag["predicted_sf"] == 1 and abs(diag["deviation"] - 1.0045) < 1e-3
         assert len((out / "oracle.csv").read_text().splitlines()) == 2
+
+    def test_unstable_perturbation_exits_7(self, tmp_path, monkeypatch, capsys):
+        """Perturbed traces one above the base trace round away from its integer: the
+        stability verdict is unstable, the run writes every row of oracle.csv, records
+        the oracle's verdict as mismatch, as flow does, and exits 7."""
+        trace = oracle2d.trace_conductivity
+        # the stability run's lookup
+        monkeypatch.setattr(oracle2d, "trace_conductivity", lambda *a, **k: trace(*a, **k) + 1.0)
+        raw = tiny_config(
+            grid2d={"N": 24, "L": 6.0, "Ny": 16, "Ly": 12.0}, perturbation={"kind": "decay_xy", "amplitude": 0.3}
+        )
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", str(p), "--out", str(out)]) == 7
+        assert "stability (decay_xy): unstable" in capsys.readouterr().out
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["verdicts"] == {"stability": "unstable", "oracle": "mismatch"}
+        assert "error" not in man["diagnostics"]
+        assert len((out / "oracle.csv").read_text().splitlines()) == 5
 
 
 def test_all_figures_stops_at_the_first_failed_preset(tmp_path, monkeypatch, capsys):

@@ -152,6 +152,8 @@ class TestDensityProfile:
         val, _ = quad(lambda x: derivative(d.phi, x), -0.5, 0.5, limit=200)
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_requires_zero_one_plateaus(self):
-        with pytest.raises(ValueError):
-            DensityProfile(SwitchProfile(0.0, 2.0, -1.0, 1.0))
+    def test_phi_is_the_bump_across_an_increasing_window(self):
+        for e1, e2 in [(0.5, 0.5), (1.0, -1.0)]:
+            with pytest.raises(ValueError, match="invalid transition interval"):
+                DensityProfile.from_window(e1, e2)
+        assert DensityProfile.from_window(0.2, 0.6).phi == SwitchProfile(0.0, 1.0, 0.2, 0.6)
