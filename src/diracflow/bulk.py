@@ -17,6 +17,13 @@ exact fractions so the predicted flow is exactly integral.
 
 The interface conductivity is that integer only when the density window
 [E1, E2] lies in a gap of both half-spaces' spectra (check_density_window).
+
+Both questions are answered by one exact count (_paired_counts): the
+paired levels below a magnitude r, strictly or with eps_k = r included.
+Every float is a rational, so the count is a floor taken in integers:
+a level is hit only when it is hit exactly, nothing overflows, and the
+window check costs two counts per side of V whatever its width.
+landau_levels, the float list of levels, serves printouts and tests.
 """
 
 from __future__ import annotations
@@ -72,16 +79,37 @@ class FlowPrediction:
 
 
 def landau_levels(hp: HalfSpaceParams, k_max: int) -> BulkSpectrum:
-    """All Landau levels with index up to k_max, sorted ascending."""
+    """All Landau levels with index up to k_max, sorted ascending, in floats."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     zeroth = hp.m * math.copysign(1.0, hp.B) + hp.V
     levels = [zeroth]
     for k in range(1, k_max + 1):
-        e = math.sqrt(2.0 * k * abs(hp.B) + hp.m**2)
+        e = math.sqrt(2.0 * k * abs(hp.B) + hp.m * hp.m)
         levels.append(hp.V + e)
         levels.append(hp.V - e)
     return BulkSpectrum(levels=tuple(sorted(levels)), zeroth_level=zeroth)
+
+
+def _ratio(x: float) -> tuple[int, int]:
+    """x as an exact integer ratio (numerator, positive denominator)."""
+    return float(x).as_integer_ratio()
+
+
+def _zeroth(hp: HalfSpaceParams) -> tuple[int, int]:
+    """The unpaired zeroth level m sgn(B) + V as an exact integer ratio."""
+    (mn, md), (vn, vd) = _ratio(hp.m), _ratio(hp.V)
+    return (mn if hp.B > 0 else -mn) * vd + vn * md, md * vd
+
+
+def _paired_counts(hp: HalfSpaceParams, rn: int, rd: int) -> tuple[int, int]:
+    """(#{k >= 1 : eps_k < r}, #{k >= 1 : eps_k <= r}) for the paired magnitudes
+    eps_k = sqrt(2 k |B| + m^2) and a magnitude r = rn / rd >= 0.  eps_k <= r
+    exactly when k <= q = (r^2 - m^2) / (2 |B|), so both counts follow from
+    the floor of q, taken in integers: nothing rounds and nothing overflows."""
+    (mn, md), (bn, bd) = _ratio(hp.m), _ratio(hp.B)
+    k, rest = divmod((rn * rn * md * md - mn * mn * rd * rd) * bd, 2 * abs(bn) * rd * rd * md * md)
+    return max(k - 1 if rest == 0 else k, 0), max(k, 0)
 
 
 def count_levels(hp: HalfSpaceParams, alpha: float) -> int:
@@ -90,55 +118,67 @@ def count_levels(hp: HalfSpaceParams, alpha: float) -> int:
     Raises BulkLevelError when |alpha - V| sits exactly on a threshold
     (including the zeroth-level magnitude |m|), where the flow is undefined.
     """
-    r = abs(alpha - hp.V)
-    if r == abs(hp.m):
+    (an, ad), (vn, vd), (mn, md) = _ratio(alpha), _ratio(hp.V), _ratio(hp.m)
+    rn, rd = abs(an * vd - vn * ad), ad * vd
+    if rn * md == abs(mn) * rd:
         raise BulkLevelError(f"alpha on bulk level: |alpha - V| = |m| = {abs(hp.m)}")
-    if r < abs(hp.m):
-        return 0
-    # solve 2k|B| + m^2 = r^2 for the crossing index
-    q = (r * r - hp.m * hp.m) / (2.0 * abs(hp.B))
-    k = math.floor(q)
-    if q == k and k >= 1:
-        raise BulkLevelError(f"alpha on bulk level: k = {k}")
-    return k
+    below, through = _paired_counts(hp, rn, rd)
+    if below != through:
+        raise BulkLevelError(f"alpha on bulk level: k = {through}")
+    return below
+
+
+def _twice_index(hp: HalfSpaceParams, alpha: float) -> int:
+    """2 I(alpha), an odd integer: one count and one comparison with the zeroth
+    level.  On the zeroth level |alpha - V| = |m|, where count_levels raises."""
+    n = count_levels(hp, alpha)
+    (an, ad), (zn, zd) = _ratio(alpha), _zeroth(hp)
+    return (2 * n + 1) * (1 if (hp.B > 0) == (an * zd > zn * ad) else -1)
 
 
 def half_index(hp: HalfSpaceParams, alpha: float) -> Fraction:
     """The signed half-integer index I(alpha) of one half-space."""
-    n = count_levels(hp, alpha)
-    zeroth = hp.m * math.copysign(1.0, hp.B) + hp.V
-    if alpha == zeroth:
-        raise BulkLevelError("flow undefined at alpha: alpha equals the zeroth level")
-    sgn_b = 1 if hp.B > 0 else -1
-    sgn_a = 1 if alpha > zeroth else -1
-    return sgn_b * sgn_a * (Fraction(n) + Fraction(1, 2))
+    return Fraction(_twice_index(hp, alpha), 2)
 
 
 def predicted_sf(minus: HalfSpaceParams, plus: HalfSpaceParams, alpha: float) -> FlowPrediction:
-    """Predicted spectral flow I(minus; alpha) - I(plus; alpha)."""
-    i_minus = half_index(minus, alpha)
-    i_plus = half_index(plus, alpha)
-    sf = i_minus - i_plus
-    assert sf.denominator == 1
+    """Predicted spectral flow I(minus; alpha) - I(plus; alpha), an integer: both
+    2I are odd.  |2I| = 2N + 1."""
+    t_minus, t_plus = _twice_index(minus, alpha), _twice_index(plus, alpha)
     return FlowPrediction(
-        I_minus=i_minus,
-        I_plus=i_plus,
-        sf=int(sf),
-        N_minus=count_levels(minus, alpha),
-        N_plus=count_levels(plus, alpha),
+        I_minus=Fraction(t_minus, 2),
+        I_plus=Fraction(t_plus, 2),
+        sf=(t_minus - t_plus) // 2,
+        N_minus=abs(t_minus) // 2,
+        N_plus=abs(t_plus) // 2,
     )
+
+
+def _paired_level(hp: HalfSpaceParams, k: int, sign: int) -> float:
+    """The paired level V + sign * eps_k, from a square root exact to 64 bits: a
+    float formula overflows where k or eps_k^2 exceeds the float range."""
+    eps2 = 2 * k * abs(Fraction(hp.B)) + Fraction(hp.m) ** 2
+    s = eps2.denominator.bit_length() + 64
+    eps = Fraction(math.isqrt((eps2.numerator << 2 * s) // eps2.denominator), 1 << s)
+    return float(Fraction(hp.V) + sign * eps)
 
 
 def check_density_window(minus: HalfSpaceParams, plus: HalfSpaceParams, window: tuple[float, float]) -> None:
     """WindowError when the closed window [E1, E2] holds a Landau level of
-    either half-space, the zeroth level included."""
-    lo, hi = window
+    either half-space, the zeroth level included.  On each side of V the window
+    covers an interval [a, b] of |E - V|, which holds a paired level exactly when
+    #{eps_k <= b} exceeds #{eps_k < a}: two counts per side, whatever the width."""
+    lo, hi = Fraction(window[0]), Fraction(window[1])
     for side, hp in (("minus", minus), ("plus", plus)):
-        r = max(abs(lo - hp.V), abs(hi - hp.V))  # no level in the window lies farther from V
-        k_max = max(1, math.ceil((r * r - hp.m * hp.m) / (2.0 * abs(hp.B))))
-        inside = [e for e in landau_levels(hp, k_max).levels if lo <= e <= hi]
-        if inside:
+        v, zeroth = Fraction(hp.V), Fraction(*_zeroth(hp))
+        level = float(zeroth) if lo <= zeroth <= hi else None
+        for sign, a, b in ((-1, v - min(hi, v), v - lo), (1, max(lo, v) - v, hi - v)):
+            if level is None and a <= b:
+                k = _paired_counts(hp, *a.as_integer_ratio())[0] + 1  # the first paired level at or past a
+                if k <= _paired_counts(hp, *b.as_integer_ratio())[1]:
+                    level = _paired_level(hp, k, sign)
+        if level is not None:
             raise WindowError(
-                f"density window [{lo:g}, {hi:g}] holds the {side} half-space's bulk level {inside[0]:.6g}: "
+                f"density window [{window[0]:g}, {window[1]:g}] holds the {side} half-space's bulk level {level:.6g}: "
                 "the conductivity is quantized only for a window in a bulk gap"
             )

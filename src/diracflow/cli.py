@@ -9,7 +9,8 @@ Verbs:
 
 Exit codes: 0 ok, 1 solver or other error, 2 alpha on a bulk level,
 3 tracking failure, 4 invalid window (including a density window that holds a
-bulk Landau level), 5 a budget exceeded (2D dimension, fiber N or sweep samples),
+bulk Landau level, and for flow an alpha or a density window edge outside the
+sweep window), 5 a budget exceeded (2D dimension, fiber N or sweep samples),
 6 invalid config, command line or --out, 7 failed result (a flow or an oracle trace
 that does not reconcile with the prediction, or an unstable oracle verdict), whose
 verdict is `mismatch`.
@@ -29,7 +30,7 @@ from pathlib import Path
 from .branches import Branch, branch_points, sweep_branches
 from .bulk import HalfSpaceParams, check_density_window, landau_levels, predicted_sf
 from .config import RunConfig, RunManifest, config_from_dict, load_config
-from .errors import ConfigError, DiracflowError
+from .errors import ConfigError, DiracflowError, WindowError
 from .flow import conductivity, reconcile, spectral_flow
 from .oracle2d import (
     assemble_2d,
@@ -113,8 +114,27 @@ def cmd_branches(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     return 0
 
 
+def _check_sweep_window(cfg: RunConfig) -> None:
+    """WindowError unless every alpha and both density window edges lie in the
+    sweep window less one sweep step at each end.  A branch moves at most one
+    step in mu per step in zeta (its slope is bounded by 1), so a branch that
+    leaves through the window's edge is last sampled within one step of it: a
+    level nearer the edge than that could be crossed after the last sample,
+    and a level outside the window is crossed by no tracked branch at all."""
+    sw = cfg.sweep
+    step = (sw.zeta_max - sw.zeta_min) / (sw.samples - 1)
+    lo, hi = sw.window[0] + step, sw.window[1] - step
+    for what, level in [*(("alpha", a) for a in cfg.alphas), *(("density window edge", e) for e in cfg.density.window)]:
+        if not lo <= level <= hi:
+            raise WindowError(
+                f"{what} {level:g} lies outside [{lo:g}, {hi:g}]: the sweep window "
+                f"[{sw.window[0]:g}, {sw.window[1]:g}] less one sweep step {step:g} at each end"
+            )
+
+
 def cmd_flow(cfg: RunConfig, out: Path, man: RunManifest) -> int:
     minus, plus = half_spaces(cfg.profiles)
+    _check_sweep_window(cfg)
     check_density_window(minus, plus, cfg.density.window)
     branches = run_sweep(cfg, man)
 

@@ -54,6 +54,7 @@ either absent or land in the boundary strip of the spurious filter.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -110,6 +111,8 @@ class Grid1D:
             raise ValueError("N must be >= 16")
         if self.L <= 0:
             raise ValueError("L must be positive")
+        if not self.h >= sys.float_info.min:  # the hop 1/h must be finite
+            raise ValueError(f"L = {self.L!r} is too small for N = {self.N}: the spacing 2L/(N-1) underflows")
 
     @property
     def h(self) -> float:

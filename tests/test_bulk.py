@@ -1,6 +1,7 @@
 """Closed-form Landau spectra and the half-space flow prediction."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,28 @@ class TestCountLevels:
         # exactly on the k = 2 threshold for B = 2, m = 0
         with pytest.raises(BulkLevelError):
             count_levels(HalfSpaceParams(B=2.0, m=0.0), math.sqrt(4.0))
+
+    def test_levels_are_hit_only_exactly(self):
+        """fl(2.1) - fl(0.1) rounds to 2 = |m|, but exceeds it by 8.3e-17: alpha = 2.1
+        lies just above the zeroth level 2 + fl(0.1), not on it."""
+        hp = HalfSpaceParams(B=2.0, m=2.0, V=0.1)
+        assert 2.1 - 0.1 == 2.0 and Fraction(2.1) - Fraction(0.1) > 2
+        assert count_levels(hp, 2.1) == 0
+        assert half_index(hp, 2.1) == Fraction(1, 2)
+
+    def test_count_far_from_v_is_exact(self):
+        """At alpha = 1e7, q = (r^2 - m^2) / (2|B|) is 25000000499999.0025: a float q
+        rounds onto that integer, which reads as a level."""
+        alpha, V = 1e7, -0.1
+        (an, ad), (vn, vd) = alpha.as_integer_ratio(), V.as_integer_ratio()
+        rn, rd = an * vd - vn * ad, ad * vd  # r = alpha - V > 0
+        k, rest = divmod(rn * rn - 4 * rd * rd, 4 * rd * rd)  # m^2 = 4 and 2|B| = 4
+        assert rest > 0
+        assert count_levels(HalfSpaceParams(B=-2.0, m=-2.0, V=V), alpha) == k == 25000000499999
+
+    def test_huge_alpha_is_counted(self):
+        q = ((Fraction(1e300) - Fraction(0.1)) ** 2 - 4) / 4
+        assert count_levels(HalfSpaceParams(B=2.0, m=2.0, V=0.1), 1e300) == math.floor(q)
 
 
 class TestHalfIndex:
@@ -181,7 +204,7 @@ class TestCheckDensityWindow:
         check_density_window(self.GAPPED, self.GAPPED, window)
 
     def test_levels_far_from_v_count(self):
-        """The levels are listed up to the window's far end.  A massless B = 2
+        """Levels far from V count.  A massless B = 2
         half-space at V = 0.5 has levels 0.5 +/- sqrt(4 k): k = 24, 25 and 26
         give 10.298, 10.5 and 10.698 above V and their mirrors below it."""
         hp = HalfSpaceParams(B=2.0, m=0.0, V=0.5)
@@ -190,6 +213,43 @@ class TestCheckDensityWindow:
                 check_density_window(hp, hp, window)
         check_density_window(hp, hp, (10.51, 10.69))
         check_density_window(hp, hp, (-9.69, -9.51))
+
+    def test_huge_windows_are_checked_at_once(self):
+        for window in ((-1e300, 1e300), (-1e20, 1e20)):
+            with pytest.raises(WindowError, match="minus half-space's bulk level 2:"):
+                check_density_window(self.HP, self.HP, window)
+        massive = HalfSpaceParams(B=2.0, m=1e300, V=0.0)  # gap (-1e300, 1e300)
+        check_density_window(massive, massive, (-math.nextafter(1e300, 0.0), math.nextafter(1e300, 0.0)))
+        with pytest.raises(WindowError, match="level -1e\\+300"):  # the first paired level below V
+            check_density_window(massive, massive, (-1.5e300, -1e299))
+
+    def test_matches_the_level_list(self):
+        """Random half-spaces and windows: the window holds a level of `landau_levels`
+        exactly when the check raises, and the error names one of them."""
+        rng = np.random.default_rng(41)
+        raised = 0
+        for _ in range(2000):
+            sides = {}
+            for side in ("minus", "plus"):
+                B = float(rng.uniform(0.5, 4.0) * rng.choice([-1, 1]))
+                sides[side] = HalfSpaceParams(B, float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-2.0, 2.0)))
+            lo = float(rng.uniform(-8.0, 8.0))
+            hi = lo + float(rng.exponential(1.0))
+            listed = {}
+            for side, hp in sides.items():
+                r = max(abs(lo - hp.V), abs(hi - hp.V))
+                k_max = max(1, math.ceil((r * r - hp.m**2) / (2.0 * abs(hp.B)))) + 1
+                listed[side] = [e for e in landau_levels(hp, k_max).levels if lo <= e <= hi]
+            try:
+                check_density_window(sides["minus"], sides["plus"], (lo, hi))
+            except WindowError as exc:
+                side, level = re.search(r"the (minus|plus) half-space's bulk level (\S+):", str(exc)).groups()
+                assert min(abs(float(level) - e) for e in listed[side]) < 1e-5
+                assert side == "minus" or not listed["minus"]  # minus is checked first
+                raised += 1
+            else:
+                assert not listed["minus"] and not listed["plus"]
+        assert 200 < raised < 1800  # both outcomes are drawn often
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_windows_pass(self, name):

@@ -121,9 +121,19 @@ class TestCliBulk:
         assert rc == 0
         assert "SF_pred = 0" in capsys.readouterr().out
 
+    def test_huge_alpha_counts_its_levels(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(tiny_config(alphas=[1e300])))
+        assert main(["bulk-spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["verdicts"] == {"bulk": "ok"}
+        row = (tmp_path / "o" / "bulk.csv").read_text().splitlines()[1].split(",")
+        assert len(row[1]) == len(row[2]) == 600  # N is about 1e600 / 4 on both sides
+
     def test_alpha_on_level_exits_2(self, tmp_path, capsys):
         """The failed run still writes its manifest: verdict failed and the error, and no bulk.csv."""
-        raw = tiny_config(alphas=[2.1])  # the zeroth level of the plus side
+        raw = tiny_config(alphas=[2.5])  # exactly the zeroth level m + V of the plus side
+        raw["profiles"]["V"] = {"lower": -0.5, "upper": 0.5}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         rc = main(["bulk-spectrum", "--config", str(p), "--out", str(tmp_path / "o")])
@@ -325,6 +335,26 @@ class TestCliFlow:
         assert main(["flow", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
         assert "bulk level" in capsys.readouterr().err
         _assert_failure_record(tmp_path / "o", "flow", "WindowError")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # sweep window (-4, 4): 5.3 lies above it, and so does the gap (4.15, 4.3)
+            dict(preset_config("dual_wall_v01"), alphas=[5.3]),
+            dict(preset_config("dual_wall_v01"), density={"window": [4.15, 4.3]}),
+            # sweep window (-3, 3) with a step of 0.5: 2.8 lies within one step of its edge
+            tiny_config(alphas=[2.8]),
+        ],
+        ids=["alpha-above", "density-above", "alpha-within-one-step"],
+    )
+    def test_level_outside_the_sweep_window_exits_4_before_the_sweep(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setattr(cli, "sweep_branches", _forbidden)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["flow", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+        assert "outside" in capsys.readouterr().err
+        man = _assert_failure_record(tmp_path / "o", "flow", "WindowError")
+        assert "sweep" not in man["diagnostics"]
 
     def test_invalid_window_exits_4(self, tmp_path, capsys):
         """A flow that fails after its sweep still writes the manifest: the verdict
@@ -764,6 +794,64 @@ def test_config_fuzz_raises_only_diracflow_errors(data):
     except DiracflowError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+class _FirstSolve(DiracflowError):
+    """Raised in place of the first solve, so a fuzzed run stops there."""
+
+    exit_code = 99
+
+
+def _first_solve(*args, **kwargs):
+    raise _FirstSolve("reached the first solve")
+
+
+_EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.5e-310, -0.0]
+# every settable value, defaults included, with a perturbation that reads its delta
+_EXTREME_BASE = config_from_dict(
+    tiny_config(grid2d={"N": 24, "Ny": 16}, perturbation={"kind": "decay_xy", "amplitude": 0.5})
+).resolved()
+
+
+def _float_paths(node):
+    """The key paths of `node` that hold a float, list items included."""
+    for path in _paths(node):
+        value = node
+        for k in path:
+            value = value[k]
+        if isinstance(value, float):
+            yield path
+
+
+@pytest.mark.parametrize("verb", ["bulk-spectrum", "flow", "oracle"])
+def test_extreme_floats_run_to_a_documented_exit(tmp_path, monkeypatch, capsys, verb):
+    """Each finite extreme at each float path: bulk-spectrum runs end to end, flow
+    and oracle up to their first solve.  Every run exits with a documented code,
+    and every run past the parser leaves a manifest with the verb's verdict."""
+    monkeypatch.setattr(cli, "sweep_branches", _first_solve)
+    monkeypatch.setattr(cli, "trace_conductivity", _first_solve)
+    key = cli._VERBS[verb][1]
+    p = tmp_path / "cfg.json"
+    for i, (path, value) in enumerate((q, v) for q in _float_paths(_EXTREME_BASE) for v in _EXTREMES):
+        raw = copy.deepcopy(_EXTREME_BASE)
+        node = raw
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        p.write_text(json.dumps(raw))
+        out = tmp_path / str(i)
+        rc = main([verb, "--config", str(p), "--out", str(out)])
+        err = capsys.readouterr().err
+        draw = f"{'.'.join(map(str, path))} = {value!r}: exit {rc}, {err.strip()}"
+        assert rc in (0, 1, 2, 3, 4, 5, 6, 7, _FirstSolve.exit_code), draw
+        assert "Traceback" not in err, draw
+        try:
+            config_from_dict(raw)
+        except DiracflowError:
+            assert rc == 6 and not out.exists(), draw
+            continue
+        verdict = json.loads((out / "manifest.json").read_text())["verdicts"].get(key)
+        assert verdict == {0: "ok", 7: "mismatch"}.get(rc, "failed"), draw
 
 
 @pytest.mark.parametrize(
